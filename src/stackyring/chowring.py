@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DecompositionMismatch, DimensionMismatch, IncompleteFan,
-                     InfiniteDimensional, OutsideSupport, TwistArityMismatch)
+                     InfiniteDimensional, TwistArityMismatch)
 from .fan import SimplicialFan
 from .stacky import BoxElement, ExtendedStackyFan
 
@@ -193,16 +193,6 @@ def stanley_reisner_generators(fan) -> tuple:
             if all(tuple(sorted(set(s) - {i})) in faces for i in s):
                 out.append(s)
     return tuple(out)
-
-
-def grade(sfan: ExtendedStackyFan, c) -> Fraction:
-    """Degree of y^c: the coefficient sum of c_bar over its minimal cone."""
-    cbar = sfan.bar(c)
-    sigma = sfan.fan.minimal_cone([cbar])
-    if sigma is None:
-        raise OutsideSupport(f"{tuple(c)} lies outside the fan support")
-    coeffs = sfan.fan.cone_coefficients(sigma, cbar)
-    return sum(coeffs, Fraction(0))
 
 
 def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):

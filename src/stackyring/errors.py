@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Validation routines that report many findings at once return Diagnostic
-records instead of raising; the codes reuse these class names.
+records instead of raising. Their codes name the condition found: the
+fan checks report NotSimplicial and BadIntersection, the subdivision
+checks NotSmooth; no exception is raised under those names.
 """
 
 from __future__ import annotations
@@ -23,14 +25,6 @@ class NonFreeSource(StackyError):
 
 class GaleExactnessError(StackyError):
     """Internal consistency check of the Gale dual sequences failed."""
-
-
-class NotSimplicial(StackyError):
-    """A cone's ray directions are linearly dependent."""
-
-
-class BadIntersection(StackyError):
-    """Two cones do not meet along a common face."""
 
 
 class DegenerateImage(StackyError):
@@ -79,10 +73,6 @@ class Unsatisfiable(StackyError):
 
 class Inconsistent(StackyError):
     """A candidate support function violates a required inequality."""
-
-
-class NotSmooth(StackyError):
-    """A refined cone's ray lattice vectors do not form part of a basis."""
 
 
 class InvalidSubdivision(StackyError):

@@ -124,10 +124,6 @@ class FgAbGroup:
                         changed = True
         return tuple(q for q in sorted(qs) if q > 1)
 
-    def is_isomorphic(self, other: "FgAbGroup") -> bool:
-        return (self.rank == other.rank
-                and self.invariant_factors == other.invariant_factors)
-
     def normalize(self):
         """Return (group in invariant-factor form, isomorphism from self)."""
         if self.torsion == self.invariant_factors:

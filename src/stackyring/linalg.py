@@ -57,8 +57,9 @@ def solve_exact(matrix, rhs):
     """Solve matrix @ x = rhs over the rationals.
 
     Returns one solution as a list of Fractions, or None if inconsistent.
-    The solution is unique whenever the columns are independent, which is
-    the only way callers use this.
+    The solution is unique whenever the columns are independent.
+    The library answers cone queries through the fan's geometry index
+    instead; benchmark/spans.py still wraps this function by name.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
@@ -93,17 +94,6 @@ def nullspace(matrix):
     return basis
 
 
-def inverse(matrix):
-    """Inverse of a square rational matrix; raises ValueError if singular."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
-
-
 def mat_mul(a, b):
     """Matrix product with int entries preserved when both inputs are int."""
     nrows, inner = len(a), (len(b) if b else 0)
@@ -129,20 +119,6 @@ def transpose(matrix):
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def int_inverse(matrix):
-    """Inverse of a unimodular integer matrix, returned with int entries."""
-    inv = inverse(matrix)
-    out = []
-    for row in inv:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            int_row.append(int(x))
-        out.append(int_row)
-    return out
 
 
 def det(matrix):

@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .chowring import BaseRing, OrbifoldRing, ordinary_chow_ring, orbifold_ring
 from .errors import (Diagnostic, Inconsistent, InvalidSubdivision,
                      Unsatisfiable)
@@ -152,9 +151,8 @@ def _check_candidate(sub: Subdivision, h, walls, raise_on_fail=True):
         for wall, c1, c2 in walls:
             for near, far in ((c1, c2), (c2, c1)):
                 opposite = [i for i in far if i not in wall]
-                mat = refined.ray_matrix(near)
                 for u in opposite:
-                    sol = linalg.solve_exact(mat, list(refined.rays[u]))
+                    sol = refined.span_coefficients(near, refined.rays[u])
                     if sol is None:
                         failures.append(
                             f"ray {u} not in the span of cone {near}")

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .errors import (InfiniteCokernel, NoCommonCone, OutsideSupport)
 from .fan import SimplicialFan
 from .lattice import FgAbGroup, GroupHom, cokernel, solve_integer_linear
@@ -48,6 +47,9 @@ class ExtendedStackyFan:
     fan: SimplicialFan
     ray_lifts: tuple
     extra: tuple = ()
+    # sigma -> (projection onto N(sigma), {projected value: box elements})
+    _complements: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
 
     def __post_init__(self):
         lifts = tuple(self.group.reduce(b) for b in self.ray_lifts)
@@ -122,10 +124,8 @@ class ExtendedStackyFan:
             ranges = [range(math.ceil(lo[c]), math.floor(hi[c]) + 1)
                       for c in range(d)]
             for w in itertools.product(*ranges):
-                coeffs = linalg.solve_exact(self.fan.ray_matrix(sigma), list(w))
-                if coeffs is None:
-                    continue
-                if all(0 <= a < 1 for a in coeffs):
+                coeffs = self.fan.cone_coefficients(sigma, w)
+                if coeffs is not None and all(a < 1 for a in coeffs):
                     points.append((tuple(w), coeffs))
         out = []
         for w, coeffs in points:
@@ -155,11 +155,10 @@ class ExtendedStackyFan:
         the minimal cone of c_bar to its nonnegative integer part.
         """
         c = self.group.reduce(c)
-        cbar = self.bar(c)
-        sigma = self.fan.minimal_cone([cbar])
-        if sigma is None:
+        located = self.fan.locate(self.bar(c))
+        if located is None:
             raise OutsideSupport(f"{c} has image outside the fan support")
-        coeffs = self.fan.cone_coefficients(sigma, cbar)
+        sigma, coeffs = located
         mult = {}
         v = list(c)
         frac_support = []
@@ -187,7 +186,11 @@ class ExtendedStackyFan:
         return cokernel(incl)
 
     def in_cone_sublattice(self, sigma, vec) -> bool:
-        """Is vec in the subgroup N_sigma generated by the cone's lifts?"""
+        """Is vec in the subgroup N_sigma generated by the cone's lifts?
+
+        box_complement decides this by a lookup in N(sigma) instead;
+        benchmark/spans.py still wraps this method by name.
+        """
         sigma = tuple(sorted(sigma))
         vec = self.group.reduce(vec)
         cols = [self.ray_lifts[i] for i in sigma]
@@ -196,20 +199,41 @@ class ExtendedStackyFan:
         full = [mat[r] + rel[r] for r in range(self.group.coords)]
         return solve_integer_linear(full, list(vec)) is not None
 
+    def _box_by_projection(self, sigma):
+        """(proj: N -> N(sigma), {proj(w): [w in Box(sigma)]}) per sigma."""
+        entry = self._complements.get(sigma)
+        if entry is None:
+            _, proj = self.local_group(sigma)
+            table = {}
+            for w in self.box_of_cone(sigma):
+                table.setdefault(proj.apply(w.value), []).append(w)
+            entry = self._complements[sigma] = (proj, table)
+        return entry
+
     def box_complement(self, v1: BoxElement, v2: BoxElement) -> BoxElement:
         """The unique v3 in Box with v1 + v2 + v3 in N_sigma(v1,v2).
 
         The triple (v1, v2, v3) is then a 3-twisted sector: the minimal cone
         of the three images equals the minimal cone of the first two.
+
+        The search is a lookup in N(sigma) = N / N_sigma. The projection
+        proj from local_group(sigma) has kernel exactly N_sigma, so for
+        s = v1 + v2 and w in Box(sigma)
+
+            s + w in N_sigma  <=>  proj(s + w) = 0  <=>  proj(w) = -proj(s).
+
+        The box elements of sigma grouped by proj(w) therefore hold under
+        -proj(s) exactly the w that a scan testing s + w in N_sigma would
+        accept, in the same order. Two box elements with one projected
+        value are the scan's "found 2"; a value no element has is its
+        "found 0".
         """
         sigma = self.fan.minimal_cone([self.bar(v1.value), self.bar(v2.value)])
         if sigma is None:
             raise NoCommonCone("v1 and v2 do not share a cone")
+        proj, table = self._box_by_projection(sigma)
         s = self.group.add(v1.value, v2.value)
-        matches = []
-        for w in self.box_of_cone(sigma):
-            if self.in_cone_sublattice(sigma, self.group.add(s, w.value)):
-                matches.append(w)
+        matches = table.get(proj.target.neg(proj.apply(s)), ())
         if len(matches) != 1:
             raise NoCommonCone(
                 f"expected exactly one complement, found {len(matches)}")

@@ -1,44 +1,6 @@
 import pytest
 
 from stackyring import fixtures
-from stackyring.lattice import FgAbGroup, GroupHom
-
-# torsion shapes with order at most 36
-TORSION_CHOICES = (
-    (), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (12,), (36,),
-    (2, 2), (2, 4), (3, 3), (2, 12), (3, 12), (2, 2, 2), (2, 2, 3, 3),
-)
-
-
-def random_finite_cokernel_map(rng):
-    """A random Z^m -> N with m <= 6 whose cokernel is finite."""
-    while True:
-        rank = rng.randint(0, 3)
-        torsion = rng.choice(TORSION_CHOICES)
-        group = FgAbGroup(rank, torsion)
-        m = rng.randint(max(rank, 1), 6)
-        cols = [[rng.randint(-4, 4) for _ in range(group.coords)]
-                for _ in range(m)]
-        if _free_rank(cols, rank) != rank:
-            continue
-        return GroupHom.from_columns(m, group, cols)
-
-
-def _free_rank(cols, rank):
-    # fraction-free elimination on the free rows of the column matrix
-    rows = [[col[i] for col in cols] for i in range(rank)]
-    r = 0
-    for col in range(len(cols)):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                a, b = rows[r][col], rows[i][col]
-                rows[i] = [a * x - b * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
 
 
 @pytest.fixture

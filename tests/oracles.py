@@ -103,6 +103,133 @@ def rref_rank(rows):
     return rank
 
 
+def solve_over(columns, target):
+    """Unique a with sum a_i * columns[i] = target, or None.
+
+    The columns must be independent; k of them in Q^d with k <= d. The
+    first k-subset of rows with a nonzero minor gives the candidate by
+    Cramer's rule, and every row is then checked.
+    """
+    k = len(columns)
+    d = len(target)
+    if k == 0:
+        return [] if all(x == 0 for x in target) else None
+    for rows in itertools.combinations(range(d), k):
+        square = [[columns[j][i] for i in rows] for j in range(k)]
+        coeffs = cramer(square, [target[i] for i in rows])
+        if coeffs is None:
+            continue
+        for i in range(d):
+            if sum(a * col[i] for a, col in zip(coeffs, columns)) \
+                    != target[i]:
+                return None
+        return coeffs
+    return None
+
+
+def cone_coefficients(rays, cone, point):
+    """Nonnegative coefficients of point over the cone's rays, or None."""
+    coeffs = solve_over([rays[i] for i in cone], point)
+    if coeffs is None or any(a < 0 for a in coeffs):
+        return None
+    return coeffs
+
+
+def minimal_cone(rays, max_cones, points):
+    """Union of supports in the first maximal cone holding every point."""
+    for cone in max_cones:
+        cone = tuple(sorted(cone))
+        all_coeffs = [cone_coefficients(rays, cone, p) for p in points]
+        if any(a is None for a in all_coeffs):
+            continue
+        return tuple(sorted({i for a in all_coeffs
+                             for i, x in zip(cone, a) if x}))
+    return None
+
+
+def _reduce(rank, torsion, vec):
+    return tuple(vec[:rank]) + tuple(
+        x % q for x, q in zip(vec[rank:], torsion))
+
+
+def box_decompose(rank, torsion, lifts, max_cones, c):
+    """(value, support, fractional coefficients, multipliers) of c.
+
+    c = value + sum m_i b_i over the minimal cone of its image, with the
+    value's coefficients in [0, 1).
+    """
+    rays = [b[:rank] for b in lifts]
+    point = list(c[:rank])
+    sigma = minimal_cone(rays, max_cones, [point])
+    if sigma is None:
+        return None
+    coeffs = cone_coefficients(rays, sigma, point)
+    value = list(c)
+    mult = {}
+    support, fracs = [], []
+    for i, a in zip(sigma, coeffs):
+        mult[i] = math.floor(a)
+        value = [x - mult[i] * y for x, y in zip(value, lifts[i])]
+        if a != mult[i]:
+            support.append(i)
+            fracs.append(a - mult[i])
+    return (_reduce(rank, torsion, value), tuple(support), tuple(fracs),
+            mult)
+
+
+def box_elements(rank, torsion, lifts, cone):
+    """{value: (support, coefficients)} of Box(cone), for any face.
+
+    Integer points of the closed parallelepiped's bounding box are kept
+    when their coefficients lie in [0, 1); each lifts once per torsion
+    element.
+    """
+    bars = [lifts[i][:rank] for i in cone]
+    lo = [sum(min(0, b[j]) for b in bars) for j in range(rank)]
+    hi = [sum(max(0, b[j]) for b in bars) for j in range(rank)]
+    out = {}
+    for x in itertools.product(*(range(lo[j], hi[j] + 1)
+                                 for j in range(rank))):
+        coeffs = solve_over(bars, x)
+        if coeffs is None or not all(0 <= a < 1 for a in coeffs):
+            continue
+        support = tuple(i for i, a in zip(cone, coeffs) if a)
+        nonzero = tuple(a for a in coeffs if a)
+        for t in itertools.product(*(range(q) for q in torsion)):
+            out[tuple(x) + t] = (support, nonzero)
+    return out
+
+
+def in_cone_sublattice(rank, torsion, lifts, cone, vec):
+    """Is vec in the subgroup generated by the cone's lifts?
+
+    The cone's rays are independent, so the only candidate combination
+    is the unique rational one on the free coordinates; vec is in the
+    subgroup iff those coefficients are integers and the torsion
+    coordinates then agree too.
+    """
+    coeffs = solve_over([lifts[i][:rank] for i in cone], list(vec[:rank]))
+    if coeffs is None or any(a.denominator != 1 for a in coeffs):
+        return False
+    rest = list(vec)
+    for i, a in zip(cone, coeffs):
+        rest = [x - int(a) * y for x, y in zip(rest, lifts[i])]
+    return not any(_reduce(rank, torsion, rest))
+
+
+def box_complements(rank, torsion, lifts, sigma, candidates, v1, v2):
+    """The w among Box(sigma)'s values with v1 + v2 + w in N_sigma.
+
+    This is the scan that box_complement replaced: one membership test
+    per candidate, in candidate order. A well defined complement is the
+    single element of the result.
+    """
+    s = [x + y for x, y in zip(v1, v2)]
+    return [w for w in candidates
+            if in_cone_sublattice(rank, torsion, lifts, sigma,
+                                  [x + y for x, y in zip(s, w)])]
+
+
 P112_RAYS = ((1, 0), (0, 1), (-1, -2))
 P112_CONES = ((0, 1), (1, 2), (0, 2))
 

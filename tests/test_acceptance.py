@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import oracles
-from conftest import random_finite_cokernel_map
+from generators import random_finite_cokernel_map
 from stackyring import fixtures
 from stackyring.chowring import (BaseRing, isomorphic_presentation_check,
                                  module_decomposition_report, orbifold_ring)

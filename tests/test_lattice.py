@@ -185,7 +185,7 @@ def test_gale_dual_rejects_infinite_cokernel():
 
 
 def test_gale_exactness_property_seeded():
-    from conftest import random_finite_cokernel_map
+    from generators import random_finite_cokernel_map
 
     rng = random.Random(5150)
     for _ in range(40):
