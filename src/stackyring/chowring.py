@@ -17,9 +17,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DecompositionMismatch, DimensionMismatch, IncompleteFan,
-                     InfiniteDimensional, TwistArityMismatch)
+                     InfiniteDimensional, InternalInconsistency,
+                     TwistArityMismatch)
 from .fan import SimplicialFan
 from .stacky import BoxElement, ExtendedStackyFan
+
+
+def _check_structure(degrees, unit, table, error):
+    """Raise error unless the table is a graded, unital, associative ring.
+
+    table maps sorted index pairs (i, j) to sparse {k: coefficient} dicts
+    of the commutative product of basis elements i and j; omitted pairs
+    multiply to zero. The checks run in this order: every stored entry is
+    degree additive, the unit row is the identity, and (ij)k = i(jk) for
+    all i <= j <= k, which by commutativity covers every triple.
+    """
+    for (i, j), terms in table.items():
+        want = degrees[i] + degrees[j]
+        for k in terms:
+            if degrees[k] != want:
+                raise error(f"product ({i},{j}) not degree additive at {k}")
+    for j in range(len(degrees)):
+        if table.get((min(unit, j), max(unit, j))) != {j: 1}:
+            raise error("unit law fails")
+
+    def times(vec, k):
+        out = {}
+        for t, q in vec.items():
+            for s, r in table.get((min(t, k), max(t, k)), {}).items():
+                out[s] = out.get(s, 0) + q * r
+        return {s: q for s, q in out.items() if q}
+
+    for i in range(len(degrees)):
+        for j in range(i, len(degrees)):
+            ij = table.get((i, j), {})
+            for k in range(j, len(degrees)):
+                if times(ij, k) != times(table.get((j, k), {}), i):
+                    raise error(f"associativity fails on ({i},{j},{k})")
 
 
 class BaseRing:
@@ -65,7 +99,7 @@ class BaseRing:
             table.setdefault(key, {j: Fraction(1)})
         self._table = table
         self.twists = self._normalize_twists(twists)
-        self._check()
+        _check_structure(self.degrees, self.unit_index, table, ValueError)
 
     @property
     def dim(self) -> int:
@@ -99,32 +133,6 @@ class BaseRing:
                     entry[int(k)] = q
             out.append(tuple(sorted(entry.items())))
         return tuple(out)
-
-    def _check(self):
-        for (i, j), terms in self._table.items():
-            want = self.degrees[i] + self.degrees[j]
-            for k, q in terms.items():
-                if self.degrees[k] != want:
-                    raise ValueError(
-                        f"product ({i},{j}) not degree additive at {k}")
-        for j in range(self.dim):
-            if self.product(self.unit_index, j) != {j: Fraction(1)}:
-                raise ValueError("unit law fails")
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                for k in range(j, self.dim):
-                    left = self._mul_vec(self.product(i, j), k)
-                    right = self._mul_vec(self.product(j, k), i)
-                    if left != right:
-                        raise ValueError(
-                            f"associativity fails on ({i},{j},{k})")
-
-    def _mul_vec(self, vec, idx):
-        out = {}
-        for t, q in vec.items():
-            for k, s in self.product(t, idx).items():
-                out[k] = out.get(k, Fraction(0)) + q * s
-        return {k: q for k, q in out.items() if q}
 
     def with_twists(self, twists) -> "BaseRing":
         products = {key: dict(val) for key, val in self._table.items()}
@@ -260,16 +268,13 @@ class _SectorSpace:
         self.box = box
         self.sfan = sfan
         self.base = base
-        sigma_v = set(box.min_cone)
-        supports = set()
-        for f in sfan.fan.faces():
-            if sigma_v <= set(f):
-                for k in range(len(f) + 1):
-                    for s in itertools.combinations(f, k):
-                        supports.add(s)
+        # the closed star of sigma(v): faces are closed under subsets, so
+        # these are exactly the subsets of the faces containing sigma(v)
+        supports = [s for s in sfan.fan.faces()
+                    if sfan.fan.is_face(s + box.min_cone)]
         budget = int(bound - box.age)  # bound - age is a nonneg integer bound
         keys = []
-        for s in sorted(supports):
+        for s in supports:
             if len(s) > budget:
                 continue
             for exps in itertools.product(range(1, budget + 1), repeat=len(s)):
@@ -322,23 +327,38 @@ class _SectorSpace:
         for (c, li), q in elem.items():
             v2, mult = self.sfan.box_decompose(c)
             if v2.value != self.box.value:
-                raise AssertionError("relation term escaped its sector")
+                raise InternalInconsistency(
+                    "relation term escaped its sector")
             exp = tuple(mult.get(i, 0) for i in range(self.sfan.n))
             _, pos = self.position[(exp, li)]
             row[pos] = row.get(pos, Fraction(0)) + q
         return {p: q for p, q in row.items() if q}
 
-    def _insert_row(self, deg, row):
+    def _eliminate(self, deg, row):
+        """Subtract pivot rows from row until it has no pivot column left.
+
+        Invariant: each pivot row is 1 at its own pivot column and zero at
+        every other pivot column; _insert_row keeps it by clearing a new
+        pivot's column from the older pivot rows. Clearing pivot column p
+        therefore leaves the other pivot columns as they were and adds
+        entries at non-pivot columns only, so one pass over the row's own
+        columns suffices: afterwards no pivot column is left in the row.
+        Zeros are dropped.
+        """
         pivots = self._pivots[deg]
         row = dict(row)
         for p in sorted(row):
-            if p in pivots and row.get(p):
-                f = row[p]
+            f = row[p]
+            if f and p in pivots:
                 for p2, q2 in pivots[p].items():
                     row[p2] = row.get(p2, Fraction(0)) - f * q2
-                row = {k: q for k, q in row.items() if q}
+        return {p: q for p, q in row.items() if q}
+
+    def _insert_row(self, deg, row):
+        row = self._eliminate(deg, row)
         if not row:
             return
+        pivots = self._pivots[deg]
         lead = min(row)
         inv = Fraction(1) / row[lead]
         new = {k: q * inv for k, q in row.items()}
@@ -355,16 +375,9 @@ class _SectorSpace:
         """Normal form of a vector at the given degree, on survivors only."""
         if deg not in self._pivots:
             if row:
-                raise AssertionError("vector at unknown degree")
+                raise InternalInconsistency("vector at unknown degree")
             return {}
-        pivots = self._pivots[deg]
-        row = dict(row)
-        for p in sorted(row):
-            if p in pivots and row.get(p):
-                f = row[p]
-                for p2, q2 in pivots[p].items():
-                    row[p2] = row.get(p2, Fraction(0)) - f * q2
-        return {p: q for p, q in row.items() if q and p not in pivots}
+        return self._eliminate(deg, row)
 
 
 class OrbifoldRing:
@@ -459,7 +472,8 @@ def _assemble(sfan, base, sectors):
             exp = tuple(mult.get(i, 0) for i in range(sfan.n))
             space = spaces.get(v2.value)
             if space is None:
-                raise AssertionError("product term left the computed sectors")
+                raise InternalInconsistency(
+                    "product term left the computed sectors")
             deg, pos = space.position[(exp, li)]
             for p2, q2 in space.reduce(deg, {pos: q}).items():
                 idx = locator[(v2.value, deg, p2)]
@@ -476,31 +490,13 @@ def _assemble(sfan, base, sectors):
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             prod = reduce_element(deformed_mul(sfan, base, reps[i], reps[j]))
-            want = basis[i].degree + basis[j].degree
-            for k in prod:
-                if basis[k].degree != want:
-                    raise AssertionError("product not degree additive")
             if prod:
                 table[(i, j)] = prod
 
     ring = OrbifoldRing(sfan, base, sectors, basis, table)
-    _verify_table(ring)
+    _check_structure([b.degree for b in basis], ring.unit_index, table,
+                     InternalInconsistency)
     return ring
-
-
-def _verify_table(ring: OrbifoldRing):
-    u = ring.unit_index
-    for j in range(ring.dimension):
-        if ring.product(u, j) != {j: Fraction(1)}:
-            raise AssertionError(f"unit law fails at {j}")
-    for i in range(ring.dimension):
-        for j in range(i, ring.dimension):
-            for k in range(j, ring.dimension):
-                left = ring.mul(ring.product(i, j), {k: Fraction(1)})
-                right = ring.mul({i: Fraction(1)}, ring.product(j, k))
-                if left != right:
-                    raise AssertionError(
-                        f"associativity fails on ({i},{j},{k})")
 
 
 def orbifold_ring(sfan: ExtendedStackyFan, base: BaseRing) -> OrbifoldRing:

@@ -63,6 +63,10 @@ class DecompositionMismatch(StackyError):
     """A sector's histogram disagrees with its quotient ring's histogram."""
 
 
+class InternalInconsistency(StackyError):
+    """A self-check of a computed result failed: a fault of the library."""
+
+
 class UnexpectedCoefficient(StackyError):
     """An obstruction coefficient fell outside the allowed set {1, 2}."""
 

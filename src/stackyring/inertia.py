@@ -42,7 +42,8 @@ def inertia_components(sfan: ExtendedStackyFan, r: int):
         joint = sfan.fan.minimal_cone(bars)
         if joint is None:
             continue
-        total = sum((b.age for b in tup), Fraction(0))
+        # start from the first age (r >= 1): one Fraction addition fewer
+        total = sum((b.age for b in tup[1:]), tup[0].age)
         out.append(Sector(tuple(tup), joint,
                           sfan.quotient_stacky_fan(joint), total))
     return out
@@ -50,16 +51,12 @@ def inertia_components(sfan: ExtendedStackyFan, r: int):
 
 def three_sectors(sfan: ExtendedStackyFan):
     """All 3-twisted sectors (g1, g2, g3 = complement of the pair)."""
-    box = sfan.box()
     out = []
-    for g1, g2 in itertools.product(box, repeat=2):
-        joint = sfan.fan.minimal_cone([sfan.bar(g1.value), sfan.bar(g2.value)])
-        if joint is None:
-            continue
+    for pair in inertia_components(sfan, 2):
+        g1, g2 = pair.elements
         g3 = sfan.box_complement(g1, g2)
-        total = g1.age + g2.age + g3.age
-        out.append(Sector((g1, g2, g3), joint,
-                          sfan.quotient_stacky_fan(joint), total))
+        out.append(Sector((g1, g2, g3), pair.joint_cone, pair.quotient,
+                          pair.total_age + g3.age))
     return out
 
 

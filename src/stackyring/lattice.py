@@ -382,13 +382,18 @@ def solve_integer_linear(matrix, rhs):
     return tuple(linalg.mat_vec(w.V, y))
 
 
+def _with_relations(group: FgAbGroup, matrix):
+    """Rows of [matrix | group.relation_matrix()], one per coordinate."""
+    rel = group.relation_matrix()
+    return [list(matrix[i]) + rel[i] for i in range(group.coords)]
+
+
 def member_of_subgroup(group: FgAbGroup, generators, vec):
     """Is vec in the subgroup of group generated by the given elements?"""
     vec = group.reduce(vec)
     cols = [group.reduce(g) for g in generators]
     mat = [[c[i] for c in cols] for i in range(group.coords)]
-    rel = group.relation_matrix()
-    full = [mat[i] + rel[i] for i in range(group.coords)]
+    full = _with_relations(group, mat)
     return solve_integer_linear(full, list(vec)) is not None
 
 
@@ -410,9 +415,7 @@ def cokernel(f: GroupHom):
     projection from f.target onto C.
     """
     target = f.target
-    mat = [list(row) for row in f.matrix]
-    rel = target.relation_matrix()
-    combined = [mat[i] + rel[i] for i in range(target.coords)]
+    combined = _with_relations(target, f.matrix)
     if not combined or not combined[0]:
         # nothing to quotient by: the cokernel is the target itself,
         # which is free here since combined empty means no relations
@@ -446,9 +449,7 @@ def kernel(f: GroupHom):
         raise NonFreeSource("kernel requires a free source")
     m = f.source.coords
     target = f.target
-    mat = [list(row) for row in f.matrix]
-    rel = target.relation_matrix()
-    combined = [mat[i] + rel[i] for i in range(target.coords)]
+    combined = _with_relations(target, f.matrix)
     ncols = m + len(target.torsion)
     if target.coords == 0:
         basis = [[int(i == j) for i in range(m)] for j in range(m)]
@@ -555,9 +556,7 @@ def gale_dual(beta: GroupHom):
         raise InfiniteCokernel(
             f"cokernel has rank {c.rank}; ray images must span N over Q")
     m = beta.source.coords
-    b = [list(row) for row in beta.matrix]      # (d+s) x m
-    q = n_group.relation_matrix()               # (d+s) x s
-    bq = [b[i] + q[i] for i in range(n_group.coords)]
+    bq = _with_relations(n_group, beta.matrix)  # (d+s) x (m+s)
     # transpose written out so a trivial N keeps the right row count
     t = [[bq[j][i] for j in range(n_group.coords)]
          for i in range(m + len(n_group.torsion))]

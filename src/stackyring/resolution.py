@@ -72,11 +72,11 @@ def validate_subdivision(sub: Subdivision):
         out.append(Diagnostic(
             "NotSmooth", "refined rays must start with the coarse rays"))
         return out
+    # minimal_cone(points) is None exactly when no single maximal cone
+    # holds every point: on any fan, valid or not, and for an empty list
+    # of points, which is None only when there are no maximal cones
     for c in refined.max_cones:
-        if not any(
-                all(coarse.fan.cone_coefficients(cc, refined.rays[i])
-                    is not None for i in c)
-                for cc in coarse.fan.max_cones):
+        if coarse.fan.minimal_cone([refined.rays[i] for i in c]) is None:
             out.append(Diagnostic(
                 "NotSmooth",
                 f"refined cone {c} is not contained in a coarse cone"))
@@ -122,11 +122,9 @@ def _interior_walls(sub: Subdivision):
         c1 = refined.max_cones[cones[0]]
         c2 = refined.max_cones[cones[1]]
         together = sorted(set(c1) | set(c2))
-        inside_one = any(
-            all(coarse.cone_coefficients(cc, refined.rays[i]) is not None
-                for i in together)
-            for cc in coarse.max_cones)
-        if inside_one:
+        # inside one coarse cone: see validate_subdivision
+        if coarse.minimal_cone([refined.rays[i] for i in together]) \
+                is not None:
             walls.append((w, c1, c2))
     return walls
 

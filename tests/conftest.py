@@ -1,6 +1,6 @@
 import pytest
 
-from stackyring import fixtures
+from stackyring import chowring, fixtures
 
 
 @pytest.fixture
@@ -12,3 +12,20 @@ def p112():
 def rank1_pair():
     return (fixtures.load_fan("example_rank1"),
             fixtures.load_fan("example_rank1_tilde"))
+
+
+@pytest.fixture
+def doctor_ring_table(monkeypatch):
+    """Apply change(table) to each assembled ring table before its check.
+
+    The table is the dict of structure constants that orbifold_ring hands
+    to OrbifoldRing and then checks; a doctored table stands in for a fault
+    in the reduction that produced it.
+    """
+    def install(change):
+        class Doctored(chowring.OrbifoldRing):
+            def __init__(self, sfan, base, sectors, basis, table):
+                change(table)
+                super().__init__(sfan, base, sectors, basis, table)
+        monkeypatch.setattr(chowring, "OrbifoldRing", Doctored)
+    return install

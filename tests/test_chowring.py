@@ -4,29 +4,93 @@ from fractions import Fraction
 
 import pytest
 
-from stackyring import fixtures
+from stackyring import documents, fixtures
 from stackyring.chowring import (BaseRing, deformed_mul,
                                  isomorphic_presentation_check,
                                  linear_relations,
                                  module_decomposition_report,
                                  ordinary_chow_ring, orbifold_ring,
                                  stanley_reisner_generators)
-from stackyring.errors import (DimensionMismatch, IncompleteFan,
-                               TwistArityMismatch)
+from stackyring.errors import (DimensionMismatch, DocumentError, IncompleteFan,
+                               InternalInconsistency, TwistArityMismatch)
 from stackyring.lattice import FgAbGroup
 from stackyring.stacky import ExtendedStackyFan
 
 POINT = BaseRing.point()
 
 
+# graded, commutative and unital, but (x x) y = c while x (x y) = 2c
+NON_ASSOCIATIVE = (("1", "x", "y", "a", "b", "c"), (0, 1, 1, 2, 2, 3),
+                   {(1, 1): {3: 1}, (1, 2): {4: 1}, (2, 3): {5: 1},
+                    (1, 4): {5: 2}})
+
+
 def test_base_ring_validation():
     with pytest.raises(ValueError):
         BaseRing(("1", "x"), (0, 0), {})  # two units
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^product \(1,1\) not degree additive at 1$"):
         BaseRing(("1", "x"), (0, 1), {(1, 1): {1: 1}})  # degree drift
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unit law fails$"):
         # unit row must be the identity
         BaseRing(("1", "x"), (0, 1), {(0, 1): {1: 2}})
+    with pytest.raises(ValueError,
+                       match=r"^associativity fails on \(1,1,2\)$"):
+        BaseRing(*NON_ASSOCIATIVE)
+
+
+def test_base_document_must_be_associative():
+    labels, degrees, products = NON_ASSOCIATIVE
+    doc = {"basis": [{"label": lab, "degree": d}
+                     for lab, d in zip(labels, degrees)],
+           "products": [{"i": i, "j": j,
+                         "terms": [{"k": k, "coeff": str(q)}
+                                   for k, q in terms.items()]}
+                        for (i, j), terms in products.items()]}
+    with pytest.raises(DocumentError,
+                       match=r"^/: associativity fails on \(1,1,2\)$"):
+        documents.parse_base_document(doc)
+
+
+def _p112_over_p1_doctorings():
+    """(change, message) pairs for the table of P(1,1,2) over P^1.
+
+    Over a point every product of three non-unit classes of P(1,1,2) has
+    degree above its top degree 2, so no changed coefficient could break
+    associativity there; over P^1 the triple D D H reaches degree 3.
+    """
+    ring = orbifold_ring(fixtures.load_fan("p112"),
+                         fixtures.load_base("base_p1"))
+    h = ring.basis_index((0, 0), (0, 0, 0), "H")
+    d = ring.basis_index((0, 0), (1, 0, 0), "1")
+    dd = ring.basis_index((0, 0), (2, 0, 0), "1")
+    ddh = ring.basis_index((0, 0), (2, 0, 0), "H")
+    twisted = ring.basis_index((0, -1), (0, 0, 0), "1")
+    u = ring.unit_index
+    assert h < d and {(h, d), (d, d), (u, twisted)} <= set(ring._table)
+
+    def double_dd(table):
+        table[(d, d)] = {dd: Fraction(2)}
+
+    def break_unit(table):
+        table[(u, twisted)] = {twisted: Fraction(2)}
+
+    def wrong_degree(table):
+        table[(h, d)] = {**table[(h, d)], ddh: Fraction(1)}
+
+    return [(double_dd, f"associativity fails on ({h},{d},{d})"),
+            (break_unit, "unit law fails"),
+            (wrong_degree, f"product ({h},{d}) not degree additive at {ddh}")]
+
+
+@pytest.mark.parametrize("case", range(3),
+                         ids=["coefficient", "unit_row", "degree"])
+def test_doctored_table_raises_internal_inconsistency(case, doctor_ring_table):
+    change, message = _p112_over_p1_doctorings()[case]
+    doctor_ring_table(change)
+    with pytest.raises(InternalInconsistency) as err:
+        orbifold_ring(fixtures.load_fan("p112"), fixtures.load_base("base_p1"))
+    assert str(err.value) == message
 
 
 def test_base_ring_twists_must_have_degree_one():

@@ -1,6 +1,9 @@
 """End-to-end command tests: payload shapes, exit codes, determinism."""
 
+import hashlib
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +170,17 @@ def test_resolve_check_search(capsys):
     assert payload["fiber_dimensions"]["orbifold"] == 4
 
 
+def test_internal_fault_exits_with_json_error(capsys, doctor_ring_table):
+    def break_unit(table):
+        table[(0, 1)] = {1: Fraction(2)}
+
+    doctor_ring_table(break_unit)
+    code, payload = run(capsys, "ring", fan_path("p112"))
+    assert code == 1
+    assert payload == {"error": {"type": "InternalInconsistency",
+                                 "detail": "unit law fails"}}
+
+
 def test_resolve_check_bad_support_function(capsys):
     code, payload = run(capsys, "resolve-check", fan_path("p112"),
                         fan_path("p112_hirzebruch"), "--h", "0,0,0,0")
@@ -189,3 +203,19 @@ def test_round_trip_all_fixtures():
         for i in range(base.dim):
             for j in range(base.dim):
                 assert again.product(i, j) == base.product(i, j), name
+
+
+# stdout digests of the fixed commands the benchmark's CLI sweep runs;
+# "cold: " keys repeat commands run there as separate processes
+DIGESTS = json.loads((Path(__file__).resolve().parent.parent / "benchmark"
+                      / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(
+    key for key in DIGESTS if not key.startswith("cold: ")))
+def test_recorded_stdout_digest(capsys, command):
+    names = fixtures.FAN_FIXTURES + fixtures.BASE_FIXTURES
+    argv = [fan_path(a) if a in names else a for a in command.split(" ")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
