@@ -86,9 +86,10 @@ class BaseRing:
             entry = {}
             items = terms.items() if isinstance(terms, dict) else terms
             for k, q in items:
+                k = self._term_index(k, "product")
                 q = Fraction(q)
                 if q:
-                    entry[int(k)] = entry.get(int(k), Fraction(0)) + q
+                    entry[k] = entry.get(k, Fraction(0)) + q
             entry = {k: q for k, q in entry.items() if q}
             key = (min(i, j), max(i, j))
             if key in table and table[key] != entry:
@@ -115,6 +116,12 @@ class BaseRing:
     def product(self, i, j):
         return dict(self._table.get((min(i, j), max(i, j)), {}))
 
+    def _term_index(self, k, kind):
+        k = int(k)
+        if not 0 <= k < self.dim:
+            raise ValueError(f"{kind} term index {k} out of range")
+        return k
+
     def _normalize_twists(self, twists):
         if twists is None:
             return None
@@ -125,12 +132,13 @@ class BaseRing:
             for k, q in items:
                 if isinstance(k, str):
                     k = self.label_index(k)
+                k = self._term_index(k, "twist")
                 q = Fraction(q)
                 if q:
                     if self.degrees[k] != 1:
                         raise ValueError(
                             f"twist class touches non-degree-1 label {k}")
-                    entry[int(k)] = q
+                    entry[k] = q
             out.append(tuple(sorted(entry.items())))
         return tuple(out)
 
@@ -262,7 +270,24 @@ class RingBasisElement:
 
 
 class _SectorSpace:
-    """Degreewise reduction of one sector y^v S against the relation ideal."""
+    """Degreewise reduction of one sector y^v S against the relation ideal.
+
+    Each monomial y^v prod y^{b_i}^{e_i} gamma is keyed by (c, label index)
+    with c = v + sum e_i b_i in N, the key deformed_mul multiplies. c is
+    computed once, here, where the monomials are enumerated; this is the
+    only place exponents and lattice elements meet. Products are looked up
+    by key and never decomposed, because a key names one monomial:
+
+    The exponents are supported on a face s with s + sigma(v) a face tau,
+    so c_bar = v_bar + sum e_i b_bar_i has the positive coefficients
+    a_i + e_i on tau (a_i in (0, 1) on sigma(v), zero off it) and lies in
+    the relative interior of tau. On a fan that validate() accepts, the
+    relative interiors of distinct cones are disjoint, so tau is the
+    minimal cone of c_bar, and a cone's coefficients are unique, so these
+    are its coefficients there. Their floors are e and their fractional
+    parts are v's: box_decompose(c) = (v, e). As that is a function of c,
+    (v, e) -> c is injective on the monomials of all sectors together.
+    """
 
     def __init__(self, sfan, base, box, relations, bound):
         self.box = box
@@ -282,19 +307,23 @@ class _SectorSpace:
                 if total > budget:
                     continue
                 full = [0] * sfan.n
+                c = list(box.value)
                 for i, e in zip(s, exps):
                     full[i] = e
+                    for r, x in enumerate(sfan.ray_lifts[i]):
+                        c[r] += e * x
+                c = sfan.group.reduce(c)
                 for li in range(base.dim):
                     deg = box.age + total + base.degrees[li]
                     if deg <= bound:
-                        keys.append((deg, tuple(full), li))
+                        keys.append((deg, tuple(full), li, c))
         keys.sort()
-        self.monomials = {}
-        self.position = {}
-        for deg, exp, li in keys:
+        self.monomials = {}  # degree -> [(exponents, key)]
+        self.position = {}   # key -> (degree, position), in sorted order
+        for deg, exp, li, c in keys:
             lst = self.monomials.setdefault(deg, [])
-            self.position[(exp, li)] = (deg, len(lst))
-            lst.append((exp, li))
+            self.position[(c, li)] = (deg, len(lst))
+            lst.append((exp, (c, li)))
         self._pivots = {deg: {} for deg in self.monomials}
         self._fill_relations(relations, bound)
         self.survivors = {
@@ -302,40 +331,21 @@ class _SectorSpace:
             for deg, monos in self.monomials.items()}
 
     def _fill_relations(self, relations, bound):
-        if not relations:
-            return
-        for (exp, li), (deg, _) in sorted(self.position.items(),
-                                          key=lambda kv: kv[1]):
-            if deg + 1 > bound:
-                continue
-            elem = {(self._monomial_value(exp), li): Fraction(1)}
+        for key, (deg, _) in self.position.items():
+            if not relations or deg + 1 > bound:
+                break  # the keys ascend by degree
             for rel in relations:
-                prod = deformed_mul(self.sfan, self.base, elem, rel)
+                prod = deformed_mul(self.sfan, self.base, {key: Fraction(1)},
+                                    rel)
+                if not prod.keys() <= self.position.keys():
+                    raise InternalInconsistency(
+                        "relation term escaped its sector")
                 if prod:
-                    self._insert_row(deg + 1, self._to_positions(prod))
+                    self._insert_row(deg + 1, {self.position[k][1]: q
+                                               for k, q in prod.items()})
 
-    def _monomial_value(self, exp):
-        v = list(self.box.value)
-        for i, e in enumerate(exp):
-            if e:
-                for r in range(self.sfan.group.coords):
-                    v[r] += e * self.sfan.ray_lifts[i][r]
-        return self.sfan.group.reduce(v)
-
-    def _to_positions(self, elem):
-        row = {}
-        for (c, li), q in elem.items():
-            v2, mult = self.sfan.box_decompose(c)
-            if v2.value != self.box.value:
-                raise InternalInconsistency(
-                    "relation term escaped its sector")
-            exp = tuple(mult.get(i, 0) for i in range(self.sfan.n))
-            _, pos = self.position[(exp, li)]
-            row[pos] = row.get(pos, Fraction(0)) + q
-        return {p: q for p, q in row.items() if q}
-
-    def _eliminate(self, deg, row):
-        """Subtract pivot rows from row until it has no pivot column left.
+    def reduce(self, deg, row):
+        """Normal form at deg: subtract pivot rows until no pivot is left.
 
         Invariant: each pivot row is 1 at its own pivot column and zero at
         every other pivot column; _insert_row keeps it by clearing a new
@@ -355,7 +365,7 @@ class _SectorSpace:
         return {p: q for p, q in row.items() if q}
 
     def _insert_row(self, deg, row):
-        row = self._eliminate(deg, row)
+        row = self.reduce(deg, row)
         if not row:
             return
         pivots = self._pivots[deg]
@@ -370,14 +380,6 @@ class _SectorSpace:
                     merged[k] = merged.get(k, Fraction(0)) - f * q
                 pivots[p] = {k: q for k, q in merged.items() if q}
         pivots[lead] = new
-
-    def reduce(self, deg, row):
-        """Normal form of a vector at the given degree, on survivors only."""
-        if deg not in self._pivots:
-            if row:
-                raise InternalInconsistency("vector at unknown degree")
-            return {}
-        return self._eliminate(deg, row)
 
 
 class OrbifoldRing:
@@ -448,43 +450,37 @@ def _assemble(sfan, base, sectors):
     cap = base.top_degree + sfan.fan.ambient_dim
     bound = 2 * cap
     relations = linear_relations(sfan, base)
-    spaces = {}
+    owner = {}    # monomial key -> the sector space that enumerates it
     basis = []
-    locator = {}
+    reps = []     # the key of each basis element, as a deformed ring element
+    locator = {}  # (sector, degree, position) -> basis index
     for box in sectors:
         space = _SectorSpace(sfan, base, box, relations, bound)
-        spaces[box.value] = space
-        for deg in sorted(space.monomials):
+        owner.update(dict.fromkeys(space.position, space))
+        for deg, monos in space.monomials.items():
             for pos in space.survivors[deg]:
                 if deg > cap:
                     raise InfiniteDimensional(
                         f"sector {box.value} has a class at degree {deg}"
                         f" beyond the bound {cap}")
-                exp, li = space.monomials[deg][pos]
+                exp, key = monos[pos]
                 locator[(box.value, deg, pos)] = len(basis)
                 basis.append(RingBasisElement(box.value, exp,
-                                              base.labels[li], deg))
+                                              base.labels[key[1]], deg))
+                reps.append({key: Fraction(1)})
 
     def reduce_element(elem):
         out = {}
-        for (c, li), q in elem.items():
-            v2, mult = sfan.box_decompose(c)
-            exp = tuple(mult.get(i, 0) for i in range(sfan.n))
-            space = spaces.get(v2.value)
+        for key, q in elem.items():
+            space = owner.get(key)
             if space is None:
                 raise InternalInconsistency(
                     "product term left the computed sectors")
-            deg, pos = space.position[(exp, li)]
+            deg, pos = space.position[key]
             for p2, q2 in space.reduce(deg, {pos: q}).items():
-                idx = locator[(v2.value, deg, p2)]
+                idx = locator[(space.box.value, deg, p2)]
                 out[idx] = out.get(idx, Fraction(0)) + q2
         return {k: q for k, q in out.items() if q}
-
-    reps = []
-    for b in basis:
-        space = spaces[b.sector]
-        value = space._monomial_value(b.exponents)
-        reps.append({(value, base.label_index(b.label)): Fraction(1)})
 
     table = {}
     for i in range(len(basis)):

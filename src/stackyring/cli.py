@@ -44,7 +44,7 @@ def _load_base(path) -> BaseRing:
     return documents.parse_base_document(documents.load_json(path))
 
 
-def _box_payload(sfan, elem) -> dict:
+def _box_payload(elem) -> dict:
     return {
         "value": list(elem.value),
         "min_cone": list(elem.min_cone),
@@ -58,7 +58,6 @@ def cmd_validate(args):
         sfan = _load_fan(args.fan)
         diagnostics = sfan.validate()
     except (DocumentError, StackyError, ValueError) as exc:
-        diagnostics = None
         payload = {"valid": False,
                    "diagnostics": [{"code": type(exc).__name__,
                                     "detail": str(exc)}]}
@@ -89,7 +88,7 @@ def cmd_box(args):
     sfan = _load_fan(args.fan)
     box = sfan.box()
     payload = {"count": len(box),
-               "elements": [_box_payload(sfan, b) for b in box]}
+               "elements": [_box_payload(b) for b in box]}
     return 0, payload
 
 
@@ -109,18 +108,17 @@ def cmd_inertia(args):
 
 def cmd_sectors(args):
     sfan = _load_fan(args.fan)
-    payload = {"count": 0, "sectors": []}
+    sectors = []
     for comp in three_sectors(sfan):
         g1, g2, g3 = comp.elements
         rays = obstruction_exponents(sfan, g1, g2, g3)
-        payload["sectors"].append({
+        sectors.append({
             "elements": [list(b.value) for b in comp.elements],
             "joint_cone": list(comp.joint_cone),
             "total_age": documents.fraction_str(comp.total_age),
             "obstruction_rays": sorted(rays),
         })
-    payload["count"] = len(payload["sectors"])
-    return 0, payload
+    return 0, {"count": len(sectors), "sectors": sectors}
 
 
 def _emit_ring(ring, out_path):

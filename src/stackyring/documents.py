@@ -39,7 +39,9 @@ def _expect(obj, key, pointer, kind=None, default=None, required=True):
             raise DocumentError(pointer, f"missing field {key!r}")
         return default
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    # a JSON boolean parses as a Python bool, which is also an int
+    if kind is not None and (not isinstance(value, kind)
+                             or isinstance(value, bool) and kind is int):
         raise DocumentError(f"{pointer}/{key}",
                             f"expected {kind.__name__}")
     return value

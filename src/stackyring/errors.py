@@ -2,8 +2,9 @@
 
 Validation routines that report many findings at once return Diagnostic
 records instead of raising. Their codes name the condition found: the
-fan checks report NotSimplicial and BadIntersection, the subdivision
-checks NotSmooth; no exception is raised under those names.
+fan checks report NotSimplicial, BadIntersection and UnusedRay (a ray in
+no maximal cone), the subdivision checks NotSmooth; no exception is
+raised under those names.
 """
 
 from __future__ import annotations

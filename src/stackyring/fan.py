@@ -270,7 +270,11 @@ class SimplicialFan:
         return fan, lrays
 
     def validate(self):
-        """Structural checks; returns a list of Diagnostic findings."""
+        """Structural checks; returns a list of Diagnostic findings.
+
+        Every ray must lie in a maximal cone; a vector outside the fan
+        belongs among the extra vectors of a stacky fan.
+        """
         out = []
         for i, r in enumerate(self.rays):
             if all(x == 0 for x in r):
@@ -280,8 +284,11 @@ class SimplicialFan:
                 out.append(Diagnostic(
                     "NotSimplicial",
                     f"cone {c} has linearly dependent rays"))
+        used = {i for c in self.max_cones for i in c}
+        unused = [Diagnostic("UnusedRay", f"ray {i} lies in no maximal cone")
+                  for i in range(self.num_rays) if i not in used]
         if out:
-            return out
+            return out + unused
         for a in range(len(self.max_cones)):
             for b in range(a + 1, len(self.max_cones)):
                 ca, cb = self.max_cones[a], self.max_cones[b]
@@ -294,7 +301,7 @@ class SimplicialFan:
                     out.append(Diagnostic(
                         "BadIntersection",
                         f"cones {ca} and {cb} do not meet along a face"))
-        return out
+        return out + unused
 
     def _meets_along_common_face(self, ca, cb) -> bool:
         # intersection of the two cones must equal the cone on shared rays;

@@ -40,12 +40,6 @@ def search_bound(default: int = DEFAULT_H_MAX) -> int:
 class Subdivision:
     coarse: ExtendedStackyFan
     refined: SimplicialFan
-    h_values: tuple = None
-
-    def __post_init__(self):
-        if self.h_values is not None:
-            object.__setattr__(self, "h_values",
-                               tuple(int(x) for x in self.h_values))
 
     @property
     def num_new_rays(self) -> int:
@@ -178,8 +172,6 @@ def check_support_function(sub: Subdivision, h_values=None, h_max=None):
     walls = _interior_walls(sub)
     n = sub.coarse.n
     num_new = sub.refined.num_rays - n
-    if h_values is None and sub.h_values is not None:
-        h_values = sub.h_values
     if h_values is not None:
         h = [int(x) for x in h_values]
         if len(h) != sub.refined.num_rays:

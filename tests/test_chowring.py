@@ -1,10 +1,12 @@
 """Base rings, the deformed product, and assembled ring tables."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from stackyring import documents, fixtures
+from generators import coprime_weights, weighted_projective_fan
+from stackyring import chowring, documents, fixtures
 from stackyring.chowring import (BaseRing, deformed_mul,
                                  isomorphic_presentation_check,
                                  linear_relations,
@@ -12,7 +14,8 @@ from stackyring.chowring import (BaseRing, deformed_mul,
                                  ordinary_chow_ring, orbifold_ring,
                                  stanley_reisner_generators)
 from stackyring.errors import (DimensionMismatch, DocumentError, IncompleteFan,
-                               InternalInconsistency, TwistArityMismatch)
+                               InfiniteDimensional, InternalInconsistency,
+                               TwistArityMismatch)
 from stackyring.lattice import FgAbGroup
 from stackyring.stacky import ExtendedStackyFan
 
@@ -37,6 +40,17 @@ def test_base_ring_validation():
     with pytest.raises(ValueError,
                        match=r"^associativity fails on \(1,1,2\)$"):
         BaseRing(*NON_ASSOCIATIVE)
+
+
+@pytest.mark.parametrize("k", [7, -1])
+def test_base_ring_term_indices_in_range(k):
+    # -1 used to index from the end: H^2 here, H in the twist
+    with pytest.raises(ValueError,
+                       match=rf"^product term index {k} out of range$"):
+        BaseRing(("1", "H", "H^2"), (0, 1, 2), {(1, 1): {k: 1}})
+    with pytest.raises(ValueError,
+                       match=rf"^twist term index {k} out of range$"):
+        BaseRing.projective_space(1).with_twists([{k: 1}, {}])
 
 
 def test_base_document_must_be_associative():
@@ -274,3 +288,76 @@ def test_ring_json_dict_shape(p112):
     # products are stored once per unordered pair
     pairs = {(i, j) for i, j, _, _ in doc["products"]}
     assert all(i <= j for i, j in pairs)
+
+
+# N = Z + Z/3; rays 0 and 1 point along ray 2 but lie in no maximal cone
+UNUSED_RAYS = {"group": {"rank": 1, "torsion": [3]},
+               "rays": [[-1, 0], [-1, 0], [-1, 1], [2, 2]],
+               "cones": [[2], [3]], "extra": [[2, 2]]}
+
+
+def test_ring_refuses_rays_outside_every_cone():
+    sfan = documents.parse_fan_document(UNUSED_RAYS)
+    assert sfan.fan.is_complete()
+    assert [d.detail for d in sfan.validate()] == [
+        "ray 0 lies in no maximal cone", "ray 1 lies in no maximal cone"]
+    with pytest.raises(ValueError, match=r"^invalid fan: \['ray 0 lies"):
+        orbifold_ring(sfan, POINT)
+
+
+def test_infinite_dimensional_names_sector_and_degree(monkeypatch):
+    # without relations every monomial survives, up to twice the cap
+    monkeypatch.setattr(chowring, "linear_relations", lambda sfan, base: [])
+    with pytest.raises(InfiniteDimensional,
+                       match=r"^sector \(0,\) has a class at degree 2 "
+                             r"beyond the bound 1$"):
+        orbifold_ring(fixtures.load_fan("p1"), POINT)
+
+
+def test_ring_assembly_never_decomposes(monkeypatch):
+    calls = []
+    decompose = ExtendedStackyFan.box_decompose
+
+    def counted(self, c):
+        calls.append(c)
+        return decompose(self, c)
+
+    monkeypatch.setattr(ExtendedStackyFan, "box_decompose", counted)
+    for fan_name, base_name in fixtures.RING_CASES:
+        sfan = fixtures.load_fan(fan_name)
+        base = fixtures.load_base(base_name)
+        orbifold_ring(sfan, base)
+        ordinary_chow_ring(sfan, base)
+    assert calls == []
+    sfan.box_decompose(sfan.group.zero())
+    assert len(calls) == 1  # the counter is live
+
+
+def _key_cases():
+    for fan_name, base_name in fixtures.RING_CASES:
+        yield fan_name, fixtures.load_fan(fan_name), fixtures.load_base(
+            base_name)
+    rng = random.Random(4)
+    for _ in range(4):
+        weights = coprime_weights(rng, 4)
+        yield f"P{tuple(weights)}", weighted_projective_fan(weights), POINT
+
+
+def test_monomial_keys_decompose_to_their_monomials():
+    """Every key (c, label) of every sector space splits back into its
+    sector and exponents, so no two monomials share a key."""
+    for name, sfan, base in _key_cases():
+        bound = 2 * (base.top_degree + sfan.fan.ambient_dim)
+        keys, count = set(), 0
+        for box in sfan.box():
+            space = chowring._SectorSpace(sfan, base, box, [], bound)
+            for deg, monos in space.monomials.items():
+                for pos, (exp, key) in enumerate(monos):
+                    assert space.position[key] == (deg, pos), name
+                    v, mult = sfan.box_decompose(key[0])
+                    assert v == box, (name, key)
+                    assert tuple(mult.get(i, 0) for i in range(sfan.n)) \
+                        == exp, (name, key)
+                    keys.add(key)
+                    count += 1
+        assert len(keys) == count, name

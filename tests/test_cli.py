@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stackyring import documents, fixtures
+from stackyring import chowring, documents, fixtures
 from stackyring.cli import main
 
 
@@ -179,6 +179,54 @@ def test_internal_fault_exits_with_json_error(capsys, doctor_ring_table):
     assert code == 1
     assert payload == {"error": {"type": "InternalInconsistency",
                                  "detail": "unit law fails"}}
+
+
+def test_validate_rays_outside_every_cone(capsys, tmp_path):
+    doc = {"group": {"rank": 1, "torsion": [3]},
+           "rays": [[-1, 0], [-1, 0], [-1, 1], [2, 2]],
+           "cones": [[2], [3]], "extra": [[2, 2]]}
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run(capsys, "validate", str(path))
+    assert code == 1
+    assert payload["valid"] is False
+    assert payload["diagnostics"] == [
+        {"code": "UnusedRay", "detail": f"ray {i} lies in no maximal cone"}
+        for i in (0, 1)]
+
+
+@pytest.mark.parametrize("k", [7, -1])
+@pytest.mark.parametrize("kind", ["product", "twist"])
+def test_ring_base_term_index_out_of_range(capsys, tmp_path, kind, k):
+    term = [{"k": k, "coeff": "1"}]
+    if kind == "product":
+        doc = {"basis": [{"label": "1", "degree": 0},
+                         {"label": "H", "degree": 1},
+                         {"label": "H^2", "degree": 2}],
+               "products": [{"i": 1, "j": 1, "terms": term}]}
+    else:
+        doc = {"basis": [{"label": "1", "degree": 0},
+                         {"label": "H", "degree": 1}],
+               "products": [{"i": 1, "j": 1, "terms": []}],
+               "twists": [term, []]}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc))
+    code = main(["ring", fan_path("p1"), "--base", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": {
+        "type": "DocumentError",
+        "detail": f"/: {kind} term index {k} out of range"}}
+
+
+def test_infinite_dimensional_exits_with_json_error(capsys, monkeypatch):
+    monkeypatch.setattr(chowring, "linear_relations", lambda sfan, base: [])
+    code, payload = run(capsys, "ring", fan_path("p1"))
+    assert code == 1
+    assert payload == {"error": {
+        "type": "InfiniteDimensional",
+        "detail": "sector (0,) has a class at degree 2 beyond the bound 1"}}
 
 
 def test_resolve_check_bad_support_function(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from stackyring.errors import DegenerateImage
+from stackyring.errors import DegenerateImage, Diagnostic
 from stackyring.fan import SimplicialFan
 
 P112 = SimplicialFan(2, ((1, 0), (0, 1), (-1, -2)),
@@ -83,6 +83,21 @@ def test_validate_nested_cones():
     fan = SimplicialFan(2, ((1, 0), (0, 1)), ((0, 1), (0,)))
     codes = [d.code for d in fan.validate()]
     assert "BadIntersection" in codes
+
+
+def test_validate_unused_rays():
+    # rays 0 and 1 point along ray 2 but lie in no maximal cone
+    fan = SimplicialFan(1, ((-1,), (-1,), (-1,), (2,)), ((2,), (3,)))
+    assert fan.validate() == [
+        Diagnostic("UnusedRay", "ray 0 lies in no maximal cone"),
+        Diagnostic("UnusedRay", "ray 1 lies in no maximal cone")]
+    # reported beside the findings of either stage of the checks
+    dependent = SimplicialFan(2, ((1, 0), (2, 0), (0, 1)), ((0, 1),))
+    assert [d.code for d in dependent.validate()] == ["NotSimplicial",
+                                                      "UnusedRay"]
+    nested = SimplicialFan(2, ((1, 0), (0, 1), (-1, 0)), ((0, 1), (0,)))
+    assert [d.code for d in nested.validate()] == ["BadIntersection",
+                                                   "UnusedRay"]
 
 
 def test_link():
