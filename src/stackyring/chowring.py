@@ -23,37 +23,117 @@ from .fan import SimplicialFan
 from .stacky import BoxElement, ExtendedStackyFan
 
 
+def _reduce(pivots, row):
+    """Normal form of a sparse row against pivots, zeros dropped.
+
+    pivots maps a pivot column to its row. Invariant: each pivot row is 1
+    at its own pivot column and zero at every other pivot column;
+    _insert_row keeps it by clearing a new pivot's column from the older
+    pivot rows. Clearing pivot column p therefore leaves the other pivot
+    columns as they were and adds entries at non-pivot columns only, so
+    one pass over the row's own columns suffices: afterwards no pivot
+    column is left in the row.
+    """
+    row = dict(row)
+    for p in sorted(row):
+        f = row[p]
+        if f and p in pivots:
+            for p2, q2 in pivots[p].items():
+                row[p2] = row.get(p2, Fraction(0)) - f * q2
+    return {p: q for p, q in row.items() if q}
+
+
+def _insert_row(pivots, row) -> bool:
+    """Add row to the span of pivots; False when it was already in it."""
+    row = _reduce(pivots, row)
+    if not row:
+        return False
+    lead = min(row)
+    inv = Fraction(1) / row[lead]
+    new = {k: q * inv for k, q in row.items()}
+    for p, existing in pivots.items():
+        if lead in existing:
+            f = existing[lead]
+            merged = dict(existing)
+            for k, q in new.items():
+                merged[k] = merged.get(k, Fraction(0)) - f * q
+            pivots[p] = {k: q for k, q in merged.items() if q}
+    pivots[lead] = new
+    return True
+
+
 def _check_structure(degrees, unit, table, error):
     """Raise error unless the table is a graded, unital, associative ring.
 
     table maps sorted index pairs (i, j) to sparse {k: coefficient} dicts
     of the commutative product of basis elements i and j; omitted pairs
     multiply to zero. The checks run in this order: every stored entry is
-    degree additive, the unit row is the identity, and (ij)k = i(jk) for
-    all i <= j <= k, which by commutativity covers every triple.
+    degree additive, the unit row is the identity, and g(jk) = (gj)k =
+    (gk)j for every generator g and all j <= k.
+
+    The generators are picked from the table itself: walking the basis in
+    (degree, index) order, an element outside the span of the left-nested
+    products of the generators chosen so far (the unit included) becomes a
+    generator, and the span is closed again under multiplication by the
+    generators. Every element is in the span when the walk ends. No
+    assumption about degree 0 is made: on a gerbe every twisted sector has
+    degree 0 and several of them may be needed.
+
+    Why the generators suffice: let A = {a : a(xy) = (ax)y for all x, y}.
+    A is a subspace, holds 1 by the unit law, and is closed under
+    products: for a, b in A, (ab)(xy) = a(b(xy)) = a((bx)y) = (a(bx))y =
+    ((ab)x)y. The check puts each generator g in A, as by commutativity
+    g(kj) = g(jk) = (gk)j covers the pairs with j > k; one order alone
+    would not. So A holds every left-nested product of generators, hence
+    their span, which is everything. A triple whose degrees add up to more
+    than the top degree is skipped: degree additivity is checked, so both
+    sides of it are zero.
     """
     for (i, j), terms in table.items():
         want = degrees[i] + degrees[j]
         for k in terms:
             if degrees[k] != want:
                 raise error(f"product ({i},{j}) not degree additive at {k}")
-    for j in range(len(degrees)):
-        if table.get((min(unit, j), max(unit, j))) != {j: 1}:
+    # every stored product under both orders of its pair
+    product = {(j, i): terms for (i, j), terms in table.items()}
+    product.update(table)
+    n = len(degrees)
+    for j in range(n):
+        if product.get((unit, j)) != {j: 1}:
             raise error("unit law fails")
 
     def times(vec, k):
         out = {}
         for t, q in vec.items():
-            for s, r in table.get((min(t, k), max(t, k)), {}).items():
-                out[s] = out.get(s, 0) + q * r
+            for s, r in product.get((t, k), {}).items():
+                out[s] = out[s] + q * r if s in out else q * r
         return {s: q for s, q in out.items() if q}
 
-    for i in range(len(degrees)):
-        for j in range(i, len(degrees)):
-            ij = table.get((i, j), {})
-            for k in range(j, len(degrees)):
-                if times(ij, k) != times(table.get((j, k), {}), i):
-                    raise error(f"associativity fails on ({i},{j},{k})")
+    generators, span = [], {}
+    _insert_row(span, {unit: 1})
+    spanning = [{unit: 1}]  # the independent left-nested products
+    for g in sorted(range(n), key=lambda i: (degrees[i], i)):
+        if not _reduce(span, {g: 1}):
+            continue
+        generators.append(g)
+        todo = [(vec, g) for vec in spanning]
+        while todo:
+            vec, h = todo.pop()
+            prod = times(vec, h)
+            if _insert_row(span, prod):
+                spanning.append(prod)
+                todo.extend((prod, h2) for h2 in generators)
+
+    top = max(degrees)
+    for g in generators:
+        for j in range(n):
+            for k in range(j, n):
+                if degrees[g] + degrees[j] + degrees[k] > top:
+                    continue
+                left = times(product.get((j, k), {}), g)
+                if left != times(product.get((g, j), {}), k) \
+                        or left != times(product.get((g, k), {}), j):
+                    raise error(f"associativity fails on ({g},{j},{k})")
 
 
 class BaseRing:
@@ -324,10 +404,10 @@ class _SectorSpace:
             lst = self.monomials.setdefault(deg, [])
             self.position[(c, li)] = (deg, len(lst))
             lst.append((exp, (c, li)))
-        self._pivots = {deg: {} for deg in self.monomials}
+        self.pivots = {deg: {} for deg in self.monomials}
         self._fill_relations(relations, bound)
         self.survivors = {
-            deg: [p for p in range(len(monos)) if p not in self._pivots[deg]]
+            deg: [p for p in range(len(monos)) if p not in self.pivots[deg]]
             for deg, monos in self.monomials.items()}
 
     def _fill_relations(self, relations, bound):
@@ -341,45 +421,9 @@ class _SectorSpace:
                     raise InternalInconsistency(
                         "relation term escaped its sector")
                 if prod:
-                    self._insert_row(deg + 1, {self.position[k][1]: q
-                                               for k, q in prod.items()})
-
-    def reduce(self, deg, row):
-        """Normal form at deg: subtract pivot rows until no pivot is left.
-
-        Invariant: each pivot row is 1 at its own pivot column and zero at
-        every other pivot column; _insert_row keeps it by clearing a new
-        pivot's column from the older pivot rows. Clearing pivot column p
-        therefore leaves the other pivot columns as they were and adds
-        entries at non-pivot columns only, so one pass over the row's own
-        columns suffices: afterwards no pivot column is left in the row.
-        Zeros are dropped.
-        """
-        pivots = self._pivots[deg]
-        row = dict(row)
-        for p in sorted(row):
-            f = row[p]
-            if f and p in pivots:
-                for p2, q2 in pivots[p].items():
-                    row[p2] = row.get(p2, Fraction(0)) - f * q2
-        return {p: q for p, q in row.items() if q}
-
-    def _insert_row(self, deg, row):
-        row = self.reduce(deg, row)
-        if not row:
-            return
-        pivots = self._pivots[deg]
-        lead = min(row)
-        inv = Fraction(1) / row[lead]
-        new = {k: q * inv for k, q in row.items()}
-        for p, existing in pivots.items():
-            if lead in existing:
-                f = existing[lead]
-                merged = dict(existing)
-                for k, q in new.items():
-                    merged[k] = merged.get(k, Fraction(0)) - f * q
-                pivots[p] = {k: q for k, q in merged.items() if q}
-        pivots[lead] = new
+                    _insert_row(self.pivots[deg + 1],
+                                {self.position[k][1]: q
+                                 for k, q in prod.items()})
 
 
 class OrbifoldRing:
@@ -441,6 +485,25 @@ class OrbifoldRing:
 
 
 def _assemble(sfan, base, sectors):
+    """Basis and table of the sectors' sum, certified finite at cap + 1.
+
+    cap is the top degree of the base plus the fan dimension d. Each
+    sector space is enumerated to degree cap + 1 only, and a class that
+    survives in (cap, cap + 1] raises InfiniteDimensional. That suffices:
+
+    - A monomial y^v prod y^{b_i}^{e_i} gamma has degree age(v) + sum e_i
+      + deg gamma, and age(v) < d, so above cap some e_i is positive.
+    - On the cone tau of its exponents and sigma(v), which holds both
+      c - b_i and b_i, y^c = y^{c - b_i} y^{b_i}, and y^{c - b_i} is a
+      monomial of the same sector one degree lower.
+    - So by induction on the degree, once every monomial in (cap, cap + 1]
+      lies in the relation ideal, every monomial of a higher degree does
+      too: it is y^{b_i} times one that does.
+
+    Hence every product of two basis classes whose degrees add up to more
+    than cap is zero, and the table sets it so without a lookup; the other
+    products reach degree cap at most, where every monomial is enumerated.
+    """
     _twist_arity_check(sfan, base)
     diagnostics = sfan.validate()
     if diagnostics:
@@ -448,7 +511,7 @@ def _assemble(sfan, base, sectors):
     if not sfan.fan.is_complete():
         raise IncompleteFan("ring computation requires a complete fan")
     cap = base.top_degree + sfan.fan.ambient_dim
-    bound = 2 * cap
+    bound = cap + 1
     relations = linear_relations(sfan, base)
     owner = {}    # monomial key -> the sector space that enumerates it
     basis = []
@@ -477,7 +540,7 @@ def _assemble(sfan, base, sectors):
                 raise InternalInconsistency(
                     "product term left the computed sectors")
             deg, pos = space.position[key]
-            for p2, q2 in space.reduce(deg, {pos: q}).items():
+            for p2, q2 in _reduce(space.pivots[deg], {pos: q}).items():
                 idx = locator[(space.box.value, deg, p2)]
                 out[idx] = out.get(idx, Fraction(0)) + q2
         return {k: q for k, q in out.items() if q}
@@ -485,6 +548,8 @@ def _assemble(sfan, base, sectors):
     table = {}
     for i in range(len(basis)):
         for j in range(i, len(basis)):
+            if basis[i].degree + basis[j].degree > cap:
+                continue
             prod = reduce_element(deformed_mul(sfan, base, reps[i], reps[j]))
             if prod:
                 table[(i, j)] = prod

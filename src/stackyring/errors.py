@@ -76,6 +76,10 @@ class Unsatisfiable(StackyError):
     """No support function exists within the search bound."""
 
 
+class SearchTooLarge(StackyError):
+    """A search space exceeds its fixed budget; refused before searching."""
+
+
 class Inconsistent(StackyError):
     """A candidate support function violates a required inequality."""
 

@@ -17,12 +17,15 @@ from fractions import Fraction
 
 from .chowring import BaseRing, OrbifoldRing, ordinary_chow_ring, orbifold_ring
 from .errors import (Diagnostic, Inconsistent, InvalidSubdivision,
-                     Unsatisfiable)
+                     SearchTooLarge, Unsatisfiable)
 from .fan import SimplicialFan
 from .lattice import FgAbGroup, smith_normal_form
 from .stacky import ExtendedStackyFan
 
 DEFAULT_H_MAX = 16
+# most candidates a support-function search may try: the default values on
+# each of four new rays
+SEARCH_BUDGET = DEFAULT_H_MAX ** 4
 
 
 def search_bound(default: int = DEFAULT_H_MAX) -> int:
@@ -166,7 +169,9 @@ def check_support_function(sub: Subdivision, h_values=None, h_max=None):
 
     With h_values (per refined ray) the candidate is checked and a verdict
     returned; Inconsistent lists every violated condition. Without it, new
-    ray values are searched in lexicographic order over [1, h_max].
+    ray values are searched in lexicographic order over [1, h_max]; a
+    search over more than SEARCH_BUDGET candidates raises SearchTooLarge
+    before it starts.
     """
     _require_valid(sub)
     walls = _interior_walls(sub)
@@ -179,6 +184,11 @@ def check_support_function(sub: Subdivision, h_values=None, h_max=None):
                 f"need {sub.refined.num_rays} values, got {len(h)}")
         return _check_candidate(sub, h, walls)
     bound = search_bound() if h_max is None else h_max
+    size = bound ** num_new
+    if size > SEARCH_BUDGET:
+        raise SearchTooLarge(
+            f"support function search over {bound}^{num_new} = {size} "
+            f"candidates exceeds the budget of {SEARCH_BUDGET}")
     for tail in itertools.product(range(1, bound + 1), repeat=num_new):
         h = [0] * n + list(tail)
         verdict = _check_candidate(sub, h, walls, raise_on_fail=False)

@@ -1,5 +1,6 @@
 """Base rings, the deformed product, and assembled ring tables."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from stackyring.errors import (DimensionMismatch, DocumentError, IncompleteFan,
                                InfiniteDimensional, InternalInconsistency,
                                TwistArityMismatch)
 from stackyring.lattice import FgAbGroup
+from stackyring.linalg import rank
 from stackyring.stacky import ExtendedStackyFan
 
 POINT = BaseRing.point()
@@ -26,6 +28,13 @@ POINT = BaseRing.point()
 NON_ASSOCIATIVE = (("1", "x", "y", "a", "b", "c"), (0, 1, 1, 2, 2, 3),
                    {(1, 1): {3: 1}, (1, 2): {4: 1}, (2, 3): {5: 1},
                     (1, 4): {5: 2}})
+
+# (ab)c = (bc)a = d but (ac)b = 0: comparing (ij)k with (jk)i alone
+# misses it, and so does checking a(bc) = (ab)c for b <= c only
+ONE_ORDER_ASSOCIATIVE = (("1", "a", "b", "c", "x", "y", "z", "d"),
+                         (0, 1, 1, 1, 2, 2, 2, 3),
+                         {(1, 2): {4: 1}, (2, 3): {5: 1}, (1, 3): {6: 1},
+                          (3, 4): {7: 1}, (1, 5): {7: 1}})
 
 
 def test_base_ring_validation():
@@ -40,6 +49,9 @@ def test_base_ring_validation():
     with pytest.raises(ValueError,
                        match=r"^associativity fails on \(1,1,2\)$"):
         BaseRing(*NON_ASSOCIATIVE)
+    with pytest.raises(ValueError,
+                       match=r"^associativity fails on \(1,2,3\)$"):
+        BaseRing(*ONE_ORDER_ASSOCIATIVE)
 
 
 @pytest.mark.parametrize("k", [7, -1])
@@ -54,16 +66,18 @@ def test_base_ring_term_indices_in_range(k):
 
 
 def test_base_document_must_be_associative():
-    labels, degrees, products = NON_ASSOCIATIVE
-    doc = {"basis": [{"label": lab, "degree": d}
-                     for lab, d in zip(labels, degrees)],
-           "products": [{"i": i, "j": j,
-                         "terms": [{"k": k, "coeff": str(q)}
-                                   for k, q in terms.items()]}
-                        for (i, j), terms in products.items()]}
-    with pytest.raises(DocumentError,
-                       match=r"^/: associativity fails on \(1,1,2\)$"):
-        documents.parse_base_document(doc)
+    for ring, triple in ((NON_ASSOCIATIVE, r"\(1,1,2\)"),
+                         (ONE_ORDER_ASSOCIATIVE, r"\(1,2,3\)")):
+        labels, degrees, products = ring
+        doc = {"basis": [{"label": lab, "degree": d}
+                         for lab, d in zip(labels, degrees)],
+               "products": [{"i": i, "j": j,
+                             "terms": [{"k": k, "coeff": str(q)}
+                                       for k, q in terms.items()]}
+                            for (i, j), terms in products.items()]}
+        with pytest.raises(DocumentError,
+                           match=rf"^/: associativity fails on {triple}$"):
+            documents.parse_base_document(doc)
 
 
 def _p112_over_p1_doctorings():
@@ -105,6 +119,24 @@ def test_doctored_table_raises_internal_inconsistency(case, doctor_ring_table):
     with pytest.raises(InternalInconsistency) as err:
         orbifold_ring(fixtures.load_fan("p112"), fixtures.load_base("base_p1"))
     assert str(err.value) == message
+
+
+def test_doctored_gerbe_table_is_checked_in_degree_zero(doctor_ring_table):
+    """On BG(Z/4) every class has degree 0; a generating set that assumed
+    the degree-0 part to be Q 1 would check nothing here."""
+    sfan = ExtendedStackyFan.build(FgAbGroup(0, (4,)), (), ((),), ((1,),))
+    ring = orbifold_ring(sfan, POINT)
+    one = ring.basis_index((1,), (), "1")
+    two = ring.basis_index((2,), (), "1")
+    assert (one, two) == (1, 2) and ring.product(one, one) == {two: 1}
+
+    def double(table):
+        table[(one, one)] = {two: Fraction(2)}
+
+    doctor_ring_table(double)
+    with pytest.raises(InternalInconsistency,
+                       match=r"^associativity fails on \(1,1,2\)$"):
+        orbifold_ring(sfan, POINT)
 
 
 def test_base_ring_twists_must_have_degree_one():
@@ -333,7 +365,47 @@ def test_ring_assembly_never_decomposes(monkeypatch):
     assert len(calls) == 1  # the counter is live
 
 
-def _key_cases():
+# sha256 of canonical ring documents that faster assembly must not change
+PINNED_RING_DIGESTS = {
+    (1, 2, 3, 5):
+        "2dd2c434ca7b24a0e9dbcb4d0667f6b47ff4b34214d0c513b9240c4e3b236cb1",
+    (1, 1, 1, 3):
+        "83d0f8fcc66bfee06b954357b7be1715568eea7b81930c7c922e019880676571",
+}
+P112_OVER_P2_DIGEST = \
+    "62bf87b4d3e7ab094c9072b1673e0924a534b1e98b73a5d3970e78a8fb0bd1e2"
+
+
+def _ring_digest(sfan, base):
+    text = documents.dumps_canonical(orbifold_ring(sfan, base).to_json_dict())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_pinned_ring_digests():
+    for weights, want in PINNED_RING_DIGESTS.items():
+        assert _ring_digest(weighted_projective_fan(list(weights)),
+                            POINT) == want, weights
+    assert _ring_digest(fixtures.load_fan("p112"),
+                        BaseRing.projective_space(2)) == P112_OVER_P2_DIGEST
+
+
+def test_sectors_are_enumerated_to_cap_plus_one(monkeypatch):
+    spaces = []
+
+    class Recorded(chowring._SectorSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spaces.append(self)
+
+    monkeypatch.setattr(chowring, "_SectorSpace", Recorded)
+    sfan = weighted_projective_fan([1, 1, 1, 1, 2])
+    assert orbifold_ring(sfan, POINT).dimension == 6
+    unit = [s for s in spaces if s.box.value == sfan.group.zero()]
+    # 1231 monomials when the bound was twice the cap 4
+    assert [len(s.position) for s in unit] == [251]
+
+
+def _ring_cases():
     for fan_name, base_name in fixtures.RING_CASES:
         yield fan_name, fixtures.load_fan(fan_name), fixtures.load_base(
             base_name)
@@ -346,7 +418,7 @@ def _key_cases():
 def test_monomial_keys_decompose_to_their_monomials():
     """Every key (c, label) of every sector space splits back into its
     sector and exponents, so no two monomials share a key."""
-    for name, sfan, base in _key_cases():
+    for name, sfan, base in _ring_cases():
         bound = 2 * (base.top_degree + sfan.fan.ambient_dim)
         keys, count = set(), 0
         for box in sfan.box():
@@ -361,3 +433,22 @@ def test_monomial_keys_decompose_to_their_monomials():
                     keys.add(key)
                     count += 1
         assert len(keys) == count, name
+
+
+def test_dimension_is_base_times_local_group_orders():
+    for name, sfan, base in _ring_cases():
+        orders = sum(sfan.local_group(sigma)[0].order()
+                     for sigma in sfan.fan.max_cones)
+        assert orbifold_ring(sfan, base).dimension == base.dim * orders, name
+
+
+def test_orbifold_poincare_pairing_is_nondegenerate():
+    for name, sfan, base in _ring_cases():
+        ring = orbifold_ring(sfan, base)
+        cap = base.top_degree + sfan.fan.ambient_dim
+        [top] = [i for i, b in enumerate(ring.basis)
+                 if b.sector == sfan.group.zero() and b.degree == cap]
+        n = ring.dimension
+        pairing = [[ring.product(i, j).get(top, 0) for j in range(n)]
+                   for i in range(n)]
+        assert rank(pairing) == n, name

@@ -236,6 +236,17 @@ def test_resolve_check_bad_support_function(capsys):
     assert payload["error"]["type"] == "Inconsistent"
 
 
+def test_resolve_check_refuses_an_oversized_search(capsys, monkeypatch):
+    monkeypatch.setenv("STACKYRING_HMAX", str(10 ** 12))
+    code, payload = run(capsys, "resolve-check", fan_path("p112"),
+                        fan_path("p112_hirzebruch"))
+    assert code == 1
+    assert payload == {"error": {
+        "type": "SearchTooLarge",
+        "detail": "support function search over 1000000000000^1 = "
+                  "1000000000000 candidates exceeds the budget of 65536"}}
+
+
 def test_round_trip_all_fixtures():
     for name in fixtures.FAN_FIXTURES:
         sfan = fixtures.load_fan(name)

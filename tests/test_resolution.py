@@ -4,9 +4,11 @@ import pytest
 
 from stackyring import fixtures
 from stackyring.chowring import BaseRing
-from stackyring.errors import Inconsistent, InvalidSubdivision, Unsatisfiable
+from stackyring.errors import (Inconsistent, InvalidSubdivision,
+                               SearchTooLarge, Unsatisfiable)
 from stackyring.fan import SimplicialFan
-from stackyring.resolution import (Subdivision, check_support_function,
+from stackyring.resolution import (SEARCH_BUDGET, Subdivision,
+                                   check_support_function,
                                    fiber_dimension_check, search_bound,
                                    validate_subdivision)
 
@@ -80,6 +82,21 @@ def test_search_bound_env(monkeypatch):
     assert search_bound() == 16
     monkeypatch.setenv("STACKYRING_HMAX", "3")
     assert search_bound() == 3
+
+
+def test_support_function_search_budget(monkeypatch):
+    # the size is refused before the search: h = 1 would succeed at once
+    monkeypatch.setenv("STACKYRING_HMAX", str(10 ** 12))
+    with pytest.raises(SearchTooLarge,
+                       match=r"^support function search over "
+                             r"1000000000000\^1 = 1000000000000 candidates "
+                             r"exceeds the budget of 65536$"):
+        check_support_function(p112_subdivision())
+    assert check_support_function(p112_subdivision(), [0, 0, 0, 1])
+    assert check_support_function(
+        p112_subdivision(), h_max=SEARCH_BUDGET).h_values == (0, 0, 0, 1)
+    with pytest.raises(SearchTooLarge):
+        check_support_function(p112_subdivision(), h_max=SEARCH_BUDGET + 1)
 
 
 def test_fiber_dimensions_over_point():
