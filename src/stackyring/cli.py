@@ -62,8 +62,9 @@ def cmd_validate(args):
                    "diagnostics": [{"code": type(exc).__name__,
                                     "detail": str(exc)}]}
         return 1, payload
+    # completeness is defined for validated fans only
     payload = {"valid": not diagnostics,
-               "complete": sfan.fan.is_complete(),
+               "complete": not diagnostics and sfan.fan.is_complete(),
                "diagnostics": [d.to_json_dict() for d in diagnostics]}
     return (0 if not diagnostics else 1), payload
 

@@ -1,8 +1,8 @@
 """Rational simplicial fans given by ray directions and maximal cones.
 
 Cones are sorted tuples of ray indices; the zero cone is the empty tuple.
-All geometry is exact over the rationals. Completeness is decided by the
-wall count, connectivity of the wall graph, and deterministic point probes.
+All geometry is exact over the rationals. Completeness of a validated fan
+is decided by the wall count alone (see is_complete).
 
 Every cone query goes through one geometry index per fan, built lazily:
 
@@ -33,6 +33,7 @@ is still the first-match answer.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -321,7 +322,30 @@ class SimplicialFan:
         return True
 
     def is_complete(self) -> bool:
-        """Exact completeness test for a validated fan."""
+        """Exact completeness test for a validated fan: the wall count.
+
+        The fan is complete when every maximal cone is full-dimensional
+        and every wall (a (d-1)-face of a maximal cone) lies in exactly
+        two maximal cones. On a fan that validate() accepts this is
+        enough:
+
+        * The two cones at a wall lie on opposite sides of it, or their
+          interiors would overlap and they would not meet along a face.
+          So every point of the support off the codimension-2 skeleton S
+          has a neighbourhood inside the support: the support is closed,
+          and open in R^d minus S.
+        * For d >= 2, R^d minus S is connected, since S lies in finitely
+          many subspaces of codimension 2, so the support is all of R^d.
+          For d = 1 the wall is the origin and the fan is two opposite
+          rays.
+        * The wall graph is connected too: the two cones at a wall share a
+          component, so the argument covers R^d with the cones of each
+          component, and a second component would overlap cone interiors,
+          which validate() refuses (a cone listed twice is nested in
+          itself).
+
+        On a fan that validate() refuses the answer has no meaning.
+        """
         d = self.ambient_dim
         if d == 0:
             return () in self.max_cones
@@ -329,36 +353,9 @@ class SimplicialFan:
             return False
         if any(len(c) != d for c in self.max_cones):
             return False
-        walls = {}
-        for idx, c in enumerate(self.max_cones):
-            for w in itertools.combinations(c, d - 1):
-                walls.setdefault(w, []).append(idx)
-        if any(len(owners) != 2 for owners in walls.values()):
-            return False
-        adj = {i: set() for i in range(len(self.max_cones))}
-        for owners in walls.values():
-            a, b = owners
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in adj[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        if len(seen) != len(self.max_cones):
-            return False
-        probes = [tuple(s) for s in itertools.product((-1, 1), repeat=d)]
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            probes.append(tuple(e))
-            probes.append(tuple(-x for x in e))
-        return all(self.minimal_cone([p]) is not None for p in probes)
+        walls = collections.Counter(
+            w for c in self.max_cones for w in itertools.combinations(c, d - 1))
+        return all(n == 2 for n in walls.values())
 
 
 def _extreme_rays_nonneg_kernel(rows, ncols):

@@ -4,7 +4,9 @@ The group N may have torsion; ray directions of the underlying fan are the
 images b_bar of the chosen ray lifts in the free quotient. Extra vectors
 beyond the rays are allowed and only enter through the map beta and the
 twist classes. Box elements, the local groups N(sigma), and quotients by
-cones all live here.
+cones all live here. Box(sigma) is enumerated from the torsion of N(sigma),
+one element per class; box_decompose and box_of_cone split a lattice point
+into its box element and ray multipliers along one path.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .errors import (InfiniteCokernel, NoCommonCone, OutsideSupport)
 from .fan import SimplicialFan
-from .lattice import FgAbGroup, GroupHom, cokernel, solve_integer_linear
+from .lattice import (FgAbGroup, GroupHom, _with_relations, cokernel,
+                      smith_normal_form, solve_integer_linear)
 
 
 @dataclass(frozen=True)
@@ -105,36 +109,48 @@ class ExtendedStackyFan:
     def box_of_cone(self, sigma):
         """Box(sigma): elements whose image has all cone coefficients in [0,1).
 
-        Torsion coordinates are unconstrained, so every lattice point of the
-        half-open parallelepiped lifts |torsion| times.
+        Box(sigma) is read off the torsion of N(sigma). Let J be the pivot
+        rays of sigma: all of sigma on a valid fan, and on dependent rays
+        those independent of the earlier ones, which span the same space.
+        With Q the relation matrix of N, take the Smith normal form
+        U M V = D of M = [B_J | Q]. Since M V = U^-1 D, column t of M V
+        is d_t times column t of U^-1, so g_t = (M V)_t / d_t is exact,
+        and the sums sum k_t g_t with 0 <= k_t < d_t for d_t >= 2 meet
+        each torsion class of N_J = N / <b_j : j in J> once. Each sum is
+        sent to its fractional representative by flooring its coefficients
+        over J. The classes of Box(sigma) in N_J are exactly the torsion
+        classes, one element each, torsion of N included:
 
-        Enumeration is exact: integer points in the bounding box of the
-        closed parallelepiped are filtered by their unique coefficient
-        vectors.
+        * Box elements are torsion: v_bar = sum a_j b_bar_j with rational
+          a_j, so for a common denominator k, k v - sum k a_j b_j has zero
+          image in N_Q; it is torsion in N, and a multiple of v lies in
+          <b_J>.
+        * Onto: a torsion class [c] has k c in <b_J>, so c_bar lies in the
+          span of the b_bar_J, and c - sum floor(a_j) b_j is a box element
+          in the class of c.
+        * One to one: two box elements of one class differ by sum k_j b_j
+          with integer k_j. On the independent b_bar_J each k_j is then a
+          difference of two numbers in [0, 1), so k = 0 and they are equal.
+
+        >>> p112 = ExtendedStackyFan.build(
+        ...     FgAbGroup(2), [(1, 0), (0, 1), (-1, -2)],
+        ...     [(0, 1), (1, 2), (0, 2)])
+        >>> box = p112.box_of_cone((0, 2))
+        >>> [b.value for b in box], box[1].age
+        ([(0, 0), (0, -1)], Fraction(1, 1))
         """
         sigma = tuple(sorted(sigma))
-        d = self.group.rank
-        rays = [self.fan.rays[i] for i in sigma]
-        points = []
-        if not rays:
-            points.append(((0,) * d, []))
-        else:
-            lo = [sum(min(Fraction(0), r[c]) for r in rays) for c in range(d)]
-            hi = [sum(max(Fraction(0), r[c]) for r in rays) for c in range(d)]
-            ranges = [range(math.ceil(lo[c]), math.floor(hi[c]) + 1)
-                      for c in range(d)]
-            for w in itertools.product(*ranges):
-                coeffs = self.fan.cone_coefficients(sigma, w)
-                if coeffs is not None and all(a < 1 for a in coeffs):
-                    points.append((tuple(w), coeffs))
+        pivots = [sigma[j] for j in self.fan._index.solver(sigma).columns]
+        snf = smith_normal_form(self._lifts_with_relations(pivots))
+        gens = [(d, [x // d for x in linalg.mat_vec(
+                    snf.matrix, [row[t] for row in snf.V])])
+                for t, d in enumerate(snf.diagonal) if d >= 2]
         out = []
-        for w, coeffs in points:
-            support = tuple(sigma[i] for i, a in enumerate(coeffs) if a != 0)
-            pos = tuple(a for a in coeffs if a != 0)
-            age = sum(pos, Fraction(0))
-            for tors in itertools.product(*(range(q)
-                                            for q in self.group.torsion)):
-                out.append(BoxElement(w + tors, support, pos, age))
+        for ks in itertools.product(*(range(d) for d, _ in gens)):
+            c = [sum(k * g[r] for k, (_, g) in zip(ks, gens))
+                 for r in range(self.group.coords)]
+            coeffs = self.fan.span_coefficients(sigma, c[: self.group.rank])
+            out.append(self._split(c, sigma, coeffs)[0])
         out.sort(key=lambda b: (b.value != self.group.zero(), b.value))
         return out
 
@@ -158,24 +174,26 @@ class ExtendedStackyFan:
         located = self.fan.locate(self.bar(c))
         if located is None:
             raise OutsideSupport(f"{c} has image outside the fan support")
-        sigma, coeffs = located
+        return self._split(c, *located)
+
+    def _split(self, c, sigma, coeffs):
+        """(v, {i: m_i}) with c = v + sum m_i b_i and m_i = floor(coeffs_i).
+
+        coeffs are those of c_bar over the rays sigma; v keeps the nonzero
+        fractional parts as its support and coefficients.
+        """
         mult = {}
         v = list(c)
-        frac_support = []
-        frac_coeffs = []
+        support, fracs = [], []
         for i, a in zip(sigma, coeffs):
-            mi = math.floor(a)
-            mult[i] = mi
-            if mi:
-                for r in range(self.group.coords):
-                    v[r] -= mi * self.ray_lifts[i][r]
-            f = a - mi
-            if f:
-                frac_support.append(i)
-                frac_coeffs.append(f)
-        value = self.group.reduce(v)
-        box = BoxElement(value, tuple(frac_support), tuple(frac_coeffs),
-                         sum(frac_coeffs, Fraction(0)))
+            mult[i] = m = math.floor(a)
+            if m:
+                v = [x - m * y for x, y in zip(v, self.ray_lifts[i])]
+            if a != m:
+                support.append(i)
+                fracs.append(a - m)
+        box = BoxElement(self.group.reduce(v), tuple(support), tuple(fracs),
+                         sum(fracs, Fraction(0)))
         return box, mult
 
     def local_group(self, sigma):
@@ -191,13 +209,15 @@ class ExtendedStackyFan:
         box_complement decides this by a lookup in N(sigma) instead;
         benchmark/spans.py still wraps this method by name.
         """
-        sigma = tuple(sorted(sigma))
-        vec = self.group.reduce(vec)
-        cols = [self.ray_lifts[i] for i in sigma]
-        mat = [[col[r] for col in cols] for r in range(self.group.coords)]
-        rel = self.group.relation_matrix()
-        full = [mat[r] + rel[r] for r in range(self.group.coords)]
-        return solve_integer_linear(full, list(vec)) is not None
+        full = self._lifts_with_relations(sigma)
+        vec = list(self.group.reduce(vec))
+        return solve_integer_linear(full, vec) is not None
+
+    def _lifts_with_relations(self, rays):
+        """Rows of [B | Q]: the lifts of the rays, then N's relations."""
+        lifts = [[self.ray_lifts[i][r] for i in rays]
+                 for r in range(self.group.coords)]
+        return _with_relations(self.group, lifts)
 
     def _box_by_projection(self, sigma):
         """(proj: N -> N(sigma), {proj(w): [w in Box(sigma)]}) per sigma."""

@@ -103,7 +103,32 @@ def rref_rank(rows):
     return rank
 
 
+def independent_columns(columns):
+    """Indices of the columns that are independent of the earlier ones."""
+    keep = []
+    for j in range(len(columns)):
+        if rref_rank([columns[i] for i in keep + [j]]) > len(keep):
+            keep.append(j)
+    return keep
+
+
 def solve_over(columns, target):
+    """The a with sum a_i * columns[i] = target, or None off their span.
+
+    Columns that depend on earlier ones get coefficient zero, which makes
+    a unique.
+    """
+    keep = independent_columns(columns)
+    coeffs = _solve_independent([columns[j] for j in keep], target)
+    if coeffs is None:
+        return None
+    out = [Fraction(0)] * len(columns)
+    for j, a in zip(keep, coeffs):
+        out[j] = a
+    return out
+
+
+def _solve_independent(columns, target):
     """Unique a with sum a_i * columns[i] = target, or None.
 
     The columns must be independent; k of them in Q^d with k <= d. The
@@ -185,15 +210,16 @@ def box_elements(rank, torsion, lifts, cone):
     element.
     """
     bars = [lifts[i][:rank] for i in cone]
+    keep = [cone[j] for j in independent_columns(bars)]
     lo = [sum(min(0, b[j]) for b in bars) for j in range(rank)]
     hi = [sum(max(0, b[j]) for b in bars) for j in range(rank)]
     out = {}
     for x in itertools.product(*(range(lo[j], hi[j] + 1)
                                  for j in range(rank))):
-        coeffs = solve_over(bars, x)
+        coeffs = _solve_independent([lifts[i][:rank] for i in keep], x)
         if coeffs is None or not all(0 <= a < 1 for a in coeffs):
             continue
-        support = tuple(i for i, a in zip(cone, coeffs) if a)
+        support = tuple(i for i, a in zip(keep, coeffs) if a)
         nonzero = tuple(a for a in coeffs if a)
         for t in itertools.product(*(range(q) for q in torsion)):
             out[tuple(x) + t] = (support, nonzero)

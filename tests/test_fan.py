@@ -85,6 +85,13 @@ def test_validate_nested_cones():
     assert "BadIntersection" in codes
 
 
+def test_validate_duplicate_cones():
+    # is_complete counts cones per wall, which needs every cone once
+    fan = SimplicialFan(2, P2.rays, P2.max_cones + ((1, 0),))
+    assert fan.validate() == [
+        Diagnostic("BadIntersection", "cones (0, 1) and (0, 1) are nested")]
+
+
 def test_validate_unused_rays():
     # rays 0 and 1 point along ray 2 but lie in no maximal cone
     fan = SimplicialFan(1, ((-1,), (-1,), (-1,), (2,)), ((2,), (3,)))

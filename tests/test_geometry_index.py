@@ -28,6 +28,15 @@ def seeded_fans():
     fans += [weighted_projective_fan(coprime_weights(rng, 4, top=3))
              for _ in range(2)]
     fans += [complete_2d_fan(rng) for _ in range(6)]
+    fans.append(weighted_projective_fan([1, 1, 1, 2, 3]))
+    # unvalidated, with torsion: ray 2 is parallel to ray 0, and ray 4 is
+    # in the span of rays 1 and 3 but not in the subgroup their lifts
+    # generate, so Box of cones (0, 1, 2) and (1, 3, 4) has more elements
+    # than the torsion of N modulo all of the cone's lifts
+    fans.append(ExtendedStackyFan.build(
+        FgAbGroup(2, (2,)),
+        [(2, 0, 0), (0, 1, 0), (1, 0, 1), (-1, -1, 1), (-1, 2, 0)],
+        [(0, 1, 2), (1, 3, 4), (0, 3)]))
     return fans
 
 
@@ -61,7 +70,7 @@ def test_fan_queries_match_oracle(case):
             oracles.minimal_cone(rays, fan.max_cones, pair), pair
 
 
-@pytest.mark.parametrize("case", range(11))
+@pytest.mark.parametrize("case", range(13))
 def test_box_queries_match_oracle(case):
     sfan = seeded_fans()[case]
     rank, torsion = sfan.group.rank, sfan.group.torsion
