@@ -420,8 +420,18 @@ def cokernel(f: GroupHom):
         # nothing to quotient by: the cokernel is the target itself,
         # which is free here since combined empty means no relations
         return target, GroupHom.identity(target)
-    w = smith_normal_form(combined)
-    diag = w.diagonal
+    return _cokernel_of_snf(target, smith_normal_form(combined))
+
+
+def _cokernel_of_snf(target: FgAbGroup, snf: SnfWitness):
+    """(C, proj) read off the Smith normal form U M V = D of M.
+
+    M is [A | Q] as _with_relations builds it: columns A in target, then
+    target's relation matrix Q. Row t of U x is the coordinate of x in C,
+    free where d_t = 0, modulo d_t where d_t >= 2, dropped where d_t = 1,
+    so the kernel of proj is the subgroup generated by A's columns.
+    """
+    diag = snf.diagonal
     free_rows = []
     tors_rows = []
     tors_factors = []
@@ -434,8 +444,8 @@ def cokernel(f: GroupHom):
             tors_factors.append(d)
         # d == 1 contributes nothing
     c = FgAbGroup(len(free_rows), tuple(tors_factors))
-    proj_matrix = [list(w.U[i]) for i in free_rows] + \
-                  [list(w.U[i]) for i in tors_rows]
+    proj_matrix = [list(snf.U[i]) for i in free_rows] + \
+                  [list(snf.U[i]) for i in tors_rows]
     proj = GroupHom(target, c, proj_matrix)
     return c, proj
 

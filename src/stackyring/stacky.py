@@ -19,8 +19,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import (InfiniteCokernel, NoCommonCone, OutsideSupport)
 from .fan import SimplicialFan
-from .lattice import (FgAbGroup, GroupHom, _with_relations, cokernel,
-                      smith_normal_form, solve_integer_linear)
+from .lattice import (FgAbGroup, GroupHom, _cokernel_of_snf, _with_relations,
+                      cokernel, smith_normal_form, solve_integer_linear)
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,10 @@ class ExtendedStackyFan:
         >>> [b.value for b in box], box[1].age
         ([(0, 0), (0, -1)], Fraction(1, 1))
         """
+        return self._box_and_snf(sigma)[0]
+
+    def _box_and_snf(self, sigma):
+        """(Box(sigma), the Smith normal form of [B_J | Q] it is read off)."""
         sigma = tuple(sorted(sigma))
         pivots = [sigma[j] for j in self.fan._index.solver(sigma).columns]
         snf = smith_normal_form(self._lifts_with_relations(pivots))
@@ -152,7 +156,7 @@ class ExtendedStackyFan:
             coeffs = self.fan.span_coefficients(sigma, c[: self.group.rank])
             out.append(self._split(c, sigma, coeffs)[0])
         out.sort(key=lambda b: (b.value != self.group.zero(), b.value))
-        return out
+        return out, snf
 
     def box(self):
         """Box of the whole fan: union over the maximal cones."""
@@ -220,12 +224,21 @@ class ExtendedStackyFan:
         return _with_relations(self.group, lifts)
 
     def _box_by_projection(self, sigma):
-        """(proj: N -> N(sigma), {proj(w): [w in Box(sigma)]}) per sigma."""
+        """(proj: N -> N(sigma), {proj(w): [w in Box(sigma)]}) per sigma.
+
+        Both come from the one Smith normal form U M V = D that
+        box_of_cone takes of M = [B_J | Q]: proj is the cokernel
+        projection read off U, so its kernel is N_J = <b_j : j in J>.
+        When sigma's rays are independent, as on a valid fan and for
+        every minimal cone, J = sigma, M is the matrix local_group(sigma)
+        reduces, and proj is the projection it returns.
+        """
         entry = self._complements.get(sigma)
         if entry is None:
-            _, proj = self.local_group(sigma)
+            box, snf = self._box_and_snf(sigma)
+            _, proj = _cokernel_of_snf(self.group, snf)
             table = {}
-            for w in self.box_of_cone(sigma):
+            for w in box:
                 table.setdefault(proj.apply(w.value), []).append(w)
             entry = self._complements[sigma] = (proj, table)
         return entry
@@ -234,10 +247,29 @@ class ExtendedStackyFan:
         """The unique v3 in Box with v1 + v2 + v3 in N_sigma(v1,v2).
 
         The triple (v1, v2, v3) is then a 3-twisted sector: the minimal cone
-        of the three images equals the minimal cone of the first two.
+        of the three images equals the minimal cone of the first two. The
+        minimal cone sigma is found first, the complement is looked up in
+        N(sigma) (see _complement_in), and the minimal cone of the triple
+        is checked against sigma.
+        """
+        sigma = self.fan.minimal_cone([self.bar(v1.value), self.bar(v2.value)])
+        if sigma is None:
+            raise NoCommonCone("v1 and v2 do not share a cone")
+        v3 = self._complement_in(sigma, v1, v2)
+        joint = self.fan.minimal_cone([self.bar(v1.value), self.bar(v2.value),
+                                       self.bar(v3.value)])
+        if joint != sigma:
+            raise NoCommonCone("complement changes the minimal cone")
+        return v3
 
-        The search is a lookup in N(sigma) = N / N_sigma. The projection
-        proj from local_group(sigma) has kernel exactly N_sigma, so for
+    def _complement_in(self, sigma, v1: BoxElement,
+                       v2: BoxElement) -> BoxElement:
+        """The unique v3 in Box(sigma) with v1 + v2 + v3 in N_sigma.
+
+        sigma is the minimal cone of the images of v1 and v2; its rays are
+        independent on any fan (see SimplicialFan.minimal_cone). The
+        search is a lookup in N(sigma) = N / N_sigma. The projection proj
+        of _box_by_projection has kernel exactly N_sigma, so for
         s = v1 + v2 and w in Box(sigma)
 
             s + w in N_sigma  <=>  proj(s + w) = 0  <=>  proj(w) = -proj(s).
@@ -248,21 +280,13 @@ class ExtendedStackyFan:
         value are the scan's "found 2"; a value no element has is its
         "found 0".
         """
-        sigma = self.fan.minimal_cone([self.bar(v1.value), self.bar(v2.value)])
-        if sigma is None:
-            raise NoCommonCone("v1 and v2 do not share a cone")
         proj, table = self._box_by_projection(sigma)
         s = self.group.add(v1.value, v2.value)
         matches = table.get(proj.target.neg(proj.apply(s)), ())
         if len(matches) != 1:
             raise NoCommonCone(
                 f"expected exactly one complement, found {len(matches)}")
-        v3 = matches[0]
-        joint = self.fan.minimal_cone([self.bar(v1.value), self.bar(v2.value),
-                                       self.bar(v3.value)])
-        if joint != sigma:
-            raise NoCommonCone("complement changes the minimal cone")
-        return v3
+        return matches[0]
 
     def normalize_extra_data(self):
         """Reduce each extra vector into its box parallelepiped.

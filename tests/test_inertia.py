@@ -1,8 +1,13 @@
+import collections
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
-from stackyring import fixtures
+from generators import (complete_2d_fan, coprime_weights,
+                        weighted_projective_fan)
+from stackyring import fixtures, lattice, stacky
 from stackyring.errors import NotASector
 from stackyring.inertia import (inertia_components, obstruction_exponents,
                                 three_sectors)
@@ -93,3 +98,89 @@ def test_all_fixture_sectors_validate():
         for sector in three_sectors(sfan):
             rays = obstruction_exponents(sfan, *sector.elements)
             assert rays <= set(sector.joint_cone)
+
+
+@pytest.mark.parametrize("name", fixtures.FAN_FIXTURES)
+def test_obstruction_accepts_exactly_the_complement(name):
+    sfan = fixtures.load_fan(name)
+    box = sfan.box()
+    for pair in inertia_components(sfan, 2):
+        g1, g2 = pair.elements
+        complement = sfan.box_complement(g1, g2)
+        for g3 in box:
+            if g3.value == complement.value:
+                obstruction_exponents(sfan, g1, g2, g3)
+                continue
+            with pytest.raises(NotASector):
+                obstruction_exponents(sfan, g1, g2, g3)
+        # the class of the complement in N(sigma), outside Box(sigma)
+        for i in pair.joint_cone:
+            shifted = dataclasses.replace(complement, value=sfan.group.add(
+                complement.value, sfan.ray_lifts[i]))
+            with pytest.raises(NotASector, match="is not the complement"):
+                obstruction_exponents(sfan, g1, g2, shifted)
+
+
+def _identity_cases():
+    rng = random.Random(20261018)
+    fans = [fixtures.load_fan(name) for name in fixtures.FAN_FIXTURES]
+    fans += [weighted_projective_fan(w)
+             for w in ((1, 1, 2, 4), (1, 2, 2, 3), (1, 2, 3, 5), (1, 1, 1, 3))]
+    fans += [weighted_projective_fan(coprime_weights(rng, 4))
+             for _ in range(2)]
+    fans += [complete_2d_fan(rng) for _ in range(6)]
+    return fans
+
+
+def test_sector_pair_is_the_inverse_times_rays():
+    """g1 + g2 = v3' + sum_{i in R} b_i and age(g1) + age(g2) = age(v3') + |R|.
+
+    v3' is the box element of the inverse of g3, and R is the union of
+    the obstruction rays and (sigma(g1) u sigma(g2)) minus sigma(g3).
+    """
+    checked = 0
+    for sfan in _identity_cases():
+        zero = sfan.box()[0]
+        for sector in three_sectors(sfan):
+            g1, g2, g3 = sector.elements
+            inverse = sfan.box_complement(g3, zero)
+            rays = obstruction_exponents(sfan, g1, g2, g3) | (
+                set(g1.min_cone) | set(g2.min_cone)) - set(g3.min_cone)
+            rhs = inverse.value
+            for i in rays:
+                rhs = sfan.group.add(rhs, sfan.ray_lifts[i])
+            assert sfan.group.add(g1.value, g2.value) == rhs, sector
+            assert g1.age + g2.age == inverse.age + len(rays), sector
+            checked += 1
+    assert checked > 1000
+
+
+def test_three_sectors_find_each_geometry_once(monkeypatch):
+    sfan = weighted_projective_fan((1, 2, 3, 5, 7))
+    calls = collections.Counter()
+    quotient_cones = []
+
+    def counted(owner, name, record=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            if record is not None:
+                record.append(args[1])
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(lattice, "smith_normal_form")
+    counted(stacky, "smith_normal_form")
+    counted(ExtendedStackyFan, "box_complement")
+    counted(ExtendedStackyFan, "quotient_stacky_fan", quotient_cones)
+    sectors = three_sectors(sfan)
+    for sector in sectors:
+        obstruction_exponents(sfan, *sector.elements)
+    assert len(sectors) == 84
+    assert calls["box_complement"] == 0
+    assert sorted(quotient_cones) == sorted({s.joint_cone for s in sectors})
+    assert 0 < calls["smith_normal_form"] <= 24
+    zero = sectors[0].elements[0]
+    sfan.box_complement(zero, zero)
+    assert calls["box_complement"] == 1  # the counter is live
