@@ -62,32 +62,150 @@ def _insert_row(pivots, row) -> bool:
     return True
 
 
+def _mul(product, a, b):
+    """Product of two sparse vectors under the symmetric table product."""
+    out = {}
+    for t, q in a.items():
+        for u, r in b.items():
+            qr = q * r
+            for s, x in product.get((t, u), {}).items():
+                out[s] = out[s] + qr * x if s in out else qr * x
+    return {s: q for s, q in out.items() if q}
+
+
+def _generating_walk(degrees, unit, product):
+    """Generators, spanning products s_i and their factors (p, h).
+
+    Walking the basis in (degree, index) order, an element outside the
+    span of the products recorded so far becomes a generator, and the span
+    is closed again under multiplication by the generators. Every element
+    is in the span when the walk ends, so the n recorded products s_i are
+    a basis. s_0 = 1, and each later s_i was recorded as s_p h with p < i
+    and h a generator; factors[i] = (p, h) and factors[0] is None. No
+    assumption about degree 0 is made: on a gerbe every twisted sector has
+    degree 0 and several of them may be needed.
+    """
+    generators, span = [], {}
+    _insert_row(span, {unit: 1})
+    spanning, factors = [{unit: 1}], [None]
+    for g in sorted(range(len(degrees)), key=lambda i: (degrees[i], i)):
+        if not _reduce(span, {g: 1}):
+            continue
+        generators.append(g)
+        todo = [(p, g) for p in range(len(spanning))]
+        while todo:
+            p, h = todo.pop()
+            prod = _mul(product, spanning[p], {h: 1})
+            if _insert_row(span, prod):
+                todo.extend((len(spanning), h2) for h2 in generators)
+                spanning.append(prod)
+                factors.append((p, h))
+    return generators, spanning, factors
+
+
+def _generators_commute(degrees, generators, product):
+    """Check (1): g(hz) = h(gz) for generators g < h and basis elements z."""
+    top = max(degrees)
+    for a, g in enumerate(generators):
+        for h in generators[a + 1:]:
+            for z in range(len(degrees)):
+                if degrees[g] + degrees[h] + degrees[z] > top:
+                    continue
+                if _mul(product, product.get((h, z), {}), {g: 1}) \
+                        != _mul(product, product.get((g, z), {}), {h: 1}):
+                    return False
+    return True
+
+
+def _spanning_pairs_factor(degrees, spanning, factors, product):
+    """Check (2): s_i s_j = s_p (h s_j) for s_i = s_p h and every j >= i.
+
+    An s_i recorded as 1 h is skipped: both sides are h s_j by the unit
+    law, which is checked.
+    """
+    top = max(degrees)
+    sdeg = [0]  # s_i is homogeneous, as the table is degree additive
+    for p, h in factors[1:]:
+        sdeg.append(sdeg[p] + degrees[h])
+    times = {}  # (j, h) -> h s_j, shared by every s_i with the factor h
+    for i in range(1, len(spanning)):
+        p, h = factors[i]
+        if p == 0:
+            continue
+        room = top - sdeg[i]
+        for j in range(i, len(spanning)):
+            if sdeg[j] > room:
+                continue
+            if (j, h) not in times:
+                times[j, h] = _mul(product, spanning[j], {h: 1})
+            if _mul(product, spanning[i], spanning[j]) \
+                    != _mul(product, spanning[p], times[j, h]):
+                return False
+    return True
+
+
+def _name_failing_triple(degrees, generators, product, error):
+    """Raise error on the first (g, j, k), g a generator and j <= k, with
+    g(jk) != (gj)k or g(jk) != (gk)j.
+
+    This is the complete check by generators that _check_structure's
+    certificate replaces. Let A = {a : a(xy) = (ax)y for all x, y}. A is
+    a subspace, holds 1 by the unit law, and is closed under products: for
+    a, b in A, (ab)(xy) = a(b(xy)) = a((bx)y) = (a(bx))y = ((ab)x)y. The
+    scan puts each generator in A (by commutativity g(kj) = (gk)j covers
+    j > k; one order alone would not), so A holds every left-nested product
+    of generators and hence everything. So on a table the certificate
+    refuses, which is not associative, the scan finds a triple; it runs on
+    refusal only and words the error the same way whichever check failed.
+    """
+    top = max(degrees)
+    n = len(degrees)
+    for g in generators:
+        for j in range(n):
+            for k in range(j, n):
+                if degrees[g] + degrees[j] + degrees[k] > top:
+                    continue
+                left = _mul(product, product.get((j, k), {}), {g: 1})
+                if left != _mul(product, product.get((g, j), {}), {k: 1}) \
+                        or left != _mul(product, product.get((g, k), {}),
+                                        {j: 1}):
+                    raise error(f"associativity fails on ({g},{j},{k})")
+
+
 def _check_structure(degrees, unit, table, error):
     """Raise error unless the table is a graded, unital, associative ring.
 
     table maps sorted index pairs (i, j) to sparse {k: coefficient} dicts
     of the commutative product of basis elements i and j; omitted pairs
     multiply to zero. The checks run in this order: every stored entry is
-    degree additive, the unit row is the identity, and g(jk) = (gj)k =
-    (gk)j for every generator g and all j <= k.
+    degree additive, the unit row is the identity, and associativity,
+    certified from the generators and spanning products s_i = s_p h of
+    _generating_walk by two checks:
 
-    The generators are picked from the table itself: walking the basis in
-    (degree, index) order, an element outside the span of the left-nested
-    products of the generators chosen so far (the unit included) becomes a
-    generator, and the span is closed again under multiplication by the
-    generators. Every element is in the span when the walk ends. No
-    assumption about degree 0 is made: on a gerbe every twisted sector has
-    degree 0 and several of them may be needed.
+    (1) g(hz) = h(gz) for all generators g < h and basis elements z;
+    (2) s_i s_j = s_p (h s_j) for every s_i = s_p h and every j >= i.
 
-    Why the generators suffice: let A = {a : a(xy) = (ax)y for all x, y}.
-    A is a subspace, holds 1 by the unit law, and is closed under
-    products: for a, b in A, (ab)(xy) = a(b(xy)) = a((bx)y) = (a(bx))y =
-    ((ab)x)y. The check puts each generator g in A, as by commutativity
-    g(kj) = g(jk) = (gk)j covers the pairs with j > k; one order alone
-    would not. So A holds every left-nested product of generators, hence
-    their span, which is everything. A triple whose degrees add up to more
-    than the top degree is skipped: degree additivity is checked, so both
-    sides of it are zero.
+    Both skip a product whose degrees add up to more than the top degree:
+    degree additivity is checked, so both of its sides are zero. The cost
+    is O(g^2 n + n^2 / 2) products for g generators, where a scan of g(jk)
+    over all generators and pairs takes about 3 g n^2 / 2.
+
+    Why they suffice. Write L_x for multiplication by x, M_0 = 1 and
+    M_i = M_p L_h for s_i = s_p h. By (1) the L_g commute, so the M_i, as
+    products of them, commute with each other. Claim: L_{s_i} = M_i and
+    s_i = M_i 1. By induction on i: s_0 = 1 and L_1 = M_0 by the unit law.
+    For i > 0, L_{s_p} = M_p, so M_i 1 = M_p h = s_p h = s_i. As the s_j
+    are a basis, it remains to see s_i s_j = M_i s_j for every j:
+    - for j >= i, check (2), or the unit law when s_p = 1, gives
+      s_i s_j = L_{s_p} L_h s_j = M_i s_j;
+    - for j < i, the table is symmetric and L_{s_j} = M_j already, so
+      s_i s_j = s_j s_i = M_j M_i 1 = M_i M_j 1 = M_i s_j.
+    So every L_x lies in the commutative algebra C that the L_g generate.
+    An operator P in C is fixed by its value at 1: P z = P L_z 1 =
+    L_z P 1 = z (P 1) = L_{P 1} z. L_x L_y is in C and sends 1 to xy, so
+    L_x L_y = L_{xy}: x(yz) = (xy)z, which is associativity. Conversely
+    an associative commutative table passes both checks. If either check
+    fails, _name_failing_triple names the failing triple.
     """
     for (i, j), terms in table.items():
         want = degrees[i] + degrees[j]
@@ -97,43 +215,16 @@ def _check_structure(degrees, unit, table, error):
     # every stored product under both orders of its pair
     product = {(j, i): terms for (i, j), terms in table.items()}
     product.update(table)
-    n = len(degrees)
-    for j in range(n):
+    for j in range(len(degrees)):
         if product.get((unit, j)) != {j: 1}:
             raise error("unit law fails")
 
-    def times(vec, k):
-        out = {}
-        for t, q in vec.items():
-            for s, r in product.get((t, k), {}).items():
-                out[s] = out[s] + q * r if s in out else q * r
-        return {s: q for s, q in out.items() if q}
-
-    generators, span = [], {}
-    _insert_row(span, {unit: 1})
-    spanning = [{unit: 1}]  # the independent left-nested products
-    for g in sorted(range(n), key=lambda i: (degrees[i], i)):
-        if not _reduce(span, {g: 1}):
-            continue
-        generators.append(g)
-        todo = [(vec, g) for vec in spanning]
-        while todo:
-            vec, h = todo.pop()
-            prod = times(vec, h)
-            if _insert_row(span, prod):
-                spanning.append(prod)
-                todo.extend((prod, h2) for h2 in generators)
-
-    top = max(degrees)
-    for g in generators:
-        for j in range(n):
-            for k in range(j, n):
-                if degrees[g] + degrees[j] + degrees[k] > top:
-                    continue
-                left = times(product.get((j, k), {}), g)
-                if left != times(product.get((g, j), {}), k) \
-                        or left != times(product.get((g, k), {}), j):
-                    raise error(f"associativity fails on ({g},{j},{k})")
+    generators, spanning, factors = _generating_walk(degrees, unit, product)
+    if not (_generators_commute(degrees, generators, product)
+            and _spanning_pairs_factor(degrees, spanning, factors, product)):
+        _name_failing_triple(degrees, generators, product, error)
+        raise InternalInconsistency(
+            "associativity certificate refused a table the scan accepts")
 
 
 class BaseRing:

@@ -122,12 +122,16 @@ def parse_base_document(obj, pointer: str = "") -> BaseRing:
             raise DocumentError(here, "expected an object")
         pi = _expect(entry, "i", here, int)
         pj = _expect(entry, "j", here, int)
+        if (pi, pj) in products:
+            raise DocumentError(here, f"repeated product ({pi},{pj})")
         terms = {}
         for t, term in enumerate(_expect(entry, "terms", here, list)):
             where = f"{here}/terms/{t}"
             if not isinstance(term, dict):
                 raise DocumentError(where, "expected an object")
             k = _expect(term, "k", where, int)
+            if k in terms:
+                raise DocumentError(where, f"repeated product term {k}")
             terms[k] = parse_fraction(_expect(term, "coeff", where), where)
         products[(pi, pj)] = terms
     twists_obj = _expect(obj, "twists", pointer, list, default=None,
@@ -145,6 +149,8 @@ def parse_base_document(obj, pointer: str = "") -> BaseRing:
                 if not isinstance(term, dict):
                     raise DocumentError(where, "expected an object")
                 k = _expect(term, "k", where, int)
+                if k in vec:
+                    raise DocumentError(where, f"repeated twist term {k}")
                 vec[k] = parse_fraction(_expect(term, "coeff", where), where)
             twists.append(vec)
     try:

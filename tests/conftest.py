@@ -20,7 +20,8 @@ def doctor_ring_table(monkeypatch):
 
     The table is the dict of structure constants that orbifold_ring hands
     to OrbifoldRing and then checks; a doctored table stands in for a fault
-    in the reduction that produced it.
+    in the reduction that produced it. generators.doctor_table makes a
+    seeded change.
     """
     def install(change):
         class Doctored(chowring.OrbifoldRing):

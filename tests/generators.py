@@ -1,5 +1,5 @@
 """Seeded random inputs for the tests: Gale maps, weighted projective
-spaces and complete 2-D stacky fans.
+spaces, complete 2-D stacky fans and doctored ring tables.
 
 These are plain helpers, imported by name, so that both test trees of
 the repository can be collected in one pytest run.
@@ -7,6 +7,7 @@ the repository can be collected in one pytest run.
 
 import itertools
 import math
+from fractions import Fraction
 
 from stackyring.lattice import FgAbGroup, GroupHom, cokernel
 from stackyring.stacky import ExtendedStackyFan
@@ -105,3 +106,27 @@ def complete_2d_fan(rng, torsion=None):
     extra = [[rng.randint(-3, 3) for _ in range(2)]
              + [rng.randrange(q) for q in torsion]]
     return ExtendedStackyFan.build(group, lifts, cones, extra)
+
+
+def doctor_table(table, degrees, rng):
+    """Change one product of a commutative ring table in place.
+
+    table maps sorted index pairs (i, j) to sparse {k: coefficient} dicts,
+    as ring tables and base rings store them. A seeded pair whose degree
+    sum is the degree of some basis element either gets one of its
+    coefficients moved, to zero perhaps, or gains a term of that degree;
+    so the table stays degree additive.
+    """
+    n = len(degrees)
+    right = {(i, j): [k for k in range(n)
+                      if degrees[k] == degrees[i] + degrees[j]]
+             for i in range(n) for j in range(i, n)}
+    i, j = rng.choice(sorted(key for key, ks in right.items() if ks))
+    terms = dict(table.get((i, j), {}))
+    new = [k for k in right[i, j] if k not in terms]
+    if new and (not terms or rng.random() < 0.5):
+        terms[rng.choice(new)] = Fraction(rng.choice((-2, -1, 1, 2)))
+    else:
+        k = rng.choice(sorted(terms))
+        terms[k] += rng.choice((-1, 1, 2))
+    table[i, j] = {k: q for k, q in terms.items() if q}

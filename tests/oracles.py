@@ -2,8 +2,9 @@
 
 Nothing here imports from stackyring. Linear solves go through Cramer's
 rule with a permutation-expansion determinant, row reduction is written
-out inline, and the ring oracle applies the defining product formula
-directly to an exhaustive monomial enumeration.
+out inline, the ring oracle applies the defining product formula
+directly to an exhaustive monomial enumeration, and the table oracle
+compares every triple of basis elements.
 """
 
 import itertools
@@ -324,3 +325,37 @@ def p112_quotient_histogram(max_degree=4):
         if dim:
             hist[deg] = dim
     return hist
+
+
+def is_unital_associative(degrees, unit, table):
+    """Is the commutative table graded, unital and associative?
+
+    table maps sorted index pairs (i, j) to sparse {k: coefficient} dicts;
+    omitted pairs multiply to zero. Every stored term is checked for
+    degree additivity and every unit product against the identity. As the
+    product is commutative, associativity holds when (ij)k, (jk)i and
+    (ik)j agree for every triple i <= j <= k; all triples are compared.
+    """
+    n = len(degrees)
+
+    def prod(i, j):
+        return table.get((min(i, j), max(i, j)), {})
+
+    def times(vec, k):
+        out = {}
+        for t, q in vec.items():
+            for s, r in prod(t, k).items():
+                out[s] = out.get(s, 0) + q * r
+        return {s: q for s, q in out.items() if q}
+
+    for (i, j), terms in table.items():
+        if any(q and degrees[k] != degrees[i] + degrees[j]
+               for k, q in terms.items()):
+            return False
+    if any(times({unit: 1}, j) != {j: 1} for j in range(n)):
+        return False
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+        left = times(prod(i, j), k)
+        if left != times(prod(j, k), i) or left != times(prod(i, k), j):
+            return False
+    return True

@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from generators import coprime_weights, weighted_projective_fan
+from generators import coprime_weights, doctor_table, weighted_projective_fan
+from oracles import is_unital_associative
 from stackyring import chowring, documents, fixtures
 from stackyring.chowring import (BaseRing, deformed_mul,
                                  isomorphic_presentation_check,
@@ -36,6 +38,18 @@ ONE_ORDER_ASSOCIATIVE = (("1", "a", "b", "c", "x", "y", "z", "d"),
                          {(1, 2): {4: 1}, (2, 3): {5: 1}, (1, 3): {6: 1},
                           (3, 4): {7: 1}, (1, 5): {7: 1}})
 
+# graded, commutative and unital, but (b b) a = d while b (b a) = 0; every
+# spanning product factors, and only L_a L_b != L_b L_a (on b) shows it
+NONCOMMUTING_GENERATORS = (("1", "a", "b", "c", "d"), (0, 1, 1, 2, 3),
+                           {(2, 2): {3: 1}, (1, 3): {4: 1}})
+
+# (x x)(x x) = z but x (x (x x)) = 0; z is a generator, as no product of
+# x reaches it. The generators x and z commute, as their products vanish,
+# and s_i s_j = s_p (h s_j) for j >= i fails at y y only, so check (2) on
+# j > i alone accepts it, and so does check (2) on j < i alone
+SQUARE_DOES_NOT_FACTOR = (("1", "x", "y", "z"), (0, 1, 2, 4),
+                          {(1, 1): {2: 1}, (2, 2): {3: 1}})
+
 
 def test_base_ring_validation():
     with pytest.raises(ValueError):
@@ -52,6 +66,55 @@ def test_base_ring_validation():
     with pytest.raises(ValueError,
                        match=r"^associativity fails on \(1,2,3\)$"):
         BaseRing(*ONE_ORDER_ASSOCIATIVE)
+
+
+@pytest.mark.parametrize("ring, commute, factor, triple", [
+    (NONCOMMUTING_GENERATORS, False, True, "1,2,2"),
+    (SQUARE_DOES_NOT_FACTOR, True, False, "1,1,2")],
+    ids=["commute", "factor"])
+def test_each_certificate_check_carries_weight(ring, commute, factor, triple):
+    """Each table fails one of the two checks alone, so the certificate
+    without check (1), or with check (2) on j > i or on j < i only, would
+    accept a table that is not associative."""
+    labels, degrees, products = ring
+    product = {(0, j): {j: 1} for j in range(len(degrees))}
+    product.update({(j, 0): {j: 1} for j in range(len(degrees))})
+    for (i, j), terms in products.items():
+        product[i, j] = product[j, i] = terms
+    generators, spanning, factors = chowring._generating_walk(degrees, 0,
+                                                              product)
+    assert chowring._generators_commute(degrees, generators,
+                                        product) == commute
+    assert chowring._spanning_pairs_factor(degrees, spanning, factors,
+                                           product) == factor
+    with pytest.raises(ValueError,
+                       match=rf"^associativity fails on \({triple}\)$"):
+        BaseRing(*ring)
+
+
+def test_base_document_refuses_repeats():
+    """A repeated product pair, product term or twist term is refused at
+    its pointer; the parser used to keep the last one (H H = 5 H^2)."""
+    def doc(products, twists=None):
+        out = {"basis": [{"label": "1", "degree": 0},
+                         {"label": "H", "degree": 1},
+                         {"label": "H^2", "degree": 2}],
+               "products": [{"i": 1, "j": 1,
+                             "terms": [{"k": 2, "coeff": q} for q in qs]}
+                            for qs in products]}
+        if twists is not None:
+            out["twists"] = [[{"k": 1, "coeff": q} for q in twists]]
+        return out
+
+    assert documents.parse_base_document(doc([[1]], [-1])).product(1, 1) \
+        == {2: 1}
+    for bad, message in (
+            (doc([[1], [5]]), "/products/1: repeated product (1,1)"),
+            (doc([[1, 5]]), "/products/0/terms/1: repeated product term 2"),
+            (doc([[1]], [1, -1]), "/twists/0/1: repeated twist term 1")):
+        with pytest.raises(DocumentError) as err:
+            documents.parse_base_document(bad)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("k", [7, -1])
@@ -137,6 +200,77 @@ def test_doctored_gerbe_table_is_checked_in_degree_zero(doctor_ring_table):
     with pytest.raises(InternalInconsistency,
                        match=r"^associativity fails on \(1,1,2\)$"):
         orbifold_ring(sfan, POINT)
+
+
+def _gerbe(torsion, extra):
+    return ExtendedStackyFan.build(FgAbGroup(0, torsion), (), ((),), (extra,))
+
+
+def _doctoring_tables():
+    """(name, degrees, unit, table) of small assembled ring tables."""
+    p1 = fixtures.load_base("base_p1")
+    cases = [
+        ("p112/P1", fixtures.load_fan("p112"), p1),
+        ("Z/12/P1", _gerbe((12,), (5,)), BaseRing.projective_space(1)
+         .with_twists([{"H": -1}])),
+        ("Z/2xZ/6", _gerbe((2, 6), (1, 3)), POINT),
+        ("Z/2xZ/2xZ/3/P1", _gerbe((2, 2, 3), (1, 1, 2)),
+         BaseRing.projective_space(1).with_twists([{"H": 1}])),
+        ("P(1,2,3)", weighted_projective_fan([1, 2, 3]), POINT),
+        ("P(1,1,3)", weighted_projective_fan([1, 1, 3]), POINT)]
+    for name, sfan, base in cases:
+        ring = orbifold_ring(sfan, base)
+        yield (name, [b.degree for b in ring.basis], ring.unit_index,
+               ring._table)
+
+
+def test_check_refuses_exactly_what_the_oracle_refuses():
+    """Seeded doctorings of small tables, each one changed coefficient or
+    one added term of the right degree, are refused by _check_structure
+    exactly when the brute-force oracle, which compares every triple
+    i <= j <= k, refuses them."""
+    verdicts = Counter()
+    for name, degrees, unit, table in _doctoring_tables():
+        assert is_unital_associative(degrees, unit, table), name
+        rng = random.Random(f"doctor:{name}")
+        for case in range(20):
+            doctored = {key: dict(terms) for key, terms in table.items()}
+            doctor_table(doctored, degrees, rng)
+            try:
+                chowring._check_structure(degrees, unit, doctored,
+                                          InternalInconsistency)
+                refused = False
+            except InternalInconsistency:
+                refused = True
+            assert refused == (not is_unital_associative(
+                degrees, unit, doctored)), (name, case)
+            verdicts[refused] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_doctored_rings_are_refused_as_the_oracle_says(doctor_ring_table):
+    """The same through ring assembly: orbifold_ring on P(1,1,2) over P^1
+    raises InternalInconsistency exactly for the doctored tables the
+    oracle refuses."""
+    sfan, base = fixtures.load_fan("p112"), fixtures.load_base("base_p1")
+    ring = orbifold_ring(sfan, base)
+    degrees = [b.degree for b in ring.basis]
+    rng = random.Random(5)
+    doctored = []
+
+    def change(table):
+        doctor_table(table, degrees, rng)
+        doctored.append({key: dict(terms) for key, terms in table.items()})
+
+    doctor_ring_table(change)
+    for case in range(12):
+        try:
+            orbifold_ring(sfan, base)
+            refused = False
+        except InternalInconsistency:
+            refused = True
+        assert refused == (not is_unital_associative(
+            degrees, ring.unit_index, doctored[-1])), case
 
 
 def test_base_ring_twists_must_have_degree_one():
@@ -365,6 +499,25 @@ def test_ring_assembly_never_decomposes(monkeypatch):
     assert len(calls) == 1  # the counter is live
 
 
+def test_failing_triple_is_named_on_refusal_only(monkeypatch):
+    calls = []
+    scan = chowring._name_failing_triple
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(chowring, "_name_failing_triple", counted)
+    for fan_name, base_name in fixtures.RING_CASES:
+        orbifold_ring(fixtures.load_fan(fan_name),
+                      fixtures.load_base(base_name))
+    assert calls == []
+    with pytest.raises(ValueError,
+                       match=r"^associativity fails on \(1,2,3\)$"):
+        BaseRing(*ONE_ORDER_ASSOCIATIVE)
+    assert len(calls) == 1  # the counter is live
+
+
 # sha256 of canonical ring documents that faster assembly must not change
 PINNED_RING_DIGESTS = {
     (1, 2, 3, 5):
@@ -374,6 +527,15 @@ PINNED_RING_DIGESTS = {
 }
 P112_OVER_P2_DIGEST = \
     "62bf87b4d3e7ab094c9072b1673e0924a534b1e98b73a5d3970e78a8fb0bd1e2"
+# (torsion, extra vector, base P^n, twist coefficient of H) of gerbes:
+# the 108-dimensional BG(Z/2 x Z/3 x Z/6) over P^2 and a three-factor
+# order-24 gerbe over P^1 like those of the gerbe_table benchmark
+PINNED_GERBE_DIGESTS = {
+    ((2, 3, 6), (1, 1, 1), 2, 1):
+        "3d8042b72ef5e72b72c481a66424908211d9939fd7c561d7060ec15ec9d9bf9e",
+    ((2, 3, 4), (1, 2, 3), 1, -2):
+        "b9d2b164459bfd2c30545ac2cc1da0670e91d20d824296f60843325ba2619a78",
+}
 
 
 def _ring_digest(sfan, base):
@@ -387,6 +549,9 @@ def test_pinned_ring_digests():
                             POINT) == want, weights
     assert _ring_digest(fixtures.load_fan("p112"),
                         BaseRing.projective_space(2)) == P112_OVER_P2_DIGEST
+    for (torsion, extra, n, twist), want in PINNED_GERBE_DIGESTS.items():
+        base = BaseRing.projective_space(n).with_twists([{"H": twist}])
+        assert _ring_digest(_gerbe(torsion, extra), base) == want, torsion
 
 
 def test_sectors_are_enumerated_to_cap_plus_one(monkeypatch):

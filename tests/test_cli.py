@@ -220,6 +220,31 @@ def test_ring_base_term_index_out_of_range(capsys, tmp_path, kind, k):
         "detail": f"/: {kind} term index {k} out of range"}}
 
 
+@pytest.mark.parametrize("kind", ["pair", "term", "twist"])
+def test_ring_base_repeat_is_refused(capsys, tmp_path, kind):
+    # the parser kept the last repeat: two H H entries gave H H = 5 H^2
+    doc = {"basis": [{"label": "1", "degree": 0},
+                     {"label": "H", "degree": 1},
+                     {"label": "H^2", "degree": 2}],
+           "products": [{"i": 1, "j": 1, "terms": [{"k": 2, "coeff": 1}]}],
+           "twists": [[{"k": 1, "coeff": -1}], []]}
+    if kind == "pair":
+        doc["products"].append({"i": 1, "j": 1,
+                                "terms": [{"k": 2, "coeff": 5}]})
+        detail = "/products/1: repeated product (1,1)"
+    elif kind == "term":
+        doc["products"][0]["terms"].append({"k": 2, "coeff": 4})
+        detail = "/products/0/terms/1: repeated product term 2"
+    else:
+        doc["twists"][1] = [{"k": 1, "coeff": 1}, {"k": 1, "coeff": 2}]
+        detail = "/twists/1/1: repeated twist term 1"
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run(capsys, "ring", fan_path("p1"), "--base", str(path))
+    assert code == 1
+    assert payload == {"error": {"type": "DocumentError", "detail": detail}}
+
+
 def test_infinite_dimensional_exits_with_json_error(capsys, monkeypatch):
     monkeypatch.setattr(chowring, "linear_relations", lambda sfan, base: [])
     code, payload = run(capsys, "ring", fan_path("p1"))
