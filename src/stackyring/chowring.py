@@ -12,6 +12,7 @@ by exact rational row reduction.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -397,19 +398,15 @@ def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
     return {k: q for k, q in out.items() if q}
 
 
-def _twist_arity_check(sfan, base):
-    if base.twists is not None and len(base.twists) != sfan.m:
-        raise TwistArityMismatch(
-            f"{len(base.twists)} twist classes for {sfan.m} coordinates")
-
-
 def linear_relations(sfan: ExtendedStackyFan, base: BaseRing):
     """One relation per dual basis vector theta of M = Hom(N, Z).
 
     Each is c1(xi_theta) + sum over rays of theta(b_i) y^{b_i}, where the
     twist summand is sum over all m coordinates of theta(b_k) p_k.
     """
-    _twist_arity_check(sfan, base)
+    if base.twists is not None and len(base.twists) != sfan.m:
+        raise TwistArityMismatch(
+            f"{len(base.twists)} twist classes for {sfan.m} coordinates")
     zero = sfan.group.zero()
     relations = []
     for j in range(sfan.group.rank):
@@ -440,14 +437,15 @@ class RingBasisElement:
     degree: Fraction
 
 
-class _SectorSpace:
-    """Degreewise reduction of one sector y^v S against the relation ideal.
+def _sector_monomials(sfan, base, box, bound):
+    """The monomials of the sector y^v S up to degree bound, sorted.
 
-    Each monomial y^v prod y^{b_i}^{e_i} gamma is keyed by (c, label index)
-    with c = v + sum e_i b_i in N, the key deformed_mul multiplies. c is
-    computed once, here, where the monomials are enumerated; this is the
-    only place exponents and lattice elements meet. Products are looked up
-    by key and never decomposed, because a key names one monomial:
+    Returns (degree, exponents, label index, c) tuples for the monomials
+    y^v prod y^{b_i}^{e_i} gamma, with c = v + sum e_i b_i in N. The key
+    (c, label index) is the one deformed_mul multiplies; c is computed
+    once, here, where the monomials are enumerated, and this is the only
+    place exponents and lattice elements meet. Products are looked up by
+    key and never decomposed, because a key names one monomial:
 
     The exponents are supported on a face s with s + sigma(v) a face tau,
     so c_bar = v_bar + sum e_i b_bar_i has the positive coefficients
@@ -459,62 +457,35 @@ class _SectorSpace:
     parts are v's: box_decompose(c) = (v, e). As that is a function of c,
     (v, e) -> c is injective on the monomials of all sectors together.
     """
-
-    def __init__(self, sfan, base, box, relations, bound):
-        self.box = box
-        self.sfan = sfan
-        self.base = base
-        # the closed star of sigma(v): faces are closed under subsets, so
-        # these are exactly the subsets of the faces containing sigma(v)
-        supports = [s for s in sfan.fan.faces()
-                    if sfan.fan.is_face(s + box.min_cone)]
-        budget = int(bound - box.age)  # bound - age is a nonneg integer bound
-        keys = []
-        for s in supports:
-            if len(s) > budget:
+    # the closed star of sigma(v): faces are closed under subsets, so
+    # these are exactly the subsets of the faces containing sigma(v)
+    supports = [s for s in sfan.fan.faces()
+                if sfan.fan.is_face(s + box.min_cone)]
+    budget = int(bound - box.age)  # bound - age is a nonneg integer bound
+    # age + step <= bound exactly when the integer step <= budget; one
+    # object per degree, so equal degrees compare by identity
+    degrees = [box.age + step for step in range(budget + 1)]
+    out = []
+    for s in supports:
+        if len(s) > budget:
+            continue
+        for exps in itertools.product(range(1, budget + 1), repeat=len(s)):
+            total = sum(exps)
+            if total > budget:
                 continue
-            for exps in itertools.product(range(1, budget + 1), repeat=len(s)):
-                total = sum(exps)
-                if total > budget:
-                    continue
-                full = [0] * sfan.n
-                c = list(box.value)
-                for i, e in zip(s, exps):
-                    full[i] = e
-                    for r, x in enumerate(sfan.ray_lifts[i]):
-                        c[r] += e * x
-                c = sfan.group.reduce(c)
-                for li in range(base.dim):
-                    deg = box.age + total + base.degrees[li]
-                    if deg <= bound:
-                        keys.append((deg, tuple(full), li, c))
-        keys.sort()
-        self.monomials = {}  # degree -> [(exponents, key)]
-        self.position = {}   # key -> (degree, position), in sorted order
-        for deg, exp, li, c in keys:
-            lst = self.monomials.setdefault(deg, [])
-            self.position[(c, li)] = (deg, len(lst))
-            lst.append((exp, (c, li)))
-        self.pivots = {deg: {} for deg in self.monomials}
-        self._fill_relations(relations, bound)
-        self.survivors = {
-            deg: [p for p in range(len(monos)) if p not in self.pivots[deg]]
-            for deg, monos in self.monomials.items()}
-
-    def _fill_relations(self, relations, bound):
-        for key, (deg, _) in self.position.items():
-            if not relations or deg + 1 > bound:
-                break  # the keys ascend by degree
-            for rel in relations:
-                prod = deformed_mul(self.sfan, self.base, {key: Fraction(1)},
-                                    rel)
-                if not prod.keys() <= self.position.keys():
-                    raise InternalInconsistency(
-                        "relation term escaped its sector")
-                if prod:
-                    _insert_row(self.pivots[deg + 1],
-                                {self.position[k][1]: q
-                                 for k, q in prod.items()})
+            full = [0] * sfan.n
+            c = list(box.value)
+            for i, e in zip(s, exps):
+                full[i] = e
+                for r, x in enumerate(sfan.ray_lifts[i]):
+                    c[r] += e * x
+            c = sfan.group.reduce(c)
+            for li in range(base.dim):
+                step = total + base.degrees[li]
+                if step <= budget:
+                    out.append((degrees[step], tuple(full), li, c))
+    out.sort()
+    return out
 
 
 class OrbifoldRing:
@@ -579,8 +550,9 @@ def _assemble(sfan, base, sectors):
     """Basis and table of the sectors' sum, certified finite at cap + 1.
 
     cap is the top degree of the base plus the fan dimension d. Each
-    sector space is enumerated to degree cap + 1 only, and a class that
-    survives in (cap, cap + 1] raises InfiniteDimensional. That suffices:
+    sector's monomials are enumerated to degree cap + 1 only, and a class
+    that survives in (cap, cap + 1] raises InfiniteDimensional. That
+    suffices:
 
     - A monomial y^v prod y^{b_i}^{e_i} gamma has degree age(v) + sum e_i
       + deg gamma, and age(v) < d, so above cap some e_i is positive.
@@ -595,7 +567,7 @@ def _assemble(sfan, base, sectors):
     than cap is zero, and the table sets it so without a lookup; the other
     products reach degree cap at most, where every monomial is enumerated.
     """
-    _twist_arity_check(sfan, base)
+    relations = linear_relations(sfan, base)
     diagnostics = sfan.validate()
     if diagnostics:
         raise ValueError(f"invalid fan: {[d.detail for d in diagnostics]}")
@@ -603,36 +575,61 @@ def _assemble(sfan, base, sectors):
         raise IncompleteFan("ring computation requires a complete fan")
     cap = base.top_degree + sfan.fan.ambient_dim
     bound = cap + 1
-    relations = linear_relations(sfan, base)
-    owner = {}    # monomial key -> the sector space that enumerates it
+    column = {}  # monomial key -> ((sector, degree), position in block)
+    pivots = {}  # (sector, degree) -> reduced relation rows over the block
+    index = {}   # ((sector, degree), position) of a survivor -> basis index
     basis = []
-    reps = []     # the key of each basis element, as a deformed ring element
-    locator = {}  # (sector, degree, position) -> basis index
+    reps = []    # the key of each basis element, as a deformed ring element
+    by_degree = operator.itemgetter(0)
     for box in sectors:
-        space = _SectorSpace(sfan, base, box, relations, bound)
-        owner.update(dict.fromkeys(space.position, space))
-        for deg, monos in space.monomials.items():
-            for pos in space.survivors[deg]:
+        monomials = _sector_monomials(sfan, base, box, bound)
+        blocks = {}  # degree -> its block key (sector, degree)
+        for deg, group in itertools.groupby(monomials, key=by_degree):
+            block = blocks[deg] = (box.value, deg)
+            pivots[block] = {}
+            for pos, (_, _, li, c) in enumerate(group):
+                column[c, li] = (block, pos)
+        for deg, _, li, c in monomials:
+            if not relations or deg + 1 > bound:
+                break  # the monomials ascend by degree
+            target = blocks.get(deg + 1)
+            for rel in relations:
+                row = {}
+                for k, q in deformed_mul(sfan, base, {(c, li): Fraction(1)},
+                                         rel).items():
+                    # the row's terms are monomials of its own block
+                    where = column.get(k)
+                    if where is None or where[0] != target:
+                        raise InternalInconsistency(
+                            f"relation term escaped sector {box.value} "
+                            f"at degree {deg + 1}")
+                    row[where[1]] = q
+                if row:
+                    _insert_row(pivots[target], row)
+        for deg, group in itertools.groupby(monomials, key=by_degree):
+            block = blocks[deg]
+            for pos, (_, exp, li, c) in enumerate(group):
+                if pos in pivots[block]:
+                    continue
                 if deg > cap:
                     raise InfiniteDimensional(
                         f"sector {box.value} has a class at degree {deg}"
                         f" beyond the bound {cap}")
-                exp, key = monos[pos]
-                locator[(box.value, deg, pos)] = len(basis)
+                index[block, pos] = len(basis)
                 basis.append(RingBasisElement(box.value, exp,
-                                              base.labels[key[1]], deg))
-                reps.append({key: Fraction(1)})
+                                              base.labels[li], deg))
+                reps.append({(c, li): Fraction(1)})
 
     def reduce_element(elem):
         out = {}
         for key, q in elem.items():
-            space = owner.get(key)
-            if space is None:
+            where = column.get(key)
+            if where is None:
                 raise InternalInconsistency(
                     "product term left the computed sectors")
-            deg, pos = space.position[key]
-            for p2, q2 in _reduce(space.pivots[deg], {pos: q}).items():
-                idx = locator[(space.box.value, deg, p2)]
+            block, pos = where
+            for p2, q2 in _reduce(pivots[block], {pos: q}).items():
+                idx = index[block, p2]
                 out[idx] = out.get(idx, Fraction(0)) + q2
         return {k: q for k, q in out.items() if q}
 

@@ -9,10 +9,10 @@ rays where the coefficient sum equals 2.
 Each piece of geometry is found once per call. inertia_components takes
 the image of each box element once and builds the quotient once per
 distinct joint cone; every component on that cone shares it.
-three_sectors looks g3 up in N(sigma) of the joint cone the pair already
-has, and obstruction_exponents certifies g3 from its coefficients and
-those of g1 + g2 + g3 over that cone, so neither runs box_complement on
-a 3-sector. box_complement runs only to word a refusal.
+Which g3 completes a pair has one answer path: three_sectors and
+obstruction_exponents look it up in N(sigma) of the pair's joint cone
+sigma (ExtendedStackyFan._complement_in), as box_complement does, so
+neither runs box_complement itself.
 """
 
 from __future__ import annotations
@@ -93,72 +93,38 @@ def obstruction_exponents(sfan: ExtendedStackyFan, g1: BoxElement,
     g2; each a_i must be 1 or 2, and the result is the set of rays with
     a_i = 2. The empty set means the obstruction bundle has rank zero.
 
-    g3 must be the complement w = box_complement(g1, g2), and two checks
-    certify that without computing w:
-
-    (a) the coefficients of g3 over sigma lie in [0, 1), so g3 is in
-        Box(sigma);
-    (b) s = g1 + g2 + g3 has integer coefficients a_i over sigma and
-        s - sum a_i b_i is zero in N, so s is in N_sigma.
-
-    They hold exactly when g3 = w. The rays of sigma are independent on
-    any fan, since minimal_cone returns supports over the pivot rays of
-    one maximal cone, so s is in N_sigma exactly when (b) holds. w is in
-    Box(sigma) with g1 + g2 + w in N_sigma, so it passes both. If g3
-    passes both, g3 - w = (g1 + g2 + g3) - (g1 + g2 + w) is in N_sigma:
-    g3 and w are box elements of sigma in one class of N(sigma), and by
-    the one-to-one argument of box_of_cone they are equal. On a valid
-    fan each ray of sigma carries a positive coefficient of g1 or g2, so
-    0 < a_i < 3 and the {1, 2} check cannot fail.
-
-    A triple that fails a check is refused as box_complement words it:
-    NotASector when g3 is not the complement or there is none, and
-    UnexpectedCoefficient for the failed check when g3 is the complement.
+    g3 must be the complement w of (g1, g2), the one element of
+    Box(sigma) with g1 + g2 + w in N_sigma. It is looked up in N(sigma)
+    by _complement_in, as three_sectors and box_complement do, and any
+    other g3 raises NotASector. The lookup carries the guarantee: its
+    projection proj has kernel exactly N_sigma, so proj(s) = 0 exactly
+    when s is in N_sigma, and it returns the w with proj(g1 + g2 + w) = 0.
+    Hence s = g1 + g2 + g3 = sum k_i b_i with integer k_i, and as the
+    rays of sigma are independent (minimal_cone returns supports over the
+    pivot rays of one maximal cone) the coefficients a_i of s over sigma
+    are these k_i. Each is the sum of the
+    coefficients of g1, g2 and g3 over sigma, which lie in [0, 1), so
+    0 <= a_i < 3. Each ray of sigma, the union of the supports of g1 and
+    g2, carries a positive coefficient of one of them, so a_i is 1 or 2
+    and the guard below cannot fail.
     """
-    joint = sfan.fan.minimal_cone([sfan.bar(g1.value), sfan.bar(g2.value)])
+    images = [sfan.bar(g1.value), sfan.bar(g2.value)]
+    joint = sfan.fan.minimal_cone(images)
     if joint is None:
         raise NotASector("g1 and g2 share no cone")
-    box_coeffs = sfan.fan.cone_coefficients(joint, sfan.bar(g3.value))
-    if box_coeffs is None or any(a >= 1 for a in box_coeffs):
-        _refuse(sfan, g1, g2, g3, UnexpectedCoefficient(
-            "g3 is not in the box of the joint cone"))
-    s = sfan.group.add(sfan.group.add(g1.value, g2.value), g3.value)
-    coeffs = sfan.fan.cone_coefficients(joint, sfan.bar(s))
-    if coeffs is None:
-        _refuse(sfan, g1, g2, g3,
-                UnexpectedCoefficient("sum leaves the joint cone"))
-    check = list(s)
-    exponents = set()
-    for i, a in zip(joint, coeffs):
-        if a.denominator != 1:
-            _refuse(sfan, g1, g2, g3, UnexpectedCoefficient(
-                f"coefficient {a} on ray {i} is not an integer"))
-        a = int(a)
-        if a not in (1, 2):
-            _refuse(sfan, g1, g2, g3, UnexpectedCoefficient(
-                f"coefficient {a} on ray {i} is outside {{1, 2}}"))
-        if a == 2:
-            exponents.add(i)
-        for r in range(sfan.group.coords):
-            check[r] -= a * sfan.ray_lifts[i][r]
-    if any(sfan.group.reduce(check)):
-        _refuse(sfan, g1, g2, g3, UnexpectedCoefficient(
-            "sum is not the integer combination of the joint cone's lifts"))
-    return frozenset(exponents)
-
-
-def _refuse(sfan, g1, g2, g3, fault):
-    """Raise for a triple that failed a check of obstruction_exponents.
-
-    NotASector, with box_complement's text, when (g1, g2) has no
-    complement or g3 is not it; otherwise fault.
-    """
     try:
-        expected = sfan.box_complement(g1, g2)
+        expected = sfan._complement_in(joint, g1, g2)
     except NoCommonCone as exc:
         raise NotASector(str(exc)) from exc
     if expected.value != tuple(g3.value):
         raise NotASector(
             f"g3 = {tuple(g3.value)} is not the complement "
             f"{expected.value} of (g1, g2)")
-    raise fault
+    # the image of g1 + g2 + g3 in N_Q is the sum of the three images
+    images.append(sfan.bar(g3.value))
+    coeffs = sfan.fan.cone_coefficients(joint, [sum(x) for x in zip(*images)])
+    if coeffs is None or any(a not in (1, 2) for a in coeffs):
+        raise UnexpectedCoefficient(
+            f"coefficients {coeffs} of g1 + g2 + g3 over {joint} "
+            f"are not all in {{1, 2}}")
+    return frozenset(i for i, a in zip(joint, coeffs) if a == 2)

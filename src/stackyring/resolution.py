@@ -132,7 +132,8 @@ class SupportFunctionVerdict:
     interior_walls: int
 
 
-def _check_candidate(sub: Subdivision, h, walls, raise_on_fail=True):
+def _candidate_failures(sub: Subdivision, h, walls):
+    """Every condition the candidate h violates, in order; empty if none."""
     refined = sub.refined
     n = sub.coarse.n
     failures = []
@@ -157,11 +158,7 @@ def _check_candidate(sub: Subdivision, h, walls, raise_on_fail=True):
                         failures.append(
                             f"wall {wall}: linear extension from {near} "
                             f"gives {extended} at ray {u}, need > {h[u]}")
-        if not failures:
-            return SupportFunctionVerdict(tuple(h), len(walls))
-    if raise_on_fail:
-        raise Inconsistent("; ".join(failures))
-    return None
+    return failures
 
 
 def check_support_function(sub: Subdivision, h_values=None, h_max=None):
@@ -182,7 +179,10 @@ def check_support_function(sub: Subdivision, h_values=None, h_max=None):
         if len(h) != sub.refined.num_rays:
             raise Inconsistent(
                 f"need {sub.refined.num_rays} values, got {len(h)}")
-        return _check_candidate(sub, h, walls)
+        failures = _candidate_failures(sub, h, walls)
+        if failures:
+            raise Inconsistent("; ".join(failures))
+        return SupportFunctionVerdict(tuple(h), len(walls))
     bound = search_bound() if h_max is None else h_max
     size = bound ** num_new
     if size > SEARCH_BUDGET:
@@ -191,9 +191,8 @@ def check_support_function(sub: Subdivision, h_values=None, h_max=None):
             f"candidates exceeds the budget of {SEARCH_BUDGET}")
     for tail in itertools.product(range(1, bound + 1), repeat=num_new):
         h = [0] * n + list(tail)
-        verdict = _check_candidate(sub, h, walls, raise_on_fail=False)
-        if verdict is not None:
-            return verdict
+        if not _candidate_failures(sub, h, walls):
+            return SupportFunctionVerdict(tuple(h), len(walls))
     raise Unsatisfiable(
         f"no support function with new-ray values in [1, {bound}]")
 

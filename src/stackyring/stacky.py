@@ -294,16 +294,17 @@ class ExtendedStackyFan:
         Extras whose image lies in the fan support are replaced by the box
         part of their decomposition; the rest are kept and reported.
         Returns (fan, warnings) where warnings lists unreduced indices.
+        Each extra is located once, and split as box_decompose splits it.
         """
         new_extra = []
         warnings = []
         for j, b in enumerate(self.extra):
-            if self.fan.minimal_cone([self.bar(b)]) is None:
+            located = self.fan.locate(self.bar(b))
+            if located is None:
                 new_extra.append(b)
                 warnings.append(self.n + j)
                 continue
-            box, _ = self.box_decompose(b)
-            new_extra.append(box.value)
+            new_extra.append(self._split(b, *located)[0].value)
         fan = ExtendedStackyFan(self.group, self.fan, self.ray_lifts,
                                 tuple(new_extra))
         return fan, tuple(warnings)

@@ -556,18 +556,44 @@ def test_pinned_ring_digests():
 
 def test_sectors_are_enumerated_to_cap_plus_one(monkeypatch):
     spaces = []
+    enumerate_sector = chowring._sector_monomials
 
-    class Recorded(chowring._SectorSpace):
-        def __init__(self, *args):
-            super().__init__(*args)
-            spaces.append(self)
+    def recorded(sfan, base, box, bound):
+        monomials = enumerate_sector(sfan, base, box, bound)
+        spaces.append((box, monomials))
+        return monomials
 
-    monkeypatch.setattr(chowring, "_SectorSpace", Recorded)
+    monkeypatch.setattr(chowring, "_sector_monomials", recorded)
     sfan = weighted_projective_fan([1, 1, 1, 1, 2])
     assert orbifold_ring(sfan, POINT).dimension == 6
-    unit = [s for s in spaces if s.box.value == sfan.group.zero()]
+    unit = [m for box, m in spaces if box.value == sfan.group.zero()]
     # 1231 monomials when the bound was twice the cap 4
-    assert [len(s.position) for s in unit] == [251]
+    assert [len(m) for m in unit] == [251]
+
+
+def test_relation_row_stays_in_its_sector_and_degree(monkeypatch):
+    """A relation row of sector v at degree d + 1 may touch only monomials
+    of that sector and degree. The row of a degree-d monomial times a
+    degree-0 relation is that monomial, at degree d; filed at degree d + 1
+    by its position alone, it gave P1 a 2-dimensional "ring" that every
+    check accepted."""
+    sfan = fixtures.load_fan("p1")
+    zero = sfan.group.zero()
+    monkeypatch.setattr(chowring, "linear_relations",
+                        lambda sfan, base: [{(zero, base.unit_index): 1}])
+    with pytest.raises(InternalInconsistency,
+                       match=r"^relation term escaped sector \(0,\) "
+                             r"at degree 1$"):
+        orbifold_ring(sfan, POINT)
+
+
+def test_product_outside_the_computed_sectors_is_refused():
+    """BG(Z/3) assembled from the sectors 0 and 1 alone: y^1 y^1 = y^2
+    lies in no computed sector."""
+    sfan = fixtures.load_fan("gerbe_r3")
+    with pytest.raises(InternalInconsistency,
+                       match="^product term left the computed sectors$"):
+        chowring._assemble(sfan, POINT, sfan.box()[:2])
 
 
 def _ring_cases():
@@ -581,22 +607,22 @@ def _ring_cases():
 
 
 def test_monomial_keys_decompose_to_their_monomials():
-    """Every key (c, label) of every sector space splits back into its
-    sector and exponents, so no two monomials share a key."""
+    """Every key (c, label) of every sector's monomials splits back into
+    its sector and exponents, so no two monomials share a key."""
     for name, sfan, base in _ring_cases():
         bound = 2 * (base.top_degree + sfan.fan.ambient_dim)
         keys, count = set(), 0
         for box in sfan.box():
-            space = chowring._SectorSpace(sfan, base, box, [], bound)
-            for deg, monos in space.monomials.items():
-                for pos, (exp, key) in enumerate(monos):
-                    assert space.position[key] == (deg, pos), name
-                    v, mult = sfan.box_decompose(key[0])
-                    assert v == box, (name, key)
-                    assert tuple(mult.get(i, 0) for i in range(sfan.n)) \
-                        == exp, (name, key)
-                    keys.add(key)
-                    count += 1
+            monomials = chowring._sector_monomials(sfan, base, box, bound)
+            assert monomials == sorted(monomials), name
+            for deg, exp, li, c in monomials:
+                assert deg == box.age + sum(exp) + base.degrees[li] <= bound
+                v, mult = sfan.box_decompose(c)
+                assert v == box, (name, c)
+                assert tuple(mult.get(i, 0) for i in range(sfan.n)) \
+                    == exp, (name, c)
+                keys.add((c, li))
+                count += 1
         assert len(keys) == count, name
 
 

@@ -2,7 +2,8 @@
 against the brute-force references in oracles.py.
 
 The oracles scan every maximal cone with Cramer's rule, first match
-wins; box_complement is compared with the old scan over Box(sigma).
+wins; box_complement and obstruction_exponents are compared with the old
+scan over Box(sigma).
 """
 
 import itertools
@@ -15,8 +16,9 @@ import oracles
 from generators import (complete_2d_fan, coprime_weights,
                         weighted_projective_fan)
 from stackyring import fixtures
-from stackyring.errors import NoCommonCone, OutsideSupport
+from stackyring.errors import NoCommonCone, NotASector, OutsideSupport
 from stackyring.fan import SimplicialFan
+from stackyring.inertia import obstruction_exponents
 from stackyring.lattice import FgAbGroup
 from stackyring.stacky import ExtendedStackyFan
 
@@ -138,6 +140,7 @@ def test_box_complement_matches_old_scan(case):
     rays = [b[:rank] for b in lifts]
     candidates = {}
     box = sfan.box()
+    by_value = {b.value: b for b in box}
     pairs = 0
     for g1, g2 in itertools.product(box, repeat=2):
         sigma = oracles.minimal_cone(rays, sfan.fan.max_cones,
@@ -145,6 +148,8 @@ def test_box_complement_matches_old_scan(case):
         if sigma is None:
             with pytest.raises(NoCommonCone):
                 sfan.box_complement(g1, g2)
+            with pytest.raises(NotASector):
+                obstruction_exponents(sfan, g1, g2, g1)
             continue
         if sigma not in candidates:
             candidates[sigma] = list(oracles.box_elements(
@@ -153,6 +158,15 @@ def test_box_complement_matches_old_scan(case):
                                        candidates[sigma], g1.value,
                                        g2.value)
         assert [sfan.box_complement(g1, g2).value] == want, (g1, g2)
+        # obstruction_exponents accepts the scan's complement and no
+        # other element of Box(sigma)
+        for w in candidates[sigma]:
+            if [w] == want:
+                assert obstruction_exponents(sfan, g1, g2, by_value[w]) \
+                    <= set(sigma), (g1, g2)
+                continue
+            with pytest.raises(NotASector):
+                obstruction_exponents(sfan, g1, g2, by_value[w])
         pairs += 1
     assert pairs >= len(box)
 

@@ -67,6 +67,13 @@ def test_support_function_rejects_nonzero_on_old_ray():
         check_support_function(p112_subdivision(), [1, 0, 0, 1])
 
 
+def test_support_function_lists_every_violation():
+    with pytest.raises(Inconsistent,
+                       match=r"^h must vanish on old ray 0, got 1; "
+                             r"h must be positive on new ray 3, got 0$"):
+        check_support_function(p112_subdivision(), [1, 0, 0, 0])
+
+
 def test_support_function_identity_subdivision():
     verdict = check_support_function(identity_subdivision(), [0, 0, 0])
     assert verdict.interior_walls == 0
