@@ -1,12 +1,14 @@
 """Orbifold Chow rings of toric stack bundles.
 
 The deformed group ring A*(B)[N] has basis y^c tensor (basis of A*(B));
-two y's multiply to y^{c1+c2} when some cone contains both images and to
-zero otherwise. Dividing by the linear relations attached to the dual
-lattice M gives the orbifold Chow ring. The computation is sector by
-sector: the ring splits as a direct sum over box elements v of shifted
-copies of the untwisted subring, and each summand is reduced degreewise
-by exact rational row reduction.
+two y's multiply to y^{c1+c2} when some cone contains both c_bar1 and
+c_bar2 and to zero otherwise. Each y^c computed here is keyed with the
+minimal cone of c_bar, so that gate is one face lookup on the union of
+two cones (see deformed_mul). Dividing by the linear relations attached
+to the dual lattice M gives the orbifold Chow ring. The computation is
+sector by sector: the ring splits as a direct sum over box elements v of
+shifted copies of the untwisted subring, and each summand is reduced
+degreewise by exact rational row reduction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from .errors import (DecompositionMismatch, DimensionMismatch, IncompleteFan,
                      InfiniteDimensional, InternalInconsistency,
                      TwistArityMismatch)
-from .fan import SimplicialFan
+from .fan import SimplicialFan, cone_mask
 from .stacky import BoxElement, ExtendedStackyFan
 
 
@@ -384,16 +386,42 @@ def stanley_reisner_generators(fan) -> tuple:
 
 
 def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
-    """Product in A*(B)[N]^Sigma: y^c1 y^c2 = y^{c1+c2} or 0 by the cone gate."""
+    """Product in A*(B)[N]^Sigma: y^c1 y^c2 = y^{c1+c2} or 0 by the cone gate.
+
+    Elements map keys (c, tau, label index) to coefficients, where tau is
+    the minimal cone of c_bar as a cone_mask. The product of two keys is
+    keyed (c1 + c2, tau1 | tau2, l3) when tau1 | tau2 is a face and
+    vanishes otherwise. On a fan that validate() accepts this is the cone
+    gate, some cone holding both c_bar1 and c_bar2, and the product's key
+    carries its minimal cone again:
+
+    - c_bar_k lies in the relative interior of tau_k: for the monomials
+      see _sector_monomials, and the relation terms 0 and b_i of
+      linear_relations lie in the relative interiors of the zero cone and
+      of ray i. A maximal cone that holds c_bar_k holds it in the relative
+      interior of one of its faces, and relative interiors of distinct
+      cones are disjoint, so that face is tau_k: a maximal cone holds
+      c_bar_k exactly when it contains tau_k.
+    - So a maximal cone holds both exactly when it contains tau1 | tau2,
+      and a common cone exists exactly when tau1 | tau2 is a face.
+    - In that cone c_bar1 + c_bar2 has the coefficients of c_bar1 plus
+      those of c_bar2, positive on exactly tau1 | tau2, so its minimal
+      cone is tau1 | tau2.
+
+    Keys must therefore come from a fan that validate() accepts;
+    _assemble refuses any other fan before its first product.
+    """
+    faces = sfan.fan.face_masks()
     out = {}
-    for (c1, l1), q1 in e1.items():
-        for (c2, l2), q2 in e2.items():
-            if sfan.fan.minimal_cone([sfan.bar(c1), sfan.bar(c2)]) is None:
+    for (c1, t1, l1), q1 in e1.items():
+        for (c2, t2, l2), q2 in e2.items():
+            tau = t1 | t2
+            if tau not in faces:
                 continue
             c = sfan.group.add(c1, c2)
             q12 = q1 * q2
             for l3, s in base.product(l1, l2).items():
-                key = (c, l3)
+                key = (c, tau, l3)
                 out[key] = out.get(key, Fraction(0)) + q12 * s
     return {k: q for k, q in out.items() if q}
 
@@ -402,7 +430,8 @@ def linear_relations(sfan: ExtendedStackyFan, base: BaseRing):
     """One relation per dual basis vector theta of M = Hom(N, Z).
 
     Each is c1(xi_theta) + sum over rays of theta(b_i) y^{b_i}, where the
-    twist summand is sum over all m coordinates of theta(b_k) p_k.
+    twist summand is sum over all m coordinates of theta(b_k) p_k. Their
+    keys (see deformed_mul) are (0, zero cone, l) and (b_i, ray i, unit).
     """
     if base.twists is not None and len(base.twists) != sfan.m:
         raise TwistArityMismatch(
@@ -416,12 +445,12 @@ def linear_relations(sfan: ExtendedStackyFan, base: BaseRing):
                 coef = sfan.vectors[k][j]
                 if coef:
                     for li, q in base.twists[k]:
-                        key = (zero, li)
+                        key = (zero, 0, li)
                         rel[key] = rel.get(key, Fraction(0)) + coef * q
         for i in range(sfan.n):
             coef = sfan.ray_lifts[i][j]
             if coef:
-                key = (sfan.ray_lifts[i], base.unit_index)
+                key = (sfan.ray_lifts[i], 1 << i, base.unit_index)
                 rel[key] = rel.get(key, Fraction(0)) + coef
         relations.append({k: q for k, q in rel.items() if q})
     return relations
@@ -440,12 +469,13 @@ class RingBasisElement:
 def _sector_monomials(sfan, base, box, bound):
     """The monomials of the sector y^v S up to degree bound, sorted.
 
-    Returns (degree, exponents, label index, c) tuples for the monomials
-    y^v prod y^{b_i}^{e_i} gamma, with c = v + sum e_i b_i in N. The key
-    (c, label index) is the one deformed_mul multiplies; c is computed
-    once, here, where the monomials are enumerated, and this is the only
-    place exponents and lattice elements meet. Products are looked up by
-    key and never decomposed, because a key names one monomial:
+    Returns (degree, exponents, key) tuples for the monomials
+    y^v prod y^{b_i}^{e_i} gamma, with key = (c, tau, label index),
+    c = v + sum e_i b_i in N and tau = s | sigma(v) as a cone_mask. The key
+    is the one deformed_mul multiplies; c and tau are computed once, here,
+    where the monomials are enumerated, and this is the only place
+    exponents and lattice elements meet. Products are looked up by key and
+    never decomposed, because a key names one monomial:
 
     The exponents are supported on a face s with s + sigma(v) a face tau,
     so c_bar = v_bar + sum e_i b_bar_i has the positive coefficients
@@ -456,18 +486,21 @@ def _sector_monomials(sfan, base, box, bound):
     are its coefficients there. Their floors are e and their fractional
     parts are v's: box_decompose(c) = (v, e). As that is a function of c,
     (v, e) -> c is injective on the monomials of all sectors together.
+    The same argument makes tau the minimal cone of c_bar, which is what
+    deformed_mul's cone gate reads.
     """
-    # the closed star of sigma(v): faces are closed under subsets, so
-    # these are exactly the subsets of the faces containing sigma(v)
-    supports = [s for s in sfan.fan.faces()
-                if sfan.fan.is_face(s + box.min_cone)]
+    sigma = cone_mask(box.min_cone)
+    faces = sfan.fan.face_masks()
     budget = int(bound - box.age)  # bound - age is a nonneg integer bound
     # age + step <= bound exactly when the integer step <= budget; one
     # object per degree, so equal degrees compare by identity
     degrees = [box.age + step for step in range(budget + 1)]
     out = []
-    for s in supports:
-        if len(s) > budget:
+    for s in sfan.fan.faces():
+        tau = sigma | cone_mask(s)
+        # the closed star of sigma(v): faces are closed under subsets, so
+        # the kept s are exactly the subsets of the faces containing sigma(v)
+        if len(s) > budget or tau not in faces:
             continue
         for exps in itertools.product(range(1, budget + 1), repeat=len(s)):
             total = sum(exps)
@@ -483,7 +516,7 @@ def _sector_monomials(sfan, base, box, bound):
             for li in range(base.dim):
                 step = total + base.degrees[li]
                 if step <= budget:
-                    out.append((degrees[step], tuple(full), li, c))
+                    out.append((degrees[step], tuple(full), (c, tau, li)))
     out.sort()
     return out
 
@@ -587,15 +620,15 @@ def _assemble(sfan, base, sectors):
         for deg, group in itertools.groupby(monomials, key=by_degree):
             block = blocks[deg] = (box.value, deg)
             pivots[block] = {}
-            for pos, (_, _, li, c) in enumerate(group):
-                column[c, li] = (block, pos)
-        for deg, _, li, c in monomials:
+            for pos, (_, _, key) in enumerate(group):
+                column[key] = (block, pos)
+        for deg, _, key in monomials:
             if not relations or deg + 1 > bound:
                 break  # the monomials ascend by degree
             target = blocks.get(deg + 1)
             for rel in relations:
                 row = {}
-                for k, q in deformed_mul(sfan, base, {(c, li): Fraction(1)},
+                for k, q in deformed_mul(sfan, base, {key: Fraction(1)},
                                          rel).items():
                     # the row's terms are monomials of its own block
                     where = column.get(k)
@@ -608,7 +641,7 @@ def _assemble(sfan, base, sectors):
                     _insert_row(pivots[target], row)
         for deg, group in itertools.groupby(monomials, key=by_degree):
             block = blocks[deg]
-            for pos, (_, exp, li, c) in enumerate(group):
+            for pos, (_, exp, key) in enumerate(group):
                 if pos in pivots[block]:
                     continue
                 if deg > cap:
@@ -617,8 +650,8 @@ def _assemble(sfan, base, sectors):
                         f" beyond the bound {cap}")
                 index[block, pos] = len(basis)
                 basis.append(RingBasisElement(box.value, exp,
-                                              base.labels[li], deg))
-                reps.append({(c, li): Fraction(1)})
+                                              base.labels[key[2]], deg))
+                reps.append({key: Fraction(1)})
 
     def reduce_element(elem):
         out = {}

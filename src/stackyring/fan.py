@@ -18,7 +18,8 @@ Every cone query goes through one geometry index per fan, built lazily:
   matrix-vector product and a sign check.
 * A memo per point: the maximal cones that contain it, in max_cones
   order, with its support and coefficients in each.
-* The frozen set of faces, so is_face and link are set lookups.
+* The frozen set of faces as ray bit masks (cone_mask), so is_face,
+  link and the cone gate of the deformed product are set lookups.
 
 Why the memo gives the same minimal cone as a scan: minimal_cone(points)
 is the union of the points' supports in the first maximal cone, in
@@ -45,6 +46,14 @@ from .errors import DegenerateImage, Diagnostic
 
 def _as_vector(v):
     return tuple(Fraction(x) for x in v)
+
+
+def cone_mask(cone) -> int:
+    """The cone as a bit mask over ray indices: bit i is set for ray i."""
+    mask = 0
+    for i in cone:
+        mask |= 1 << i
+    return mask
 
 
 def _exact(point):
@@ -127,15 +136,16 @@ class _ConeIndex:
         return found
 
     def faces(self):
-        """(sorted faces with the zero cone, set of faces of max cones)."""
+        """(sorted faces with the zero cone, masks of faces of max cones)."""
         if self._faces is None:
-            face_set = frozenset(
+            face_set = {
                 sub for c in self._max_cones
                 for k in range(len(c) + 1)
-                for sub in itertools.combinations(c, k))
+                for sub in itertools.combinations(c, k)}
             ordered = tuple(sorted(face_set | {()},
                                    key=lambda f: (len(f), f)))
-            self._faces = (ordered, face_set)
+            masks = frozenset(cone_mask(f) for f in face_set)
+            self._faces = (ordered, masks)
         return self._faces
 
 
@@ -170,8 +180,14 @@ class SimplicialFan:
         """All cones of the fan as a sorted list of ray-index tuples."""
         return list(self._index.faces()[0])
 
+    def face_masks(self):
+        """The faces of the maximal cones as a frozen set of cone_masks."""
+        return self._index.faces()[1]
+
     def is_face(self, cone) -> bool:
-        return tuple(sorted(set(cone))) in self._index.faces()[1]
+        cone = tuple(cone)
+        return all(0 <= i < self.num_rays for i in cone) \
+            and cone_mask(cone) in self.face_masks()
 
     def ray_matrix(self, cone):
         """Columns are the ray directions of the cone."""

@@ -96,9 +96,16 @@ class ExtendedStackyFan:
         return self.ray_lifts + self.extra
 
     def bar(self, c) -> tuple:
-        """Image of an element of N in N_Q = Q^rank."""
-        c = self.group.reduce(c)
-        return tuple(Fraction(x) for x in c[: self.group.rank])
+        """Image of an element of N in N_Q = Q^rank.
+
+        The image reads the free coordinates alone, so the torsion ones
+        are not reduced.
+        """
+        c = tuple(c)
+        if len(c) != self.group.coords:
+            raise ValueError(
+                f"element length {len(c)} != {self.group.coords}")
+        return tuple(Fraction(int(x)) for x in c[: self.group.rank])
 
     def beta(self) -> GroupHom:
         return GroupHom.from_columns(self.m, self.group, self.vectors)

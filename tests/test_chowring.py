@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from generators import coprime_weights, doctor_table, weighted_projective_fan
+import oracles
+from generators import (complete_2d_fan, coprime_weights, doctor_table,
+                        weighted_projective_fan)
 from oracles import is_unital_associative
 from stackyring import chowring, documents, fixtures
 from stackyring.chowring import (BaseRing, deformed_mul,
@@ -307,21 +309,37 @@ def test_stanley_reisner_generators():
 
 
 def test_deformed_mul_cone_gate(p112):
+    # keys are (c, minimal cone of c_bar as a ray bit mask, label)
     # (1,1) and (-1,-1) have no common cone, so the product vanishes
-    a = {((1, 1), 0): Fraction(1)}
-    b = {((-1, -1), 0): Fraction(1)}
+    a = {((1, 1), 0b011, 0): Fraction(1)}
+    b = {((-1, -1), 0b110, 0): Fraction(1)}
     assert deformed_mul(p112, POINT, a, b) == {}
-    c = {((0, 1), 0): Fraction(1)}
+    c = {((0, 1), 0b010, 0): Fraction(1)}
     got = deformed_mul(p112, POINT, a, c)
-    assert got == {((1, 2), 0): Fraction(1)}
+    assert got == {((1, 2), 0b011, 0): Fraction(1)}
+    # on the Hirzebruch surface every ray is a face but (0, 2) is not, so
+    # y^{b0} y^{b2} = 0 while y^{b0} y^{b1} = y^{b0 + b1}
+    hirz = fixtures.load_fan("p112_hirzebruch")
+    assert (0, 2) in stanley_reisner_generators(hirz)
+    y = [{(lift, 1 << i, 0): Fraction(1)}
+         for i, lift in enumerate(hirz.ray_lifts)]
+    assert all(hirz.fan.is_face((i,)) for i in range(4))
+    assert deformed_mul(hirz, POINT, y[0], y[2]) == {}
+    assert deformed_mul(hirz, POINT, y[0], y[1]) \
+        == {((1, 1), 0b0011, 0): Fraction(1)}
 
 
 def test_linear_relations_p112(p112):
     rels = linear_relations(p112, POINT)
     assert len(rels) == 2
-    as_dicts = [{c: q for (c, _), q in rel.items()} for rel in rels]
+    as_dicts = [{c: q for (c, _, _), q in rel.items()} for rel in rels]
     assert {(1, 0): Fraction(1), (-1, -2): Fraction(-1)} in as_dicts
     assert {(0, 1): Fraction(1), (-1, -2): Fraction(-2)} in as_dicts
+    # each term y^{b_i} carries the ray i as its cone
+    assert {((1, 0), 0b001, 0): Fraction(1),
+            ((-1, -2), 0b100, 0): Fraction(-1)} in rels
+    assert {((0, 1), 0b010, 0): Fraction(1),
+            ((-1, -2), 0b100, 0): Fraction(-2)} in rels
 
 
 def test_ring_requires_complete_fan():
@@ -580,7 +598,7 @@ def test_relation_row_stays_in_its_sector_and_degree(monkeypatch):
     sfan = fixtures.load_fan("p1")
     zero = sfan.group.zero()
     monkeypatch.setattr(chowring, "linear_relations",
-                        lambda sfan, base: [{(zero, base.unit_index): 1}])
+                        lambda sfan, base: [{(zero, 0, base.unit_index): 1}])
     with pytest.raises(InternalInconsistency,
                        match=r"^relation term escaped sector \(0,\) "
                              r"at degree 1$"):
@@ -607,15 +625,15 @@ def _ring_cases():
 
 
 def test_monomial_keys_decompose_to_their_monomials():
-    """Every key (c, label) of every sector's monomials splits back into
-    its sector and exponents, so no two monomials share a key."""
+    """Every key (c, tau, label) of every sector's monomials splits back
+    into its sector and exponents, so no two monomials share a key."""
     for name, sfan, base in _ring_cases():
         bound = 2 * (base.top_degree + sfan.fan.ambient_dim)
         keys, count = set(), 0
         for box in sfan.box():
             monomials = chowring._sector_monomials(sfan, base, box, bound)
             assert monomials == sorted(monomials), name
-            for deg, exp, li, c in monomials:
+            for deg, exp, (c, _, li) in monomials:
                 assert deg == box.age + sum(exp) + base.degrees[li] <= bound
                 v, mult = sfan.box_decompose(c)
                 assert v == box, (name, c)
@@ -624,6 +642,47 @@ def test_monomial_keys_decompose_to_their_monomials():
                 keys.add((c, li))
                 count += 1
         assert len(keys) == count, name
+
+
+def _oracle_cone(sfan, points):
+    """The oracle's minimal cone of images c_bar, read off the free
+    coordinates, as a ray bit mask; None without a common cone."""
+    rank = sfan.group.rank
+    rays = [list(r) for r in sfan.fan.rays]
+    cone = oracles.minimal_cone(rays, sfan.fan.max_cones,
+                                [list(p[:rank]) for p in points])
+    return None if cone is None else sum(1 << i for i in cone)
+
+
+def test_key_cones_match_the_oracle():
+    """Each monomial's tau is the oracle's minimal cone of c_bar; for
+    sampled key pairs, the product is nonzero exactly when the oracle finds
+    a common cone, and its key carries the oracle's cone of the sum."""
+    rng = random.Random(20261018)
+    cases = list(_ring_cases())
+    cases += [(f"2d fan {k}", complete_2d_fan(rng), POINT) for k in range(4)]
+    for name, sfan, base in cases:
+        assert sfan.validate() == [], name
+        bound = base.top_degree + sfan.fan.ambient_dim + 1
+        keys = {(c, tau) for box in sfan.box()
+                for _, _, (c, tau, _) in chowring._sector_monomials(
+                    sfan, base, box, bound)}
+        keys.update((c, tau) for rel in linear_relations(sfan, base)
+                    for c, tau, _ in rel)
+        keys = sorted(keys)
+        for c, tau in keys:
+            assert tau == _oracle_cone(sfan, [c]), (name, c)
+        unit = base.unit_index
+        for _ in range(60):
+            (c1, t1), (c2, t2) = rng.choice(keys), rng.choice(keys)
+            got = deformed_mul(sfan, base, {(c1, t1, unit): Fraction(1)},
+                               {(c2, t2, unit): Fraction(1)})
+            if _oracle_cone(sfan, [c1, c2]) is None:
+                assert got == {}, (name, c1, c2)
+                continue
+            [(c, tau, label)] = got
+            assert (c, label) == (sfan.group.add(c1, c2), unit), name
+            assert tau == _oracle_cone(sfan, [c]), (name, c1, c2)
 
 
 def test_dimension_is_base_times_local_group_orders():
