@@ -73,11 +73,7 @@ class UnexpectedCoefficient(StackyError):
 
 
 class Unsatisfiable(StackyError):
-    """No support function exists within the search bound."""
-
-
-class SearchTooLarge(StackyError):
-    """A search space exceeds its fixed budget; refused before searching."""
+    """No support function exists: its inequalities have no solution."""
 
 
 class Inconsistent(StackyError):

@@ -1,8 +1,10 @@
 """Rational simplicial fans given by ray directions and maximal cones.
 
 Cones are sorted tuples of ray indices; the zero cone is the empty tuple.
-All geometry is exact over the rationals. Completeness of a validated fan
-is decided by the wall count alone (see is_complete).
+All geometry is exact over the rationals. validate decides whether two
+cones meet along a face by looking for a separating functional with
+linalg.fourier_motzkin (see _meets_along_common_face), and completeness
+of a validated fan is decided by the wall count alone (see is_complete).
 
 Every cone query goes through one geometry index per fan, built lazily:
 
@@ -189,10 +191,6 @@ class SimplicialFan:
         return all(0 <= i < self.num_rays for i in cone) \
             and cone_mask(cone) in self.face_masks()
 
-    def ray_matrix(self, cone):
-        """Columns are the ray directions of the cone."""
-        return [[self.rays[i][r] for i in cone] for r in range(self.ambient_dim)]
-
     def span_coefficients(self, cone, point):
         """Coefficients of point over the span of the cone's rays, or None.
 
@@ -321,21 +319,47 @@ class SimplicialFan:
         return out + unused
 
     def _meets_along_common_face(self, ca, cb) -> bool:
-        # intersection of the two cones must equal the cone on shared rays;
-        # check every extreme ray of {(a,b) >= 0 : A a = B b} maps inside it
-        common = tuple(sorted(set(ca) & set(cb)))
-        amat = self.ray_matrix(ca)
-        bmat = self.ray_matrix(cb)
-        k1, k2 = len(ca), len(cb)
-        rows = [[amat[r][i] for i in range(k1)] +
-                [-bmat[r][j] for j in range(k2)]
-                for r in range(self.ambient_dim)]
-        for vec in _extreme_rays_nonneg_kernel(rows, k1 + k2):
-            point = [sum(amat[r][i] * vec[i] for i in range(k1))
-                     for r in range(self.ambient_dim)]
-            if self.cone_coefficients(common, point) is None:
-                return False
-        return True
+        """Whether ca and cb, each with independent rays, meet in a face.
+
+        Separation lemma: ca and cb meet along the face on their common
+        rays exactly when some functional f is zero on the common rays,
+        positive on the other rays of ca and negative on those of cb.
+
+        * If f exists and x = sum a_i r_i (over ca) = sum b_j r_j (over
+          cb) with a, b >= 0, then f(x) is both >= 0 and <= 0, so it is
+          0, and every a_i on a non-common ray of ca vanishes: x lies in
+          the cone on the common rays, which lies in both cones.
+        * Conversely let pi kill the span L of the common rays. The rays
+          of ca outside L map to independent vectors, as do those of cb,
+          so pi(ca) and pi(cb) are pointed. They meet only in 0: if
+          pi(x) = pi(y) for x, y in the cones on the non-common rays of
+          ca and of cb, then x - y = c+ - c- with c+, c- in the cone on
+          the common rays, and x + c- = y + c+ lies in ca and cb, hence
+          in the cone on the common rays; the coefficients of a point of
+          ca are unique, so x = 0, and likewise y = 0. Then the cone
+          spanned by pi(ca) and -pi(cb) is pointed too (u and -u in it
+          give a point of pi(ca) equal to a point of pi(cb), both sums
+          of pairs that must vanish), so some functional g is positive
+          on it away from 0, and f = g o pi works: pi of a non-common
+          ray is never 0.
+
+        The functionals zero on the common rays are the combinations of
+        a basis of their annihilator (all of Q^d when none are shared).
+        The strict system is homogeneous, so over Q it is solvable
+        exactly when the same rows with right-hand side 1 are, each row
+        scaled to integers.
+        """
+        common = [i for i in ca if i in cb]
+        basis = (linalg.nullspace([self.rays[i] for i in common]) if common
+                 else linalg.identity(self.ambient_dim))
+        rows = [[sign * sum(w * x for w, x in zip(v, self.rays[i]))
+                 for v in basis]
+                for sign, cone in ((1, ca), (-1, cb))
+                for i in cone if i not in common]
+        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+        return not linalg.fourier_motzkin(
+            [([int(x * m) for x in row], 1) for row, m in zip(rows, scales)],
+            len(basis))[0]
 
     def is_complete(self) -> bool:
         """Exact completeness test for a validated fan: the wall count.
@@ -372,30 +396,3 @@ class SimplicialFan:
         walls = collections.Counter(
             w for c in self.max_cones for w in itertools.combinations(c, d - 1))
         return all(n == 2 for n in walls.values())
-
-
-def _extreme_rays_nonneg_kernel(rows, ncols):
-    """Extreme rays of {x >= 0 : rows @ x = 0}, by minimal-support search."""
-    rays = []
-    supports = []
-    for size in range(1, ncols + 1):
-        for sub in itertools.combinations(range(ncols), size):
-            if any(s <= set(sub) for s in supports):
-                continue
-            cols = [[row[j] for j in sub] for row in rows]
-            null = linalg.nullspace(cols)
-            if len(null) != 1:
-                continue
-            v = null[0]
-            if all(x > 0 for x in v):
-                pass
-            elif all(x < 0 for x in v):
-                v = [-x for x in v]
-            else:
-                continue
-            full = [Fraction(0)] * ncols
-            for j, x in zip(sub, v):
-                full[j] = x
-            rays.append(full)
-            supports.append(set(sub))
-    return rays

@@ -1,5 +1,6 @@
 """Seeded random inputs for the tests: Gale maps, weighted projective
-spaces, complete 2-D stacky fans and doctored ring tables.
+spaces, complete 2-D stacky fans, smooth subdivisions and doctored ring
+tables.
 
 These are plain helpers, imported by name, so that both test trees of
 the repository can be collected in one pytest run.
@@ -9,7 +10,9 @@ import itertools
 import math
 from fractions import Fraction
 
+from stackyring.fan import SimplicialFan
 from stackyring.lattice import FgAbGroup, GroupHom, cokernel
+from stackyring.resolution import Subdivision
 from stackyring.stacky import ExtendedStackyFan
 
 # torsion shapes with order at most 36
@@ -106,6 +109,103 @@ def complete_2d_fan(rng, torsion=None):
     extra = [[rng.randint(-3, 3) for _ in range(2)]
              + [rng.randrange(q) for q in torsion]]
     return ExtendedStackyFan.build(group, lifts, cones, extra)
+
+
+def _adjacent_point(u, v):
+    """The lattice point p of cone(u, v) with det(u, p) = 1 nearest u.
+
+    u and v are primitive with D = det(u, v) > 1; p = p0 + t u for any p0
+    with det(u, p0) = 1, and t is fixed by 0 < det(p, v) < D, which puts
+    p inside the cone: it is the ray after u in the minimal resolution.
+    """
+    g, x, y = _extended_gcd(u[0], u[1])
+    p0 = (-y, x)
+    det_v = _cross(p0, v)
+    t = (det_v % _cross(u, v) - det_v) // _cross(u, v)
+    return (p0[0] + t * u[0], p0[1] + t * u[1])
+
+
+def _extended_gcd(a, b):
+    if b == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g, x, y = _extended_gcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def resolved_2d_subdivision(rng, blowups=2):
+    """A seeded complete 2-D fan with free N, its minimal resolution and
+    then `blowups` seeded blow-ups of smooth cones (u, v) at u + v."""
+    while True:
+        sfan = complete_2d_fan(rng, torsion=())
+        rays = [tuple(int(x) // math.gcd(*map(int, r)) for x in r)
+                for r in sfan.fan.rays]
+        n = len(rays)
+        coarse = ExtendedStackyFan.build(
+            FgAbGroup(2), rays, [sorted((i, (i + 1) % n)) for i in range(n)])
+        cones = []
+        for i in range(n):
+            u, v = i, (i + 1) % n
+            while _cross(rays[u], rays[v]) > 1:
+                rays.append(_adjacent_point(rays[u], rays[v]))
+                cones.append((u, len(rays) - 1))
+                u = len(rays) - 1
+            cones.append((u, v))
+        for _ in range(blowups):
+            u, v = cones.pop(rng.randrange(len(cones)))
+            rays.append(tuple(a + b for a, b in zip(rays[u], rays[v])))
+            cones += [(u, len(rays) - 1), (len(rays) - 1, v)]
+        if len(rays) > n:
+            refined = SimplicialFan(2, tuple(rays),
+                                    tuple(tuple(sorted(c)) for c in cones))
+            return Subdivision(coarse, refined)
+
+
+P3_RAYS = ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1))
+
+
+def star_subdivision_of_p3(rng, steps):
+    """P^3 with `steps` seeded star subdivisions: each adds the sum of the
+    rays of a seeded refined cone, or of a seeded edge, and splits every
+    cone that contains them."""
+    coarse = ExtendedStackyFan.build(
+        FgAbGroup(3), P3_RAYS, list(itertools.combinations(range(4), 3)))
+    rays = list(P3_RAYS)
+    cones = [set(c) for c in itertools.combinations(range(4), 3)]
+    for _ in range(steps):
+        face = sorted(rng.choice(cones))
+        if rng.random() < 0.5:
+            face = rng.sample(face, 2)
+        rays.append(tuple(sum(rays[i][r] for i in face) for r in range(3)))
+        new = len(rays) - 1
+        split = [c for c in cones if set(face) <= c]
+        cones = [c for c in cones if not set(face) <= c]
+        cones += [c - {i} | {new} for c in split for i in face]
+    refined = SimplicialFan(3, tuple(rays),
+                            tuple(tuple(sorted(c)) for c in cones))
+    return Subdivision(coarse, refined)
+
+
+def twisted_p3(diagonals):
+    """P^3 with v1', v2', v3' on the edges v1 v4, v2 v4, v3 v4.
+
+    The rays v1..v4 are P3_RAYS, 0..3, and v1'..v3' = v1..v3 + v4 are
+    4..6. Each coarse cone (vi, vj, v4), for (i, j) = (1, 2), (2, 3),
+    (3, 1), is cut along the diagonal vi-vj' when its entry of diagonals
+    is true, else along vj-vi'. The same diagonal in all three cones
+    gives a subdivision with no support function.
+    """
+    cones = [(0, 1, 2)]
+    for (i, j), along_i in zip(((0, 1), (1, 2), (2, 0)), diagonals):
+        ip, jp = 4 + i, 4 + j
+        if along_i:
+            cones += [(i, j, jp), (i, jp, ip), (ip, jp, 3)]
+        else:
+            cones += [(i, j, ip), (j, ip, jp), (ip, jp, 3)]
+    coarse = ExtendedStackyFan.build(
+        FgAbGroup(3), P3_RAYS, list(itertools.combinations(range(4), 3)))
+    rays = P3_RAYS + ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    refined = SimplicialFan(3, rays, tuple(tuple(sorted(c)) for c in cones))
+    return Subdivision(coarse, refined)
 
 
 def doctor_table(table, degrees, rng):

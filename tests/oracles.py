@@ -4,7 +4,9 @@ Nothing here imports from stackyring. Linear solves go through Cramer's
 rule with a permutation-expansion determinant, row reduction is written
 out inline, the ring oracle applies the defining product formula
 directly to an exhaustive monomial enumeration, and the table oracle
-compares every triple of basis elements.
+compares every triple of basis elements. The fan check enumerates
+extreme rays by minimal support and the support-function oracle searches
+a box, as the library did before it solved inequalities exactly.
 """
 
 import itertools
@@ -359,3 +361,139 @@ def is_unital_associative(degrees, unit, table):
         if left != times(prod(j, k), i) or left != times(prod(i, k), j):
             return False
     return True
+
+
+def _null_vector(columns):
+    """The kernel of the matrix with these columns, if it is a line.
+
+    Returns a spanning vector when the kernel is one-dimensional, else
+    None; the row reduction is written out inline.
+    """
+    k = len(columns)
+    rows = [[Fraction(col[r]) for col in columns]
+            for r in range(len(columns[0]))]
+    pivots = []
+    for c in range(k):
+        pivot = next((r for r in range(len(pivots), len(rows))
+                      if rows[r][c]), None)
+        if pivot is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(c)
+    free = [c for c in range(k) if c not in pivots]
+    if len(free) != 1:
+        return None
+    v = [Fraction(0)] * k
+    v[free[0]] = Fraction(1)
+    for r, c in enumerate(pivots):
+        v[c] = -rows[r][free[0]]
+    return v
+
+
+def _extreme_rays_nonneg_kernel(columns):
+    """Extreme rays of {x >= 0 : sum x_j columns[j] = 0}.
+
+    They are the kernel vectors of minimal support: every column subset,
+    by size, whose kernel is a line spanned by a vector of one sign,
+    unless it contains the support of a ray already found.
+    """
+    rays, supports = [], []
+    for size in range(1, len(columns) + 1):
+        for sub in itertools.combinations(range(len(columns)), size):
+            if any(s <= set(sub) for s in supports):
+                continue
+            v = _null_vector([columns[j] for j in sub])
+            if v is None:
+                continue
+            if all(x < 0 for x in v):
+                v = [-x for x in v]
+            elif not all(x > 0 for x in v):
+                continue
+            full = [Fraction(0)] * len(columns)
+            for j, x in zip(sub, v):
+                full[j] = x
+            rays.append(full)
+            supports.append(set(sub))
+    return rays
+
+
+def fan_diagnostics(rays, max_cones):
+    """The (code, detail) findings of the minimal-support fan check.
+
+    Zero rays and cones with dependent rays, then rays in no cone; when
+    the first two kinds are absent, every pair of cones that is nested or
+    whose intersection is not the cone on their common rays. The
+    intersection of ca and cb is the image of the extreme rays of
+    {(a, b) >= 0 : A a = B b}, each checked against the common cone.
+    """
+    rays = [[Fraction(x) for x in r] for r in rays]
+    out = [("NotSimplicial", f"ray {i} is zero")
+           for i, r in enumerate(rays) if not any(r)]
+    out += [("NotSimplicial", f"cone {c} has linearly dependent rays")
+            for c in max_cones
+            if len(independent_columns([rays[i] for i in c])) != len(c)]
+    used = {i for c in max_cones for i in c}
+    unused = [("UnusedRay", f"ray {i} lies in no maximal cone")
+              for i in range(len(rays)) if i not in used]
+    if out:
+        return out + unused
+    for ca, cb in itertools.combinations(max_cones, 2):
+        if set(ca) <= set(cb) or set(cb) <= set(ca):
+            out.append(("BadIntersection", f"cones {ca} and {cb} are nested"))
+            continue
+        common = tuple(sorted(set(ca) & set(cb)))
+        columns = [rays[i] for i in ca] + [[-x for x in rays[j]] for j in cb]
+        for vec in _extreme_rays_nonneg_kernel(columns):
+            point = [sum(a * rays[i][r] for a, i in zip(vec, ca))
+                     for r in range(len(rays[0]))]
+            if cone_coefficients(rays, common, point) is None:
+                out.append(("BadIntersection",
+                            f"cones {ca} and {cb} do not meet along a face"))
+                break
+    return out + unused
+
+
+def support_search(coarse_rays, coarse_cones, rays, cones, h_max):
+    """The first support function in [1, h_max]^new, lexicographically.
+
+    The bounded search that resolution.check_support_function ran before
+    it solved the inequalities: h is 0 on the coarse rays, which come
+    first in rays, and every candidate tuple of new-ray values is tried
+    in itertools.product order against each interior wall, that is a
+    (d - 1)-face of exactly two refined cones whose rays lie in one
+    coarse cone, and each ray u of one of them off the wall: the linear
+    extension of h from the other cone must exceed h at u. Returns None
+    when no candidate passes.
+    """
+    n, d = len(coarse_rays), len(rays[0])
+    holders = [{k for k, c in enumerate(coarse_cones)
+                if cone_coefficients(coarse_rays, c, r) is not None}
+               for r in rays]
+    owners = {}
+    for c in cones:
+        for w in itertools.combinations(c, d - 1):
+            owners.setdefault(w, []).append(c)
+    conditions = []
+    for w, (c1, c2) in ((w, cs) for w, cs in owners.items() if len(cs) == 2):
+        if not set.intersection(*(holders[i] for i in set(c1) | set(c2))):
+            continue
+        for near, far in ((c1, c2), (c2, c1)):
+            for u in far:
+                if u not in w:
+                    conditions.append(
+                        (near, u, solve_over([rays[i] for i in near],
+                                             rays[u])))
+    for tail in itertools.product(range(1, h_max + 1),
+                                  repeat=len(rays) - n):
+        h = (0,) * n + tail
+        if all(sol is not None
+               and sum(a * h[i] for a, i in zip(sol, near)) > h[u]
+               for near, u, sol in conditions):
+            return h
+    return None

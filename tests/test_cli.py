@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from generators import twisted_p3
 from stackyring import chowring, documents, fixtures
 from stackyring.cli import main
+from stackyring.stacky import ExtendedStackyFan
 
 
 def run(capsys, *argv):
@@ -261,15 +263,22 @@ def test_resolve_check_bad_support_function(capsys):
     assert payload["error"]["type"] == "Inconsistent"
 
 
-def test_resolve_check_refuses_an_oversized_search(capsys, monkeypatch):
-    monkeypatch.setenv("STACKYRING_HMAX", str(10 ** 12))
-    code, payload = run(capsys, "resolve-check", fan_path("p112"),
-                        fan_path("p112_hirzebruch"))
+def test_resolve_check_without_a_support_function(capsys, tmp_path):
+    sub = twisted_p3((True, True, True))
+    refined = ExtendedStackyFan.build(
+        sub.coarse.group, [tuple(int(x) for x in r) for r in sub.refined.rays],
+        sub.refined.max_cones)
+    paths = []
+    for name, sfan in (("coarse", sub.coarse), ("refined", refined)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(documents.fan_to_document(sfan)))
+        paths.append(str(path))
+    code, payload = run(capsys, "resolve-check", *paths)
     assert code == 1
     assert payload == {"error": {
-        "type": "SearchTooLarge",
-        "detail": "support function search over 1000000000000^1 = "
-                  "1000000000000 candidates exceeds the budget of 65536"}}
+        "type": "Unsatisfiable",
+        "detail": "no support function exists: the strict convexity "
+                  "conditions have no rational solution"}}
 
 
 def test_round_trip_all_fixtures():

@@ -1,9 +1,10 @@
-"""The fan's geometry index and the N(sigma) complement lookup, checked
-against the brute-force references in oracles.py.
+"""The fan's geometry index, its validation and the N(sigma) complement
+lookup, checked against the brute-force references in oracles.py.
 
 The oracles scan every maximal cone with Cramer's rule, first match
-wins; box_complement and obstruction_exponents are compared with the old
-scan over Box(sigma).
+wins; validate is compared with the old minimal-support extreme-ray
+check, and box_complement and obstruction_exponents with the old scan
+over Box(sigma).
 """
 
 import itertools
@@ -185,3 +186,50 @@ def test_box_complement_counts_doctored_matches(found):
                        match=f"expected exactly one complement, "
                              f"found {found}"):
         sfan.box_complement(zero, v)
+
+
+def random_fan(rng, dim):
+    """Seeded rays in [-2, 2]^dim and a few seeded cones: mostly invalid."""
+    rays = tuple(tuple(rng.randint(-2, 2) for _ in range(dim))
+                 for _ in range(rng.randint(dim, dim + 3)))
+    cones = tuple(tuple(rng.sample(range(len(rays)), rng.randint(1, dim)))
+                  for _ in range(rng.randint(2, 4)))
+    return SimplicialFan(dim, rays, cones)
+
+
+def validation_families():
+    rng = random.Random(11)
+    disjoint = []
+    for dim in (4, 5):
+        for _ in range(5):
+            rays = tuple(tuple(rng.randint(-2, 2) for _ in range(dim))
+                         for _ in range(2 * dim - 2))
+            disjoint.append(SimplicialFan(
+                dim, rays, (tuple(range(dim - 1)),
+                            tuple(range(dim - 1, 2 * dim - 2)))))
+    return {
+        "fixtures": [fixtures.load_fan(name).fan
+                     for name in fixtures.FAN_FIXTURES]
+        + [sfan.fan for sfan in seeded_fans()],
+        "wps": [weighted_projective_fan(
+            coprime_weights(rng, rng.randint(2, 5), top=4)).fan
+            for _ in range(30)],
+        "complete_2d": [complete_2d_fan(rng).fan for _ in range(40)],
+        "random": [random_fan(rng, rng.randint(1, 4)) for _ in range(200)],
+        "disjoint_pairs": disjoint,
+    }
+
+
+@pytest.mark.parametrize("family", ["fixtures", "wps", "complete_2d",
+                                    "random", "disjoint_pairs"])
+def test_validate_matches_extreme_ray_check(family):
+    fans = validation_families()[family]
+    codes = set()
+    for fan in fans:
+        got = [(d.code, d.detail) for d in fan.validate()]
+        assert got == oracles.fan_diagnostics(fan.rays, fan.max_cones), fan
+        codes.update(code for code, detail in got
+                     if not detail.endswith("are nested"))
+    if family in ("random", "disjoint_pairs"):
+        # both verdicts of the separation are reached
+        assert "BadIntersection" in codes

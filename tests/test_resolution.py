@@ -1,16 +1,22 @@
 """Smooth subdivisions, support functions, and fiber dimension checks."""
 
+import random
+
 import pytest
 
+import oracles
+from generators import (resolved_2d_subdivision, star_subdivision_of_p3,
+                        twisted_p3)
 from stackyring import fixtures
 from stackyring.chowring import BaseRing
-from stackyring.errors import (Inconsistent, InvalidSubdivision,
-                               SearchTooLarge, Unsatisfiable)
+from stackyring.errors import (Diagnostic, Inconsistent, InvalidSubdivision,
+                               Unsatisfiable)
 from stackyring.fan import SimplicialFan
-from stackyring.resolution import (SEARCH_BUDGET, Subdivision,
-                                   check_support_function,
-                                   fiber_dimension_check, search_bound,
+from stackyring.lattice import FgAbGroup
+from stackyring.resolution import (Subdivision, check_support_function,
+                                   fiber_dimension_check,
                                    validate_subdivision)
+from stackyring.stacky import ExtendedStackyFan
 
 
 def p112_subdivision():
@@ -79,31 +85,67 @@ def test_support_function_identity_subdivision():
     assert verdict.interior_walls == 0
 
 
-def test_support_function_search_bound_exhausted():
-    with pytest.raises(Unsatisfiable):
-        check_support_function(p112_subdivision(), None, h_max=0)
+def test_validate_subdivision_refined_cone_outside_coarse_cones():
+    # the coarse fan lacks p2's cone (0, 2): each of its rays lies in a
+    # coarse cone but no coarse cone holds both, so a check of one ray per
+    # refined cone would pass it
+    coarse = ExtendedStackyFan.build(
+        FgAbGroup(2), [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
+    refined = fixtures.load_fan("p2").fan
+    assert validate_subdivision(Subdivision(coarse, refined)) == [
+        Diagnostic("NotSmooth",
+                   "refined cone (0, 2) is not contained in a coarse cone")]
 
 
-def test_search_bound_env(monkeypatch):
-    monkeypatch.delenv("STACKYRING_HMAX", raising=False)
-    assert search_bound() == 16
-    monkeypatch.setenv("STACKYRING_HMAX", "3")
-    assert search_bound() == 3
+@pytest.mark.parametrize("along_i", [True, False])
+def test_twisted_p3_has_no_support_function(along_i):
+    sub = twisted_p3((along_i,) * 3)
+    assert validate_subdivision(sub) == []
+    with pytest.raises(Unsatisfiable, match=r"^no support function exists"
+                                            r"[^\d]*$"):
+        check_support_function(sub)
 
 
-def test_support_function_search_budget(monkeypatch):
-    # the size is refused before the search: h = 1 would succeed at once
-    monkeypatch.setenv("STACKYRING_HMAX", str(10 ** 12))
-    with pytest.raises(SearchTooLarge,
-                       match=r"^support function search over "
-                             r"1000000000000\^1 = 1000000000000 candidates "
-                             r"exceeds the budget of 65536$"):
-        check_support_function(p112_subdivision())
-    assert check_support_function(p112_subdivision(), [0, 0, 0, 1])
-    assert check_support_function(
-        p112_subdivision(), h_max=SEARCH_BUDGET).h_values == (0, 0, 0, 1)
-    with pytest.raises(SearchTooLarge):
-        check_support_function(p112_subdivision(), h_max=SEARCH_BUDGET + 1)
+def test_mixed_twist_over_p3_is_projective():
+    verdict = check_support_function(twisted_p3((True, True, False)))
+    assert verdict.h_values == (0, 0, 0, 0, 1, 2, 3)
+    assert verdict.interior_walls == 6
+
+
+def seeded_subdivisions():
+    rng = random.Random(20261018)
+    subs = [resolved_2d_subdivision(rng, rng.randint(0, 3))
+            for _ in range(30)]
+    subs += [star_subdivision_of_p3(rng, rng.randint(1, 5))
+             for _ in range(30)]
+    return subs
+
+
+def bounded_search(sub, h_max):
+    return oracles.support_search(
+        sub.coarse.fan.rays, sub.coarse.fan.max_cones, sub.refined.rays,
+        sub.refined.max_cones, h_max)
+
+
+def test_support_function_matches_bounded_search():
+    # the least bound first, then the first candidate of the old search
+    compared = 0
+    for sub in seeded_subdivisions():
+        h = check_support_function(sub).h_values
+        bound = max(h)
+        if bound ** sub.num_new_rays > 1000:
+            continue
+        assert bounded_search(sub, bound) == h
+        assert bounded_search(sub, bound - 1) is None
+        compared += 1
+    assert compared >= 30
+
+
+def test_support_function_beyond_the_old_search_budget():
+    # seven new rays and B* = 14: 14^7 candidates for a bounded search
+    sub = star_subdivision_of_p3(random.Random(3), 7)
+    assert check_support_function(sub).h_values == (
+        0, 0, 0, 0, 8, 2, 11, 13, 14, 3, 1)
 
 
 def test_fiber_dimensions_over_point():
