@@ -368,21 +368,29 @@ class BaseRing:
 
 
 def stanley_reisner_generators(fan) -> tuple:
-    """Minimal non-faces of the fan, each a sorted ray-index tuple."""
+    """Minimal non-faces of the fan, each a sorted ray-index tuple.
+
+    Sorted by size, then lexicographically. A minimal non-face s has
+    every proper subset a face, so for any i in s it is f | {i} with
+    f = s - {i} a face: the candidates f | {i}, f a face and i a ray
+    outside f, hold every minimal non-face. A candidate that is no face
+    but has every facet a face is minimal, since the faces are closed
+    under subsets. So the work is |faces| * num_rays candidates, not
+    the 2^num_rays subsets of the rays.
+    """
     if isinstance(fan, ExtendedStackyFan):
         fan = fan.fan
     faces = set(fan.faces())
-    n = fan.num_rays
-    out = []
-    for size in range(1, n + 1):
-        for s in itertools.combinations(range(n), size):
-            if s in faces:
+    out = set()
+    for f in faces:
+        for i in range(fan.num_rays):
+            if i in f:
                 continue
-            if any(set(t) <= set(s) for t in out):
-                continue
-            if all(tuple(sorted(set(s) - {i})) in faces for i in s):
-                out.append(s)
-    return tuple(out)
+            s = tuple(sorted(f + (i,)))
+            if s not in faces and all(s[:k] + s[k + 1:] in faces
+                                      for k in range(len(s))):
+                out.add(s)
+    return tuple(sorted(out, key=lambda s: (len(s), s)))
 
 
 def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):

@@ -9,6 +9,11 @@ a computation here comes out in invariant-factor form q_1 | q_2 | ... .
 The Smith normal form uses a fixed pivot rule, so the witness matrices
 (and everything downstream: cokernel presentations, Gale duals, box data)
 are deterministic across runs.
+
+Subgroup questions go through the cokernel projection: v lies in the
+subgroup generated by S exactly when proj_{G/<S>}(v) = 0, so one Smith
+normal form per generator set answers membership and equality of
+subgroups, and with them the exactness checks of gale_dual.
 """
 
 from __future__ import annotations
@@ -388,24 +393,35 @@ def _with_relations(group: FgAbGroup, matrix):
     return [list(matrix[i]) + rel[i] for i in range(group.coords)]
 
 
-def member_of_subgroup(group: FgAbGroup, generators, vec):
-    """Is vec in the subgroup of group generated by the given elements?"""
-    vec = group.reduce(vec)
-    cols = [group.reduce(g) for g in generators]
-    mat = [[c[i] for c in cols] for i in range(group.coords)]
-    full = _with_relations(group, mat)
-    return solve_integer_linear(full, list(vec)) is not None
+def member_of_subgroup(group: FgAbGroup, generators, *vecs) -> bool:
+    """Is every vec in the subgroup S of group generated by generators?
+
+    v is in S exactly when proj(v) = 0 for the cokernel projection
+    proj: group -> group / S, so one Smith normal form answers for all
+    the vecs. This gives solve_integer_linear's verdict on [S | Q] x = v:
+    cokernel reduces that same matrix, and the Smith normal form is
+    deterministic, so U is the same. proj keeps the rows of U v where
+    d_t = 0, reduces those where d_t >= 2 mod d_t and drops those where
+    d_t = 1, so proj(v) = 0 exactly when every d_t divides (U v)_t, the
+    test solve_integer_linear applies (rows past the diagonal counting
+    as d_t = 0 in both). With no generators and no torsion, or on the
+    trivial group, proj is the identity, as solve_integer_linear's
+    empty system is solvable exactly for v = 0.
+
+    >>> member_of_subgroup(FgAbGroup(0, (4,)), [(2,)], (0,), (2,), (6,))
+    True
+    >>> member_of_subgroup(FgAbGroup(0, (4,)), [(2,)], (1,))
+    False
+    """
+    incl = GroupHom.from_columns(len(generators), group, generators)
+    _, proj = cokernel(incl)
+    return not any(any(proj.apply(v)) for v in vecs)
 
 
 def same_subgroup(group: FgAbGroup, gens_a, gens_b) -> bool:
-    return (all(member_of_subgroup(group, gens_b, g) for g in gens_a)
-            and all(member_of_subgroup(group, gens_a, g) for g in gens_b))
-
-
-def column_lattice_equal(cols_a, cols_b, length: int) -> bool:
-    """Do two lists of integer vectors span the same sublattice of Z^length?"""
-    free = FgAbGroup(length)
-    return same_subgroup(free, cols_a, cols_b)
+    """Do gens_a and gens_b generate the same subgroup? Two Smith forms."""
+    return (member_of_subgroup(group, gens_b, *gens_a)
+            and member_of_subgroup(group, gens_a, *gens_b))
 
 
 def cokernel(f: GroupHom):
@@ -502,51 +518,39 @@ def dual_hom(f: GroupHom) -> GroupHom:
     return GroupHom(dual(f.target), dual(f.source), mat)
 
 
-def _surjective(f: GroupHom) -> bool:
-    c, _ = cokernel(f)
-    return c.is_trivial
+def _exact_at(into: GroupHom, out: GroupHom) -> bool:
+    """Is im(into) = ker(out) inside into.target = out.source?"""
+    return same_subgroup(out.source, hom_kernel_generators(out),
+                         hom_image_generators(into))
 
 
 def _check_gale_exactness(beta: GroupHom, dg: FgAbGroup, beta_vee: GroupHom):
-    m = beta.source.coords
-    n_group = beta.target
-    d = n_group.rank
-
     # 0 -> DG* -> Z^m -> N -> coker(beta) -> 0
     f1 = dual_hom(beta_vee)
     if linalg.rank(f1.matrix) != dg.rank:
         raise GaleExactnessError("DG* does not inject into Z^m")
-    _, ker_incl = kernel(beta)
-    ker_cols = [list(ker_incl.column(j)) for j in range(ker_incl.source.coords)]
-    im_cols = [list(f1.column(j)) for j in range(f1.source.coords)]
-    if not column_lattice_equal(ker_cols, im_cols, m):
+    if not _exact_at(f1, beta):
         raise GaleExactnessError("image of DG* differs from ker(beta)")
     coker_n, proj_n = cokernel(beta)
     if not proj_n.compose(beta).is_zero():
         raise GaleExactnessError("coker projection does not kill image")
-    if not same_subgroup(n_group, hom_kernel_generators(proj_n),
-                         hom_image_generators(beta)):
+    if not _exact_at(beta, proj_n):
         raise GaleExactnessError("ker(projection) differs from im(beta)")
-    if not _surjective(proj_n):
+    if not cokernel(proj_n)[0].is_trivial:
         raise GaleExactnessError("projection to coker(beta) not onto")
 
     # 0 -> N* -> Z^m -> DG -> coker(beta_vee) -> 0
     f2 = dual_hom(beta)
-    if linalg.rank(f2.matrix) != d:
+    if linalg.rank(f2.matrix) != beta.target.rank:
         raise GaleExactnessError("N* does not inject into Z^m")
-    _, kerv_incl = kernel(beta_vee)
-    kerv_cols = [list(kerv_incl.column(j))
-                 for j in range(kerv_incl.source.coords)]
-    imv_cols = [list(f2.column(j)) for j in range(f2.source.coords)]
-    if not column_lattice_equal(kerv_cols, imv_cols, m):
+    if not _exact_at(f2, beta_vee):
         raise GaleExactnessError("image of N* differs from ker(beta_vee)")
     mu, proj_dg = cokernel(beta_vee)
     if not mu.is_finite:
         raise GaleExactnessError("coker(beta_vee) is not finite")
     if not proj_dg.compose(beta_vee).is_zero():
         raise GaleExactnessError("DG projection does not kill image")
-    if not same_subgroup(dg, hom_kernel_generators(proj_dg),
-                         hom_image_generators(beta_vee)):
+    if not _exact_at(beta_vee, proj_dg):
         raise GaleExactnessError("ker(DG projection) differs from im(beta_vee)")
 
 

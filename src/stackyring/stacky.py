@@ -217,8 +217,11 @@ class ExtendedStackyFan:
     def in_cone_sublattice(self, sigma, vec) -> bool:
         """Is vec in the subgroup N_sigma generated by the cone's lifts?
 
-        box_complement decides this by a lookup in N(sigma) instead;
-        benchmark/spans.py still wraps this method by name.
+        The last per-vector solve path in the library, kept for the
+        benchmark: benchmark/spans.py wraps this method by name. The
+        library answers the question by a lookup in N(sigma), as
+        box_complement does, and lattice.member_of_subgroup answers it
+        through the cokernel projection.
         """
         full = self._lifts_with_relations(sigma)
         vec = list(self.group.reduce(vec))

@@ -4,7 +4,8 @@ Nothing here imports from stackyring. Linear solves go through Cramer's
 rule with a permutation-expansion determinant, row reduction is written
 out inline, the ring oracle applies the defining product formula
 directly to an exhaustive monomial enumeration, and the table oracle
-compares every triple of basis elements. The fan check enumerates
+compares every triple of basis elements, and the Stanley-Reisner
+oracle tries every subset of the rays. The fan check enumerates
 extreme rays by minimal support and the support-function oracle searches
 a box, as the library did before it solved inequalities exactly.
 """
@@ -173,6 +174,17 @@ def minimal_cone(rays, max_cones, points):
         return tuple(sorted({i for a in all_coeffs
                              for i, x in zip(cone, a) if x}))
     return None
+
+
+def minimal_non_faces(num_rays, max_cones):
+    """Every subset of the rays that is no face but has all facets faces."""
+    faces = {sub for cone in max_cones for k in range(len(cone) + 1)
+             for sub in itertools.combinations(sorted(cone), k)}
+    return tuple(
+        s for size in range(1, num_rays + 1)
+        for s in itertools.combinations(range(num_rays), size)
+        if s not in faces
+        and all(s[:k] + s[k + 1:] in faces for k in range(size)))
 
 
 def _reduce(rank, torsion, vec):

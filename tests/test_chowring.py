@@ -1,7 +1,9 @@
 """Base rings, the deformed product, and assembled ring tables."""
 
 import hashlib
+import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from stackyring.chowring import (BaseRing, deformed_mul,
 from stackyring.errors import (DimensionMismatch, DocumentError, IncompleteFan,
                                InfiniteDimensional, InternalInconsistency,
                                TwistArityMismatch)
+from stackyring.fan import SimplicialFan
 from stackyring.lattice import FgAbGroup
 from stackyring.linalg import rank
 from stackyring.stacky import ExtendedStackyFan
@@ -306,6 +309,35 @@ def test_stanley_reisner_generators():
     assert stanley_reisner_generators(p112) == ((0, 1, 2),)
     hirz = fixtures.load_fan("p112_hirzebruch")
     assert stanley_reisner_generators(hirz) == ((0, 2), (1, 3))
+    rng = random.Random(4242)
+    fans = [fixtures.load_fan(name).fan for name in fixtures.FAN_FIXTURES]
+    fans += [complete_2d_fan(rng).fan for _ in range(20)]
+    fans += [weighted_projective_fan(coprime_weights(rng, 4)).fan
+             for _ in range(5)]
+    # rays 3 and 4 lie in no cone, so each is a minimal non-face alone
+    fans.append(SimplicialFan(2, [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0)],
+                              [(0, 1), (1, 2), (0, 2)]))
+    for fan in fans:
+        assert stanley_reisner_generators(fan) == oracles.minimal_non_faces(
+            fan.num_rays, fan.max_cones), fan
+
+
+def test_stanley_reisner_generators_of_forty_rays_in_under_a_second():
+    # 48 primitive directions in [-4, 4]^2, every sixth left out; gaps
+    # between consecutive directions stay below pi, so the fan is complete
+    dirs = sorted(((a, b) for a in range(-4, 5) for b in range(-4, 5)
+                   if math.gcd(a, b) == 1),
+                  key=lambda v: math.atan2(v[1], v[0]))
+    rays = [v for k, v in enumerate(dirs) if k % 6]
+    n = len(rays)
+    fan = SimplicialFan(2, rays, [sorted((i, (i + 1) % n)) for i in range(n)])
+    assert n == 40 and fan.validate() == []
+    start = time.perf_counter()
+    got = stanley_reisner_generators(fan)
+    assert time.perf_counter() - start < 1.0
+    # the non-adjacent pairs, n (n - 3) / 2 of them
+    assert got == tuple((i, j) for i in range(n) for j in range(i + 2, n)
+                        if (i, j) != (0, n - 1))
 
 
 def test_deformed_mul_cone_gate(p112):

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from stackyring.errors import InfiniteCokernel, NonFreeSource
-from stackyring.lattice import (FgAbGroup, GroupHom, cokernel, dual, dual_hom,
-                                gale_dual, gerbe_group, kernel,
-                                member_of_subgroup, smith_normal_form,
+from stackyring import lattice
+from stackyring.errors import (GaleExactnessError, InfiniteCokernel,
+                               NonFreeSource)
+from stackyring.lattice import (FgAbGroup, GroupHom, _with_relations,
+                                cokernel, dual, dual_hom, gale_dual,
+                                gerbe_group, kernel, member_of_subgroup,
+                                same_subgroup, smith_normal_form,
                                 solve_integer_linear)
 
 
@@ -82,6 +85,13 @@ def test_solve_integer_linear():
     assert solve_integer_linear([[2, 3]], [1]) is not None
 
 
+def _solvable(group, generators, vec):
+    cols = [group.reduce(g) for g in generators]
+    mat = [[c[i] for c in cols] for i in range(group.coords)]
+    return solve_integer_linear(_with_relations(group, mat),
+                                list(group.reduce(vec))) is not None
+
+
 def test_member_of_subgroup():
     g = FgAbGroup(2, ())
     gens = [(2, 0), (0, 3)]
@@ -90,6 +100,56 @@ def test_member_of_subgroup():
     gt = FgAbGroup(0, (4,))
     assert member_of_subgroup(gt, [(2,)], (0,))
     assert not member_of_subgroup(gt, [(2,)], (1,))
+    assert member_of_subgroup(gt, [(2,)], (2,), (6,), (-2,))
+    assert not member_of_subgroup(gt, [(2,)], (2,), (1,))
+    # no generators: only zero, also when the group is trivial
+    assert member_of_subgroup(FgAbGroup(1, (3,)), [], (0, 3))
+    assert not member_of_subgroup(FgAbGroup(1, (3,)), [], (0, 1))
+    assert member_of_subgroup(FgAbGroup(0), [], ())
+    assert member_of_subgroup(FgAbGroup(0), [(), ()], ())
+    # the projection path gives the solve path's verdict
+    rng = random.Random(31337)
+    seen = set()
+    for _ in range(600):
+        group = FgAbGroup(rng.randint(0, 3),
+                          rng.choice(((), (), (2,), (4,), (2, 6), (3, 9))))
+        gens = [[rng.randint(-4, 4) for _ in range(group.coords)]
+                for _ in range(rng.randint(0, 4))]
+        vecs = [[0] * group.coords,
+                [rng.randint(-6, 6) for _ in range(group.coords)],
+                [sum(rng.randint(-2, 2) * g[i] for g in gens)
+                 + rng.choice((0, 0, 1)) for i in range(group.coords)]]
+        for vec in vecs:
+            want = _solvable(group, gens, vec)
+            assert member_of_subgroup(group, gens, vec) == want, \
+                (group, gens, vec)
+            seen.add((group.is_trivial, bool(gens), bool(group.torsion),
+                      want))
+    # trivial groups, empty generator lists and torsion, either verdict
+    assert {(True, False, False, True), (False, False, True, False),
+            (False, True, True, False), (False, True, False, True)} <= seen
+
+
+def test_membership_takes_one_smith_form_per_generator_set(monkeypatch):
+    calls = []
+    snf = lattice.smith_normal_form
+
+    def counted(matrix):
+        calls.append(matrix)
+        return snf(matrix)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    g = FgAbGroup(2, (6,))
+    gens = [(2, 0, 1), (0, 3, 0), (4, 6, 2)]
+    vecs = [(2 * k, 3 * k, k) for k in range(7)]
+    assert member_of_subgroup(g, gens, *vecs)
+    assert len(calls) == 1
+    calls.clear()
+    more = gens + [(6, 3, 3), (2, 3, 1)]
+    assert same_subgroup(g, gens, more)
+    assert len(calls) == 2
+    assert not same_subgroup(g, gens, more + [(1, 0, 0)])
+    assert not same_subgroup(g, more + [(1, 0, 0)], gens)
 
 
 def test_cokernel_frozen():
@@ -195,3 +255,39 @@ def test_gale_exactness_property_seeded():
         assert dg.rank == beta.source.rank - beta.target.rank
         mu, _ = cokernel(bv)
         assert mu.is_finite
+
+
+# the four subgroup equalities im(into) = ker(out) of the two four-term
+# sequences, in the order gale_dual checks them
+GALE_EQUALITIES = ("image of DG* differs from ker(beta)",
+                   "ker(projection) differs from im(beta)",
+                   "image of N* differs from ker(beta_vee)",
+                   "ker(DG projection) differs from im(beta_vee)")
+
+
+@pytest.mark.parametrize("doctor", ("drop", "stray"))
+@pytest.mark.parametrize("equality", range(len(GALE_EQUALITIES)))
+def test_gale_exactness_refuses_a_doctored_kernel(monkeypatch, equality,
+                                                  doctor):
+    # a P^1 gerbe: N = Z + Z/2 and lifts (1, 1), (-1, 1), so neither
+    # cokernel is trivial, no map into a kernel is onto, and the four
+    # maps out of the kernels differ
+    beta = GroupHom.from_columns(2, FgAbGroup(1, (2,)), [[1, 1], [-1, 1]])
+    _, beta_vee = gale_dual(beta)
+    outs = (beta, cokernel(beta)[1], beta_vee, cokernel(beta_vee)[1])
+    honest = lattice.hom_kernel_generators
+
+    def doctored(f):
+        gens = honest(f)
+        if f != outs[equality]:
+            return gens
+        if doctor == "drop":
+            return gens[1:]
+        # the last unit vector lies in none of the four images
+        c = f.source.coords
+        return gens + [f.source.reduce([int(i == c - 1) for i in range(c)])]
+
+    monkeypatch.setattr(lattice, "hom_kernel_generators", doctored)
+    with pytest.raises(GaleExactnessError) as refusal:
+        gale_dual(beta)
+    assert str(refusal.value) == GALE_EQUALITIES[equality]
