@@ -9,11 +9,21 @@ to the dual lattice M gives the orbifold Chow ring. The computation is
 sector by sector: the ring splits as a direct sum over box elements v of
 shifted copies of the untwisted subring, and each summand is reduced
 degreewise by exact rational row reduction.
+
+Coefficients are exact and stored as an int wherever they are integral.
+BaseRing turns each integral input into an int and sums start from the
+int 0, so apart from fractional inputs a Fraction arises in one place
+only, the pivot inverse of _insert_row; _exact turns an integral result
+back into an int where rows and table entries are stored. Over a base with
+integral products, a ring whose relation pivots are all 1 or -1 is
+assembled and certified in int arithmetic throughout; so is every ring
+with N finite (a gerbe BG over the base), which has no linear relations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -24,6 +34,20 @@ from .errors import (DecompositionMismatch, DimensionMismatch, IncompleteFan,
                      TwistArityMismatch)
 from .fan import SimplicialFan, cone_mask
 from .stacky import BoxElement, ExtendedStackyFan
+
+
+def _exact(q):
+    """q as an int when it is integral, else q itself (a Fraction)."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _scaled(values):
+    """(m, [m q for q in values]) for m the lcm of the denominators.
+
+    Every m q is an int, also when q is already one (m = 1 then).
+    """
+    m = math.lcm(*(q.denominator for q in values))
+    return m, [q.numerator * (m // q.denominator) for q in values]
 
 
 def _reduce(pivots, row):
@@ -42,7 +66,7 @@ def _reduce(pivots, row):
         f = row[p]
         if f and p in pivots:
             for p2, q2 in pivots[p].items():
-                row[p2] = row.get(p2, Fraction(0)) - f * q2
+                row[p2] = row.get(p2, 0) - f * q2
     return {p: q for p, q in row.items() if q}
 
 
@@ -52,15 +76,15 @@ def _insert_row(pivots, row) -> bool:
     if not row:
         return False
     lead = min(row)
-    inv = Fraction(1) / row[lead]
-    new = {k: q * inv for k, q in row.items()}
+    inv = _exact(Fraction(1) / row[lead])
+    new = {k: _exact(q * inv) for k, q in row.items()}
     for p, existing in pivots.items():
         if lead in existing:
             f = existing[lead]
             merged = dict(existing)
             for k, q in new.items():
-                merged[k] = merged.get(k, Fraction(0)) - f * q
-            pivots[p] = {k: q for k, q in merged.items() if q}
+                merged[k] = merged.get(k, 0) - f * q
+            pivots[p] = {k: _exact(q) for k, q in merged.items() if q}
     pivots[lead] = new
     return True
 
@@ -209,17 +233,35 @@ def _check_structure(degrees, unit, table, error):
     L_x L_y = L_{xy}: x(yz) = (xy)z, which is associativity. Conversely
     an associative commutative table passes both checks. If either check
     fails, _name_failing_triple names the failing triple.
+
+    In integers. Every check runs on L deg and on the table of
+    x o' y = D (x y), where L and D are the lcms of the denominators of
+    the degrees and of the coefficients, so all of it is int arithmetic.
+    L > 0 scales both sides of every degree comparison alike. o' is
+    associative exactly when the product is, as (x o' y) o' z = D^2 (xy)z
+    and x o' (y o' z) = D^2 x(yz), and its unit row must read D e_j. The
+    walk on o' records s'_i = D^{k_i} s_i, k_i the number of factors of
+    s_i: a nonzero multiple of s_i spans the same line, so the walk makes
+    the same choices, with the same generators and factors. Both sides of
+    check (1) scale by D^2, and with c_i = D^{k_i} both sides of check (2)
+    carry the same factor D c_i c_j, for k_i = k_p + 1. So each check
+    accepts o' exactly when it accepts the product, and
+    _name_failing_triple, comparing g o' (j o' k) with (g o' j) o' k and
+    (g o' k) o' j, names the same triple. D = L = 1 is the ordinary case.
     """
+    _, degrees = _scaled(degrees)
+    d = math.lcm(*(q.denominator for terms in table.values()
+                   for q in terms.values()))
+    product = {}  # every stored product of o' under both orders of its pair
     for (i, j), terms in table.items():
         want = degrees[i] + degrees[j]
         for k in terms:
             if degrees[k] != want:
                 raise error(f"product ({i},{j}) not degree additive at {k}")
-    # every stored product under both orders of its pair
-    product = {(j, i): terms for (i, j), terms in table.items()}
-    product.update(table)
+        product[i, j] = product[j, i] = {
+            k: q.numerator * (d // q.denominator) for k, q in terms.items()}
     for j in range(len(degrees)):
-        if product.get((unit, j)) != {j: 1}:
+        if product.get((unit, j)) != {j: d}:
             raise error("unit law fails")
 
     generators, spanning, factors = _generating_walk(degrees, unit, product)
@@ -230,19 +272,30 @@ def _check_structure(degrees, unit, table, error):
             "associativity certificate refused a table the scan accepts")
 
 
+def _exact_input(q, kind):
+    """An input number as _exact stores it; floats and bools are refused."""
+    if isinstance(q, (bool, float)):
+        raise ValueError(f"{kind} {q!r} is not an exact rational")
+    return _exact(Fraction(q))
+
+
 class BaseRing:
     """A finite dimensional graded Q-algebra given by structure constants.
 
-    labels name the basis, degrees are nonnegative ints with exactly one
-    degree-0 element (the unit), and products map index pairs to sparse
+    labels name the basis, degrees are nonnegative integers with exactly
+    one degree-0 element (the unit), and products map index pairs to sparse
     {index: coefficient} dicts; omitted pairs multiply to zero. Optional
     twist classes are degree-1 elements, one per fan coordinate, supplied
-    via with_twists.
+    via with_twists. Coefficients are exact rationals, stored as ints where
+    integral; a float or a bool is refused as a coefficient or a degree,
+    and so is a degree that is not an integer.
     """
 
     def __init__(self, labels, degrees, products, twists=None):
         self.labels = tuple(str(x) for x in labels)
-        self.degrees = tuple(int(d) for d in degrees)
+        self.degrees = tuple(_exact_input(d, "degree") for d in degrees)
+        if any(isinstance(d, Fraction) for d in self.degrees):
+            raise ValueError("degrees must be integers")
         if len(self.labels) != len(self.degrees):
             raise ValueError("labels and degrees must have equal length")
         if len(set(self.labels)) != len(self.labels):
@@ -261,17 +314,15 @@ class BaseRing:
             items = terms.items() if isinstance(terms, dict) else terms
             for k, q in items:
                 k = self._term_index(k, "product")
-                q = Fraction(q)
-                if q:
-                    entry[k] = entry.get(k, Fraction(0)) + q
-            entry = {k: q for k, q in entry.items() if q}
+                entry[k] = entry.get(k, 0) + _exact_input(q, "coefficient")
+            entry = {k: _exact(q) for k, q in entry.items() if q}
             key = (min(i, j), max(i, j))
             if key in table and table[key] != entry:
                 raise ValueError(f"conflicting products for {key}")
             table[key] = entry
         for j in range(self.dim):
             key = (min(self.unit_index, j), max(self.unit_index, j))
-            table.setdefault(key, {j: Fraction(1)})
+            table.setdefault(key, {j: 1})
         self._table = table
         self.twists = self._normalize_twists(twists)
         _check_structure(self.degrees, self.unit_index, table, ValueError)
@@ -307,7 +358,7 @@ class BaseRing:
                 if isinstance(k, str):
                     k = self.label_index(k)
                 k = self._term_index(k, "twist")
-                q = Fraction(q)
+                q = _exact_input(q, "twist coefficient")
                 if q:
                     if self.degrees[k] != 1:
                         raise ValueError(
@@ -430,7 +481,7 @@ def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
             q12 = q1 * q2
             for l3, s in base.product(l1, l2).items():
                 key = (c, tau, l3)
-                out[key] = out.get(key, Fraction(0)) + q12 * s
+                out[key] = out.get(key, 0) + q12 * s
     return {k: q for k, q in out.items() if q}
 
 
@@ -454,12 +505,12 @@ def linear_relations(sfan: ExtendedStackyFan, base: BaseRing):
                 if coef:
                     for li, q in base.twists[k]:
                         key = (zero, 0, li)
-                        rel[key] = rel.get(key, Fraction(0)) + coef * q
+                        rel[key] = rel.get(key, 0) + coef * q
         for i in range(sfan.n):
             coef = sfan.ray_lifts[i][j]
             if coef:
                 key = (sfan.ray_lifts[i], 1 << i, base.unit_index)
-                rel[key] = rel.get(key, Fraction(0)) + coef
+                rel[key] = rel.get(key, 0) + coef
         relations.append({k: q for k, q in rel.items() if q})
     return relations
 
@@ -555,7 +606,7 @@ class OrbifoldRing:
         for i, qa in vec_a.items():
             for j, qb in vec_b.items():
                 for k, q in self.product(i, j).items():
-                    out[k] = out.get(k, Fraction(0)) + qa * qb * q
+                    out[k] = out.get(k, 0) + qa * qb * q
         return {k: q for k, q in out.items() if q}
 
     def degree_histogram(self):
@@ -616,18 +667,19 @@ def _assemble(sfan, base, sectors):
         raise IncompleteFan("ring computation requires a complete fan")
     cap = base.top_degree + sfan.fan.ambient_dim
     bound = cap + 1
-    column = {}  # monomial key -> ((sector, degree), position in block)
-    pivots = {}  # (sector, degree) -> reduced relation rows over the block
-    index = {}   # ((sector, degree), position) of a survivor -> basis index
+    # a block is the monomials of one (sector, degree), numbered in order
+    column = {}  # monomial key -> (block, position in block)
+    pivots = []  # block -> reduced relation rows over the block
+    index = {}   # (block, position) of a survivor -> basis index
     basis = []
     reps = []    # the key of each basis element, as a deformed ring element
     by_degree = operator.itemgetter(0)
     for box in sectors:
         monomials = _sector_monomials(sfan, base, box, bound)
-        blocks = {}  # degree -> its block key (sector, degree)
+        blocks = {}  # degree -> its block
         for deg, group in itertools.groupby(monomials, key=by_degree):
-            block = blocks[deg] = (box.value, deg)
-            pivots[block] = {}
+            block = blocks[deg] = len(pivots)
+            pivots.append({})
             for pos, (_, _, key) in enumerate(group):
                 column[key] = (block, pos)
         for deg, _, key in monomials:
@@ -636,8 +688,7 @@ def _assemble(sfan, base, sectors):
             target = blocks.get(deg + 1)
             for rel in relations:
                 row = {}
-                for k, q in deformed_mul(sfan, base, {key: Fraction(1)},
-                                         rel).items():
+                for k, q in deformed_mul(sfan, base, {key: 1}, rel).items():
                     # the row's terms are monomials of its own block
                     where = column.get(k)
                     if where is None or where[0] != target:
@@ -659,7 +710,7 @@ def _assemble(sfan, base, sectors):
                 index[block, pos] = len(basis)
                 basis.append(RingBasisElement(box.value, exp,
                                               base.labels[key[2]], deg))
-                reps.append({key: Fraction(1)})
+                reps.append({key: 1})
 
     def reduce_element(elem):
         out = {}
@@ -671,13 +722,17 @@ def _assemble(sfan, base, sectors):
             block, pos = where
             for p2, q2 in _reduce(pivots[block], {pos: q}).items():
                 idx = index[block, p2]
-                out[idx] = out.get(idx, Fraction(0)) + q2
-        return {k: q for k, q in out.items() if q}
+                out[idx] = out.get(idx, 0) + q2
+        return {k: _exact(q) for k, q in out.items() if q}
 
+    # the degree gate in integers: L deg against L cap, L the lcm of the
+    # degrees' denominators
+    scale, degrees = _scaled([b.degree for b in basis])
+    top = scale * cap
     table = {}
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            if basis[i].degree + basis[j].degree > cap:
+            if degrees[i] + degrees[j] > top:
                 continue
             prod = reduce_element(deformed_mul(sfan, base, reps[i], reps[j]))
             if prod:

@@ -19,7 +19,7 @@ from .chowring import BaseRing, orbifold_ring
 from .errors import DocumentError, StackyError
 from .fan import SimplicialFan
 from .inertia import inertia_components, obstruction_exponents, three_sectors
-from .lattice import FgAbGroup, cokernel, gale_dual
+from .lattice import FgAbGroup, gale_dual
 from .resolution import (Subdivision, check_support_function,
                          fiber_dimension_check, validate_subdivision)
 from .stacky import ExtendedStackyFan
@@ -72,15 +72,14 @@ def cmd_validate(args):
 def cmd_gale(args):
     sfan = _load_fan(args.fan)
     beta = sfan.beta()
-    dg, beta_vee = gale_dual(beta)
-    mu, _ = cokernel(beta_vee)
-    coker_beta, _ = cokernel(beta)
+    gale = gale_dual(beta)
+    dg, beta_vee = gale
     payload = {
         "source_rank": sfan.m,
         "dual_group": _group_payload(dg),
         "dual_matrix": [list(row) for row in beta_vee.matrix],
-        "gerbe_group": _group_payload(mu),
-        "cokernel": _group_payload(coker_beta),
+        "gerbe_group": _group_payload(gale.gerbe_group),
+        "cokernel": _group_payload(gale.cokernel),
     }
     return 0, payload
 

@@ -524,14 +524,16 @@ def _exact_at(into: GroupHom, out: GroupHom) -> bool:
                          hom_image_generators(into))
 
 
-def _check_gale_exactness(beta: GroupHom, dg: FgAbGroup, beta_vee: GroupHom):
+def _check_gale_exactness(beta: GroupHom, dg: FgAbGroup, beta_vee: GroupHom,
+                          proj_n: GroupHom, proj_dg: GroupHom):
+    """Both four-term sequences, given the cokernel projections of beta
+    and beta_vee."""
     # 0 -> DG* -> Z^m -> N -> coker(beta) -> 0
     f1 = dual_hom(beta_vee)
     if linalg.rank(f1.matrix) != dg.rank:
         raise GaleExactnessError("DG* does not inject into Z^m")
     if not _exact_at(f1, beta):
         raise GaleExactnessError("image of DG* differs from ker(beta)")
-    coker_n, proj_n = cokernel(beta)
     if not proj_n.compose(beta).is_zero():
         raise GaleExactnessError("coker projection does not kill image")
     if not _exact_at(beta, proj_n):
@@ -545,8 +547,7 @@ def _check_gale_exactness(beta: GroupHom, dg: FgAbGroup, beta_vee: GroupHom):
         raise GaleExactnessError("N* does not inject into Z^m")
     if not _exact_at(f2, beta_vee):
         raise GaleExactnessError("image of N* differs from ker(beta_vee)")
-    mu, proj_dg = cokernel(beta_vee)
-    if not mu.is_finite:
+    if not proj_dg.target.is_finite:
         raise GaleExactnessError("coker(beta_vee) is not finite")
     if not proj_dg.compose(beta_vee).is_zero():
         raise GaleExactnessError("DG projection does not kill image")
@@ -554,7 +555,19 @@ def _check_gale_exactness(beta: GroupHom, dg: FgAbGroup, beta_vee: GroupHom):
         raise GaleExactnessError("ker(DG projection) differs from im(beta_vee)")
 
 
-def gale_dual(beta: GroupHom):
+class GaleDual(tuple):
+    """The pair (DG, beta_vee) that gale_dual returns, with the cokernels
+    its exactness check took: cokernel = coker(beta) and gerbe_group =
+    coker(beta_vee), so no caller takes their Smith forms again."""
+
+    def __new__(cls, dg, beta_vee, coker_beta, mu):
+        self = super().__new__(cls, (dg, beta_vee))
+        self.cokernel = coker_beta
+        self.gerbe_group = mu
+        return self
+
+
+def gale_dual(beta: GroupHom) -> GaleDual:
     """Gale dual of beta: Z^m -> N with finite cokernel.
 
     Returns (DG, beta_vee) where DG = coker of the transpose of the lifted
@@ -565,7 +578,7 @@ def gale_dual(beta: GroupHom):
     if beta.source.torsion:
         raise NonFreeSource("gale_dual requires a free source")
     n_group = beta.target
-    c, _ = cokernel(beta)
+    c, proj_n = cokernel(beta)
     if not c.is_finite:
         raise InfiniteCokernel(
             f"cokernel has rank {c.rank}; ray images must span N over Q")
@@ -582,12 +595,11 @@ def gale_dual(beta: GroupHom):
                          for i in range(dg.coords)])
     if dg.rank != m - n_group.rank:
         raise GaleExactnessError("rank of DG is not m - rank(N)")
-    _check_gale_exactness(beta, dg, beta_vee)
-    return dg, beta_vee
+    mu, proj_dg = cokernel(beta_vee)
+    _check_gale_exactness(beta, dg, beta_vee, proj_n, proj_dg)
+    return GaleDual(dg, beta_vee, c, mu)
 
 
 def gerbe_group(beta: GroupHom) -> FgAbGroup:
     """The finite group coker(beta_vee) classifying the generic gerbe."""
-    dg, beta_vee = gale_dual(beta)
-    mu, _ = cokernel(beta_vee)
-    return mu
+    return gale_dual(beta).gerbe_group

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -133,6 +134,43 @@ def test_base_ring_term_indices_in_range(k):
         BaseRing.projective_space(1).with_twists([{k: 1}, {}])
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, True],
+                         ids=["float", "integral_float", "bool"])
+def test_base_ring_refuses_inexact_coefficients(bad):
+    # 0.1 used to become 3602879701896397/36028797018963968, and True 1
+    shown = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=rf"^coefficient {shown}"
+                                         r" is not an exact rational$"):
+        BaseRing(("1", "H", "H^2"), (0, 1, 2), {(1, 1): {2: bad}})
+    with pytest.raises(ValueError, match=rf"^twist coefficient {shown}"
+                                         r" is not an exact rational$"):
+        BaseRing.projective_space(1).with_twists([{"H": bad}])
+
+
+@pytest.mark.parametrize("degree, message", [
+    (1.9, "degree 1.9 is not an exact rational"),
+    (1.0, "degree 1.0 is not an exact rational"),
+    (True, "degree True is not an exact rational"),
+    (Fraction(3, 2), "degrees must be integers"),
+    ("3/2", "degrees must be integers")],
+    ids=["float", "integral_float", "bool", "fraction", "string"])
+def test_base_ring_refuses_inexact_degrees(degree, message):
+    # int() used to truncate 1.9 to 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BaseRing(("1", "H"), (0, degree), {})
+
+
+def test_base_ring_stores_integral_numbers_as_ints():
+    ring = BaseRing(("1", "H", "H^2"), (0, "1", Fraction(2)),
+                    {(1, 1): {2: Fraction(6, 3)}}).with_twists(
+        [{"H": "-1"}, {"H": Fraction(1, 2)}])
+    assert ring.degrees == (0, 1, 2) and ring.product(1, 1) == {2: 2}
+    assert ring.twists == (((1, -1),), ((1, Fraction(1, 2)),))
+    assert [type(x) for x in ring.degrees + (ring.product(1, 1)[2],
+                                             ring.twists[0][0][1])] \
+        == [int] * 5
+
+
 def test_base_document_must_be_associative():
     for ring, triple in ((NON_ASSOCIATIVE, r"\(1,1,2\)"),
                          (ONE_ORDER_ASSOCIATIVE, r"\(1,2,3\)")):
@@ -222,7 +260,11 @@ def _doctoring_tables():
         ("Z/2xZ/2xZ/3/P1", _gerbe((2, 2, 3), (1, 1, 2)),
          BaseRing.projective_space(1).with_twists([{"H": 1}])),
         ("P(1,2,3)", weighted_projective_fan([1, 2, 3]), POINT),
-        ("P(1,1,3)", weighted_projective_fan([1, 1, 3]), POINT)]
+        ("P(1,1,3)", weighted_projective_fan([1, 1, 3]), POINT),
+        # coefficients in (1/9) Z, degrees in (1/5) Z
+        ("P(3,4,5)", weighted_projective_fan([3, 4, 5]), POINT),
+        ("example_rank1", fixtures.load_fan("example_rank1"),
+         fixtures.load_base("base_p1_minus_h"))]
     for name, sfan, base in cases:
         ring = orbifold_ring(sfan, base)
         yield (name, [b.degree for b in ring.basis], ring.unit_index,
@@ -251,6 +293,56 @@ def test_check_refuses_exactly_what_the_oracle_refuses():
                 degrees, unit, doctored)), (name, case)
             verdicts[refused] += 1
     assert verdicts[True] and verdicts[False]
+
+
+def test_scaled_certificate_accepts_the_doctoring_tables():
+    """_check_structure runs on D T and L deg. The doctoring tables include
+    some with D > 1 and some with L > 1, and each is accepted as it is: a
+    unit row compared with e_j instead of D e_j, or degrees truncated
+    instead of scaled, would refuse one."""
+    lcms = {}  # name -> (D, L)
+    for name, degrees, unit, table in _doctoring_tables():
+        chowring._check_structure(degrees, unit, table, InternalInconsistency)
+        lcms[name] = (math.lcm(*(q.denominator for terms in table.values()
+                                 for q in terms.values())),
+                      math.lcm(*(d.denominator for d in degrees)))
+    assert lcms["P(3,4,5)"] == (9, 5)
+    assert lcms["example_rank1"] == (1, 2)
+
+
+def test_scaled_certificate_names_the_unscaled_triple():
+    """Each fractional coefficient of P(3,4,5), D = 9, doubled: the scaled
+    certificate refuses exactly the tables the oracle refuses, and names
+    the triple that the scan by generators names on the unscaled table."""
+    [(degrees, unit, table)] = [
+        case[1:] for case in _doctoring_tables() if case[0] == "P(3,4,5)"]
+    fractional = sorted((key, k) for key, terms in table.items()
+                        for k, q in terms.items() if q.denominator > 1)
+    assert len(fractional) >= 4
+    refusals = 0
+    for key, k in fractional:
+        doctored = {pair: dict(terms) for pair, terms in table.items()}
+        doctored[key][k] *= 2
+        product = {(j, i): terms for (i, j), terms in doctored.items()}
+        product.update(doctored)
+        generators = chowring._generating_walk(degrees, unit, product)[0]
+        try:
+            chowring._name_failing_triple(degrees, generators, product,
+                                          InternalInconsistency)
+            want = None
+        except InternalInconsistency as exc:
+            want = str(exc)
+        try:
+            chowring._check_structure(degrees, unit, doctored,
+                                      InternalInconsistency)
+            got = None
+        except InternalInconsistency as exc:
+            got = str(exc)
+        assert got == want, (key, k)
+        assert (got is None) == is_unital_associative(degrees, unit,
+                                                      doctored), (key, k)
+        refusals += got is not None
+    assert refusals
 
 
 def test_doctored_rings_are_refused_as_the_oracle_says(doctor_ring_table):
@@ -372,6 +464,58 @@ def test_linear_relations_p112(p112):
             ((-1, -2), 0b100, 0): Fraction(-1)} in rels
     assert {((0, 1), 0b010, 0): Fraction(1),
             ((-1, -2), 0b100, 0): Fraction(-2)} in rels
+
+
+def _assert_exact(values, where, stored=True):
+    """Every value is an int or a Fraction, and a stored one is an int
+    exactly when it is integral."""
+    for q in values:
+        assert type(q) in (int, Fraction), (where, q)
+        if stored:
+            assert (type(q) is int) == (q.denominator == 1), (where, q)
+
+
+def test_coefficients_are_exact_and_ints_where_integral():
+    """On every fixture ring and five seeded planes no coefficient of a
+    base table or twist, ring table, relation row or deformed product is a
+    float; the stored ones are ints where integral, and a gerbe table is
+    all ints."""
+    rng = random.Random(1313)
+    cases = [(fan_name, fixtures.load_fan(fan_name),
+              fixtures.load_base(base_name))
+             for fan_name, base_name in fixtures.RING_CASES]
+    cases += [(f"P{tuple(w)}", weighted_projective_fan(w), POINT)
+              for w in (coprime_weights(rng, 3) for _ in range(5))]
+    cases.append(("gerbe Z/2xZ/3xZ/4/P1", _gerbe((2, 3, 4), (1, 2, 3)),
+                  BaseRing.projective_space(1).with_twists([{"H": -2}])))
+    # H H = 2 h: here some entries come out of Fraction arithmetic integral
+    cases.append(("P(2,3,5) over H H = 2 h",
+                  weighted_projective_fan([2, 3, 5]),
+                  BaseRing(("1", "H", "h"), (0, 1, 2), {(1, 1): {2: 2}})))
+    gerbes = 0
+    for name, sfan, base in cases:
+        _assert_exact((q for terms in base._table.values()
+                       for q in terms.values()), (name, "base"))
+        _assert_exact((q for twist in base.twists or () for _, q in twist),
+                      (name, "twist"))
+        relations = linear_relations(sfan, base)
+        _assert_exact((q for rel in relations for q in rel.values()),
+                      (name, "relation"), stored=False)
+        bound = base.top_degree + sfan.fan.ambient_dim
+        for box in sfan.box():
+            for _, _, key in chowring._sector_monomials(sfan, base, box,
+                                                        bound):
+                for rel in relations:
+                    _assert_exact(deformed_mul(sfan, base, {key: 1},
+                                               rel).values(),
+                                  (name, "deformed_mul"), stored=False)
+        ring = orbifold_ring(sfan, base)
+        entries = [q for terms in ring._table.values() for q in terms.values()]
+        _assert_exact(entries, (name, "table"))
+        if name.startswith("gerbe"):
+            gerbes += 1
+            assert all(type(q) is int for q in entries), name
+    assert gerbes == 12
 
 
 def test_ring_requires_complete_fan():
@@ -602,6 +746,29 @@ def test_pinned_ring_digests():
     for (torsion, extra, n, twist), want in PINNED_GERBE_DIGESTS.items():
         base = BaseRing.projective_space(n).with_twists([{"H": twist}])
         assert _ring_digest(_gerbe(torsion, extra), base) == want, torsion
+
+
+def test_pivot_rows_are_ints_where_integral():
+    """Seeded integer rows with small entries: the pivot rows span what
+    was inserted, each is 1 at its pivot and 0 at the other pivots, and
+    an integral entry is stored as an int, also after a Fraction pivot
+    inverse or a clearing step."""
+    rng = random.Random(77)
+    fractional = 0
+    for _ in range(150):
+        pivots, rows = {}, []
+        for _ in range(rng.randint(1, 6)):
+            row = {k: rng.choice((-3, -2, -1, 1, 2, 3))
+                   for k in rng.sample(range(6), rng.randint(1, 4))}
+            rows.append([row.get(k, 0) for k in range(6)])
+            chowring._insert_row(pivots, row)
+            for p, prow in pivots.items():
+                assert {k: prow.get(k, 0) for k in pivots} \
+                    == {k: int(k == p) for k in pivots}
+                _assert_exact(prow.values(), (rows, p))
+                fractional += any(type(q) is Fraction for q in prow.values())
+        assert len(pivots) == rank(rows), rows
+    assert fractional
 
 
 def test_sectors_are_enumerated_to_cap_plus_one(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from generators import twisted_p3
-from stackyring import chowring, documents, fixtures
+from stackyring import chowring, documents, fixtures, lattice
 from stackyring.cli import main
 from stackyring.stacky import ExtendedStackyFan
 
@@ -78,6 +78,34 @@ def test_gale_payload(capsys):
     code, payload = run(capsys, "gale", fan_path("example_rank1_tilde"))
     assert payload["dual_group"]["rank"] == 2
     assert payload["dual_group"]["invariant_factors"] == [2]
+
+
+def test_gale_takes_each_cokernel_once(capsys, monkeypatch):
+    """gale on p2 takes 14 Smith forms: one to load the fan and 13 in
+    gale_dual. Its exactness check uses coker(beta) and coker(beta_vee),
+    and the payload reports the same two groups; taking coker(beta) again
+    in the check and both again in the command made 17. gerbe_group takes
+    no more than gale_dual."""
+    calls = []
+    snf = lattice.smith_normal_form
+
+    def counted(matrix):
+        calls.append(matrix)
+        return snf(matrix)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    code, payload = run(capsys, "gale", fan_path("p2"))
+    assert code == 0 and len(calls) == 14
+    beta = fixtures.load_fan("p2").beta()
+    calls.clear()
+    gale = lattice.gale_dual(beta)
+    assert len(calls) == 13
+    calls.clear()
+    assert lattice.gerbe_group(beta) == gale.gerbe_group
+    assert len(calls) == 13
+    # the groups the check took are the cokernels themselves
+    assert gale.cokernel == lattice.cokernel(beta)[0]
+    assert gale.gerbe_group == lattice.cokernel(gale[1])[0]
 
 
 def test_box_payload(capsys):
