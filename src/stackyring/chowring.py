@@ -339,7 +339,11 @@ class BaseRing:
         return self.labels.index(label)
 
     def product(self, i, j):
-        return dict(self._table.get((min(i, j), max(i, j)), {}))
+        return dict(self._entry(i, j))
+
+    def _entry(self, i, j):
+        """Stored product of i and j, not a copy: callers only read it."""
+        return self._table.get((min(i, j), max(i, j)), {})
 
     def _term_index(self, k, kind):
         k = int(k)
@@ -479,7 +483,7 @@ def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
                 continue
             c = sfan.group.add(c1, c2)
             q12 = q1 * q2
-            for l3, s in base.product(l1, l2).items():
+            for l3, s in base._entry(l1, l2).items():
                 key = (c, tau, l3)
                 out[key] = out.get(key, 0) + q12 * s
     return {k: q for k, q in out.items() if q}

@@ -10,6 +10,7 @@ flags or unreadable files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -228,7 +229,14 @@ def cmd_resolve_check(args):
     return 0, payload
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the process.
+
+    It depends on nothing but this module's code, so one build serves every
+    call of main. It names each command and binds no function: main looks
+    cmd_<command> up per call.
+    """
     parser = argparse.ArgumentParser(
         prog="stackyring",
         description="Exact orbifold Chow rings of toric stack bundles.")
@@ -236,32 +244,26 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the fan invariant suite")
     p.add_argument("fan", help="fan document (JSON)")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("gale", help="Gale dual map and gerbe group")
     p.add_argument("fan")
-    p.set_defaults(func=cmd_gale)
 
     p = sub.add_parser("box", help="box elements with ages")
     p.add_argument("fan")
-    p.set_defaults(func=cmd_box)
 
     p = sub.add_parser("inertia", help="components of the r-th inertia stack")
     p.add_argument("fan")
     p.add_argument("--order", type=int, default=2, metavar="R",
                    help="tuple length r (default 2)")
-    p.set_defaults(func=cmd_inertia)
 
     p = sub.add_parser("sectors",
                        help="3-twisted sectors with obstruction exponents")
     p.add_argument("fan")
-    p.set_defaults(func=cmd_sectors)
 
     p = sub.add_parser("ring", help="orbifold Chow ring table")
     p.add_argument("fan")
     p.add_argument("--base", help="base ring document (default: a point)")
     p.add_argument("--out", help="write the ring document to this path")
-    p.set_defaults(func=cmd_ring)
 
     p = sub.add_parser("gerbe", help="ring of a gerbe over the base")
     p.add_argument("--torsion", required=True, metavar="Q1,Q2,...",
@@ -271,7 +273,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="degree-1 class, e.g. '2*H'; leading-dash values "
                         "need the = form: --line-bundle-class=-H")
     p.add_argument("--out", help="write the ring document to this path")
-    p.set_defaults(func=cmd_gerbe)
 
     p = sub.add_parser("resolve-check",
                        help="verify a smooth subdivision and support function")
@@ -282,14 +283,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--base", help="base ring document for the fiber check")
     p.add_argument("--fiber", action="store_true",
                    help="run the fiber dimension check over a point")
-    p.set_defaults(func=cmd_resolve_check)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code, payload = args.func(args)
+        code, payload = command(args)
     except OSError as exc:
         print(json.dumps({"error": {"type": "io", "detail": str(exc)}}),
               file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -77,12 +78,11 @@ class FgAbGroup:
         return (0,) * self.coords
 
     def reduce(self, vec) -> tuple:
-        vec = tuple(int(x) for x in vec)
-        if len(vec) != self.coords:
+        vec = tuple(map(int, vec))
+        rank = self.rank
+        if len(vec) != rank + len(self.torsion):
             raise ValueError(f"element length {len(vec)} != {self.coords}")
-        free = vec[: self.rank]
-        tors = tuple(x % q for x, q in zip(vec[self.rank:], self.torsion))
-        return free + tors
+        return vec[:rank] + tuple(map(operator.mod, vec[rank:], self.torsion))
 
     def add(self, a, b) -> tuple:
         return self.reduce(tuple(x + y for x, y in zip(a, b)))

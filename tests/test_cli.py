@@ -1,5 +1,6 @@
 """End-to-end command tests: payload shapes, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from generators import twisted_p3
-from stackyring import chowring, documents, fixtures, lattice
+from stackyring import chowring, cli, documents, fixtures, lattice
 from stackyring.cli import main
 from stackyring.stacky import ExtendedStackyFan
 
@@ -340,3 +341,41 @@ def test_recorded_stdout_digest(capsys, command):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
+
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one main call; usage errors exit 2."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    fan, base = fan_path("gerbe_r2"), fan_path("base_p1")
+    calls = [["inertia", fan, "--order", "3"], ["inertia", fan],
+             ["ring", fan, "--base", base], ["ring", fan],
+             ["ring", fan, "--order", "3"], ["validate", fan]]
+    reused = [_call(capsys, argv) for argv in calls]
+    assert built.count("stackyring") == 1
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 2, 0]
+    for argv, got in zip(calls, reused):
+        cli._parser.cache_clear()
+        assert _call(capsys, argv) == got, argv
+
+
+def test_commands_are_looked_up_per_call(capsys, monkeypatch):
+    run(capsys, "validate", fan_path("p1"))
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: (0, {"seen": True}))
+    assert run(capsys, "validate", fan_path("p1")) == (0, {"seen": True})
