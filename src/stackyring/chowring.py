@@ -472,16 +472,18 @@ def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
       cone is tau1 | tau2.
 
     Keys must therefore come from a fan that validate() accepts;
-    _assemble refuses any other fan before its first product.
+    _assemble refuses any other fan before its first product. Their
+    elements c are reduced in N, so c1 + c2 is summed by add_reduced.
     """
     faces = sfan.fan.face_masks()
+    add = sfan.group.add_reduced
     out = {}
     for (c1, t1, l1), q1 in e1.items():
         for (c2, t2, l2), q2 in e2.items():
             tau = t1 | t2
             if tau not in faces:
                 continue
-            c = sfan.group.add(c1, c2)
+            c = add(c1, c2)
             q12 = q1 * q2
             for l3, s in base._entry(l1, l2).items():
                 key = (c, tau, l3)

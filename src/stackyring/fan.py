@@ -59,9 +59,19 @@ def cone_mask(cone) -> int:
 
 
 def _exact(point):
-    """Coordinates as ints where integral, so the products stay integer."""
-    return [x.numerator if x.denominator == 1 else x
-            for x in _as_vector(point)]
+    """Coordinates as ints where integral, so the products stay integer.
+
+    Ints, such as the images ExtendedStackyFan.bar returns, pass as they
+    are; anything else goes through Fraction first.
+    """
+    out = []
+    for x in point:
+        if type(x) is not int:
+            x = Fraction(x)
+            if x.denominator == 1:
+                x = x.numerator
+        out.append(x)
+    return out
 
 
 class _ConeSolver:

@@ -6,13 +6,18 @@ minimal joint cone. For 3-tuples with g1 g2 g3 = 1 in the local group,
 the obstruction bundle is the product of the line bundles L_i over the
 rays where the coefficient sum equals 2.
 
-Each piece of geometry is found once per call. inertia_components takes
-the image of each box element once and builds the quotient once per
-distinct joint cone; every component on that cone shares it.
+Each piece of geometry is found once per call. One walk over the tuples
+(_walk) serves inertia_components and three_sectors: it takes the image
+of each box element once and builds the quotient once per distinct joint
+cone; every component on that cone shares it. three_sectors builds one
+Sector per triple and none per pair.
 Which g3 completes a pair has one answer path: three_sectors and
 obstruction_exponents look it up in N(sigma) of the pair's joint cone
 sigma (ExtendedStackyFan._complement_in), as box_complement does, so
-neither runs box_complement itself.
+neither runs box_complement itself. The lookup reads the fan's record of
+sigma: Box(sigma) and its Smith form are taken once per fan, and a
+complement costs one addition of stored images in N(sigma) and one dict
+lookup, because the projection to N(sigma) is additive.
 """
 
 from __future__ import annotations
@@ -35,6 +40,29 @@ class Sector:
     total_age: Fraction
 
 
+def _walk(sfan: ExtendedStackyFan, r: int):
+    """(elements, joint cone, quotient, total age) per r-tuple, r >= 1.
+
+    The tuples of box elements whose images share a cone, in box
+    enumeration order; the quotient stacky fan by the minimal cone of the
+    tuple's images is built once per distinct cone and shared.
+    """
+    points = [(b, sfan.bar(b.value)) for b in sfan.box()]
+    minimal_cone = sfan.fan.minimal_cone
+    quotients = {}
+    for tup in itertools.product(points, repeat=r):
+        joint = minimal_cone([bar for _, bar in tup])
+        if joint is None:
+            continue
+        quotient = quotients.get(joint)
+        if quotient is None:
+            quotient = quotients[joint] = sfan.quotient_stacky_fan(joint)
+        elements = tuple(b for b, _ in tup)
+        # start from the first age (r >= 1): one Fraction addition fewer
+        total = sum((b.age for b in elements[1:]), elements[0].age)
+        yield elements, joint, quotient, total
+
+
 def inertia_components(sfan: ExtendedStackyFan, r: int):
     """Components of the r-th inertia stack, in box enumeration order.
 
@@ -44,21 +72,7 @@ def inertia_components(sfan: ExtendedStackyFan, r: int):
     """
     if r < 1:
         raise ValueError("r must be positive")
-    points = [(b, sfan.bar(b.value)) for b in sfan.box()]
-    quotients = {}
-    out = []
-    for tup in itertools.product(points, repeat=r):
-        joint = sfan.fan.minimal_cone([bar for _, bar in tup])
-        if joint is None:
-            continue
-        quotient = quotients.get(joint)
-        if quotient is None:
-            quotient = quotients[joint] = sfan.quotient_stacky_fan(joint)
-        elements = tuple(b for b, _ in tup)
-        # start from the first age (r >= 1): one Fraction addition fewer
-        total = sum((b.age for b in elements[1:]), elements[0].age)
-        out.append(Sector(elements, joint, quotient, total))
-    return out
+    return [Sector(*component) for component in _walk(sfan, r)]
 
 
 def three_sectors(sfan: ExtendedStackyFan):
@@ -77,11 +91,9 @@ def three_sectors(sfan: ExtendedStackyFan):
     C and coefficients over pivot rays are unique.
     """
     out = []
-    for pair in inertia_components(sfan, 2):
-        g1, g2 = pair.elements
-        g3 = sfan._complement_in(pair.joint_cone, g1, g2)
-        out.append(Sector((g1, g2, g3), pair.joint_cone, pair.quotient,
-                          pair.total_age + g3.age))
+    for (g1, g2), joint, quotient, age in _walk(sfan, 2):
+        g3 = sfan._complement_in(joint, g1, g2)
+        out.append(Sector((g1, g2, g3), joint, quotient, age + g3.age))
     return out
 
 

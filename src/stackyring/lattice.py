@@ -87,6 +87,19 @@ class FgAbGroup:
     def add(self, a, b) -> tuple:
         return self.reduce(tuple(x + y for x, y in zip(a, b)))
 
+    def add_reduced(self, a, b) -> tuple:
+        """a + b for already reduced a and b, without reduce().
+
+        The inputs' lengths are not checked and their free coordinates
+        need nothing, so only the torsion sums are taken mod q.
+        """
+        total = tuple(map(operator.add, a, b))
+        if not self.torsion:
+            return total
+        rank = self.rank
+        return total[:rank] + tuple(map(operator.mod, total[rank:],
+                                        self.torsion))
+
     def neg(self, a) -> tuple:
         return self.reduce(tuple(-x for x in a))
 
@@ -519,7 +532,15 @@ def dual_hom(f: GroupHom) -> GroupHom:
 
 
 def _exact_at(into: GroupHom, out: GroupHom) -> bool:
-    """Is im(into) = ker(out) inside into.target = out.source?"""
+    """Is im(into) = ker(out) inside into.target = out.source?
+
+    ker(out) is the span of what hom_kernel_generators returns. The
+    composition out o into = 0 would show im(into) inside the true
+    kernel, but not inside that span, so it cannot replace the second
+    cokernel: asking im(into) inside the span also certifies that the
+    generators reach the whole kernel, and a generator set missing one
+    passes the composition check.
+    """
     return same_subgroup(out.source, hom_kernel_generators(out),
                          hom_image_generators(into))
 

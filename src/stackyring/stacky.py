@@ -7,6 +7,17 @@ twist classes. Box elements, the local groups N(sigma), and quotients by
 cones all live here. Box(sigma) is enumerated from the torsion of N(sigma),
 one element per class; box_decompose and box_of_cone split a lattice point
 into its box element and ray multipliers along one path.
+
+Each fan keeps one record per queried cone sigma (_ConeRecord): Box(sigma)
+and the Smith normal form it is read off, so each cone's Smith form is
+taken once per fan, whether box(), box_of_cone or a complement query asks
+first. The first complement query on sigma adds the lookup in N(sigma):
+the projection proj: N -> N(sigma) from that same Smith form, proj(w) for
+each w in Box(sigma), and the box elements keyed by -proj(w). proj is a
+homomorphism well defined on N, so proj(v1 + v2) = proj(v1) + proj(v2),
+and the complement of a pair costs one addition in N(sigma) and one dict
+lookup (see _complement_in). The ring path asks no complement and so
+never builds the lookup. Images in N_Q (bar) are tuples of ints.
 """
 
 from __future__ import annotations
@@ -45,15 +56,33 @@ class BoxElement:
         object.__setattr__(self, "age", Fraction(self.age))
 
 
+class _ConeRecord:
+    """What a fan knows of one cone sigma: Box(sigma), the Smith normal
+    form of [B_J | Q] it is read off and, once a complement is asked for,
+    the lookup in N(sigma) (see ExtendedStackyFan._box_by_projection)."""
+
+    __slots__ = ("box", "snf", "proj", "images", "table")
+
+    def __init__(self, box, snf):
+        self.box = box
+        self.snf = snf
+        self.proj = self.images = self.table = None
+
+    def image(self, value) -> tuple:
+        """proj(value) in N(sigma), stored for the values of Box(sigma)."""
+        image = self.images.get(value)
+        return self.proj.apply(value) if image is None else image
+
+
 @dataclass(frozen=True)
 class ExtendedStackyFan:
     group: FgAbGroup
     fan: SimplicialFan
     ray_lifts: tuple
     extra: tuple = ()
-    # sigma -> (projection onto N(sigma), {projected value: box elements})
-    _complements: dict = field(default_factory=dict, init=False,
-                               repr=False, compare=False)
+    # sorted cone sigma -> its _ConeRecord
+    _cones: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         lifts = tuple(self.group.reduce(b) for b in self.ray_lifts)
@@ -99,13 +128,16 @@ class ExtendedStackyFan:
         """Image of an element of N in N_Q = Q^rank.
 
         The image reads the free coordinates alone, so the torsion ones
-        are not reduced.
+        are not reduced. The coordinates are ints: an int compares and
+        hashes equal to the integral Fraction it stands for, and has the
+        same numerator and denominator, so fan queries and their per-point
+        memo answer alike on either.
         """
         c = tuple(c)
         if len(c) != self.group.coords:
             raise ValueError(
                 f"element length {len(c)} != {self.group.coords}")
-        return tuple(Fraction(int(x)) for x in c[: self.group.rank])
+        return tuple(map(int, c[: self.group.rank]))
 
     def beta(self) -> GroupHom:
         return GroupHom.from_columns(self.m, self.group, self.vectors)
@@ -146,11 +178,14 @@ class ExtendedStackyFan:
         >>> [b.value for b in box], box[1].age
         ([(0, 0), (0, -1)], Fraction(1, 1))
         """
-        return self._box_and_snf(sigma)[0]
+        return list(self._record(tuple(sorted(sigma))).box)
 
-    def _box_and_snf(self, sigma):
-        """(Box(sigma), the Smith normal form of [B_J | Q] it is read off)."""
-        sigma = tuple(sorted(sigma))
+    def _record(self, sigma) -> _ConeRecord:
+        """The record of a sorted cone: Box(sigma) and the Smith normal form
+        of [B_J | Q] it is read off, taken on the first query only."""
+        record = self._cones.get(sigma)
+        if record is not None:
+            return record
         pivots = [sigma[j] for j in self.fan._index.solver(sigma).columns]
         snf = smith_normal_form(self._lifts_with_relations(pivots))
         gens = [(d, [x // d for x in linalg.mat_vec(
@@ -163,7 +198,8 @@ class ExtendedStackyFan:
             coeffs = self.fan.span_coefficients(sigma, c[: self.group.rank])
             out.append(self._split(c, sigma, coeffs)[0])
         out.sort(key=lambda b: (b.value != self.group.zero(), b.value))
-        return out, snf
+        record = self._cones[sigma] = _ConeRecord(tuple(out), snf)
+        return record
 
     def box(self):
         """Box of the whole fan: union over the maximal cones."""
@@ -233,25 +269,28 @@ class ExtendedStackyFan:
                  for r in range(self.group.coords)]
         return _with_relations(self.group, lifts)
 
-    def _box_by_projection(self, sigma):
-        """(proj: N -> N(sigma), {proj(w): [w in Box(sigma)]}) per sigma.
+    def _box_by_projection(self, sigma) -> _ConeRecord:
+        """The record of a sorted cone sigma with its lookup in N(sigma).
 
-        Both come from the one Smith normal form U M V = D that
-        box_of_cone takes of M = [B_J | Q]: proj is the cokernel
-        projection read off U, so its kernel is N_J = <b_j : j in J>.
-        When sigma's rays are independent, as on a valid fan and for
-        every minimal cone, J = sigma, M is the matrix local_group(sigma)
-        reduces, and proj is the projection it returns.
+        proj: N -> N(sigma) is the cokernel projection read off U of the
+        record's Smith normal form U M V = D, M = [B_J | Q], so its kernel
+        is N_J = <b_j : j in J>. When sigma's rays are independent, as on
+        a valid fan and for every minimal cone, J = sigma, M is the matrix
+        local_group(sigma) reduces, and proj is the projection it returns.
+        The lookup is built on the first query: images maps the value of
+        each w in Box(sigma) to proj(w), and table maps -proj(w) to the
+        box elements with that key, in Box(sigma)'s order.
         """
-        entry = self._complements.get(sigma)
-        if entry is None:
-            box, snf = self._box_and_snf(sigma)
-            _, proj = _cokernel_of_snf(self.group, snf)
-            table = {}
-            for w in box:
-                table.setdefault(proj.apply(w.value), []).append(w)
-            entry = self._complements[sigma] = (proj, table)
-        return entry
+        record = self._record(sigma)
+        if record.table is None:
+            _, proj = _cokernel_of_snf(self.group, record.snf)
+            neg = proj.target.neg
+            images, table = {}, {}
+            for w in record.box:
+                images[w.value] = image = proj.apply(w.value)
+                table.setdefault(neg(image), []).append(w)
+            record.proj, record.images, record.table = proj, images, table
+        return record
 
     def box_complement(self, v1: BoxElement, v2: BoxElement) -> BoxElement:
         """The unique v3 in Box with v1 + v2 + v3 in N_sigma(v1,v2).
@@ -279,20 +318,29 @@ class ExtendedStackyFan:
         sigma is the minimal cone of the images of v1 and v2; its rays are
         independent on any fan (see SimplicialFan.minimal_cone). The
         search is a lookup in N(sigma) = N / N_sigma. The projection proj
-        of _box_by_projection has kernel exactly N_sigma, so for
-        s = v1 + v2 and w in Box(sigma)
+        of _box_by_projection has kernel exactly N_sigma and is a
+        homomorphism well defined on N, so proj(v1 + v2) = proj(v1) +
+        proj(v2) whatever representatives the sum is taken in, and for
+        w in Box(sigma)
 
-            s + w in N_sigma  <=>  proj(s + w) = 0  <=>  proj(w) = -proj(s).
+            v1 + v2 + w in N_sigma  <=>  proj(v1) + proj(v2) = -proj(w).
 
-        The box elements of sigma grouped by proj(w) therefore hold under
-        -proj(s) exactly the w that a scan testing s + w in N_sigma would
-        accept, in the same order. Two box elements with one projected
-        value are the scan's "found 2"; a value no element has is its
-        "found 0".
+        proj(v1) and proj(v2) are the stored images when the values lie in
+        Box(sigma), as those of every pair from box() do on a valid fan;
+        any other value is projected on the spot. Both are reduced in
+        N(sigma), so their sum needs only its torsion coordinates taken
+        mod the moduli of N(sigma): no reduction in N and no negation.
+        The table holds under the key -proj(w) the box elements of sigma
+        in their order, so under proj(v1) + proj(v2) it holds exactly the
+        w that a scan testing v1 + v2 + w in N_sigma would accept, in the
+        same order. Two box elements under one key are the scan's
+        "found 2"; a key that no element has is its "found 0", and the
+        refusal texts are the scan's.
         """
-        proj, table = self._box_by_projection(sigma)
-        s = self.group.add(v1.value, v2.value)
-        matches = table.get(proj.target.neg(proj.apply(s)), ())
+        record = self._box_by_projection(sigma)
+        key = record.proj.target.add_reduced(record.image(v1.value),
+                                             record.image(v2.value))
+        matches = record.table.get(key, ())
         if len(matches) != 1:
             raise NoCommonCone(
                 f"expected exactly one complement, found {len(matches)}")

@@ -92,6 +92,34 @@ def test_box_queries_match_oracle(case):
         assert (box.value, box.min_cone, box.coeffs, mult) == want, c
 
 
+@pytest.mark.parametrize("case", range(13))
+def test_bar_gives_ints_that_fan_queries_take_as_fractions(case):
+    sfan = seeded_fans()[case]
+    rank, torsion = sfan.group.rank, sfan.group.torsion
+    rng = random.Random(200 + case)
+    elements = [b.value for b in sfan.box()] + [
+        tuple(rng.randint(-6, 6) for _ in range(rank))
+        + tuple(rng.randint(-6, 6) for _ in torsion) for _ in range(30)]
+    int_points = []
+    for c in elements:
+        image = sfan.bar(c)
+        assert all(type(x) is int for x in image), c
+        assert image == tuple(Fraction(int(x)) for x in c[:rank]), c
+        int_points.append(image)
+    frac_points = [tuple(Fraction(x) for x in p) for p in int_points]
+    # one fresh fan per kind of point, so neither reads the other's memo
+    fan = sfan.fan
+    by_int, by_frac = (SimplicialFan(fan.ambient_dim, fan.rays,
+                                     fan.max_cones) for _ in range(2))
+    for p, q in zip(int_points, frac_points):
+        assert by_int.locate(p) == by_frac.locate(q), p
+        assert by_int.minimal_cone([p]) == by_frac.minimal_cone([q]), p
+    pairs = list(zip(int_points, frac_points))
+    for (p1, q1), (p2, q2) in itertools.combinations(pairs[:16], 2):
+        assert by_int.minimal_cone([p1, p2]) == \
+            by_frac.minimal_cone([q1, q2]), (p1, p2)
+
+
 # rays 0, 1, 2 = e1, e2, e1 + e2: cone (0, 2) lies inside cone (0, 1)
 OVERLAP_RAYS = ((1, 0), (0, 1), (1, 1), (-1, -1))
 
@@ -130,10 +158,19 @@ def complement_cases():
              for name in ("gerbe_z4z9", "p112", "p112_hirzebruch")]
     cases += [weighted_projective_fan(coprime_weights(rng, 4, top=3))
               for _ in range(2)]
+    # boxes of 27-34 elements: the scan below is quadratic in the box
+    rng_2d = random.Random(1)
+    cases += [complete_2d_fan(rng_2d, torsion=torsion)
+              for torsion in ((2,), (3,), (2, 2))]
+    # a gerbe over P^1 with three cyclic factors, its lifts twisted in each
+    cases.append(ExtendedStackyFan.build(
+        FgAbGroup(1, (2, 2, 3)), [(1, 1, 0, 2), (-1, 1, 1, 1)],
+        [(0,), (1,)]))
+    cases.append(seeded_fans()[-1])  # unvalidated, with torsion
     return cases
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(10))
 def test_box_complement_matches_old_scan(case):
     sfan = complement_cases()[case]
     rank, torsion = sfan.group.rank, sfan.group.torsion
@@ -177,11 +214,13 @@ def test_box_complement_counts_doctored_matches(found):
     sfan = fixtures.load_fan("p112")
     zero, v = sfan.box()
     sigma = (0, 2)
-    proj, table = sfan._box_by_projection(sigma)
-    key = proj.target.neg(proj.apply(v.value))
-    doctored = {k: list(ws) for k, ws in table.items()}
+    record = sfan._box_by_projection(sigma)
+    # the key box_complement(zero, v) looks up: proj(zero) + proj(v)
+    key = record.proj.target.add_reduced(record.image(zero.value),
+                                         record.image(v.value))
+    doctored = {k: list(ws) for k, ws in record.table.items()}
     doctored[key] = [zero, v][:found]
-    sfan._complements[sigma] = (proj, doctored)
+    record.table = doctored
     with pytest.raises(NoCommonCone,
                        match=f"expected exactly one complement, "
                              f"found {found}"):

@@ -180,7 +180,32 @@ def test_three_sectors_find_each_geometry_once(monkeypatch):
     assert len(sectors) == 84
     assert calls["box_complement"] == 0
     assert sorted(quotient_cones) == sorted({s.joint_cone for s in sectors})
-    assert 0 < calls["smith_normal_form"] <= 24
+    # six cone records (the five maximal cones and the zero cone) and
+    # two per quotient by the four other joint cones (local_group and
+    # the quotient fan's cokernel check)
+    assert calls["smith_normal_form"] == 14
     zero = sectors[0].elements[0]
     sfan.box_complement(zero, zero)
     assert calls["box_complement"] == 1  # the counter is live
+
+
+def test_sectors_take_each_cone_smith_form_once(monkeypatch):
+    """box() takes the four maximal cones' Smith forms; the joint cones
+    (), (0, 1) and (0, 1, 2) add two, as (0, 1, 2) reuses its record."""
+    sfan = weighted_projective_fan((1, 1, 2, 4))
+    matrices = []
+    original = stacky.smith_normal_form
+
+    def counted(matrix):
+        matrices.append(tuple(map(tuple, matrix)))
+        return original(matrix)
+    monkeypatch.setattr(stacky, "smith_normal_form", counted)
+    sectors = three_sectors(sfan)
+    for sector in sectors:
+        obstruction_exponents(sfan, *sector.elements)
+    assert len(sectors) == 16
+    assert sorted(sfan.fan.max_cones) == [(0, 1, 2), (0, 1, 3), (0, 2, 3),
+                                          (1, 2, 3)]
+    assert {s.joint_cone for s in sectors} == {(), (0, 1), (0, 1, 2)}
+    assert len(matrices) == 6
+    assert len(set(matrices)) == 6
