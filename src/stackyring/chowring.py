@@ -605,13 +605,17 @@ class OrbifoldRing:
         return len(self.basis)
 
     def product(self, i, j):
-        return dict(self._table.get((min(i, j), max(i, j)), {}))
+        return dict(self._entry(i, j))
+
+    def _entry(self, i, j):
+        """Stored product of i and j, not a copy: callers only read it."""
+        return self._table.get((min(i, j), max(i, j)), {})
 
     def mul(self, vec_a, vec_b):
         out = {}
         for i, qa in vec_a.items():
             for j, qb in vec_b.items():
-                for k, q in self.product(i, j).items():
+                for k, q in self._entry(i, j).items():
                     out[k] = out.get(k, 0) + qa * qb * q
         return {k: q for k, q in out.items() if q}
 
@@ -772,8 +776,9 @@ class SectorReport:
 def _induced_twists(sfan, base, sigma):
     if base.twists is None:
         return None
-    link = sfan.link_ray_indices(sigma)
-    keep = list(link) + list(range(sfan.n, sfan.m))
+    # a ring's fan is valid, so every ray lies in a maximal cone and the
+    # zero cone keeps them all, as its quotient, the fan itself, does
+    keep = list(sfan.fan.link_rays(sigma)) + list(range(sfan.n, sfan.m))
     return [dict(base.twists[k]) for k in keep]
 
 

@@ -21,7 +21,7 @@ Every cone query goes through one geometry index per fan, built lazily:
 * A memo per point: the maximal cones that contain it, in max_cones
   order, with its support and coefficients in each.
 * The frozen set of faces as ray bit masks (cone_mask), so is_face,
-  link and the cone gate of the deformed product are set lookups.
+  link_rays and the cone gate of the deformed product are set lookups.
 
 Why the memo gives the same minimal cone as a scan: minimal_cone(points)
 is the union of the points' supports in the first maximal cone, in
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import DegenerateImage, Diagnostic
+from .errors import Diagnostic
 
 
 def _as_vector(v):
@@ -254,45 +254,13 @@ class SimplicialFan:
                 return tuple(sorted(union))
         return None
 
-    def link(self, cone):
-        """Cones disjoint from the given one whose join with it is a face."""
-        cone = tuple(sorted(cone))
-        out = []
-        for f in self.faces():
-            if set(f) & set(cone):
-                continue
-            if self.is_face(tuple(sorted(set(f) | set(cone)))):
-                out.append(f)
-        return out
-
     def link_rays(self, cone):
-        return tuple(sorted(i for (i,) in
-                            (f for f in self.link(cone) if len(f) == 1)))
-
-    def quotient(self, sigma, projection):
-        """Image fan under a rational projection killing span(sigma).
-
-        Returns (fan, link_rays): the quotient fan and the original indices
-        of its rays in order. The identity is returned for the zero cone.
-        """
-        sigma = tuple(sorted(sigma))
-        if not sigma:
-            return self, tuple(range(self.num_rays))
-        new_dim = len(projection)
-        lrays = self.link_rays(sigma)
-        new_rays = []
-        for i in lrays:
-            img = _as_vector(linalg.mat_vec(projection, list(self.rays[i])))
-            if all(x == 0 for x in img):
-                raise DegenerateImage(f"link ray {i} projects to zero")
-            new_rays.append(img)
-        pos = {i: j for j, i in enumerate(lrays)}
-        new_cones = []
-        for c in self.max_cones:
-            if set(sigma) <= set(c):
-                new_cones.append(tuple(pos[i] for i in c if i not in sigma))
-        fan = SimplicialFan(new_dim, tuple(new_rays), tuple(new_cones))
-        return fan, lrays
+        """The rays i outside the cone whose join with it, cone + i, is a
+        face: the rays of the quotient fan by the cone, in index order."""
+        faces = self.face_masks()
+        mask = cone_mask(cone)
+        return tuple(i for i in range(self.num_rays)
+                     if not mask >> i & 1 and mask | 1 << i in faces)
 
     def validate(self):
         """Structural checks; returns a list of Diagnostic findings.

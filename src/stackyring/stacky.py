@@ -9,15 +9,13 @@ one element per class; box_decompose and box_of_cone split a lattice point
 into its box element and ray multipliers along one path.
 
 Each fan keeps one record per queried cone sigma (_ConeRecord): Box(sigma)
-and the Smith normal form it is read off, so each cone's Smith form is
-taken once per fan, whether box(), box_of_cone or a complement query asks
-first. The first complement query on sigma adds the lookup in N(sigma):
-the projection proj: N -> N(sigma) from that same Smith form, proj(w) for
-each w in Box(sigma), and the box elements keyed by -proj(w). proj is a
-homomorphism well defined on N, so proj(v1 + v2) = proj(v1) + proj(v2),
-and the complement of a pair costs one addition in N(sigma) and one dict
-lookup (see _complement_in). The ring path asks no complement and so
-never builds the lookup. Images in N_Q (bar) are tuples of ints.
+and the Smith normal form it is read off, taken once per fan. Every
+N(sigma) question reads that form: local_group the projection proj: N ->
+N(sigma), quotient_stacky_fan the images proj(b_i) of the link rays, and
+the first complement query proj(w) for each w in Box(sigma), keyed by
+-proj(w). proj is a homomorphism well defined on N, so a complement costs
+one addition in N(sigma) and one dict lookup (see _complement_in); the
+ring path asks none. Images in N_Q (bar) are tuples of ints.
 """
 
 from __future__ import annotations
@@ -28,7 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import (InfiniteCokernel, NoCommonCone, OutsideSupport)
+from .errors import (DegenerateImage, InfiniteCokernel, NoCommonCone,
+                     OutsideSupport)
 from .fan import SimplicialFan
 from .lattice import (FgAbGroup, GroupHom, _cokernel_of_snf, _with_relations,
                       cokernel, smith_normal_form, solve_integer_linear)
@@ -57,9 +56,9 @@ class BoxElement:
 
 
 class _ConeRecord:
-    """What a fan knows of one cone sigma: Box(sigma), the Smith normal
-    form of [B_J | Q] it is read off and, once a complement is asked for,
-    the lookup in N(sigma) (see ExtendedStackyFan._box_by_projection)."""
+    """What a fan knows of one cone sigma: Box(sigma), the Smith form of
+    [B_J | Q] it is read off, proj: N -> N(sigma) once asked (local_group)
+    and the complement lookup once asked (_box_by_projection)."""
 
     __slots__ = ("box", "snf", "proj", "images", "table")
 
@@ -244,11 +243,24 @@ class ExtendedStackyFan:
         return box, mult
 
     def local_group(self, sigma):
-        """N(sigma) = N / <b_i : i in sigma>, with the projection from N."""
+        """N(sigma) = N / <b_i : i in sigma>, with the projection from N.
+
+        proj is read off the Smith form U M V = D of sigma's record once
+        and kept in its proj slot. For independent rays, as on a valid
+        fan, M is exactly [B_sigma | Q]: the record takes [B_J | Q] for
+        the pivot rays J of sigma, which are then all of sigma in order,
+        and the lifts are reduced, as GroupHom.from_columns reduces them.
+        So M is what cokernel would reduce, the Smith form is deterministic
+        and proj is cokernel's projection, with kernel N_sigma. Dependent
+        rays, on fans validate() refuses, can give N_J smaller than
+        N_sigma; there the cokernel of all of sigma's lifts is taken.
+        """
         sigma = tuple(sorted(sigma))
-        incl = GroupHom.from_columns(len(sigma), self.group,
-                                     [self.ray_lifts[i] for i in sigma])
-        return cokernel(incl)
+        if len(self.fan._index.solver(sigma).columns) != len(sigma):
+            return cokernel(GroupHom.from_columns(
+                len(sigma), self.group, [self.ray_lifts[i] for i in sigma]))
+        proj = self._projected(sigma).proj
+        return proj.target, proj
 
     def in_cone_sublattice(self, sigma, vec) -> bool:
         """Is vec in the subgroup N_sigma generated by the cone's lifts?
@@ -269,27 +281,32 @@ class ExtendedStackyFan:
                  for r in range(self.group.coords)]
         return _with_relations(self.group, lifts)
 
+    def _projected(self, sigma) -> _ConeRecord:
+        """The record of a sorted cone with its proj (see local_group)."""
+        record = self._record(sigma)
+        if record.proj is None:
+            record.proj = _cokernel_of_snf(self.group, record.snf)[1]
+        return record
+
     def _box_by_projection(self, sigma) -> _ConeRecord:
         """The record of a sorted cone sigma with its lookup in N(sigma).
 
-        proj: N -> N(sigma) is the cokernel projection read off U of the
-        record's Smith normal form U M V = D, M = [B_J | Q], so its kernel
-        is N_J = <b_j : j in J>. When sigma's rays are independent, as on
-        a valid fan and for every minimal cone, J = sigma, M is the matrix
-        local_group(sigma) reduces, and proj is the projection it returns.
-        The lookup is built on the first query: images maps the value of
-        each w in Box(sigma) to proj(w), and table maps -proj(w) to the
-        box elements with that key, in Box(sigma)'s order.
+        proj is the record's projection (see _projected), whose kernel is
+        N_J = <b_j : j in J>; J = sigma for independent rays, as on a
+        valid fan and for every minimal cone. The lookup is built on the
+        first query: images maps the value of each w in Box(sigma) to
+        proj(w), and table maps -proj(w) to the box elements with that
+        key, in Box(sigma)'s order.
         """
-        record = self._record(sigma)
+        record = self._projected(sigma)
         if record.table is None:
-            _, proj = _cokernel_of_snf(self.group, record.snf)
+            proj = record.proj
             neg = proj.target.neg
             images, table = {}, {}
             for w in record.box:
                 images[w.value] = image = proj.apply(w.value)
                 table.setdefault(neg(image), []).append(w)
-            record.proj, record.images, record.table = proj, images, table
+            record.images, record.table = images, table
         return record
 
     def box_complement(self, v1: BoxElement, v2: BoxElement) -> BoxElement:
@@ -370,25 +387,24 @@ class ExtendedStackyFan:
     def quotient_stacky_fan(self, sigma) -> "ExtendedStackyFan":
         """The induced extended stacky fan on N(sigma).
 
-        Rays are the images of the link rays of sigma; every original extra
-        vector descends to an extra vector of the quotient. The zero cone
+        Its rays are the images proj(b_i) of the link rays in index order,
+        its maximal cones those containing sigma, less sigma's rays, and
+        its extra vectors the images of the original ones. The zero cone
         returns the fan unchanged.
         """
         sigma = tuple(sorted(sigma))
         if not sigma:
             return self
-        nq, proj = self.local_group(sigma)
-        pfree = [[Fraction(proj.matrix[r][c]) for c in range(self.group.rank)]
-                 for r in range(nq.rank)]
-        qfan, lrays = self.fan.quotient(sigma, pfree)
-        lifts = [proj.apply(self.ray_lifts[i]) for i in lrays]
-        extra = [proj.apply(b) for b in self.extra]
-        out = ExtendedStackyFan(nq, qfan, tuple(lifts), tuple(extra))
-        return out
-
-    def link_ray_indices(self, sigma) -> tuple:
-        """Original ray indices that survive into the quotient by sigma."""
-        sigma = tuple(sorted(sigma))
-        if not sigma:
-            return tuple(range(self.n))
-        return self.fan.link_rays(sigma)
+        group, proj = self.local_group(sigma)
+        link = self.fan.link_rays(sigma)
+        lifts = []
+        for i in link:
+            lift = proj.apply(self.ray_lifts[i])
+            if not any(lift[: group.rank]):
+                raise DegenerateImage(f"link ray {i} projects to zero")
+            lifts.append(lift)
+        position = {i: k for k, i in enumerate(link)}
+        cones = [[position[i] for i in c if i not in sigma]
+                 for c in self.fan.max_cones if set(sigma) <= set(c)]
+        return ExtendedStackyFan.build(group, lifts, cones,
+                                       [proj.apply(b) for b in self.extra])

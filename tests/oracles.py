@@ -8,11 +8,17 @@ compares every triple of basis elements, and the Stanley-Reisner
 oracle tries every subset of the rays. The fan check enumerates
 extreme rays by minimal support and the support-function oracle searches
 a box, as the library did before it solved inequalities exactly.
+
+The quotient reference alone imports from stackyring: it takes N(sigma)
+from lattice.cokernel of the cone's lifts, as local_group did before it
+read the cone's record, and finds the link rays by a scan over the faces.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+from stackyring.lattice import FgAbGroup, GroupHom, cokernel
 
 
 def det(matrix):
@@ -269,6 +275,48 @@ def box_complements(rank, torsion, lifts, sigma, candidates, v1, v2):
     return [w for w in candidates
             if in_cone_sublattice(rank, torsion, lifts, sigma,
                                   [x + y for x, y in zip(s, w)])]
+
+
+def link_rays(max_cones, cone):
+    """The one-ray faces of the cone's link, as sorted ray indices.
+
+    The link is found by a scan: every face f disjoint from the cone
+    whose union with it is a face.
+    """
+    faces = {sub for c in max_cones for k in range(len(c) + 1)
+             for sub in itertools.combinations(sorted(c), k)}
+    link = [f for f in faces if not set(f) & set(cone)
+            and tuple(sorted(set(f) | set(cone))) in faces]
+    return tuple(sorted(i for (i,) in (f for f in link if len(f) == 1)))
+
+
+def quotient_stacky_fan(rank, torsion, lifts, max_cones, extra, sigma):
+    """(N(sigma), proj, quotient) for the quotient stacky fan by sigma.
+
+    N(sigma) and proj are lattice.cokernel of the inclusion of sigma's
+    lifts. The quotient is the fan document of the quotient stacky fan:
+    the images of the link rays' lifts and of the extra vectors, and the
+    maximal cones containing sigma without sigma's rays, renumbered to
+    link positions. In place of the document stands the text of the
+    refusal when a link ray projects to zero in N(sigma)_Q, or when the
+    images do not span it.
+    """
+    group = FgAbGroup(rank, tuple(torsion))
+    local, proj = cokernel(GroupHom.from_columns(
+        len(sigma), group, [lifts[i] for i in sigma]))
+    link = link_rays(max_cones, sigma)
+    rays = [proj.apply(lifts[i]) for i in link]
+    for i, ray in zip(link, rays):
+        if not any(ray[:local.rank]):
+            return local, proj, f"link ray {i} projects to zero"
+    images = [list(proj.apply(b)) for b in extra]
+    if rref_rank([r[:local.rank] for r in rays + images]) != local.rank:
+        return local, proj, "ray and extra vectors must span N over Q"
+    cones = [[link.index(i) for i in sorted(c) if i not in sigma]
+             for c in max_cones if set(sigma) <= set(c)]
+    return local, proj, {
+        "group": {"rank": local.rank, "torsion": list(local.torsion)},
+        "rays": [list(r) for r in rays], "cones": cones, "extra": images}
 
 
 P112_RAYS = ((1, 0), (0, 1), (-1, -2))

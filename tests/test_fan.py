@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from stackyring import fixtures
+from stackyring.documents import fan_to_document
 from stackyring.errors import DegenerateImage, Diagnostic
 from stackyring.fan import SimplicialFan
+from stackyring.lattice import FgAbGroup
+from stackyring.stacky import ExtendedStackyFan
 
 P112 = SimplicialFan(2, ((1, 0), (0, 1), (-1, -2)),
                      ((0, 1), (1, 2), (0, 2)))
@@ -108,26 +112,32 @@ def test_validate_unused_rays():
 
 
 def test_link():
-    assert sorted(P112.link((0,))) == [(), (1,), (2,)]
     assert P112.link_rays((0,)) == (1, 2)
-    assert set(P112.link(())) == set(P112.faces())
+    assert P112.link_rays(()) == (0, 1, 2)
+    assert P112.link_rays((0, 1)) == ()
+    assert HALF_PLANE.link_rays((0,)) == (1,)
+    # a ray in no maximal cone is in no link, not even the zero cone's
+    assert SimplicialFan(1, ((1,), (-1,), (2,)), ((0,), (1,))).link_rays(
+        ()) == (0, 1)
 
 
 def test_quotient_by_ray():
-    fan, lrays = P2.quotient((2,), [[1, -1]])
+    sfan = fixtures.load_fan("p2")
+    quotient = sfan.quotient_stacky_fan((2,))
     # collapsing ray 2 leaves a complete fan on the images of rays 0, 1
-    assert fan.ambient_dim == 1
-    assert lrays == (0, 1)
-    assert fan.is_complete()
+    assert quotient.group == FgAbGroup(1)
+    assert fan_to_document(quotient)["rays"] == [[-1], [1]]
+    assert quotient.fan.is_complete()
 
 
 def test_quotient_zero_cone_is_identity():
-    fan, lrays = P2.quotient((), [[1, 0], [0, 1]])
-    assert fan == P2
-    assert lrays == (0, 1, 2)
+    sfan = fixtures.load_fan("p2")
+    assert sfan.quotient_stacky_fan(()) is sfan
 
 
 def test_quotient_degenerate_image():
-    # projecting to the first coordinate collapses ray 1 to zero
-    with pytest.raises(DegenerateImage):
-        P2.quotient((2,), [[1, 0]])
+    # ray 2 lies in the span of rays 0 and 1, so it projects to zero
+    sfan = ExtendedStackyFan.build(FgAbGroup(2), [(1, 0), (0, 1), (1, 1)],
+                                   [(0, 1, 2)])
+    with pytest.raises(DegenerateImage, match="link ray 2 projects to zero"):
+        sfan.quotient_stacky_fan((0, 1))

@@ -1,14 +1,17 @@
-"""The fan's geometry index, its validation and the N(sigma) complement
-lookup, checked against the brute-force references in oracles.py.
+"""The fan's geometry index, its validation, the N(sigma) complement
+lookup and the quotient stacky fans, checked against the brute-force
+references in oracles.py.
 
 The oracles scan every maximal cone with Cramer's rule, first match
 wins; validate is compared with the old minimal-support extreme-ray
-check, and box_complement and obstruction_exponents with the old scan
-over Box(sigma).
+check, box_complement and obstruction_exponents with the old scan over
+Box(sigma), and local_group and quotient_stacky_fan with the cokernel of
+the cone's lifts and a scan of the faces.
 """
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,9 @@ import oracles
 from generators import (complete_2d_fan, coprime_weights,
                         weighted_projective_fan)
 from stackyring import fixtures
-from stackyring.errors import NoCommonCone, NotASector, OutsideSupport
+from stackyring.documents import fan_to_document
+from stackyring.errors import (InfiniteCokernel, NoCommonCone, NotASector,
+                               OutsideSupport, StackyError)
 from stackyring.fan import SimplicialFan
 from stackyring.inertia import obstruction_exponents
 from stackyring.lattice import FgAbGroup
@@ -272,3 +277,107 @@ def test_validate_matches_extreme_ray_check(family):
     if family in ("random", "disjoint_pairs"):
         # both verdicts of the separation are reached
         assert "BadIntersection" in codes
+
+
+def dependent_stacky_fan(rng):
+    """A seeded stacky fan, with torsion, where some cone has dependent
+    rays, so validate() refuses it."""
+    while True:
+        rank = rng.randint(1, 3)
+        torsion = rng.choice(((), (2,), (3,), (2, 2)))
+        group = FgAbGroup(rank, torsion)
+        lifts = []
+        while len(lifts) < rank + 2:
+            free = [rng.randint(-2, 2) for _ in range(rank)]
+            if any(free):
+                lifts.append(free + [rng.randrange(q) for q in torsion])
+        cones = [rng.sample(range(len(lifts)), rng.randint(1, rank + 1))
+                 for _ in range(rng.randint(2, 4))]
+        try:
+            sfan = ExtendedStackyFan.build(group, lifts, cones)
+        except InfiniteCokernel:
+            continue
+        if "NotSimplicial" in [d.code for d in sfan.validate()]:
+            return sfan
+
+
+def quotient_families():
+    rng = random.Random(20261019)
+    return {
+        "fixtures": [fixtures.load_fan(name)
+                     for name in fixtures.FAN_FIXTURES],
+        "complete_2d": [complete_2d_fan(rng, torsion=torsion)
+                        for torsion in ((2,), (3,), (2, 2), (4,))],
+        "wps": [weighted_projective_fan(coprime_weights(rng, 4))
+                for _ in range(3)]
+        + [weighted_projective_fan(coprime_weights(rng, 5, top=3))
+           for _ in range(2)],
+        "dependent": [dependent_stacky_fan(rng) for _ in range(12)]
+        + [seeded_fans()[-1]],
+    }
+
+
+def independent(sfan, cone):
+    rank = sfan.group.rank
+    return len(oracles.independent_columns(
+        [sfan.ray_lifts[i][:rank] for i in cone])) == len(cone)
+
+
+@pytest.mark.parametrize("family", ["fixtures", "complete_2d", "wps",
+                                    "dependent"])
+def test_local_group_and_quotient_match_cokernel_reference(family):
+    outcomes = set()
+    for sfan in quotient_families()[family]:
+        rank, torsion = sfan.group.rank, sfan.group.torsion
+        lifts = lifts_of(sfan)
+        extra = [list(b) for b in sfan.extra]
+        for sigma in sfan.fan.faces():
+            if len(sigma) > 4:
+                continue
+            local, proj, want = oracles.quotient_stacky_fan(
+                rank, torsion, lifts, sfan.fan.max_cones, extra, sigma)
+            got, got_proj = sfan.local_group(sigma)
+            assert (got, got_proj.matrix) == (local, proj.matrix), sigma
+            outcomes.add(independent(sfan, sigma))
+            if not sigma:
+                assert sfan.quotient_stacky_fan(sigma) is sfan
+                continue
+            if isinstance(want, str):
+                with pytest.raises(StackyError, match=re.escape(want)):
+                    sfan.quotient_stacky_fan(sigma)
+                outcomes.add(want.split()[0])
+                continue
+            assert fan_to_document(sfan.quotient_stacky_fan(sigma)) == \
+                want, sigma
+    if family == "dependent":
+        # cones with dependent rays, and both refusals, are reached
+        assert {False, "link", "ray"} <= outcomes
+
+
+@pytest.mark.parametrize("family", ["fixtures", "seeded"])
+def test_in_cone_sublattice_matches_oracle(family):
+    fans = ([fixtures.load_fan(name) for name in fixtures.FAN_FIXTURES]
+            if family == "fixtures" else seeded_fans())
+    rng = random.Random(17)
+    verdicts = set()
+    for sfan in fans:
+        rank, torsion = sfan.group.rank, sfan.group.torsion
+        lifts = lifts_of(sfan)
+        for sigma in sfan.fan.faces():
+            if not independent(sfan, sigma):
+                continue
+            for _ in range(6):
+                # a combination of the cone's lifts, moved off the
+                # subgroup about half of the time
+                vec = [0] * sfan.group.coords
+                for i in sigma:
+                    k = rng.randint(-2, 2)
+                    vec = [x + k * y for x, y in zip(vec, lifts[i])]
+                if rng.random() < 0.5:
+                    vec = [x + rng.randint(-1, 1) for x in vec]
+                want = oracles.in_cone_sublattice(rank, torsion, lifts,
+                                                  sigma, vec)
+                assert sfan.in_cone_sublattice(sigma, vec) == want, \
+                    (sigma, vec)
+                verdicts.add(want)
+    assert verdicts == {True, False}

@@ -180,10 +180,10 @@ def test_three_sectors_find_each_geometry_once(monkeypatch):
     assert len(sectors) == 84
     assert calls["box_complement"] == 0
     assert sorted(quotient_cones) == sorted({s.joint_cone for s in sectors})
-    # six cone records (the five maximal cones and the zero cone) and
-    # two per quotient by the four other joint cones (local_group and
-    # the quotient fan's cokernel check)
-    assert calls["smith_normal_form"] == 14
+    # six cone records (the five maximal cones and the zero cone) and one
+    # per quotient by the four maximal joint cones (the quotient fan's
+    # cokernel check): local_group reads N(sigma) off sigma's record
+    assert calls["smith_normal_form"] == 10
     zero = sectors[0].elements[0]
     sfan.box_complement(zero, zero)
     assert calls["box_complement"] == 1  # the counter is live
