@@ -605,17 +605,13 @@ class OrbifoldRing:
         return len(self.basis)
 
     def product(self, i, j):
-        return dict(self._entry(i, j))
-
-    def _entry(self, i, j):
-        """Stored product of i and j, not a copy: callers only read it."""
-        return self._table.get((min(i, j), max(i, j)), {})
+        return dict(self._table.get((min(i, j), max(i, j)), {}))
 
     def mul(self, vec_a, vec_b):
         out = {}
         for i, qa in vec_a.items():
             for j, qb in vec_b.items():
-                for k, q in self._entry(i, j).items():
+                for k, q in self.product(i, j).items():
                     out[k] = out.get(k, 0) + qa * qb * q
         return {k: q for k, q in out.items() if q}
 

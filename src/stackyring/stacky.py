@@ -8,14 +8,16 @@ cones all live here. Box(sigma) is enumerated from the torsion of N(sigma),
 one element per class; box_decompose and box_of_cone split a lattice point
 into its box element and ray multipliers along one path.
 
-Each fan keeps one record per queried cone sigma (_ConeRecord): Box(sigma)
-and the Smith normal form it is read off, taken once per fan. Every
-N(sigma) question reads that form: local_group the projection proj: N ->
-N(sigma), quotient_stacky_fan the images proj(b_i) of the link rays, and
-the first complement query proj(w) for each w in Box(sigma), keyed by
--proj(w). proj is a homomorphism well defined on N, so a complement costs
-one addition in N(sigma) and one dict lookup (see _complement_in); the
-ring path asks none. Images in N_Q (bar) are tuples of ints.
+Each fan keeps one record per queried cone sigma (_ConeRecord): the Smith
+normal form of [B_sigma | Q], with Q the relations of N, taken once per
+fan, and what is read off it when first asked. Every N(sigma) question
+reads that form: box_of_cone Box(sigma), local_group the projection
+proj: N -> N(sigma), quotient_stacky_fan the images proj(b_i) of the link
+rays, and the first complement query proj(w) for each w in Box(sigma),
+keyed by -proj(w). proj is a homomorphism well defined on N, so a
+complement costs one addition in N(sigma) and one dict lookup (see
+_complement_in); the ring path asks none. Images in N_Q (bar) are
+tuples of ints.
 """
 
 from __future__ import annotations
@@ -56,16 +58,15 @@ class BoxElement:
 
 
 class _ConeRecord:
-    """What a fan knows of one cone sigma: Box(sigma), the Smith form of
-    [B_J | Q] it is read off, proj: N -> N(sigma) once asked (local_group)
-    and the complement lookup once asked (_box_by_projection)."""
+    """What a fan knows of one cone sigma: the Smith form of [B_sigma | Q],
+    and once asked Box(sigma) (_boxed), proj: N -> N(sigma) (local_group)
+    and the complement lookup (_box_by_projection), all read off it."""
 
-    __slots__ = ("box", "snf", "proj", "images", "table")
+    __slots__ = ("snf", "box", "proj", "images", "table")
 
-    def __init__(self, box, snf):
-        self.box = box
+    def __init__(self, snf):
         self.snf = snf
-        self.proj = self.images = self.table = None
+        self.box = self.proj = self.images = self.table = None
 
     def image(self, value) -> tuple:
         """proj(value) in N(sigma), stored for the values of Box(sigma)."""
@@ -177,16 +178,33 @@ class ExtendedStackyFan:
         >>> [b.value for b in box], box[1].age
         ([(0, 0), (0, -1)], Fraction(1, 1))
         """
-        return list(self._record(tuple(sorted(sigma))).box)
+        return list(self._boxed(tuple(sorted(sigma))).box)
 
     def _record(self, sigma) -> _ConeRecord:
-        """The record of a sorted cone: Box(sigma) and the Smith normal form
-        of [B_J | Q] it is read off, taken on the first query only."""
+        """The record of a sorted cone, with the Smith normal form of
+        [B_sigma | Q] taken on the first query only."""
         record = self._cones.get(sigma)
-        if record is not None:
+        if record is None:
+            record = self._cones[sigma] = _ConeRecord(
+                smith_normal_form(self._lifts_with_relations(sigma)))
+        return record
+
+    def _boxed(self, sigma) -> _ConeRecord:
+        """The record of a sorted cone with Box(sigma) (see box_of_cone).
+
+        Box(sigma) is read off the record's Smith form, which is that of
+        [B_J | Q] when the pivot rays J are all of sigma. Dependent rays,
+        on fans that validate() refuses, take the Smith form of [B_J | Q]
+        here.
+        """
+        record = self._record(sigma)
+        if record.box is not None:
             return record
-        pivots = [sigma[j] for j in self.fan._index.solver(sigma).columns]
-        snf = smith_normal_form(self._lifts_with_relations(pivots))
+        snf = record.snf
+        pivots = self.fan._index.solver(sigma).columns
+        if len(pivots) != len(sigma):
+            snf = smith_normal_form(
+                self._lifts_with_relations([sigma[j] for j in pivots]))
         gens = [(d, [x // d for x in linalg.mat_vec(
                     snf.matrix, [row[t] for row in snf.V])])
                 for t, d in enumerate(snf.diagonal) if d >= 2]
@@ -197,7 +215,7 @@ class ExtendedStackyFan:
             coeffs = self.fan.span_coefficients(sigma, c[: self.group.rank])
             out.append(self._split(c, sigma, coeffs)[0])
         out.sort(key=lambda b: (b.value != self.group.zero(), b.value))
-        record = self._cones[sigma] = _ConeRecord(tuple(out), snf)
+        record.box = tuple(out)
         return record
 
     def box(self):
@@ -246,20 +264,14 @@ class ExtendedStackyFan:
         """N(sigma) = N / <b_i : i in sigma>, with the projection from N.
 
         proj is read off the Smith form U M V = D of sigma's record once
-        and kept in its proj slot. For independent rays, as on a valid
-        fan, M is exactly [B_sigma | Q]: the record takes [B_J | Q] for
-        the pivot rays J of sigma, which are then all of sigma in order,
-        and the lifts are reduced, as GroupHom.from_columns reduces them.
-        So M is what cokernel would reduce, the Smith form is deterministic
-        and proj is cokernel's projection, with kernel N_sigma. Dependent
-        rays, on fans validate() refuses, can give N_J smaller than
-        N_sigma; there the cokernel of all of sigma's lifts is taken.
+        and kept in its proj slot. M is [B_sigma | Q] with the lifts in
+        sigma's order, reduced as GroupHom.from_columns reduces them, so
+        M is the matrix cokernel would take, the Smith form is
+        deterministic and proj is cokernel's projection, with kernel
+        N_sigma. The first call on a cone takes and keeps its Smith form
+        and proj only; Box(sigma) is left to box_of_cone.
         """
-        sigma = tuple(sorted(sigma))
-        if len(self.fan._index.solver(sigma).columns) != len(sigma):
-            return cokernel(GroupHom.from_columns(
-                len(sigma), self.group, [self.ray_lifts[i] for i in sigma]))
-        proj = self._projected(sigma).proj
+        proj = self._projected(tuple(sorted(sigma))).proj
         return proj.target, proj
 
     def in_cone_sublattice(self, sigma, vec) -> bool:
@@ -291,9 +303,8 @@ class ExtendedStackyFan:
     def _box_by_projection(self, sigma) -> _ConeRecord:
         """The record of a sorted cone sigma with its lookup in N(sigma).
 
-        proj is the record's projection (see _projected), whose kernel is
-        N_J = <b_j : j in J>; J = sigma for independent rays, as on a
-        valid fan and for every minimal cone. The lookup is built on the
+        proj is the record's projection (see local_group), whose kernel
+        is N_sigma = <b_i : i in sigma>. The lookup is built on the
         first query: images maps the value of each w in Box(sigma) to
         proj(w), and table maps -proj(w) to the box elements with that
         key, in Box(sigma)'s order.
@@ -303,7 +314,7 @@ class ExtendedStackyFan:
             proj = record.proj
             neg = proj.target.neg
             images, table = {}, {}
-            for w in record.box:
+            for w in self._boxed(sigma).box:
                 images[w.value] = image = proj.apply(w.value)
                 table.setdefault(neg(image), []).append(w)
             record.images, record.table = images, table

@@ -354,6 +354,20 @@ def test_local_group_and_quotient_match_cokernel_reference(family):
         assert {False, "link", "ray"} <= outcomes
 
 
+@pytest.mark.parametrize("family", ["fixtures", "dependent"])
+def test_local_group_leaves_box_to_box_of_cone(family):
+    # local_group takes a cone's Smith form and proj only; Box(sigma),
+    # read later off the same record, is the one a fresh fan reads
+    fans, fresh = quotient_families()[family], quotient_families()[family]
+    for sfan, other in zip(fans, fresh):
+        for sigma in sfan.fan.faces():
+            if len(sigma) > 4:
+                continue
+            sfan.local_group(sigma)
+            assert sfan._cones[sigma].box is None, sigma
+            assert sfan.box_of_cone(sigma) == other.box_of_cone(sigma), sigma
+
+
 @pytest.mark.parametrize("family", ["fixtures", "seeded"])
 def test_in_cone_sublattice_matches_oracle(family):
     fans = ([fixtures.load_fan(name) for name in fixtures.FAN_FIXTURES]
