@@ -4,20 +4,25 @@ The deformed group ring A*(B)[N] has basis y^c tensor (basis of A*(B));
 two y's multiply to y^{c1+c2} when some cone contains both c_bar1 and
 c_bar2 and to zero otherwise. Each y^c computed here is keyed with the
 minimal cone of c_bar, so that gate is one face lookup on the union of
-two cones (see deformed_mul). Dividing by the linear relations attached
-to the dual lattice M gives the orbifold Chow ring. The computation is
-sector by sector: the ring splits as a direct sum over box elements v of
-shifted copies of the untwisted subring, and each summand is reduced
-degreewise by exact rational row reduction.
+two cones (see _key_product, the one product rule, and deformed_mul, its
+bilinear extension). Dividing by the linear relations attached to the
+dual lattice M gives the orbifold Chow ring. The computation is sector by
+sector: the ring splits as a direct sum over box elements v of shifted
+copies of the untwisted subring, and each summand is reduced degreewise
+by exact rational row reduction. The table is then read from the key
+products of pairs of basis keys and one normal form per monomial key,
+taken off the reduced rows (see _assemble).
 
 Coefficients are exact and stored as an int wherever they are integral.
 BaseRing turns each integral input into an int and sums start from the
 int 0, so apart from fractional inputs a Fraction arises in one place
-only, the pivot inverse of _insert_row; _exact turns an integral result
-back into an int where rows and table entries are stored. Over a base with
-integral products, a ring whose relation pivots are all 1 or -1 is
-assembled and certified in int arithmetic throughout; so is every ring
-with N finite (a gerbe BG over the base), which has no linear relations.
+only, the pivot inverse of _insert_row. From there it reaches the pivot
+rows, the normal forms copied from them and the table entries summed from
+those; _exact turns an integral result back into an int where rows and
+table entries are stored. Over a base with integral products, a ring whose
+relation pivots are all 1 or -1 is assembled and certified in int
+arithmetic throughout; so is every ring with N finite (a gerbe BG over the
+base), which has no linear relations.
 """
 
 from __future__ import annotations
@@ -248,6 +253,13 @@ def _check_structure(degrees, unit, table, error):
     accepts o' exactly when it accepts the product, and
     _name_failing_triple, comparing g o' (j o' k) with (g o' j) o' k and
     (g o' k) o' j, names the same triple. D = L = 1 is the ordinary case.
+
+    The table is only read. When D = 1, o' is the product itself, and its
+    entries are read in place: product holds the table's own dicts, and no
+    step writes to a dict it reads (the walk and the checks build every
+    product they compare afresh). Callers store integral coefficients as
+    ints (see _exact), so this is int arithmetic too; an integral Fraction
+    in a D = 1 table would be read as it is, exactly but more slowly.
     """
     _, degrees = _scaled(degrees)
     d = math.lcm(*(q.denominator for terms in table.values()
@@ -258,7 +270,7 @@ def _check_structure(degrees, unit, table, error):
         for k in terms:
             if degrees[k] != want:
                 raise error(f"product ({i},{j}) not degree additive at {k}")
-        product[i, j] = product[j, i] = {
+        product[i, j] = product[j, i] = terms if d == 1 else {
             k: q.numerator * (d // q.denominator) for k, q in terms.items()}
     for j in range(len(degrees)):
         if product.get((unit, j)) != {j: d}:
@@ -448,14 +460,32 @@ def stanley_reisner_generators(fan) -> tuple:
     return tuple(sorted(out, key=lambda s: (len(s), s)))
 
 
+def _key_product(faces, add, base, key1, key2):
+    """The terms (key, s) of the product of two keys (c, tau, l).
+
+    faces is sfan.fan.face_masks() and add is sfan.group.add_reduced. The
+    product is y^{c1+c2} times the base product of l1 and l2, keyed
+    (c1 + c2, tau1 | tau2, l3), when tau1 | tau2 is a face; otherwise it
+    vanishes and nothing is yielded (see deformed_mul for why this is the
+    cone gate).
+    """
+    (c1, t1, l1), (c2, t2, l2) = key1, key2
+    tau = t1 | t2
+    if tau in faces:
+        c = add(c1, c2)
+        for l3, s in base._entry(l1, l2).items():
+            yield (c, tau, l3), s
+
+
 def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
     """Product in A*(B)[N]^Sigma: y^c1 y^c2 = y^{c1+c2} or 0 by the cone gate.
 
     Elements map keys (c, tau, label index) to coefficients, where tau is
-    the minimal cone of c_bar as a cone_mask. The product of two keys is
-    keyed (c1 + c2, tau1 | tau2, l3) when tau1 | tau2 is a face and
-    vanishes otherwise. On a fan that validate() accepts this is the cone
-    gate, some cone holding both c_bar1 and c_bar2, and the product's key
+    the minimal cone of c_bar as a cone_mask. The product is the bilinear
+    extension of _key_product: two keys multiply to the key
+    (c1 + c2, tau1 | tau2, l3) when tau1 | tau2 is a face and vanish
+    otherwise. On a fan that validate() accepts this is the cone gate,
+    some cone holding both c_bar1 and c_bar2, and the product's key
     carries its minimal cone again:
 
     - c_bar_k lies in the relative interior of tau_k: for the monomials
@@ -478,15 +508,10 @@ def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
     faces = sfan.fan.face_masks()
     add = sfan.group.add_reduced
     out = {}
-    for (c1, t1, l1), q1 in e1.items():
-        for (c2, t2, l2), q2 in e2.items():
-            tau = t1 | t2
-            if tau not in faces:
-                continue
-            c = add(c1, c2)
+    for key1, q1 in e1.items():
+        for key2, q2 in e2.items():
             q12 = q1 * q2
-            for l3, s in base._entry(l1, l2).items():
-                key = (c, tau, l3)
+            for key, s in _key_product(faces, add, base, key1, key2):
                 out[key] = out.get(key, 0) + q12 * s
     return {k: q for k, q in out.items() if q}
 
@@ -537,7 +562,7 @@ def _sector_monomials(sfan, base, box, bound):
     Returns (degree, exponents, key) tuples for the monomials
     y^v prod y^{b_i}^{e_i} gamma, with key = (c, tau, label index),
     c = v + sum e_i b_i in N and tau = s | sigma(v) as a cone_mask. The key
-    is the one deformed_mul multiplies; c and tau are computed once, here,
+    is the one _key_product multiplies; c and tau are computed once, here,
     where the monomials are enumerated, and this is the only place
     exponents and lattice elements meet. Products are looked up by key and
     never decomposed, because a key names one monomial:
@@ -552,7 +577,7 @@ def _sector_monomials(sfan, base, box, bound):
     parts are v's: box_decompose(c) = (v, e). As that is a function of c,
     (v, e) -> c is injective on the monomials of all sectors together.
     The same argument makes tau the minimal cone of c_bar, which is what
-    deformed_mul's cone gate reads.
+    _key_product's cone gate reads.
     """
     sigma = cone_mask(box.min_cone)
     faces = sfan.fan.face_masks()
@@ -663,7 +688,17 @@ def _assemble(sfan, base, sectors):
 
     Hence every product of two basis classes whose degrees add up to more
     than cap is zero, and the table sets it so without a lookup; the other
-    products reach degree cap at most, where every monomial is enumerated.
+    products reach degree cap at most, as keys multiply degree additively.
+
+    So the normal form of every monomial key of degree <= cap is all the
+    table reads, and it is read off the pivots. _reduce is linear: the
+    pivot rows are fully reduced, 1 at their own pivot and 0 at every
+    other pivot, so clearing the pivots of sum q_k e_k clears each e_k on
+    its own and NF(sum q_k e_k) = sum q_k NF(e_k). A survivor e_p is its
+    own normal form, and a pivot column p reduces by its row alone, to
+    minus that row's entries at its other columns, which are survivors.
+    Each table entry is then the sum of s NF(key) over the terms (key, s)
+    of the two basis keys' _key_product.
     """
     relations = linear_relations(sfan, base)
     diagnostics = sfan.validate()
@@ -676,9 +711,9 @@ def _assemble(sfan, base, sectors):
     # a block is the monomials of one (sector, degree), numbered in order
     column = {}  # monomial key -> (block, position in block)
     pivots = []  # block -> reduced relation rows over the block
-    index = {}   # (block, position) of a survivor -> basis index
+    normal = {}  # monomial key of degree <= cap -> {basis index: coefficient}
     basis = []
-    reps = []    # the key of each basis element, as a deformed ring element
+    keys = []    # the monomial key of each basis element
     by_degree = operator.itemgetter(0)
     for box in sectors:
         monomials = _sector_monomials(sfan, base, box, bound)
@@ -705,42 +740,48 @@ def _assemble(sfan, base, sectors):
                 if row:
                     _insert_row(pivots[target], row)
         for deg, group in itertools.groupby(monomials, key=by_degree):
-            block = blocks[deg]
+            rows = pivots[blocks[deg]]
+            group = list(group)
+            index = {}  # position of a survivor -> basis index
             for pos, (_, exp, key) in enumerate(group):
-                if pos in pivots[block]:
+                if pos in rows:
                     continue
                 if deg > cap:
                     raise InfiniteDimensional(
                         f"sector {box.value} has a class at degree {deg}"
                         f" beyond the bound {cap}")
-                index[block, pos] = len(basis)
+                index[pos] = len(basis)
                 basis.append(RingBasisElement(box.value, exp,
                                               base.labels[key[2]], deg))
-                reps.append({key: 1})
-
-    def reduce_element(elem):
-        out = {}
-        for key, q in elem.items():
-            where = column.get(key)
-            if where is None:
-                raise InternalInconsistency(
-                    "product term left the computed sectors")
-            block, pos = where
-            for p2, q2 in _reduce(pivots[block], {pos: q}).items():
-                idx = index[block, p2]
-                out[idx] = out.get(idx, 0) + q2
-        return {k: _exact(q) for k, q in out.items() if q}
+                keys.append(key)
+            if deg > cap:
+                continue
+            for pos, (_, _, key) in enumerate(group):
+                row = rows.get(pos)
+                normal[key] = ({index[pos]: 1} if row is None else
+                               {index[p2]: -q for p2, q in row.items()
+                                if p2 != pos})
 
     # the degree gate in integers: L deg against L cap, L the lcm of the
     # degrees' denominators
     scale, degrees = _scaled([b.degree for b in basis])
     top = scale * cap
+    faces = sfan.fan.face_masks()
+    add = sfan.group.add_reduced
     table = {}
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
+    for i, key1 in enumerate(keys):
+        for j in range(i, len(keys)):
             if degrees[i] + degrees[j] > top:
                 continue
-            prod = reduce_element(deformed_mul(sfan, base, reps[i], reps[j]))
+            out = {}
+            for key, s in _key_product(faces, add, base, key1, keys[j]):
+                terms = normal.get(key)
+                if terms is None:
+                    raise InternalInconsistency(
+                        "product term left the computed sectors")
+                for k, q in terms.items():
+                    out[k] = out.get(k, 0) + s * q
+            prod = {k: _exact(q) for k, q in out.items() if q}
             if prod:
                 table[(i, j)] = prod
 

@@ -1,5 +1,6 @@
 """Base rings, the deformed product, and assembled ring tables."""
 
+import copy
 import hashlib
 import math
 import random
@@ -308,6 +309,41 @@ def test_scaled_certificate_accepts_the_doctoring_tables():
                       math.lcm(*(d.denominator for d in degrees)))
     assert lcms["P(3,4,5)"] == (9, 5)
     assert lcms["example_rank1"] == (1, 2)
+
+
+def test_check_structure_leaves_its_table_alone():
+    """_check_structure reads D = 1 tables in place and scales the others
+    into its own dicts; either way the table it is given, including one
+    that it refuses, comes back unchanged, down to the type of each
+    coefficient and the order of each dict."""
+    scaled = set()  # whether D > 1, over the cases
+    fresh = {}
+    for name, degrees, unit, assembled in _doctoring_tables():
+        # a fresh table, stored as _exact stores one: the assembled one
+        # has been through the check inside _assemble already
+        table = {pair: {k: chowring._exact(Fraction(q))
+                        for k, q in terms.items()}
+                 for pair, terms in assembled.items()}
+        fresh[name] = degrees, unit, copy.deepcopy(table)
+        chowring._check_structure(degrees, unit, table, InternalInconsistency)
+        assert repr(table) == repr(fresh[name][2]), name
+        scaled.add(math.lcm(*(q.denominator for terms in table.values()
+                              for q in terms.values())) > 1)
+    assert scaled == {False, True}
+    degrees, unit, table = fresh["Z/2xZ/6"]  # D = 1
+    rng = random.Random("untouched")
+    for _ in range(20):
+        doctored = copy.deepcopy(table)
+        doctor_table(doctored, degrees, rng)
+        if not is_unital_associative(degrees, unit, doctored):
+            break
+    else:
+        raise AssertionError("no refused doctoring drawn")
+    before = copy.deepcopy(doctored)
+    with pytest.raises(InternalInconsistency):
+        chowring._check_structure(degrees, unit, doctored,
+                                  InternalInconsistency)
+    assert repr(doctored) == repr(before)
 
 
 def test_scaled_certificate_names_the_unscaled_triple():
@@ -769,6 +805,40 @@ def test_pivot_rows_are_ints_where_integral():
                 fractional += any(type(q) is Fraction for q in prow.values())
         assert len(pivots) == rank(rows), rows
     assert fractional
+
+
+def test_reduce_is_linear_over_seeded_pivots():
+    """_assemble reads each table entry as sum q_k NF(e_k), so _reduce must
+    be linear. Seeded pivot sets built as in the test above, Fraction
+    pivots among them, and seeded rows touching both pivot and non-pivot
+    columns: reducing a row equals summing row[k] times the normal form
+    of e_k."""
+    rng = random.Random(78)
+    fractional = checked = 0
+    for _ in range(150):
+        pivots = {}
+        for _ in range(rng.randint(1, 5)):
+            chowring._insert_row(pivots, {
+                k: rng.choice((-3, -2, -1, 1, 2, 3))
+                for k in rng.sample(range(7), rng.randint(1, 4))})
+        fractional += any(type(q) is Fraction for prow in pivots.values()
+                          for q in prow.values())
+        free = [k for k in range(7) if k not in pivots]
+        if not free:
+            continue
+        for _ in range(4):
+            cols = {rng.choice(sorted(pivots)), rng.choice(free)}
+            cols.update(rng.sample(range(7), rng.randint(0, 3)))
+            row = {k: rng.choice((-2, -1, 1, 2, Fraction(1, 3)))
+                   for k in cols}
+            want = {}
+            for k, q in row.items():
+                for p2, q2 in chowring._reduce(pivots, {k: 1}).items():
+                    want[p2] = want.get(p2, 0) + q * q2
+            assert chowring._reduce(pivots, row) \
+                == {p2: q for p2, q in want.items() if q}, (pivots, row)
+            checked += 1
+    assert fractional and checked
 
 
 def test_sectors_are_enumerated_to_cap_plus_one(monkeypatch):
