@@ -150,7 +150,9 @@ def _parse_torsion(text):
 
 
 def _parse_class_expr(expr, base: BaseRing) -> dict:
-    """Parse a linear expression in the base's degree-1 labels, e.g. -2*H."""
+    """Parse a linear expression in the base's degree-1 labels, e.g. -2*H.
+
+    A term is a label (H*1 for a tensor base) or splits at its first '*'."""
     text = expr.replace(" ", "")
     if text in ("", "0"):
         return {}
@@ -159,13 +161,13 @@ def _parse_class_expr(expr, base: BaseRing) -> dict:
     for term in terms:
         if not term:
             continue
-        if "*" in term:
+        if term.lstrip("-") in base.labels:
+            label = term.lstrip("-")
+            coeff_text = "-1" if term.startswith("-") else "1"
+        elif "*" in term:
             coeff_text, label = term.split("*", 1)
             if coeff_text in ("", "-"):
                 coeff_text += "1"
-        elif term.lstrip("-") in base.labels:
-            label = term.lstrip("-")
-            coeff_text = "-1" if term.startswith("-") else "1"
         else:
             raise DocumentError("--line-bundle-class",
                                 f"cannot parse term {term!r}")

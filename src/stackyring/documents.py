@@ -129,16 +129,8 @@ def parse_base_document(obj, pointer: str = "") -> BaseRing:
         pj = _expect(entry, "j", here, int)
         if (pi, pj) in products:
             raise DocumentError(here, f"repeated product ({pi},{pj})")
-        terms = {}
-        for t, term in enumerate(_expect(entry, "terms", here, list)):
-            where = f"{here}/terms/{t}"
-            if not isinstance(term, dict):
-                raise DocumentError(where, "expected an object")
-            k = _expect(term, "k", where, int)
-            if k in terms:
-                raise DocumentError(where, f"repeated product term {k}")
-            terms[k] = parse_fraction(_expect(term, "coeff", where), where)
-        products[(pi, pj)] = terms
+        products[(pi, pj)] = _terms(_expect(entry, "terms", here, list),
+                                    f"{here}/terms", "product")
     twists_obj = _expect(obj, "twists", pointer, list, default=None,
                          required=False)
     twists = None
@@ -148,20 +140,26 @@ def parse_base_document(obj, pointer: str = "") -> BaseRing:
             here = f"{pointer}/twists/{i}"
             if not isinstance(entry, list):
                 raise DocumentError(here, "expected a list")
-            vec = {}
-            for t, term in enumerate(entry):
-                where = f"{here}/{t}"
-                if not isinstance(term, dict):
-                    raise DocumentError(where, "expected an object")
-                k = _expect(term, "k", where, int)
-                if k in vec:
-                    raise DocumentError(where, f"repeated twist term {k}")
-                vec[k] = parse_fraction(_expect(term, "coeff", where), where)
-            twists.append(vec)
+            twists.append(_terms(entry, here, "twist"))
     try:
         return BaseRing(labels, degrees, products, twists)
     except ValueError as exc:
         raise DocumentError(pointer or "/", str(exc)) from exc
+
+
+def _terms(entries, pointer: str, kind: str) -> dict:
+    """{k: coeff} from the [{"k", "coeff"}] list at pointer; a repeated k
+    is refused as a repeated kind term."""
+    terms = {}
+    for t, term in enumerate(entries):
+        where = f"{pointer}/{t}"
+        if not isinstance(term, dict):
+            raise DocumentError(where, "expected an object")
+        k = _expect(term, "k", where, int)
+        if k in terms:
+            raise DocumentError(where, f"repeated {kind} term {k}")
+        terms[k] = parse_fraction(_expect(term, "coeff", where), where)
+    return terms
 
 
 def base_to_document(base: BaseRing) -> dict:

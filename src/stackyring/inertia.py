@@ -15,9 +15,9 @@ Which g3 completes a pair has one answer path: three_sectors and
 obstruction_exponents look it up in N(sigma) of the pair's joint cone
 sigma (ExtendedStackyFan._complement_in), as box_complement does, so
 neither runs box_complement itself. The lookup reads the fan's record of
-sigma: Box(sigma) and its Smith form are taken once per fan, and a
-complement costs one addition of stored images in N(sigma) and one dict
-lookup, because the projection to N(sigma) is additive.
+sigma, built from one Smith form once per fan, and a complement costs one
+addition of stored images in N(sigma) and one dict lookup, because the
+projection to N(sigma) is additive.
 """
 
 from __future__ import annotations

@@ -8,16 +8,13 @@ cones all live here. Box(sigma) is enumerated from the torsion of N(sigma),
 one element per class; box_decompose and box_of_cone split a lattice point
 into its box element and ray multipliers along one path.
 
-Each fan keeps one record per queried cone sigma (_ConeRecord): the Smith
-normal form of [B_sigma | Q], with Q the relations of N, taken once per
-fan, and what is read off it when first asked. Every N(sigma) question
-reads that form: box_of_cone Box(sigma), local_group the projection
-proj: N -> N(sigma), quotient_stacky_fan the images proj(b_i) of the link
-rays, and the first complement query proj(w) for each w in Box(sigma),
-keyed by -proj(w). proj is a homomorphism well defined on N, so a
-complement costs one addition in N(sigma) and one dict lookup (see
-_complement_in); the ring path asks none. Images in N_Q (bar) are
-tuples of ints.
+Each fan keeps one record per queried cone sigma (_ConeRecord), built
+whole from one Smith normal form of [B_sigma | Q], Q the relations of N
+(see _record): proj: N -> N(sigma), and Box(sigma) with its elements keyed
+by -proj(w). box_of_cone, local_group, quotient_stacky_fan and
+box_complement read it; a complement costs one addition in N(sigma) and
+one dict lookup (see _complement_in), and the ring path asks none. Images
+in N_Q (bar) are tuples of ints.
 """
 
 from __future__ import annotations
@@ -58,15 +55,15 @@ class BoxElement:
 
 
 class _ConeRecord:
-    """What a fan knows of one cone sigma: the Smith form of [B_sigma | Q],
-    and once asked Box(sigma) (_boxed), proj: N -> N(sigma) (local_group)
-    and the complement lookup (_box_by_projection), all read off it."""
+    """One cone sigma, built whole by ExtendedStackyFan._record: proj,
+    Box(sigma), and the images proj(w) and complement table of its
+    elements, both None when sigma's rays are dependent."""
 
-    __slots__ = ("snf", "box", "proj", "images", "table")
+    __slots__ = ("proj", "box", "images", "table")
 
-    def __init__(self, snf):
-        self.snf = snf
-        self.box = self.proj = self.images = self.table = None
+    def __init__(self, proj, box, images, table):
+        self.proj, self.box = proj, box
+        self.images, self.table = images, table
 
     def image(self, value) -> tuple:
         """proj(value) in N(sigma), stored for the values of Box(sigma)."""
@@ -178,44 +175,74 @@ class ExtendedStackyFan:
         >>> [b.value for b in box], box[1].age
         ([(0, 0), (0, -1)], Fraction(1, 1))
         """
-        return list(self._boxed(tuple(sorted(sigma))).box)
+        return list(self._record(tuple(sorted(sigma))).box)
 
     def _record(self, sigma) -> _ConeRecord:
-        """The record of a sorted cone, with the Smith normal form of
-        [B_sigma | Q] taken on the first query only."""
-        record = self._cones.get(sigma)
-        if record is None:
-            record = self._cones[sigma] = _ConeRecord(
-                smith_normal_form(self._lifts_with_relations(sigma)))
-        return record
+        """The record of a sorted cone sigma, built whole on the first query.
 
-    def _boxed(self, sigma) -> _ConeRecord:
-        """The record of a sorted cone with Box(sigma) (see box_of_cone).
+        One Smith normal form U M V = D of M = [B_sigma | Q] gives proj
+        (lattice._cokernel_of_snf: the free rows of U, then those with
+        d_t >= 2) and Box(sigma) from the sums sum k_t g_t (see
+        box_of_cone). Each sum's coefficients over sigma and the image
+        proj(w) of its box element w are read off its index (k_t):
 
-        Box(sigma) is read off the record's Smith form, which is that of
-        [B_J | Q] when the pivot rays J are all of sigma. Dependent rays,
-        on fans that validate() refuses, take the Smith form of [B_J | Q]
-        here.
+        * Q is zero on the free rows, so g_t_bar = sum_i V[i][t] / d_t
+          b_bar_i, and on independent rays the sum's coefficients are
+          sum_t k_t V[i][t] / d_t;
+        * w differs from the sum by columns of M (lifts in sigma and
+          relations of N), which proj kills: row t of U M = D V^-1 is 0
+          where d_t = 0 and a multiple of d_t where d_t >= 2;
+        * U g_t = D_t / d_t is the unit vector at row t.
+
+        So proj(w) is 0 on the free rows of N(sigma) and (k_t) on its
+        torsion rows; the table maps -proj(w) to the box elements with that
+        key, in Box(sigma)'s order. The rays are independent exactly when
+        M has rank |sigma| plus the number of relations. Dependent rays,
+        which validate() refuses, take Box(sigma) from the Smith form of
+        [B_J | Q], J the pivot rays (coefficient 0 on the others); its
+        indices are not proj's, so such a record keeps no images or table,
+        which _complement_in never asks.
         """
-        record = self._record(sigma)
-        if record.box is not None:
+        record = self._cones.get(sigma)
+        if record is not None:
             return record
-        snf = record.snf
-        pivots = self.fan._index.solver(sigma).columns
-        if len(pivots) != len(sigma):
+        snf = smith_normal_form(self._lifts_with_relations(sigma))
+        proj = _cokernel_of_snf(self.group, snf)[1]
+        columns = range(len(sigma))
+        independent = sum(1 for d in snf.diagonal if d) == \
+            len(sigma) + len(self.group.torsion)
+        if not independent:
+            columns = self.fan._index.solver(sigma).columns
             snf = smith_normal_form(
-                self._lifts_with_relations([sigma[j] for j in pivots]))
-        gens = [(d, [x // d for x in linalg.mat_vec(
-                    snf.matrix, [row[t] for row in snf.V])])
-                for t, d in enumerate(snf.diagonal) if d >= 2]
-        out = []
-        for ks in itertools.product(*(range(d) for d, _ in gens)):
-            c = [sum(k * g[r] for k, (_, g) in zip(ks, gens))
+                self._lifts_with_relations([sigma[j] for j in columns]))
+        tors = [(t, d) for t, d in enumerate(snf.diagonal) if d >= 2]
+        top = math.lcm(*(d for _, d in tors))
+        gens = [[x // d for x in linalg.mat_vec(
+                    snf.matrix, [row[t] for row in snf.V])] for t, d in tors]
+        # the coefficient of g_t on ray columns[i], times top
+        weights = [[snf.V[i][t] * (top // d) for t, d in tors]
+                   for i in range(len(columns))]
+        free_zeros = (0,) * proj.target.rank
+        box, images = [], {}
+        for ks in itertools.product(*(range(d) for _, d in tors)):
+            c = [sum(k * g[r] for k, g in zip(ks, gens))
                  for r in range(self.group.coords)]
-            coeffs = self.fan.span_coefficients(sigma, c[: self.group.rank])
-            out.append(self._split(c, sigma, coeffs)[0])
-        out.sort(key=lambda b: (b.value != self.group.zero(), b.value))
-        record.box = tuple(out)
+            coeffs = [Fraction(0)] * len(sigma)
+            for j, row in zip(columns, weights):
+                coeffs[j] = Fraction(sum(k * v for k, v in zip(ks, row)), top)
+            w = self._split(c, sigma, coeffs)[0]
+            box.append(w)
+            images[w.value] = free_zeros + ks
+        box.sort(key=lambda b: (b.value != self.group.zero(), b.value))
+        if independent:
+            table = {}
+            for w in box:
+                table.setdefault(proj.target.neg(images[w.value]),
+                                 []).append(w)
+        else:
+            images = table = None
+        record = self._cones[sigma] = _ConeRecord(proj, tuple(box), images,
+                                                  table)
         return record
 
     def box(self):
@@ -263,15 +290,14 @@ class ExtendedStackyFan:
     def local_group(self, sigma):
         """N(sigma) = N / <b_i : i in sigma>, with the projection from N.
 
-        proj is read off the Smith form U M V = D of sigma's record once
-        and kept in its proj slot. M is [B_sigma | Q] with the lifts in
-        sigma's order, reduced as GroupHom.from_columns reduces them, so
-        M is the matrix cokernel would take, the Smith form is
-        deterministic and proj is cokernel's projection, with kernel
-        N_sigma. The first call on a cone takes and keeps its Smith form
-        and proj only; Box(sigma) is left to box_of_cone.
+        proj is sigma's record's (see _record), read off the Smith form
+        U M V = D of M = [B_sigma | Q] with the lifts in sigma's order,
+        reduced as GroupHom.from_columns reduces them, so M is the matrix
+        cokernel would take, the Smith form is deterministic and proj is
+        cokernel's projection, with kernel N_sigma. The first call on a
+        cone builds its whole record, Box(sigma) included.
         """
-        proj = self._projected(tuple(sorted(sigma))).proj
+        proj = self._record(tuple(sorted(sigma))).proj
         return proj.target, proj
 
     def in_cone_sublattice(self, sigma, vec) -> bool:
@@ -292,33 +318,6 @@ class ExtendedStackyFan:
         lifts = [[self.ray_lifts[i][r] for i in rays]
                  for r in range(self.group.coords)]
         return _with_relations(self.group, lifts)
-
-    def _projected(self, sigma) -> _ConeRecord:
-        """The record of a sorted cone with its proj (see local_group)."""
-        record = self._record(sigma)
-        if record.proj is None:
-            record.proj = _cokernel_of_snf(self.group, record.snf)[1]
-        return record
-
-    def _box_by_projection(self, sigma) -> _ConeRecord:
-        """The record of a sorted cone sigma with its lookup in N(sigma).
-
-        proj is the record's projection (see local_group), whose kernel
-        is N_sigma = <b_i : i in sigma>. The lookup is built on the
-        first query: images maps the value of each w in Box(sigma) to
-        proj(w), and table maps -proj(w) to the box elements with that
-        key, in Box(sigma)'s order.
-        """
-        record = self._projected(sigma)
-        if record.table is None:
-            proj = record.proj
-            neg = proj.target.neg
-            images, table = {}, {}
-            for w in self._boxed(sigma).box:
-                images[w.value] = image = proj.apply(w.value)
-                table.setdefault(neg(image), []).append(w)
-            record.images, record.table = images, table
-        return record
 
     def box_complement(self, v1: BoxElement, v2: BoxElement) -> BoxElement:
         """The unique v3 in Box with v1 + v2 + v3 in N_sigma(v1,v2).
@@ -346,7 +345,7 @@ class ExtendedStackyFan:
         sigma is the minimal cone of the images of v1 and v2; its rays are
         independent on any fan (see SimplicialFan.minimal_cone). The
         search is a lookup in N(sigma) = N / N_sigma. The projection proj
-        of _box_by_projection has kernel exactly N_sigma and is a
+        of sigma's record (see _record) has kernel exactly N_sigma and is a
         homomorphism well defined on N, so proj(v1 + v2) = proj(v1) +
         proj(v2) whatever representatives the sum is taken in, and for
         w in Box(sigma)
@@ -365,7 +364,7 @@ class ExtendedStackyFan:
         "found 2"; a key that no element has is its "found 0", and the
         refusal texts are the scan's.
         """
-        record = self._box_by_projection(sigma)
+        record = self._record(sigma)
         key = record.proj.target.add_reduced(record.image(v1.value),
                                              record.image(v2.value))
         matches = record.table.get(key, ())

@@ -183,6 +183,28 @@ def test_gerbe_line_bundle_class(capsys):
     assert payload["error"]["type"] == "DocumentError"
 
 
+def test_line_bundle_class_takes_tensor_labels(capsys, tmp_path):
+    # BaseRing.tensor joins labels with '*': a bare label is read whole,
+    # and agrees with the same label under an explicit coefficient
+    p1 = fixtures.load_base("base_p1")
+    path = tmp_path / "p1xp1.json"
+    path.write_text(json.dumps(documents.base_to_document(
+        chowring.BaseRing.tensor(p1, p1))))
+
+    def gerbe(expr):
+        return run(capsys, "gerbe", "--torsion", "2", "--base", str(path),
+                   f"--line-bundle-class={expr}")
+
+    for expr, same in (("H*1", "1*H*1"), ("-H*1", "-1*H*1"),
+                       ("-1*H", "-1*1*H"), ("2*H*1-1*H", "2*H*1-1*1*H")):
+        code, payload = gerbe(expr)
+        assert code == 0, (expr, payload)
+        assert payload["dimension"] == 8
+        assert (code, payload) == gerbe(same), expr
+    assert cli._parse_class_expr("2*H*1-1*H", chowring.BaseRing.tensor(
+        p1, p1)) == {2: 2, 1: -1}
+
+
 def test_resolve_check(capsys):
     code, payload = run(capsys, "resolve-check", fan_path("p112"),
                         fan_path("p112_hirzebruch"), "--h", "0,0,0,1",

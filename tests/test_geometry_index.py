@@ -219,7 +219,7 @@ def test_box_complement_counts_doctored_matches(found):
     sfan = fixtures.load_fan("p112")
     zero, v = sfan.box()
     sigma = (0, 2)
-    record = sfan._box_by_projection(sigma)
+    record = sfan._record(sigma)
     # the key box_complement(zero, v) looks up: proj(zero) + proj(v)
     key = record.proj.target.add_reduced(record.image(zero.value),
                                          record.image(v.value))
@@ -356,16 +356,56 @@ def test_local_group_and_quotient_match_cokernel_reference(family):
 
 @pytest.mark.parametrize("family", ["fixtures", "dependent"])
 def test_local_group_leaves_box_to_box_of_cone(family):
-    # local_group takes a cone's Smith form and proj only; Box(sigma),
-    # read later off the same record, is the one a fresh fan reads
+    # Box(sigma), read off the record that local_group built, is the one
+    # a fresh fan reads
     fans, fresh = quotient_families()[family], quotient_families()[family]
     for sfan, other in zip(fans, fresh):
         for sigma in sfan.fan.faces():
             if len(sigma) > 4:
                 continue
             sfan.local_group(sigma)
-            assert sfan._cones[sigma].box is None, sigma
             assert sfan.box_of_cone(sigma) == other.box_of_cone(sigma), sigma
+
+
+@pytest.mark.parametrize("family", ["fixtures", "seeded", "complement"])
+def test_record_coefficients_and_images_match_a_solve_and_proj(family):
+    # a record reads the coefficients of w over sigma and proj(w) off the
+    # enumeration index of w; they must be those a solve over sigma's rays
+    # gives and proj applied to w, free zeros first, torsion indices in order
+    fans = {"fixtures": [fixtures.load_fan(name)
+                         for name in fixtures.FAN_FIXTURES],
+            "seeded": seeded_fans(),
+            "complement": complement_cases()}[family]
+    reached = set()
+    for sfan in fans:
+        for sigma in sfan.fan.faces():
+            if len(sigma) > 4:
+                continue
+            record = sfan._record(sigma)
+            for w in record.box:
+                span = sfan.fan.span_coefficients(sigma, sfan.bar(w.value))
+                assert [(i, a) for i, a in zip(sigma, span) if a] == \
+                    list(zip(w.min_cone, w.coeffs)), (sigma, w)
+            if record.images is None:
+                assert not independent(sfan, sigma), sigma
+                assert record.table is None, sigma
+                reached.add("dependent")
+                continue
+            assert sorted(record.images) == sorted(w.value
+                                                   for w in record.box)
+            for w in record.box:
+                assert record.images[w.value] == \
+                    record.proj.apply(w.value), (sigma, w)
+            group = record.proj.target
+            if group.rank and len(record.box) > 1:
+                reached.add("free and torsion")
+            if len(group.torsion) > 1:
+                reached.add("two torsion factors")
+    want = {"fixtures": {"free and torsion"},
+            "seeded": {"free and torsion", "dependent"},
+            "complement": {"free and torsion", "two torsion factors",
+                           "dependent"}}[family]
+    assert want <= reached
 
 
 @pytest.mark.parametrize("family", ["fixtures", "seeded"])
