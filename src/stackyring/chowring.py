@@ -13,16 +13,14 @@ by exact rational row reduction. The table is then read from the key
 products of pairs of basis keys and one normal form per monomial key,
 taken off the reduced rows (see _assemble).
 
-Coefficients are exact and stored as an int wherever they are integral.
-BaseRing turns each integral input into an int and sums start from the
-int 0, so apart from fractional inputs a Fraction arises in one place
-only, the pivot inverse of _insert_row. From there it reaches the pivot
-rows, the normal forms copied from them and the table entries summed from
-those; _exact turns an integral result back into an int where rows and
-table entries are stored. Over a base with integral products, a ring whose
-relation pivots are all 1 or -1 is assembled and certified in int
-arithmetic throughout; so is every ring with N finite (a gerbe BG over the
-base), which has no linear relations.
+Coefficients follow the number convention stated in linalg. Apart from
+fractional inputs, a Fraction arises in the pivot inverse of _insert_row
+only, and reaches the pivot rows, the normal forms copied from them and
+the table entries summed from those. Over a base with integral products,
+a ring whose relation pivots are all 1 or -1 is assembled and certified
+in int arithmetic throughout; so is every ring with N finite (a gerbe BG
+over the base), which has no linear relations. A degree is age(v) plus an
+integer step, and sector spaces are counted in steps (see _assemble).
 """
 
 from __future__ import annotations
@@ -38,12 +36,8 @@ from .errors import (DecompositionMismatch, DimensionMismatch, IncompleteFan,
                      InfiniteDimensional, InternalInconsistency,
                      TwistArityMismatch)
 from .fan import SimplicialFan, cone_mask
+from .linalg import _exact, _exact_input, _insert_row, _reduce
 from .stacky import BoxElement, ExtendedStackyFan
-
-
-def _exact(q):
-    """q as an int when it is integral, else q itself (a Fraction)."""
-    return q.numerator if q.denominator == 1 else q
 
 
 def _scaled(values):
@@ -53,45 +47,6 @@ def _scaled(values):
     """
     m = math.lcm(*(q.denominator for q in values))
     return m, [q.numerator * (m // q.denominator) for q in values]
-
-
-def _reduce(pivots, row):
-    """Normal form of a sparse row against pivots, zeros dropped.
-
-    pivots maps a pivot column to its row. Invariant: each pivot row is 1
-    at its own pivot column and zero at every other pivot column;
-    _insert_row keeps it by clearing a new pivot's column from the older
-    pivot rows. Clearing pivot column p therefore leaves the other pivot
-    columns as they were and adds entries at non-pivot columns only, so
-    one pass over the row's own columns suffices: afterwards no pivot
-    column is left in the row.
-    """
-    row = dict(row)
-    for p in sorted(row):
-        f = row[p]
-        if f and p in pivots:
-            for p2, q2 in pivots[p].items():
-                row[p2] = row.get(p2, 0) - f * q2
-    return {p: q for p, q in row.items() if q}
-
-
-def _insert_row(pivots, row) -> bool:
-    """Add row to the span of pivots; False when it was already in it."""
-    row = _reduce(pivots, row)
-    if not row:
-        return False
-    lead = min(row)
-    inv = _exact(Fraction(1) / row[lead])
-    new = {k: _exact(q * inv) for k, q in row.items()}
-    for p, existing in pivots.items():
-        if lead in existing:
-            f = existing[lead]
-            merged = dict(existing)
-            for k, q in new.items():
-                merged[k] = merged.get(k, 0) - f * q
-            pivots[p] = {k: _exact(q) for k, q in merged.items() if q}
-    pivots[lead] = new
-    return True
 
 
 def _mul(product, a, b):
@@ -282,13 +237,6 @@ def _check_structure(degrees, unit, table, error):
         _name_failing_triple(degrees, generators, product, error)
         raise InternalInconsistency(
             "associativity certificate refused a table the scan accepts")
-
-
-def _exact_input(q, kind):
-    """An input number as _exact stores it; floats and bools are refused."""
-    if isinstance(q, (bool, float)):
-        raise ValueError(f"{kind} {q!r} is not an exact rational")
-    return _exact(Fraction(q))
 
 
 class BaseRing:
@@ -556,11 +504,12 @@ class RingBasisElement:
     degree: Fraction
 
 
-def _sector_monomials(sfan, base, box, bound):
-    """The monomials of the sector y^v S up to degree bound, sorted.
+def _sector_monomials(sfan, base, box, budget):
+    """The monomials of the sector y^v S up to step budget, sorted.
 
-    Returns (degree, exponents, key) tuples for the monomials
-    y^v prod y^{b_i}^{e_i} gamma, with key = (c, tau, label index),
+    Returns (step, exponents, key) tuples for the monomials
+    y^v prod y^{b_i}^{e_i} gamma of degree age(v) + step, where the step
+    sum e_i + deg gamma is an integer, with key = (c, tau, label index),
     c = v + sum e_i b_i in N and tau = s | sigma(v) as a cone_mask. The key
     is the one _key_product multiplies; c and tau are computed once, here,
     where the monomials are enumerated, and this is the only place
@@ -581,10 +530,6 @@ def _sector_monomials(sfan, base, box, bound):
     """
     sigma = cone_mask(box.min_cone)
     faces = sfan.fan.face_masks()
-    budget = int(bound - box.age)  # bound - age is a nonneg integer bound
-    # age + step <= bound exactly when the integer step <= budget; one
-    # object per degree, so equal degrees compare by identity
-    degrees = [box.age + step for step in range(budget + 1)]
     out = []
     for s in sfan.fan.faces():
         tau = sigma | cone_mask(s)
@@ -606,7 +551,7 @@ def _sector_monomials(sfan, base, box, bound):
             for li in range(base.dim):
                 step = total + base.degrees[li]
                 if step <= budget:
-                    out.append((degrees[step], tuple(full), (c, tau, li)))
+                    out.append((step, tuple(full), (c, tau, li)))
     out.sort()
     return out
 
@@ -707,26 +652,29 @@ def _assemble(sfan, base, sectors):
     if not sfan.fan.is_complete():
         raise IncompleteFan("ring computation requires a complete fan")
     cap = base.top_degree + sfan.fan.ambient_dim
-    bound = cap + 1
-    # a block is the monomials of one (sector, degree), numbered in order
+    # a block is the monomials of one (sector, step), numbered in order
     column = {}  # monomial key -> (block, position in block)
     pivots = []  # block -> reduced relation rows over the block
     normal = {}  # monomial key of degree <= cap -> {basis index: coefficient}
     basis = []
     keys = []    # the monomial key of each basis element
-    by_degree = operator.itemgetter(0)
+    by_step = operator.itemgetter(0)
     for box in sectors:
-        monomials = _sector_monomials(sfan, base, box, bound)
-        blocks = {}  # degree -> its block
-        for deg, group in itertools.groupby(monomials, key=by_degree):
-            block = blocks[deg] = len(pivots)
+        # age + step <= cap + 1 exactly when the integer step <= budget,
+        # and age + step > cap exactly when step == budget: that step is
+        # the layer (cap, cap + 1] of the certificate
+        budget = math.floor(cap + 1 - box.age)
+        monomials = _sector_monomials(sfan, base, box, budget)
+        blocks = {}  # step -> its block
+        for step, group in itertools.groupby(monomials, key=by_step):
+            block = blocks[step] = len(pivots)
             pivots.append({})
             for pos, (_, _, key) in enumerate(group):
                 column[key] = (block, pos)
-        for deg, _, key in monomials:
-            if not relations or deg + 1 > bound:
-                break  # the monomials ascend by degree
-            target = blocks.get(deg + 1)
+        for step, _, key in monomials:
+            if not relations or step == budget:
+                break  # the monomials ascend by step
+            target = blocks.get(step + 1)
             for rel in relations:
                 row = {}
                 for k, q in deformed_mul(sfan, base, {key: 1}, rel).items():
@@ -735,26 +683,27 @@ def _assemble(sfan, base, sectors):
                     if where is None or where[0] != target:
                         raise InternalInconsistency(
                             f"relation term escaped sector {box.value} "
-                            f"at degree {deg + 1}")
+                            f"at degree {box.age + step + 1}")
                     row[where[1]] = q
                 if row:
                     _insert_row(pivots[target], row)
-        for deg, group in itertools.groupby(monomials, key=by_degree):
-            rows = pivots[blocks[deg]]
+        for step, group in itertools.groupby(monomials, key=by_step):
+            rows = pivots[blocks[step]]
             group = list(group)
             index = {}  # position of a survivor -> basis index
             for pos, (_, exp, key) in enumerate(group):
                 if pos in rows:
                     continue
-                if deg > cap:
+                if step == budget:
                     raise InfiniteDimensional(
-                        f"sector {box.value} has a class at degree {deg}"
-                        f" beyond the bound {cap}")
+                        f"sector {box.value} has a class at degree "
+                        f"{box.age + step} beyond the bound {cap}")
                 index[pos] = len(basis)
                 basis.append(RingBasisElement(box.value, exp,
-                                              base.labels[key[2]], deg))
+                                              base.labels[key[2]],
+                                              box.age + step))
                 keys.append(key)
-            if deg > cap:
+            if step == budget:
                 continue
             for pos, (_, _, key) in enumerate(group):
                 row = rows.get(pos)

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import documents
 from .chowring import BaseRing, orbifold_ring
@@ -149,50 +148,12 @@ def _parse_torsion(text):
     return tuple(q for q in values if q > 1)
 
 
-def _parse_class_expr(expr, base: BaseRing) -> dict:
-    """Parse a linear expression in the base's degree-1 labels, e.g. -2*H.
-
-    A term is a label (H*1 for a tensor base) or splits at its first '*'."""
-    text = expr.replace(" ", "")
-    if text in ("", "0"):
-        return {}
-    terms = text.replace("-", "+-").split("+")
-    out = {}
-    for term in terms:
-        if not term:
-            continue
-        if term.lstrip("-") in base.labels:
-            label = term.lstrip("-")
-            coeff_text = "-1" if term.startswith("-") else "1"
-        elif "*" in term:
-            coeff_text, label = term.split("*", 1)
-            if coeff_text in ("", "-"):
-                coeff_text += "1"
-        else:
-            raise DocumentError("--line-bundle-class",
-                                f"cannot parse term {term!r}")
-        if label not in base.labels:
-            raise DocumentError("--line-bundle-class",
-                                f"unknown label {label!r}")
-        try:
-            coeff = Fraction(coeff_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError("--line-bundle-class",
-                                f"bad coefficient {coeff_text!r}") from exc
-        idx = base.label_index(label)
-        out[idx] = out.get(idx, Fraction(0)) + coeff
-    return {k: q for k, q in out.items() if q}
-
-
 def cmd_gerbe(args):
     torsion = _parse_torsion(args.torsion)
     base = _load_base(args.base)
     group = FgAbGroup(0, torsion)
     extra = ((1,) * len(torsion),)
     sfan = ExtendedStackyFan.build(group, (), ((),), extra)
-    if args.line_bundle_class is not None:
-        base = base.with_twists([_parse_class_expr(args.line_bundle_class,
-                                                   base)])
     ring = orbifold_ring(sfan, base)
     return _emit_ring(ring, args.out)
 
@@ -271,9 +232,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--torsion", required=True, metavar="Q1,Q2,...",
                    help="orders of the cyclic factors of N")
     p.add_argument("--base", help="base ring document (default: a point)")
-    p.add_argument("--line-bundle-class", metavar="EXPR",
-                   help="degree-1 class, e.g. '2*H'; leading-dash values "
-                        "need the = form: --line-bundle-class=-H")
     p.add_argument("--out", help="write the ring document to this path")
 
     p = sub.add_parser("resolve-check",

@@ -1,10 +1,12 @@
-"""Rational simplicial fans given by ray directions and maximal cones.
+"""Simplicial lattice fans given by integer rays and maximal cones.
 
-Cones are sorted tuples of ray indices; the zero cone is the empty tuple.
-All geometry is exact over the rationals. validate decides whether two
-cones meet along a face by looking for a separating functional with
-linalg.fourier_motzkin (see _meets_along_common_face), and completeness
-of a validated fan is decided by the wall count alone (see is_complete).
+Rays are integer vectors, stored as ints (see linalg for the number
+convention); a ray that is not integral is refused. Cones are sorted
+tuples of ray indices; the zero cone is the empty tuple. All geometry is
+exact over the rationals. validate decides whether two cones meet along a
+face by looking for a separating functional with linalg.fourier_motzkin
+(see _meets_along_common_face), and completeness of a validated fan is
+decided by the wall count alone (see is_complete).
 
 Every cone query goes through one geometry index per fan, built lazily:
 
@@ -46,32 +48,12 @@ from . import linalg
 from .errors import Diagnostic
 
 
-def _as_vector(v):
-    return tuple(Fraction(x) for x in v)
-
-
 def cone_mask(cone) -> int:
     """The cone as a bit mask over ray indices: bit i is set for ray i."""
     mask = 0
     for i in cone:
         mask |= 1 << i
     return mask
-
-
-def _exact(point):
-    """Coordinates as ints where integral, so the products stay integer.
-
-    Ints, such as the images ExtendedStackyFan.bar returns, pass as they
-    are; anything else goes through Fraction first.
-    """
-    out = []
-    for x in point:
-        if type(x) is not int:
-            x = Fraction(x)
-            if x.denominator == 1:
-                x = x.numerator
-        out.append(x)
-    return out
 
 
 class _ConeSolver:
@@ -136,7 +118,7 @@ class _ConeIndex:
         key = tuple(point)
         found = self._located.get(key)
         if found is None:
-            exact = _exact(key)
+            exact = [linalg._exact_input(x, "coordinate") for x in key]
             found = {}
             for idx, cone in enumerate(self._max_cones):
                 coeffs = self.solver(cone).solve(exact)
@@ -169,10 +151,18 @@ class SimplicialFan:
     _index: _ConeIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rays = tuple(_as_vector(r) for r in self.rays)
-        for r in rays:
-            if len(r) != self.ambient_dim:
+        rays = []
+        for i, r in enumerate(self.rays):
+            ray = tuple(linalg._exact_input(x, f"ray {i} coordinate")
+                        for x in r)
+            if len(ray) != self.ambient_dim:
                 raise ValueError("ray has wrong length")
+            for x in ray:
+                if type(x) is not int:
+                    raise ValueError(f"ray {i} coordinate {x} is not an "
+                                     "integer")
+            rays.append(ray)
+        rays = tuple(rays)
         cones = tuple(tuple(sorted(set(int(i) for i in c)))
                       for c in self.max_cones)
         for c in cones:
@@ -207,7 +197,8 @@ class SimplicialFan:
         Any signs are allowed. On dependent rays the coefficients of the
         rays that depend on earlier ones are zero.
         """
-        return self._index.solver(tuple(sorted(cone))).solve(_exact(point))
+        return self._index.solver(tuple(sorted(cone))).solve(
+            [linalg._exact_input(x, "coordinate") for x in point])
 
     def cone_coefficients(self, cone, point):
         """Coefficients of point over the cone's rays, or None.

@@ -250,7 +250,7 @@ class SnfWitness:
         lhs = linalg.mat_mul(linalg.mat_mul(self.U, self.matrix), self.V)
         if [list(r) for r in lhs] != [list(r) for r in self.D]:
             return False
-        if abs(linalg.det(self.U)) != 1 or abs(linalg.det(self.V)) != 1:
+        if not (_unimodular(self.U) and _unimodular(self.V)):
             return False
         diag = self.diagonal
         for i, d in enumerate(diag):
@@ -266,6 +266,23 @@ class SnfWitness:
                 if i != j and self.D[i][j] != 0:
                     return False
         return True
+
+
+def _unimodular(u) -> bool:
+    """Whether the square integer matrix u has |det u| = 1.
+
+    Tested as rref([u | I]) = [I | W] with W integral: the left block is
+    I exactly when u is invertible, and then W = u^-1. An integral inverse
+    gives det u det W = 1 with both factors integers, so |det u| = 1;
+    conversely u^-1 = adj(u) / det u is integral when |det u| = 1.
+    """
+    n = len(u)
+    if any(len(row) != n for row in u):
+        return False
+    rows, pivots = linalg.rref([list(row) + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(u)])
+    return pivots == list(range(n)) and all(
+        x.denominator == 1 for row in rows for x in row)
 
 
 def smith_normal_form(matrix) -> SnfWitness:

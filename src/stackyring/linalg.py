@@ -1,8 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row lists whose entries are ints or Fractions.
-Everything here is small and dense; no floating point anywhere. Systems
-of linear inequalities go through one solver, fourier_motzkin.
+Matrices are lists of row lists. Everything here is small and dense; no
+floating point anywhere. Systems of linear inequalities go through one
+solver, fourier_motzkin, and systems of linear equations through one
+Gaussian elimination, _insert_row: rref, rank, nullspace and solve_exact
+run on it, and so do the fan's cone solvers (through rref) and the
+relation rows and associativity walk of chowring.
+
+The package keeps numbers in one convention. Integral data is an int from
+input onwards: _exact_input takes an input number to an int where it is
+integral and to a Fraction otherwise, and refuses a float or a bool. Sums
+start from the int 0, so a Fraction appears only where a division makes
+one, such as the pivot inverse of _insert_row, and _exact turns an
+integral result back into an int where rows are stored. So ints meet ints
+wherever the data is integral, and int arithmetic is what runs there.
 """
 
 from __future__ import annotations
@@ -11,66 +22,105 @@ import math
 from fractions import Fraction
 
 
-def frac_rows(matrix):
-    """Copy a matrix, coercing every entry to Fraction."""
-    return [[Fraction(x) for x in row] for row in matrix]
+def _exact(q):
+    """q as an int when it is integral, else q itself (a Fraction)."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _exact_input(q, kind):
+    """An input number as _exact stores it; floats and bools are refused."""
+    if type(q) is int:
+        return q
+    if isinstance(q, (bool, float)):
+        raise ValueError(f"{kind} {q!r} is not an exact rational")
+    return _exact(Fraction(q))
+
+
+def _reduce(pivots, row):
+    """Normal form of a sparse row against pivots, zeros dropped.
+
+    pivots maps a pivot column to its row. Invariant: each pivot row is 1
+    at its own pivot column and zero at every other pivot column;
+    _insert_row keeps it by clearing a new pivot's column from the older
+    pivot rows. Clearing pivot column p therefore leaves the other pivot
+    columns as they were and adds entries at non-pivot columns only, so
+    one pass over the row's own columns suffices: afterwards no pivot
+    column is left in the row.
+    """
+    row = dict(row)
+    for p in sorted(row):
+        f = row[p]
+        if f and p in pivots:
+            for p2, q2 in pivots[p].items():
+                row[p2] = row.get(p2, 0) - f * q2
+    return {p: q for p, q in row.items() if q}
+
+
+def _insert_row(pivots, row) -> bool:
+    """Add row to the span of pivots; False when it was already in it."""
+    row = _reduce(pivots, row)
+    if not row:
+        return False
+    lead = min(row)
+    inv = _exact(Fraction(1) / row[lead])
+    new = {k: _exact(q * inv) for k, q in row.items()}
+    for p, existing in pivots.items():
+        if lead in existing:
+            f = existing[lead]
+            merged = dict(existing)
+            for k, q in new.items():
+                merged[k] = merged.get(k, 0) - f * q
+            pivots[p] = {k: _exact(q) for k, q in merged.items() if q}
+    pivots[lead] = new
+    return True
 
 
 def rref(matrix):
-    """Reduced row echelon form.
+    """Reduced row echelon form, ints where integral.
 
-    Returns (rows, pivot_columns). Pivot entries are 1 and are the only
-    nonzero entries in their columns. Row order follows pivot column order.
+    Returns (rows, pivot_columns): the pivot rows in pivot column order,
+    then one zero row for each input row that added no pivot. Pivot
+    entries are 1 and are the only nonzero entries in their columns.
+
+    The rows are inserted one by one with _insert_row, and each pivot row
+    stays zero left of its pivot: a new row's pivot is its first nonzero
+    column after reduction, and an older row is touched only where it is
+    nonzero at that column, which then lies right of its own pivot, and
+    only at columns from there on. So the sorted pivot rows are a reduced
+    row echelon form of the row space, and that form is unique: it is the
+    one Gauss-Jordan elimination reaches.
+
+    >>> rref([[2, 4, 1], [1, 2, 0]])
+    ([[1, 2, 0], [0, 0, 1]], [0, 2])
     """
-    rows = frac_rows(matrix)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    width = len(matrix[0]) if matrix else 0
+    pivots = {}
+    for row in matrix:
+        row = [_exact_input(x, "entry") for x in row]
+        _insert_row(pivots, {c: x for c, x in enumerate(row) if x})
+    columns = sorted(pivots)
+    rows = [[pivots[p].get(c, 0) for c in range(width)] for p in columns]
+    rows += [[0] * width for _ in range(len(matrix) - len(columns))]
+    return rows, columns
 
 
 def rank(matrix):
-    if not matrix or not matrix[0]:
-        return 0
     return len(rref(matrix)[1])
 
 
 def solve_exact(matrix, rhs):
     """Solve matrix @ x = rhs over the rationals.
 
-    Returns one solution as a list of Fractions, or None if inconsistent.
+    Returns one solution, ints where integral, or None if inconsistent.
     The solution is unique whenever the columns are independent.
     The library answers cone queries through the fan's geometry index
     instead; benchmark/spans.py still wraps this function by name.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [[Fraction(matrix[i][j]) for j in range(ncols)] + [Fraction(rhs[i])]
-           for i in range(nrows)]
-    rows, pivots = rref(aug)
+    ncols = len(matrix[0]) if matrix else 0
+    rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for r, c in enumerate(pivots):
         x[c] = rows[r][ncols]
     return x
@@ -78,19 +128,16 @@ def solve_exact(matrix, rhs):
 
 def nullspace(matrix):
     """Basis of the rational kernel, as a list of column vectors."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if ncols == 0:
-        return []
     rows, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(matrix[0]) if matrix else 0
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(v)
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = 1
+            for r, c in enumerate(pivots):
+                v[c] = -rows[r][f]
+            basis.append(v)
     return basis
 
 
@@ -205,29 +252,3 @@ def transpose(matrix):
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def det(matrix):
-    """Exact determinant of a square matrix (fraction-free not needed here)."""
-    n = len(matrix)
-    rows = frac_rows(matrix)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return result * sign

@@ -65,14 +65,14 @@ def validate_subdivision(sub: Subdivision):
                 f"refined cone {c} is not contained in a coarse cone"))
     d = coarse.group.rank
     for c in refined.max_cones:
-        mat = [[int(refined.rays[i][r]) for i in c] for r in range(d)]
+        mat = [[refined.rays[i][r] for i in c] for r in range(d)]
         w = smith_normal_form(mat)
         diag = w.diagonal
         if len(diag) != len(c) or any(x != 1 for x in diag):
             out.append(Diagnostic(
                 "NotSmooth",
                 f"rays of refined cone {c} do not extend to a basis"))
-    all_rays = [[int(refined.rays[i][r]) for i in range(refined.num_rays)]
+    all_rays = [[refined.rays[i][r] for i in range(refined.num_rays)]
                 for r in range(d)]
     w = smith_normal_form(all_rays)
     diag = w.diagonal
@@ -286,7 +286,7 @@ def fiber_dimension_check(sub: Subdivision, base: BaseRing) -> FiberDimensionRep
     coarse_ring = orbifold_ring(sub.coarse, base)
     refined_sfan = ExtendedStackyFan.build(
         sub.coarse.group,
-        [tuple(int(x) for x in r) for r in sub.refined.rays],
+        sub.refined.rays,
         sub.refined.max_cones)
     if base.twists is None:
         refined_base = base

@@ -105,8 +105,8 @@ class ExtendedStackyFan:
     def build(cls, group: FgAbGroup, ray_lifts, max_cones, extra=()):
         """Assemble the fan from the lifts' images and the cone list."""
         lifts = [group.reduce(b) for b in ray_lifts]
-        rays = [tuple(Fraction(x) for x in b[: group.rank]) for b in lifts]
-        fan = SimplicialFan(group.rank, tuple(rays), tuple(max_cones))
+        rays = tuple(b[: group.rank] for b in lifts)
+        fan = SimplicialFan(group.rank, rays, tuple(max_cones))
         return cls(group, fan, tuple(lifts), tuple(extra))
 
     @property
@@ -125,10 +125,7 @@ class ExtendedStackyFan:
         """Image of an element of N in N_Q = Q^rank.
 
         The image reads the free coordinates alone, so the torsion ones
-        are not reduced. The coordinates are ints: an int compares and
-        hashes equal to the integral Fraction it stands for, and has the
-        same numerator and denominator, so fan queries and their per-point
-        memo answer alike on either.
+        are not reduced. The coordinates are ints, as the fan's rays are.
         """
         c = tuple(c)
         if len(c) != self.group.coords:

@@ -90,16 +90,21 @@ def box_values(rank, torsion, cone_lifts):
     return out
 
 
-def rref_rank(rows):
-    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
-    rank = 0
-    col = 0
+def rref(rows):
+    """Dense Gauss-Jordan elimination over Fractions.
+
+    Returns (rows, pivot columns): the pivot rows in pivot column order,
+    each 1 at its pivot and the only nonzero entry in that column, then
+    the zero rows, one row per input row.
+    """
     width = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < width:
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
                      None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][col]
@@ -108,9 +113,12 @@ def rref_rank(rows):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
+
+
+def rref_rank(rows):
+    return len(rref(rows)[1])
 
 
 def independent_columns(columns):

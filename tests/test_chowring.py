@@ -537,10 +537,11 @@ def test_coefficients_are_exact_and_ints_where_integral():
         relations = linear_relations(sfan, base)
         _assert_exact((q for rel in relations for q in rel.values()),
                       (name, "relation"), stored=False)
-        bound = base.top_degree + sfan.fan.ambient_dim
+        cap = base.top_degree + sfan.fan.ambient_dim
         for box in sfan.box():
+            budget = math.floor(cap - box.age)
             for _, _, key in chowring._sector_monomials(sfan, base, box,
-                                                        bound):
+                                                        budget):
                 for rel in relations:
                     _assert_exact(deformed_mul(sfan, base, {key: 1},
                                                rel).values(),
@@ -708,6 +709,14 @@ def test_infinite_dimensional_names_sector_and_degree(monkeypatch):
                        match=r"^sector \(0,\) has a class at degree 2 "
                              r"beyond the bound 1$"):
         orbifold_ring(fixtures.load_fan("p1"), POINT)
+    # the sector of age 1/2 of P(1, 2) alone: its layer (1, 2] is the
+    # degree 3/2, and the text names it as a fraction
+    sfan = weighted_projective_fan([1, 2])
+    [half] = [box for box in sfan.box() if box.age == Fraction(1, 2)]
+    with pytest.raises(InfiniteDimensional,
+                       match=r"^sector \(-1,\) has a class at degree 3/2 "
+                             r"beyond the bound 1$"):
+        chowring._assemble(sfan, POINT, [half])
 
 
 def test_ring_assembly_never_decomposes(monkeypatch):
@@ -845,8 +854,8 @@ def test_sectors_are_enumerated_to_cap_plus_one(monkeypatch):
     spaces = []
     enumerate_sector = chowring._sector_monomials
 
-    def recorded(sfan, base, box, bound):
-        monomials = enumerate_sector(sfan, base, box, bound)
+    def recorded(sfan, base, box, budget):
+        monomials = enumerate_sector(sfan, base, box, budget)
         spaces.append((box, monomials))
         return monomials
 
@@ -872,6 +881,14 @@ def test_relation_row_stays_in_its_sector_and_degree(monkeypatch):
                        match=r"^relation term escaped sector \(0,\) "
                              r"at degree 1$"):
         orbifold_ring(sfan, POINT)
+    # in the sector of age 1/2 of P(1, 2), the row of its degree-1/2
+    # monomial is filed at degree 3/2
+    sfan = weighted_projective_fan([1, 2])
+    [half] = [box for box in sfan.box() if box.age == Fraction(1, 2)]
+    with pytest.raises(InternalInconsistency,
+                       match=r"^relation term escaped sector \(-1,\) "
+                             r"at degree 3/2$"):
+        chowring._assemble(sfan, POINT, [half])
 
 
 def test_product_outside_the_computed_sectors_is_refused():
@@ -895,15 +912,19 @@ def _ring_cases():
 
 def test_monomial_keys_decompose_to_their_monomials():
     """Every key (c, tau, label) of every sector's monomials splits back
-    into its sector and exponents, so no two monomials share a key."""
+    into its sector and exponents, so no two monomials share a key. The
+    sectors are enumerated as _assemble enumerates them, to the step
+    budget floor(cap + 1 - age)."""
     for name, sfan, base in _ring_cases():
-        bound = 2 * (base.top_degree + sfan.fan.ambient_dim)
+        cap = base.top_degree + sfan.fan.ambient_dim
         keys, count = set(), 0
         for box in sfan.box():
-            monomials = chowring._sector_monomials(sfan, base, box, bound)
+            budget = math.floor(cap + 1 - box.age)
+            monomials = chowring._sector_monomials(sfan, base, box, budget)
             assert monomials == sorted(monomials), name
-            for deg, exp, (c, _, li) in monomials:
-                assert deg == box.age + sum(exp) + base.degrees[li] <= bound
+            for step, exp, (c, _, li) in monomials:
+                assert step == sum(exp) + base.degrees[li] <= budget
+                assert box.age + step <= cap + 1
                 v, mult = sfan.box_decompose(c)
                 assert v == box, (name, c)
                 assert tuple(mult.get(i, 0) for i in range(sfan.n)) \
@@ -932,10 +953,10 @@ def test_key_cones_match_the_oracle():
     cases += [(f"2d fan {k}", complete_2d_fan(rng), POINT) for k in range(4)]
     for name, sfan, base in cases:
         assert sfan.validate() == [], name
-        bound = base.top_degree + sfan.fan.ambient_dim + 1
+        cap = base.top_degree + sfan.fan.ambient_dim
         keys = {(c, tau) for box in sfan.box()
                 for _, _, (c, tau, _) in chowring._sector_monomials(
-                    sfan, base, box, bound)}
+                    sfan, base, box, math.floor(cap + 1 - box.age))}
         keys.update((c, tau) for rel in linear_relations(sfan, base)
                     for c, tau, _ in rel)
         keys = sorted(keys)

@@ -141,3 +141,22 @@ def test_quotient_degenerate_image():
                                    [(0, 1, 2)])
     with pytest.raises(DegenerateImage, match="link ray 2 projects to zero"):
         sfan.quotient_stacky_fan((0, 1))
+
+
+@pytest.mark.parametrize("ray, text", [
+    ((Fraction(3, 2), Fraction(3, 2)), "coordinate 3/2 is not an integer"),
+    ((1.5, 1.5), "coordinate 1.5 is not an exact rational"),
+    ((True, 1), "coordinate True is not an exact rational")])
+def test_ray_that_is_not_integral_is_refused(ray, text):
+    # P2 refined by (3/2, 3/2) was accepted once: the subdivision checks
+    # passed it, the support function met a non-integral coefficient and
+    # the fiber check computed the ring of the truncated ray (1, 1)
+    cones = ((0, 3), (1, 3), (1, 2), (0, 2))
+    with pytest.raises(ValueError, match=rf"^ray 3 {text}$"):
+        SimplicialFan(2, P2.rays + (ray,), cones)
+
+
+def test_integral_fraction_ray_is_stored_as_int():
+    fan = SimplicialFan(1, ((Fraction(2),), (-1,)), ((0,), (1,)))
+    assert fan.rays == ((2,), (-1,))
+    assert type(fan.rays[0][0]) is int

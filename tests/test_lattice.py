@@ -76,6 +76,26 @@ def test_smith_witness_property_seeded():
             assert b % a == 0
 
 
+def test_smith_witness_refuses_a_transform_of_det_2():
+    """Doubling the last row of U and of D keeps U A V = D and D a Smith
+    form, as its last row is zero or holds its largest entry, while
+    det U becomes +-2: verify refuses the witness for U alone."""
+    rng = random.Random(90126)
+
+    def doubled(m):
+        return m[:-1] + (tuple(2 * x for x in m[-1]),)
+
+    for _ in range(60):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        mat = [[rng.randint(-9, 9) for _ in range(cols)]
+               for _ in range(rows)]
+        w = smith_normal_form(mat)
+        assert w.verify()
+        assert not lattice.SnfWitness(w.matrix, doubled(w.U), w.V,
+                                      doubled(w.D)).verify(), mat
+
+
 def test_solve_integer_linear():
     # 3x = 6 has x = 2; 3x = 7 has no integer solution
     assert solve_integer_linear([[3]], [6]) == (2,)
