@@ -153,14 +153,10 @@ class SimplicialFan:
     def __post_init__(self):
         rays = []
         for i, r in enumerate(self.rays):
-            ray = tuple(linalg._exact_input(x, f"ray {i} coordinate")
+            ray = tuple(linalg._integer_input(x, f"ray {i} coordinate")
                         for x in r)
             if len(ray) != self.ambient_dim:
                 raise ValueError("ray has wrong length")
-            for x in ray:
-                if type(x) is not int:
-                    raise ValueError(f"ray {i} coordinate {x} is not an "
-                                     "integer")
             rays.append(ray)
         rays = tuple(rays)
         cones = tuple(tuple(sorted(set(int(i) for i in c)))
@@ -225,25 +221,34 @@ class SimplicialFan:
         support, coeffs = next(iter(found.values()))
         return support, list(coeffs)
 
+    def joint_coefficients(self, points):
+        """[(support, coefficients)] of each point, or None.
+
+        Each point's support and nonzero coefficients in the first maximal
+        cone, in max_cones order, that contains every point: the first
+        index in every point's memo (see the module docstring). The
+        supports lie among that cone's pivot rays, independent on any fan.
+        """
+        found = [self._index.containing(p) for p in points]
+        if not found:
+            return [] if self.max_cones else None
+        first, rest = found[0], found[1:]
+        for idx, located in first.items():
+            if all(idx in f for f in rest):
+                return [located] + [f[idx] for f in rest]
+        return None
+
     def minimal_cone(self, points):
         """Smallest cone containing every point, or None.
 
         The result is the union of the points' supports in the first
-        maximal cone, in max_cones order, that contains every point. It
-        is read from the per-point memo: the first index that every
-        point's memo holds is that cone (see the module docstring).
+        maximal cone, in max_cones order, that contains every point
+        (joint_coefficients).
         """
-        found = [self._index.containing(p) for p in points]
-        if not found:
-            return () if self.max_cones else None
-        first, rest = found[0], found[1:]
-        for idx, (support, _) in first.items():
-            if all(idx in f for f in rest):
-                union = set(support)
-                for f in rest:
-                    union.update(f[idx][0])
-                return tuple(sorted(union))
-        return None
+        located = self.joint_coefficients(points)
+        if located is None:
+            return None
+        return tuple(sorted({i for support, _ in located for i in support}))
 
     def link_rays(self, cone):
         """The rays i outside the cone whose join with it, cone + i, is a

@@ -27,6 +27,17 @@ from . import linalg
 from .errors import GaleExactnessError, InfiniteCokernel, NonFreeSource
 
 
+_INT = frozenset({int})
+
+
+def _integers(entries, kind) -> tuple:
+    """The entries as ints, each checked by linalg._integer_input."""
+    entries = tuple(entries)
+    if set(map(type, entries)) <= _INT:
+        return entries
+    return tuple(linalg._integer_input(x, kind) for x in entries)
+
+
 @dataclass(frozen=True)
 class FgAbGroup:
     """Z^rank x Z/torsion[0] x ... with elements as coordinate tuples.
@@ -48,7 +59,8 @@ class FgAbGroup:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(q) for q in self.torsion))
+        object.__setattr__(self, "torsion",
+                           _integers(self.torsion, "torsion modulus"))
         for q in self.torsion:
             if q < 2:
                 raise ValueError("torsion moduli must be at least 2")
@@ -78,7 +90,7 @@ class FgAbGroup:
         return (0,) * self.coords
 
     def reduce(self, vec) -> tuple:
-        vec = tuple(map(int, vec))
+        vec = _integers(vec, "coordinate")
         rank = self.rank
         if len(vec) != rank + len(self.torsion):
             raise ValueError(f"element length {len(vec)} != {self.coords}")
@@ -172,7 +184,7 @@ class GroupHom:
     matrix: tuple = field(default=())
 
     def __post_init__(self):
-        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        mat = tuple(_integers(row, "matrix entry") for row in self.matrix)
         object.__setattr__(self, "matrix", mat)
         if len(mat) != self.target.coords:
             raise ValueError("matrix row count != target coords")
@@ -213,7 +225,7 @@ class GroupHom:
                                         for i in range(self.target.coords)))
 
     def apply(self, vec) -> tuple:
-        vec = tuple(int(x) for x in vec)
+        vec = _integers(vec, "coordinate")
         if len(vec) != self.source.coords:
             raise ValueError("element has wrong length")
         return self.target.reduce(linalg.mat_vec(self.matrix, vec))
@@ -298,7 +310,8 @@ def smith_normal_form(matrix) -> SnfWitness:
     >>> w.verify()
     True
     """
-    a = [[int(x) for x in row] for row in matrix]
+    original = tuple(_integers(row, "matrix entry") for row in matrix)
+    a = [list(row) for row in original]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     u = linalg.identity(nrows)
@@ -379,7 +392,6 @@ def smith_normal_form(matrix) -> SnfWitness:
             u[t] = [-x for x in u[t]]
         t += 1
 
-    original = tuple(tuple(int(x) for x in row) for row in matrix)
     return SnfWitness(original,
                       tuple(tuple(r) for r in u),
                       tuple(tuple(r) for r in v),

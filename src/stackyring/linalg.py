@@ -9,7 +9,8 @@ relation rows and associativity walk of chowring.
 
 The package keeps numbers in one convention. Integral data is an int from
 input onwards: _exact_input takes an input number to an int where it is
-integral and to a Fraction otherwise, and refuses a float or a bool. Sums
+integral and to a Fraction otherwise, and refuses a float or a bool;
+_integer_input also refuses a number that is not an integer. Sums
 start from the int 0, so a Fraction appears only where a division makes
 one, such as the pivot inverse of _insert_row, and _exact turns an
 integral result back into an int where rows are stored. So ints meet ints
@@ -34,6 +35,15 @@ def _exact_input(q, kind):
     if isinstance(q, (bool, float)):
         raise ValueError(f"{kind} {q!r} is not an exact rational")
     return _exact(Fraction(q))
+
+
+def _integer_input(q, kind):
+    """An input integer as an int; anything else _exact_input takes is
+    refused, naming it."""
+    q = _exact_input(q, kind)
+    if type(q) is not int:
+        raise ValueError(f"{kind} {q} is not an integer")
+    return q
 
 
 def _reduce(pivots, row):

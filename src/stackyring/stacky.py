@@ -10,11 +10,13 @@ into its box element and ray multipliers along one path.
 
 Each fan keeps one record per queried cone sigma (_ConeRecord), built
 whole from one Smith normal form of [B_sigma | Q], Q the relations of N
-(see _record): proj: N -> N(sigma), and Box(sigma) with its elements keyed
-by -proj(w). box_of_cone, local_group, quotient_stacky_fan and
-box_complement read it; a complement costs one addition in N(sigma) and
-one dict lookup (see _complement_in), and the ring path asks none. Images
-in N_Q (bar) are tuples of ints.
+(see _record): proj: N -> N(sigma), and Box(sigma) keyed by value.
+box_of_cone, local_group and quotient_stacky_fan read it. A complement
+is one formula (Borisov-Chen-Smith): with alpha and beta the
+coefficients of the pair over their joint cone sigma,
+w = -(v1 + v2) + sum ceil(alpha_i + beta_i) b_i, and the rays with
+alpha_i + beta_i > 1 are the obstruction rays (see _complement_in).
+Images in N_Q (bar) are tuples of ints.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .errors import (DegenerateImage, InfiniteCokernel, NoCommonCone,
                      OutsideSupport)
 from .fan import SimplicialFan
 from .lattice import (FgAbGroup, GroupHom, _cokernel_of_snf, _with_relations,
-                      cokernel, smith_normal_form, solve_integer_linear)
+                      smith_normal_form, solve_integer_linear)
+# no caller here: benchmark/spans.py's tracer wraps this alias by name
+from .lattice import cokernel  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -55,20 +59,13 @@ class BoxElement:
 
 
 class _ConeRecord:
-    """One cone sigma, built whole by ExtendedStackyFan._record: proj,
-    Box(sigma), and the images proj(w) and complement table of its
-    elements, both None when sigma's rays are dependent."""
+    """One cone sigma, built whole by ExtendedStackyFan._record: proj, and
+    Box(sigma) as a dict from value to element, in Box(sigma)'s order."""
 
-    __slots__ = ("proj", "box", "images", "table")
+    __slots__ = ("proj", "box")
 
-    def __init__(self, proj, box, images, table):
+    def __init__(self, proj, box):
         self.proj, self.box = proj, box
-        self.images, self.table = images, table
-
-    def image(self, value) -> tuple:
-        """proj(value) in N(sigma), stored for the values of Box(sigma)."""
-        image = self.images.get(value)
-        return self.proj.apply(value) if image is None else image
 
 
 @dataclass(frozen=True)
@@ -96,8 +93,8 @@ class ExtendedStackyFan:
                     f"lift {i} does not project to the fan ray direction")
             if all(x == 0 for x in self.bar(b)):
                 raise ValueError(f"ray lift {i} has zero image in N_Q")
-        c, _ = cokernel(self.beta())
-        if not c.is_finite:
+        # coker beta is finite exactly when the images span N_Q
+        if linalg.rank([self.bar(v) for v in self.vectors]) < self.group.rank:
             raise InfiniteCokernel(
                 "ray and extra vectors must span N over Q")
 
@@ -172,33 +169,20 @@ class ExtendedStackyFan:
         >>> [b.value for b in box], box[1].age
         ([(0, 0), (0, -1)], Fraction(1, 1))
         """
-        return list(self._record(tuple(sorted(sigma))).box)
+        return list(self._record(tuple(sorted(sigma))).box.values())
 
     def _record(self, sigma) -> _ConeRecord:
         """The record of a sorted cone sigma, built whole on the first query.
 
         One Smith normal form U M V = D of M = [B_sigma | Q] gives proj
-        (lattice._cokernel_of_snf: the free rows of U, then those with
-        d_t >= 2) and Box(sigma) from the sums sum k_t g_t (see
-        box_of_cone). Each sum's coefficients over sigma and the image
-        proj(w) of its box element w are read off its index (k_t):
-
-        * Q is zero on the free rows, so g_t_bar = sum_i V[i][t] / d_t
-          b_bar_i, and on independent rays the sum's coefficients are
-          sum_t k_t V[i][t] / d_t;
-        * w differs from the sum by columns of M (lifts in sigma and
-          relations of N), which proj kills: row t of U M = D V^-1 is 0
-          where d_t = 0 and a multiple of d_t where d_t >= 2;
-        * U g_t = D_t / d_t is the unit vector at row t.
-
-        So proj(w) is 0 on the free rows of N(sigma) and (k_t) on its
-        torsion rows; the table maps -proj(w) to the box elements with that
-        key, in Box(sigma)'s order. The rays are independent exactly when
-        M has rank |sigma| plus the number of relations. Dependent rays,
-        which validate() refuses, take Box(sigma) from the Smith form of
-        [B_J | Q], J the pivot rays (coefficient 0 on the others); its
-        indices are not proj's, so such a record keeps no images or table,
-        which _complement_in never asks.
+        (lattice._cokernel_of_snf) and Box(sigma) from the sums
+        sum k_t g_t (see box_of_cone). Q is zero on the free rows, so a
+        sum's coefficients over sigma, sum_t k_t V[i][t] / d_t, are read
+        off its index (k_t) with no solve. The rays are independent
+        exactly when M has rank |sigma| plus the number of relations.
+        Dependent rays, which validate() refuses, take Box(sigma) from
+        the Smith form of [B_J | Q], J the pivot rays (coefficient 0 on
+        the others).
         """
         record = self._cones.get(sigma)
         if record is not None:
@@ -206,9 +190,8 @@ class ExtendedStackyFan:
         snf = smith_normal_form(self._lifts_with_relations(sigma))
         proj = _cokernel_of_snf(self.group, snf)[1]
         columns = range(len(sigma))
-        independent = sum(1 for d in snf.diagonal if d) == \
-            len(sigma) + len(self.group.torsion)
-        if not independent:
+        if sum(1 for d in snf.diagonal if d) != \
+                len(sigma) + len(self.group.torsion):
             columns = self.fan._index.solver(sigma).columns
             snf = smith_normal_form(
                 self._lifts_with_relations([sigma[j] for j in columns]))
@@ -219,27 +202,17 @@ class ExtendedStackyFan:
         # the coefficient of g_t on ray columns[i], times top
         weights = [[snf.V[i][t] * (top // d) for t, d in tors]
                    for i in range(len(columns))]
-        free_zeros = (0,) * proj.target.rank
-        box, images = [], {}
+        box = []
         for ks in itertools.product(*(range(d) for _, d in tors)):
             c = [sum(k * g[r] for k, g in zip(ks, gens))
                  for r in range(self.group.coords)]
             coeffs = [Fraction(0)] * len(sigma)
             for j, row in zip(columns, weights):
                 coeffs[j] = Fraction(sum(k * v for k, v in zip(ks, row)), top)
-            w = self._split(c, sigma, coeffs)[0]
-            box.append(w)
-            images[w.value] = free_zeros + ks
+            box.append(self._split(c, sigma, coeffs)[0])
         box.sort(key=lambda b: (b.value != self.group.zero(), b.value))
-        if independent:
-            table = {}
-            for w in box:
-                table.setdefault(proj.target.neg(images[w.value]),
-                                 []).append(w)
-        else:
-            images = table = None
-        record = self._cones[sigma] = _ConeRecord(proj, tuple(box), images,
-                                                  table)
+        record = self._cones[sigma] = _ConeRecord(
+            proj, {w.value: w for w in box})
         return record
 
     def box(self):
@@ -300,11 +273,10 @@ class ExtendedStackyFan:
     def in_cone_sublattice(self, sigma, vec) -> bool:
         """Is vec in the subgroup N_sigma generated by the cone's lifts?
 
-        The last per-vector solve path in the library, kept for the
-        benchmark: benchmark/spans.py wraps this method by name. The
-        library answers the question by a lookup in N(sigma), as
-        box_complement does, and lattice.member_of_subgroup answers it
-        through the cokernel projection.
+        The last per-vector solve path in the library, kept because
+        benchmark/spans.py wraps it by name. A complement's formula puts
+        v1 + v2 + w in N_sigma by construction (see _complement_in), and
+        lattice.member_of_subgroup answers it by the cokernel projection.
         """
         full = self._lifts_with_relations(sigma)
         vec = list(self.group.reduce(vec))
@@ -320,55 +292,68 @@ class ExtendedStackyFan:
         """The unique v3 in Box with v1 + v2 + v3 in N_sigma(v1,v2).
 
         The triple (v1, v2, v3) is then a 3-twisted sector: the minimal cone
-        of the three images equals the minimal cone of the first two. The
-        minimal cone sigma is found first, the complement is looked up in
-        N(sigma) (see _complement_in), and the minimal cone of the triple
-        is checked against sigma.
+        of the three images equals sigma, the minimal cone of the first
+        two. sigma and v3 come from _complement_in, and the triple's
+        minimal cone is checked against sigma.
+
+        >>> p112 = ExtendedStackyFan.build(
+        ...     FgAbGroup(2), [(1, 0), (0, 1), (-1, -2)],
+        ...     [(0, 1), (1, 2), (0, 2)])
+        >>> zero, half = p112.box()
+        >>> [p112.box_complement(v, half).value for v in (zero, half)]
+        [(0, -1), (0, 0)]
         """
-        sigma = self.fan.minimal_cone([self.bar(v1.value), self.bar(v2.value)])
-        if sigma is None:
+        found = self._complement_in(v1, v2)
+        if found is None:
             raise NoCommonCone("v1 and v2 do not share a cone")
-        v3 = self._complement_in(sigma, v1, v2)
+        sigma, _, v3 = found
         joint = self.fan.minimal_cone([self.bar(v1.value), self.bar(v2.value),
                                        self.bar(v3.value)])
         if joint != sigma:
             raise NoCommonCone("complement changes the minimal cone")
         return v3
 
-    def _complement_in(self, sigma, v1: BoxElement,
-                       v2: BoxElement) -> BoxElement:
-        """The unique v3 in Box(sigma) with v1 + v2 + v3 in N_sigma.
+    def _complement_in(self, v1: BoxElement, v2: BoxElement):
+        """(sigma, ceilings, v3) for v1 and v2, or None without a joint cone.
 
-        sigma is the minimal cone of the images of v1 and v2; its rays are
-        independent on any fan (see SimplicialFan.minimal_cone). The
-        search is a lookup in N(sigma) = N / N_sigma. The projection proj
-        of sigma's record (see _record) has kernel exactly N_sigma and is a
-        homomorphism well defined on N, so proj(v1 + v2) = proj(v1) +
-        proj(v2) whatever representatives the sum is taken in, and for
-        w in Box(sigma)
-
-            v1 + v2 + w in N_sigma  <=>  proj(v1) + proj(v2) = -proj(w).
-
-        proj(v1) and proj(v2) are the stored images when the values lie in
-        Box(sigma), as those of every pair from box() do on a valid fan;
-        any other value is projected on the spot. Both are reduced in
-        N(sigma), so their sum needs only its torsion coordinates taken
-        mod the moduli of N(sigma): no reduction in N and no negation.
-        The table holds under the key -proj(w) the box elements of sigma
-        in their order, so under proj(v1) + proj(v2) it holds exactly the
-        w that a scan testing v1 + v2 + w in N_sigma would accept, in the
-        same order. Two box elements under one key are the scan's
-        "found 2"; a key that no element has is its "found 0", and the
-        refusal texts are the scan's.
+        sigma is the minimal cone of the images and alpha, beta their
+        coefficients over it, read off the first maximal cone holding both
+        (SimplicialFan.joint_coefficients, which minimal_cone wraps), so
+        sigma's rays are independent on any fan. ceilings lists
+        c_i = ceil(alpha_i + beta_i) over sigma, in int arithmetic, and v3
+        is the element of Box(sigma) with value w = -(v1 + v2) +
+        sum c_i b_i, reduced in N. It is the complement (Borisov-Chen-
+        Smith): v1 + v2 + w = sum c_i b_i lies in N_sigma, and w_bar has
+        coefficients c_i - alpha_i - beta_i in [0, 1) over sigma, so w is
+        in Box(sigma), unique by the one-to-one part of box_of_cone's
+        proof. Box(sigma) holds every such element, so finding w among its
+        values is also the certificate that w is in the box; a value it
+        lacks raises NoCommonCone.
         """
-        record = self._record(sigma)
-        key = record.proj.target.add_reduced(record.image(v1.value),
-                                             record.image(v2.value))
-        matches = record.table.get(key, ())
-        if len(matches) != 1:
-            raise NoCommonCone(
-                f"expected exactly one complement, found {len(matches)}")
-        return matches[0]
+        # a box element's value is reduced: its image is its free part
+        rank = self.group.rank
+        located = self.fan.joint_coefficients([v1.value[:rank],
+                                               v2.value[:rank]])
+        if located is None:
+            return None
+        (s1, a1), (s2, a2) = located
+        alpha, beta = dict(zip(s1, a1)), dict(zip(s2, a2))
+        sigma = tuple(sorted(alpha.keys() | beta.keys()))
+        w = [-x - y for x, y in zip(v1.value, v2.value)]
+        ceilings = []
+        for i in sigma:
+            # ceil(a + b) = -floor(-(a + b)) over a common denominator; the
+            # int 0 stands in off a support (its denominator is 1)
+            a, b = alpha.get(i, 0), beta.get(i, 0)
+            c = -((-a.numerator * b.denominator - b.numerator * a.denominator)
+                  // (a.denominator * b.denominator))
+            ceilings.append(c)
+            w = [x + c * y for x, y in zip(w, self.ray_lifts[i])]
+        w = self.group.reduce(w)
+        v3 = self._record(sigma).box.get(w)
+        if v3 is None:
+            raise NoCommonCone(f"complement {w} is not in Box{sigma}")
+        return sigma, ceilings, v3
 
     def normalize_extra_data(self):
         """Reduce each extra vector into its box parallelepiped.

@@ -82,8 +82,8 @@ def test_gale_payload(capsys):
 
 
 def test_gale_takes_each_cokernel_once(capsys, monkeypatch):
-    """gale on p2 takes 14 Smith forms: one to load the fan and 13 in
-    gale_dual. Its exactness check uses coker(beta) and coker(beta_vee),
+    """gale on p2 takes 13 Smith forms, all in gale_dual: loading the fan
+    tests finiteness by a rank. Its exactness check uses coker(beta) and coker(beta_vee),
     and the payload reports the same two groups; taking coker(beta) again
     in the check and both again in the command made 17. gerbe_group takes
     no more than gale_dual."""
@@ -96,7 +96,7 @@ def test_gale_takes_each_cokernel_once(capsys, monkeypatch):
 
     monkeypatch.setattr(lattice, "smith_normal_form", counted)
     code, payload = run(capsys, "gale", fan_path("p2"))
-    assert code == 0 and len(calls) == 14
+    assert code == 0 and len(calls) == 13
     beta = fixtures.load_fan("p2").beta()
     calls.clear()
     gale = lattice.gale_dual(beta)

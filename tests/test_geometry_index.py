@@ -1,6 +1,6 @@
-"""The fan's geometry index, its validation, the N(sigma) complement
-lookup and the quotient stacky fans, checked against the brute-force
-references in oracles.py.
+"""The fan's geometry index, its validation, the complement formula and
+the quotient stacky fans, checked against the brute-force references in
+oracles.py.
 
 The oracles scan every maximal cone with Cramer's rule, first match
 wins; validate is compared with the old minimal-support extreme-ray
@@ -24,7 +24,7 @@ from stackyring.documents import fan_to_document
 from stackyring.errors import (InfiniteCokernel, NoCommonCone, NotASector,
                                OutsideSupport, StackyError)
 from stackyring.fan import SimplicialFan
-from stackyring.inertia import obstruction_exponents
+from stackyring.inertia import obstruction_exponents, three_sectors
 from stackyring.lattice import FgAbGroup
 from stackyring.stacky import ExtendedStackyFan
 
@@ -214,22 +214,90 @@ def test_box_complement_matches_old_scan(case):
     assert pairs >= len(box)
 
 
-@pytest.mark.parametrize("found", [0, 2])
-def test_box_complement_counts_doctored_matches(found):
+@pytest.mark.parametrize("caller", ["box_complement",
+                                    "obstruction_exponents"])
+def test_complement_outside_the_box_is_refused(caller):
+    # the formula's value for (zero, v) over sigma = (0, 2) is v itself;
+    # a Box(sigma) doctored to lack it must refuse, not answer
     sfan = fixtures.load_fan("p112")
     zero, v = sfan.box()
-    sigma = (0, 2)
-    record = sfan._record(sigma)
-    # the key box_complement(zero, v) looks up: proj(zero) + proj(v)
-    key = record.proj.target.add_reduced(record.image(zero.value),
-                                         record.image(v.value))
-    doctored = {k: list(ws) for k, ws in record.table.items()}
-    doctored[key] = [zero, v][:found]
-    record.table = doctored
-    with pytest.raises(NoCommonCone,
-                       match=f"expected exactly one complement, "
-                             f"found {found}"):
-        sfan.box_complement(zero, v)
+    record = sfan._record((0, 2))
+    record.box = {w: b for w, b in record.box.items() if w != v.value}
+    message = re.escape(f"complement {v.value} is not in Box(0, 2)")
+    if caller == "box_complement":
+        with pytest.raises(NoCommonCone, match=message):
+            sfan.box_complement(zero, v)
+    else:
+        with pytest.raises(NotASector, match=message):
+            obstruction_exponents(sfan, zero, v, v)
+
+
+def seeded_gerbe(rng):
+    """A seeded gerbe over P^1 or P^2: torsion in N, twisted lifts, and
+    two to four extra vectors, some with a free part."""
+    torsion = rng.choice(((2, 2), (2, 3), (4,), (2, 2, 2)))
+    dim = rng.choice((1, 2))
+    dirs = [(1,), (-1,)] if dim == 1 else [(1, 0), (0, 1), (-1, -1)]
+    lifts = [list(d) + [rng.randrange(q) for q in torsion] for d in dirs]
+    extra = [[rng.randint(-1, 1) for _ in range(dim)]
+             + [rng.randrange(q) for q in torsion]
+             for _ in range(rng.randint(2, 4))]
+    return ExtendedStackyFan.build(
+        FgAbGroup(dim, torsion), lifts,
+        itertools.combinations(range(len(dirs)), dim), extra)
+
+
+def formula_cases():
+    # boxes of 34 and 18 elements: the oracle scan is cubic in the box
+    rng = random.Random(20261026)
+    cases = [complete_2d_fan(rng, torsion=torsion)
+             for torsion in ((2,), (3,))]
+    cases += [weighted_projective_fan(coprime_weights(rng, 4, top=4))
+              for _ in range(3)]
+    cases += [seeded_gerbe(rng) for _ in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_complements_and_obstruction_rays_match_oracles(case):
+    # each 3-sector's g3 is the old scan's one complement, and its
+    # obstruction rays are the rays where the coefficient of g1 + g2 + g3
+    # over the joint cone is 2, solved by Cramer's rule
+    sfan = formula_cases()[case]
+    assert sfan.validate() == []
+    rank, torsion = sfan.group.rank, sfan.group.torsion
+    lifts = lifts_of(sfan)
+    rays = [b[:rank] for b in lifts]
+    candidates = {}
+    reached = set()
+    for sector in three_sectors(sfan):
+        g1, g2, g3 = sector.elements
+        sigma = sector.joint_cone
+        if sigma not in candidates:
+            candidates[sigma] = list(oracles.box_elements(
+                rank, torsion, lifts, sigma))
+        assert oracles.box_complements(
+            rank, torsion, lifts, sigma, candidates[sigma], g1.value,
+            g2.value) == [g3.value], sector
+        assert sfan.box_complement(g1, g2) == g3, sector
+        total = [x + y + z for x, y, z in zip(g1.value, g2.value, g3.value)]
+        coeffs = oracles.cone_coefficients(rays, sigma, total[:rank])
+        assert set(coeffs) <= {1, 2}, sector
+        rays_two = frozenset(i for i, a in zip(sigma, coeffs) if a == 2)
+        assert obstruction_exponents(sfan, g1, g2, g3) == rays_two, sector
+        assert sector.total_age == sum(coeffs), sector
+        alpha = dict(zip(g1.min_cone, g1.coeffs))
+        beta = dict(zip(g2.min_cone, g2.coeffs))
+        for i in sigma:
+            total_i = alpha.get(i, 0) + beta.get(i, 0)
+            reached.add("sum 1" if total_i == 1 else
+                        "above 1" if total_i > 1 else "below 1")
+    if case >= 5:
+        # a gerbe's box elements are torsion: every joint cone is zero
+        assert list(candidates) == [()]
+    else:
+        # coefficient sums of exactly 1 are where ceil and floor + 1 differ
+        assert {"sum 1", "above 1", "below 1"} <= reached
 
 
 def random_fan(rng, dim):
@@ -368,10 +436,9 @@ def test_local_group_leaves_box_to_box_of_cone(family):
 
 
 @pytest.mark.parametrize("family", ["fixtures", "seeded", "complement"])
-def test_record_coefficients_and_images_match_a_solve_and_proj(family):
-    # a record reads the coefficients of w over sigma and proj(w) off the
-    # enumeration index of w; they must be those a solve over sigma's rays
-    # gives and proj applied to w, free zeros first, torsion indices in order
+def test_record_coefficients_match_a_solve(family):
+    # a record reads the coefficients of w over sigma off the enumeration
+    # index of w; they must be those a solve over sigma's rays gives
     fans = {"fixtures": [fixtures.load_fan(name)
                          for name in fixtures.FAN_FIXTURES],
             "seeded": seeded_fans(),
@@ -382,20 +449,14 @@ def test_record_coefficients_and_images_match_a_solve_and_proj(family):
             if len(sigma) > 4:
                 continue
             record = sfan._record(sigma)
-            for w in record.box:
+            for value, w in record.box.items():
+                assert value == w.value
                 span = sfan.fan.span_coefficients(sigma, sfan.bar(w.value))
                 assert [(i, a) for i, a in zip(sigma, span) if a] == \
                     list(zip(w.min_cone, w.coeffs)), (sigma, w)
-            if record.images is None:
-                assert not independent(sfan, sigma), sigma
-                assert record.table is None, sigma
+            if not independent(sfan, sigma):
                 reached.add("dependent")
                 continue
-            assert sorted(record.images) == sorted(w.value
-                                                   for w in record.box)
-            for w in record.box:
-                assert record.images[w.value] == \
-                    record.proj.apply(w.value), (sigma, w)
             group = record.proj.target
             if group.rank and len(record.box) > 1:
                 reached.add("free and torsion")

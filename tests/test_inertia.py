@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from generators import (complete_2d_fan, coprime_weights,
                         weighted_projective_fan)
 from stackyring import fixtures, lattice, stacky
-from stackyring.errors import NotASector
+from stackyring.errors import NotASector, UnexpectedCoefficient
 from stackyring.inertia import (inertia_components, obstruction_exponents,
                                 three_sectors)
 from stackyring.lattice import FgAbGroup
@@ -90,6 +91,19 @@ def test_obstruction_rejects_wrong_complement():
     v1, v2 = box[(0, -1)], box[(0, -2)]
     with pytest.raises(NotASector):
         obstruction_exponents(sfan, v1, v1, v2)
+
+
+def test_obstruction_refuses_a_coefficient_sum_of_three(p112):
+    # g1 = v + 2 b_2 is no box element: its coefficients over (0, 2) are
+    # 1/2 and 5/2, so the ceilings are 1 and 3, and v completes the triple
+    zero, v = p112.box()
+    g1 = stacky.BoxElement((-2, -5), (0, 2), (Fraction(1, 2),
+                                              Fraction(5, 2)), 3)
+    assert p112.box_complement(g1, zero) == v
+    with pytest.raises(UnexpectedCoefficient, match=re.escape(
+            "coefficients [1, 3] of g1 + g2 + g3 over (0, 2) are not all "
+            "in {1, 2}")):
+        obstruction_exponents(p112, g1, zero, v)
 
 
 def test_all_fixture_sectors_validate():
@@ -180,10 +194,10 @@ def test_three_sectors_find_each_geometry_once(monkeypatch):
     assert len(sectors) == 84
     assert calls["box_complement"] == 0
     assert sorted(quotient_cones) == sorted({s.joint_cone for s in sectors})
-    # six cone records (the five maximal cones and the zero cone) and one
-    # per quotient by the four maximal joint cones (the quotient fan's
-    # cokernel check): local_group reads N(sigma) off sigma's record
-    assert calls["smith_normal_form"] == 10
+    # six cone records (the five maximal cones and the zero cone), and
+    # none for the quotients: local_group reads N(sigma) off sigma's
+    # record, and a quotient fan's finiteness check is a rank
+    assert calls["smith_normal_form"] == 6
     zero = sectors[0].elements[0]
     sfan.box_complement(zero, zero)
     assert calls["box_complement"] == 1  # the counter is live

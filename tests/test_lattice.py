@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from stackyring.lattice import (FgAbGroup, GroupHom, _with_relations,
                                 gerbe_group, kernel, member_of_subgroup,
                                 same_subgroup, smith_normal_form,
                                 solve_integer_linear)
+from stackyring.stacky import ExtendedStackyFan
 
 
 def test_group_arithmetic_reduces_torsion():
@@ -19,6 +22,44 @@ def test_group_arithmetic_reduces_torsion():
     assert g.add((1, 1, 2), (2, 1, 2)) == (3, 0, 1)
     assert g.neg((1, 1, 1)) == (-1, 1, 2)
     assert g.scale(4, (1, 1, 1)) == (4, 0, 1)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (Fraction(3, 2), "3/2 is not an integer"),
+    (2.7, "2.7 is not an exact rational"),
+    (2.0, "2.0 is not an exact rational"),
+    (True, "True is not an exact rational")])
+def test_integer_entries_are_not_truncated(entry, message):
+    # int() would read these as 1, 2, 2 and 1 without a word
+    with pytest.raises(ValueError, match=re.escape(f"coordinate {message}")):
+        FgAbGroup(1).reduce((entry,))
+    with pytest.raises(ValueError, match=re.escape(f"coordinate {message}")):
+        GroupHom.identity(FgAbGroup(1)).apply((entry,))
+    with pytest.raises(ValueError, match=re.escape(f"entry {message}")):
+        GroupHom(FgAbGroup(1), FgAbGroup(1), [[entry]])
+    with pytest.raises(ValueError, match=re.escape(f"entry {message}")):
+        smith_normal_form([[1, 0], [0, entry]])
+    with pytest.raises(ValueError, match=re.escape(f"modulus {message}")):
+        FgAbGroup(0, (entry,))
+
+
+def test_integral_fractions_are_taken_as_ints():
+    g = FgAbGroup(1, (Fraction(4, 2),))
+    assert g.torsion == (2,) and type(g.torsion[0]) is int
+    assert g.reduce((Fraction(6, 3), Fraction(3))) == (2, 1)
+    hom = GroupHom(FgAbGroup(1), FgAbGroup(1), [[Fraction(2)]])
+    assert hom.matrix == ((2,),) and type(hom.matrix[0][0]) is int
+    assert smith_normal_form([[Fraction(4, 2)]]).D == ((2,),)
+
+
+def test_build_refuses_a_non_integral_lift():
+    # the fourth lift used to be truncated to (1, 1), a ray of the fan
+    with pytest.raises(ValueError, match=re.escape(
+            "coordinate 3/2 is not an integer")):
+        ExtendedStackyFan.build(
+            FgAbGroup(2), [(1, 0), (0, 1), (-1, -1),
+                           (Fraction(3, 2), Fraction(3, 2))],
+            [(0, 1), (1, 2), (0, 2)])
 
 
 def test_group_elements_and_order():
