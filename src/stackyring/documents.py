@@ -35,6 +35,10 @@ def parse_fraction(value, pointer: str) -> Fraction:
 
 
 def fraction_str(q) -> str:
+    """q as "p/q" text, "n" when integral; an int or Fraction is its own
+    str, anything else (a bool too) is read as a Fraction first."""
+    if type(q) is int or type(q) is Fraction:
+        return str(q)
     return str(Fraction(q))
 
 

@@ -6,17 +6,16 @@ minimal joint cone. For 3-tuples with g1 g2 g3 = 1 in the local group,
 the obstruction bundle is the product of the line bundles L_i over the
 rays where the coefficient sum equals 2.
 
-Each piece of geometry is found once per call. One walk over the tuples
-(_walk) serves inertia_components and three_sectors: it takes the image
-of each box element once and builds the quotient once per distinct joint
-cone; every component on that cone shares it. three_sectors builds one
-Sector per triple and none per pair.
-Which g3 completes a pair has one answer path,
-ExtendedStackyFan._complement_in, which box_complement takes too. It
-also gives c_i = ceil(alpha_i + beta_i) over the pair's joint cone
-sigma, alpha and beta the coefficients of g1 and g2: g1 + g2 + g3 =
-sum c_i b_i, so the total age is sum c_i and the obstruction rays are
-the i with c_i = 2 (Borisov-Chen-Smith).
+Each piece of geometry is found once per call, and the quotient by a
+joint cone is built once per distinct cone and shared by every component
+on it. inertia_components walks the r-tuples (_walk), taking each box
+element's image once. three_sectors asks one question per ordered pair,
+ExtendedStackyFan._complement_in, which box_complement and
+obstruction_exponents take too: its sigma is the pair's joint cone, and
+it gives g3 and c_i = ceil(alpha_i + beta_i) over sigma, alpha and beta
+the coefficients of g1 and g2. Then g1 + g2 + g3 = sum c_i b_i, so the
+total age is sum c_i and the obstruction rays are the i with c_i = 2
+(Borisov-Chen-Smith).
 """
 
 from __future__ import annotations
@@ -77,19 +76,32 @@ def inertia_components(sfan: ExtendedStackyFan, r: int):
 def three_sectors(sfan: ExtendedStackyFan):
     """All 3-twisted sectors (g1, g2, g3 = complement of the pair).
 
-    g3 and the integer total age sum c_i come from _complement_in, whose
-    sigma is the walk's joint cone, without box_complement's recheck of
-    the triple's minimal cone tau. On a valid fan it cannot fail: g3 in
-    Box(sigma) puts all three images in sigma, so tau is a face of sigma
-    holding the images of g1 and g2, and tau = sigma. Nor on an
-    unvalidated fan: minimal_cone reads the supports in the first maximal
-    cone C holding the points. No earlier cone holds the images of g1
-    and g2; C holds g3's through sigma, with support in sigma, as sigma
-    is a set of pivot rays of C, over which coefficients are unique.
+    One _complement_in call per ordered pair of the box, in
+    itertools.product order; a pair with no joint cone is skipped. Its
+    sigma is the union of the pair's supports in the first maximal cone
+    holding both images, which is what minimal_cone returns for them, so
+    on any fan sigma is the pair's joint cone as inertia_components
+    finds it by _walk. g3 and the integer total age sum c_i come from the
+    same call, without box_complement's recheck of the triple's minimal
+    cone tau. On a valid fan it cannot fail: g3 in Box(sigma) puts all
+    three images in sigma, so tau is a face of sigma holding the images
+    of g1 and g2, and tau = sigma. Nor on an unvalidated fan:
+    minimal_cone reads the supports in the first maximal cone C holding
+    the points. No earlier cone holds the images of g1 and g2; C holds
+    g3's through sigma, with support in sigma, as sigma is a set of pivot
+    rays of C, over which coefficients are unique.
     """
+    box = sfan.box()
+    quotients = {}
     out = []
-    for (g1, g2), joint, quotient in _walk(sfan, 2):
-        _, ceilings, g3 = sfan._complement_in(g1, g2)
+    for g1, g2 in itertools.product(box, repeat=2):
+        found = sfan._complement_in(g1, g2)
+        if found is None:
+            continue
+        joint, ceilings, g3 = found
+        quotient = quotients.get(joint)
+        if quotient is None:
+            quotient = quotients[joint] = sfan.quotient_stacky_fan(joint)
         out.append(Sector((g1, g2, g3), joint, quotient,
                           Fraction(sum(ceilings))))
     return out

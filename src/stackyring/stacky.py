@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,8 +31,8 @@ from . import linalg
 from .errors import (DegenerateImage, InfiniteCokernel, NoCommonCone,
                      OutsideSupport)
 from .fan import SimplicialFan
-from .lattice import (FgAbGroup, GroupHom, _cokernel_of_snf, _with_relations,
-                      smith_normal_form, solve_integer_linear)
+from .lattice import (FgAbGroup, GroupHom, _cokernel_of_snf, _integers,
+                      _with_relations, smith_normal_form, solve_integer_linear)
 # no caller here: benchmark/spans.py's tracer wraps this alias by name
 from .lattice import cokernel  # noqa: F401
 
@@ -51,7 +52,8 @@ class BoxElement:
     age: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", tuple(int(x) for x in self.value))
+        object.__setattr__(self, "value",
+                           _integers(self.value, "coordinate"))
         object.__setattr__(self, "min_cone", tuple(self.min_cone))
         object.__setattr__(self, "coeffs",
                           tuple(Fraction(a) for a in self.coeffs))
@@ -122,13 +124,14 @@ class ExtendedStackyFan:
         """Image of an element of N in N_Q = Q^rank.
 
         The image reads the free coordinates alone, so the torsion ones
-        are not reduced. The coordinates are ints, as the fan's rays are.
+        are not reduced. The coordinates are ints, as the fan's rays are;
+        a coordinate that is not an integer is refused (lattice._integers).
         """
-        c = tuple(c)
+        c = _integers(c, "coordinate")
         if len(c) != self.group.coords:
             raise ValueError(
                 f"element length {len(c)} != {self.group.coords}")
-        return tuple(map(int, c[: self.group.rank]))
+        return c[: self.group.rank]
 
     def beta(self) -> GroupHom:
         return GroupHom.from_columns(self.m, self.group, self.vectors)
@@ -329,18 +332,31 @@ class ExtendedStackyFan:
         proof. Box(sigma) holds every such element, so finding w among its
         values is also the certificate that w is in the box; a value it
         lacks raises NoCommonCone.
+
+        w is reduced with the torsion moduli in place, not by
+        FgAbGroup.reduce, whose length check alone is kept. Its type check
+        could never fire here: a BoxElement's value is a tuple of ints
+        (its __post_init__ takes it through lattice._integers), so are the
+        ray lifts (reduced in __post_init__) and the ceilings, and w is
+        built from them by int sums and products. Two torsion elements
+        (both supports empty, every pair on a gerbe) skip the dicts and the
+        sort: sigma is the zero cone and w = -(v1 + v2).
         """
+        group, lifts = self.group, self.ray_lifts
         # a box element's value is reduced: its image is its free part
-        rank = self.group.rank
+        rank = group.rank
         located = self.fan.joint_coefficients([v1.value[:rank],
                                                v2.value[:rank]])
         if located is None:
             return None
         (s1, a1), (s2, a2) = located
-        alpha, beta = dict(zip(s1, a1)), dict(zip(s2, a2))
-        sigma = tuple(sorted(alpha.keys() | beta.keys()))
         w = [-x - y for x, y in zip(v1.value, v2.value)]
         ceilings = []
+        if s1 or s2:
+            alpha, beta = dict(zip(s1, a1)), dict(zip(s2, a2))
+            sigma = tuple(sorted(alpha.keys() | beta.keys()))
+        else:
+            sigma = ()  # the loop below reads no alpha or beta
         for i in sigma:
             # ceil(a + b) = -floor(-(a + b)) over a common denominator; the
             # int 0 stands in off a support (its denominator is 1)
@@ -348,8 +364,11 @@ class ExtendedStackyFan:
             c = -((-a.numerator * b.denominator - b.numerator * a.denominator)
                   // (a.denominator * b.denominator))
             ceilings.append(c)
-            w = [x + c * y for x, y in zip(w, self.ray_lifts[i])]
-        w = self.group.reduce(w)
+            w = [x + c * y for x, y in zip(w, lifts[i])]
+        if len(w) != group.coords:
+            raise ValueError(f"element length {len(w)} != {group.coords}")
+        w = tuple(w[:rank]) + tuple(map(operator.mod, w[rank:],
+                                        group.torsion))
         v3 = self._record(sigma).box.get(w)
         if v3 is None:
             raise NoCommonCone(f"complement {w} is not in Box{sigma}")

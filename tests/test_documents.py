@@ -79,3 +79,10 @@ def test_command_payloads_match_json_dumps(fan, base):
 def test_other_types_raise_type_error(value, name):
     with pytest.raises(TypeError, match=rf"\b{name}\b"):
         documents.dumps_canonical(value)
+
+
+@pytest.mark.parametrize("q, text", [
+    (0, "0"), (-7, "-7"), (Fraction(3, 4), "3/4"), (Fraction(-5, 2), "-5/2"),
+    (Fraction(6, 3), "2"), (True, "1")])
+def test_fraction_str(q, text):
+    assert documents.fraction_str(q) == text

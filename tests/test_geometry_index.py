@@ -286,6 +286,8 @@ def test_complements_and_obstruction_rays_match_oracles(case):
         rays_two = frozenset(i for i, a in zip(sigma, coeffs) if a == 2)
         assert obstruction_exponents(sfan, g1, g2, g3) == rays_two, sector
         assert sector.total_age == sum(coeffs), sector
+        # the elements' own ages share no ceiling with total_age
+        assert sector.total_age == g1.age + g2.age + g3.age, sector
         alpha = dict(zip(g1.min_cone, g1.coeffs))
         beta = dict(zip(g2.min_cone, g2.coeffs))
         for i in sigma:

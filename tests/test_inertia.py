@@ -10,6 +10,7 @@ from generators import (complete_2d_fan, coprime_weights,
                         weighted_projective_fan)
 from stackyring import fixtures, lattice, stacky
 from stackyring.errors import NotASector, UnexpectedCoefficient
+from stackyring.fan import SimplicialFan
 from stackyring.inertia import (inertia_components, obstruction_exponents,
                                 three_sectors)
 from stackyring.lattice import FgAbGroup
@@ -188,7 +189,12 @@ def test_three_sectors_find_each_geometry_once(monkeypatch):
     counted(stacky, "smith_normal_form")
     counted(ExtendedStackyFan, "box_complement")
     counted(ExtendedStackyFan, "quotient_stacky_fan", quotient_cones)
+    counted(SimplicialFan, "joint_coefficients")
+    counted(SimplicialFan, "minimal_cone")
     sectors = three_sectors(sfan)
+    # one joint-cone lookup per ordered pair, inside _complement_in
+    assert calls["joint_coefficients"] == len(sfan.box()) ** 2
+    assert calls["minimal_cone"] == 0
     for sector in sectors:
         obstruction_exponents(sfan, *sector.elements)
     assert len(sectors) == 84

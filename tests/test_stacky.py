@@ -9,7 +9,7 @@ from stackyring import fixtures
 from stackyring.errors import (InfiniteCokernel, NoCommonCone,
                                OutsideSupport)
 from stackyring.lattice import FgAbGroup
-from stackyring.stacky import ExtendedStackyFan
+from stackyring.stacky import BoxElement, ExtendedStackyFan
 
 
 def half_line():
@@ -24,6 +24,22 @@ def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         # zero ray lift has no direction
         ExtendedStackyFan.build(FgAbGroup(1, ()), [[0]], [[0]])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1.5, "coordinate 1.5 is not an exact rational"),
+    (True, "coordinate True is not an exact rational"),
+    (Fraction(3, 2), "coordinate 3/2 is not an integer")])
+def test_inexact_coordinates_are_refused(p112, bad, message):
+    # bar and BoxElement take coordinates as lattice._integers does, so
+    # neither truncates 3/2 to 1
+    with pytest.raises(ValueError, match=message):
+        p112.bar((bad, 0))
+    with pytest.raises(ValueError, match=message):
+        BoxElement((bad, 0), (), (), 0)
+    assert p112.bar((Fraction(2), 0)) == (2, 0)
+    value = BoxElement((Fraction(2), 0), (), (), 0).value
+    assert value == (2, 0) and type(value[0]) is int
 
 
 def test_box_p112(p112):
