@@ -7,8 +7,8 @@ minimal cone of c_bar, so that gate is one face lookup on the union of
 two cones (see _key_product, the one product rule, and deformed_mul, its
 bilinear extension). Dividing by the linear relations attached to the
 dual lattice M gives the orbifold Chow ring. The computation is sector by
-sector: the ring splits as a direct sum over box elements v of shifted
-copies of the untwisted subring, and each summand is reduced degreewise
+sector: the relations keep each sector y^v (v in Box) in itself, so the
+ring is the direct sum of the sectors, and each one is reduced degreewise
 by exact rational row reduction. The table is then read from the key
 products of pairs of basis keys and one normal form per monomial key,
 taken off the reduced rows (see _assemble).
@@ -36,7 +36,8 @@ from .errors import (DecompositionMismatch, DimensionMismatch, IncompleteFan,
                      InfiniteDimensional, InternalInconsistency,
                      TwistArityMismatch)
 from .fan import SimplicialFan, cone_mask
-from .linalg import _exact, _exact_input, _insert_row, _reduce
+from .linalg import (_exact, _exact_input, _insert_row, _integer_input,
+                     _reduce)
 from .stacky import BoxElement, ExtendedStackyFan
 
 
@@ -247,8 +248,8 @@ class BaseRing:
     {index: coefficient} dicts; omitted pairs multiply to zero. Optional
     twist classes are degree-1 elements, one per fan coordinate, supplied
     via with_twists. Coefficients are exact rationals, stored as ints where
-    integral; a float or a bool is refused as a coefficient or a degree,
-    and so is a degree that is not an integer.
+    integral; a float or a bool is refused as a number, and so is a
+    degree, a product key or a term or twist index that is no integer.
     """
 
     def __init__(self, labels, degrees, products, twists=None):
@@ -267,7 +268,8 @@ class BaseRing:
             raise ValueError("need exactly one degree-0 basis element")
         self.unit_index = units[0]
         table = {}
-        for (i, j), terms in products.items():
+        for key, terms in products.items():
+            i, j = (_integer_input(x, "product key") for x in key)
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"product key ({i}, {j}) out of range")
             entry = {}
@@ -306,7 +308,7 @@ class BaseRing:
         return self._table.get((min(i, j), max(i, j)), {})
 
     def _term_index(self, k, kind):
-        k = int(k)
+        k = _integer_input(k, f"{kind} term index")
         if not 0 <= k < self.dim:
             raise ValueError(f"{kind} term index {k} out of range")
         return k
@@ -753,43 +755,48 @@ def ordinary_chow_ring(sfan: ExtendedStackyFan, base: BaseRing) -> OrbifoldRing:
 
 @dataclass(frozen=True)
 class SectorReport:
+    """A sector's box value, age, dimension and histogram, off the ring."""
+
     value: tuple
     age: Fraction
     dim: int
     histogram: tuple  # sorted (degree, count) pairs
 
 
-def _induced_twists(sfan, base, sigma):
-    if base.twists is None:
-        return None
-    # a ring's fan is valid, so every ray lies in a maximal cone and the
-    # zero cone keeps them all, as its quotient, the fan itself, does
-    keep = list(sfan.fan.link_rays(sigma)) + list(range(sfan.n, sfan.m))
-    return [dict(base.twists[k]) for k in keep]
-
-
 def module_decomposition_report(ring: OrbifoldRing):
-    """Per-sector dimensions and degree histograms, cross-checked.
+    """Per-sector dimensions and degree histograms, checked by face counts.
 
-    Each sector's histogram must equal the histogram of the ordinary ring
-    of the quotient stacky fan (with the induced twist classes) shifted by
-    the sector's age; a mismatch raises DecompositionMismatch.
+    As a graded module the ring is the sum over v in Box of the ordinary
+    ring of the quotient fan Sigma/sigma(v) shifted by age(v), free over
+    A*(B) (Borisov-Chen-Smith). Over Q a complete simplicial fan's ring
+    has the h-vector as Hilbert function (Danilov, Stanley), and the cones
+    of Sigma/sigma(v) are the tau of Sigma holding sigma(v). So sector v's
+    histogram must be t^age(v) h(t) sum_l t^deg(l), l over the base basis,
+    h(t) = sum_i f_i t^i (1 - t)^(d' - i), d' = d - |sigma(v)|, f_i the
+    number of such tau with |tau| = |sigma(v)| + i; DecompositionMismatch
+    otherwise. It shares no elimination, relation, quotient fan or twist
+    with the assembly, and sees neither the twists nor the product.
     """
+    fan = ring.sfan.fan
+    faces = [(cone_mask(tau), len(tau)) for tau in fan.faces()]
     reports = []
     for box in ring.sectors:
         idxs = ring.sector_indices(box.value)
         hist = Counter(ring.basis[i].degree for i in idxs)
-        qsfan = ring.sfan.quotient_stacky_fan(box.min_cone)
-        qbase = ring.base.with_twists(
-            _induced_twists(ring.sfan, ring.base, box.min_cone))
-        qring = ordinary_chow_ring(qsfan, qbase)
-        shifted = Counter()
-        for b in qring.basis:
-            shifted[b.degree + box.age] += 1
-        if shifted != hist:
+        sigma, size = cone_mask(box.min_cone), len(box.min_cone)
+        rest = fan.ambient_dim - size
+        expected = Counter()
+        for mask, n in faces:
+            if mask & sigma == sigma:  # t^i (1 - t)^(rest - i) sum_l t^deg l
+                i = n - size
+                for k, deg in itertools.product(range(rest - i + 1),
+                                                ring.base.degrees):
+                    expected[box.age + i + k + deg] += \
+                        (-1) ** k * math.comb(rest - i, k)
+        if expected != hist:
             raise DecompositionMismatch(
-                f"sector {box.value}: quotient histogram "
-                f"{dict(shifted)} != sector histogram {dict(hist)}")
+                f"sector {box.value}: face-count histogram "
+                f"{dict(expected)} != sector histogram {dict(hist)}")
         reports.append(SectorReport(box.value, box.age, len(idxs),
                                     tuple(sorted(hist.items()))))
     return reports
@@ -801,7 +808,7 @@ def isomorphic_presentation_check(r1: OrbifoldRing, r2: OrbifoldRing,
     if r1.dimension != r2.dimension:
         raise DimensionMismatch(
             f"{r1.dimension} != {r2.dimension}")
-    bij = [int(x) for x in bijection]
+    bij = [_integer_input(x, "bijection entry") for x in bijection]
     if sorted(bij) != list(range(r1.dimension)):
         raise ValueError("bijection must be a permutation of the basis")
     for i in range(r1.dimension):

@@ -61,7 +61,7 @@ class NotASector(StackyError):
 
 
 class DecompositionMismatch(StackyError):
-    """A sector's histogram disagrees with its quotient ring's histogram."""
+    """A sector's histogram disagrees with the one its face counts give."""
 
 
 class InternalInconsistency(StackyError):

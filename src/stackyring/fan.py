@@ -159,8 +159,8 @@ class SimplicialFan:
                 raise ValueError("ray has wrong length")
             rays.append(ray)
         rays = tuple(rays)
-        cones = tuple(tuple(sorted(set(int(i) for i in c)))
-                      for c in self.max_cones)
+        cones = tuple(tuple(sorted({linalg._integer_input(i, "cone ray index")
+                                    for i in c})) for c in self.max_cones)
         for c in cones:
             for i in c:
                 if not 0 <= i < len(rays):

@@ -8,8 +8,8 @@ rays where the coefficient sum equals 2.
 
 Each piece of geometry is found once per call, and the quotient by a
 joint cone is built once per distinct cone and shared by every component
-on it. inertia_components walks the r-tuples (_walk), taking each box
-element's image once. three_sectors asks one question per ordered pair,
+on it. inertia_components walks the r-tuples, taking each box element's
+image once. three_sectors asks one question per ordered pair,
 ExtendedStackyFan._complement_in, which box_complement and
 obstruction_exponents take too: its sigma is the pair's joint cone, and
 it gives g3 and c_i = ceil(alpha_i + beta_i) over sigma, alpha and beta
@@ -38,16 +38,21 @@ class Sector:
     total_age: Fraction
 
 
-def _walk(sfan: ExtendedStackyFan, r: int):
-    """(elements, joint cone, quotient) per r-tuple, r >= 1.
+def inertia_components(sfan: ExtendedStackyFan, r: int):
+    """Components of the r-th inertia stack, in box enumeration order.
 
-    The tuples of box elements whose images share a cone, in box
-    enumeration order; the quotient stacky fan by the minimal cone of the
-    tuple's images is built once per distinct cone and shared.
+    The r-tuples of box elements whose images share a cone; r = 1
+    recovers the box itself. Each box element's image is taken once, and
+    each component carries the quotient stacky fan by the minimal cone of
+    the tuple's images, built once per distinct cone and shared by the
+    components on it.
     """
+    if r < 1:
+        raise ValueError("r must be positive")
     points = [(b, sfan.bar(b.value)) for b in sfan.box()]
     minimal_cone = sfan.fan.minimal_cone
     quotients = {}
+    out = []
     for tup in itertools.product(points, repeat=r):
         joint = minimal_cone([bar for _, bar in tup])
         if joint is None:
@@ -55,22 +60,10 @@ def _walk(sfan: ExtendedStackyFan, r: int):
         quotient = quotients.get(joint)
         if quotient is None:
             quotient = quotients[joint] = sfan.quotient_stacky_fan(joint)
-        yield tuple(b for b, _ in tup), joint, quotient
-
-
-def inertia_components(sfan: ExtendedStackyFan, r: int):
-    """Components of the r-th inertia stack, in box enumeration order.
-
-    r = 1 recovers the box itself; each component carries the quotient
-    stacky fan by the minimal cone of the tuple's images, built once per
-    distinct cone and shared by the components on it.
-    """
-    if r < 1:
-        raise ValueError("r must be positive")
-    # start from the first age (r >= 1): one Fraction addition fewer
-    return [Sector(elements, joint, quotient,
-                   sum((b.age for b in elements[1:]), elements[0].age))
-            for elements, joint, quotient in _walk(sfan, r)]
+        # start from the first age (r >= 1): one Fraction addition fewer
+        age = sum((b.age for b, _ in tup[1:]), tup[0][0].age)
+        out.append(Sector(tuple(b for b, _ in tup), joint, quotient, age))
+    return out
 
 
 def three_sectors(sfan: ExtendedStackyFan):
@@ -81,7 +74,7 @@ def three_sectors(sfan: ExtendedStackyFan):
     sigma is the union of the pair's supports in the first maximal cone
     holding both images, which is what minimal_cone returns for them, so
     on any fan sigma is the pair's joint cone as inertia_components
-    finds it by _walk. g3 and the integer total age sum c_i come from the
+    finds it. g3 and the integer total age sum c_i come from the
     same call, without box_complement's recheck of the triple's minimal
     cone tau. On a valid fan it cannot fail: g3 in Box(sigma) puts all
     three images in sigma, so tau is a face of sigma holding the images

@@ -256,7 +256,7 @@ def check_support_function(sub: Subdivision, h_values=None):
     _require_valid(sub)
     walls = _interior_walls(sub)
     h = (_least_support_function(sub, walls) if h_values is None
-         else [int(x) for x in h_values])
+         else [linalg._integer_input(x, "h value") for x in h_values])
     if len(h) != sub.refined.num_rays:
         raise Inconsistent(
             f"need {sub.refined.num_rays} values, got {len(h)}")

@@ -1,23 +1,29 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Nothing here imports from stackyring. Linear solves go through Cramer's
-rule with a permutation-expansion determinant, row reduction is written
-out inline, the ring oracle applies the defining product formula
-directly to an exhaustive monomial enumeration, and the table oracle
-compares every triple of basis elements, and the Stanley-Reisner
-oracle tries every subset of the rays. The fan check enumerates
-extreme rays by minimal support and the support-function oracle searches
-a box, as the library did before it solved inequalities exactly.
+Apart from the two references named last, nothing here imports from
+stackyring. Linear solves go through Cramer's rule with a
+permutation-expansion determinant, row reduction is written out inline,
+the ring oracle applies the defining product formula directly to an
+exhaustive monomial enumeration, and the table oracle compares every
+triple of basis elements, and the Stanley-Reisner oracle tries every
+subset of the rays. The fan check enumerates extreme rays by minimal
+support and the support-function oracle searches a box, as the library
+did before it solved inequalities exactly.
 
-The quotient reference alone imports from stackyring: it takes N(sigma)
-from lattice.cokernel of the cone's lifts, as local_group did before it
-read the cone's record, and finds the link rays by a scan over the faces.
+Two references import from stackyring. The quotient reference takes
+N(sigma) from lattice.cokernel of the cone's lifts, as local_group did
+before it read the cone's record, and finds the link rays by a scan over
+the faces. The sector histogram reference assembles the ordinary ring of
+each sector's quotient stacky fan with the library, as
+module_decomposition_report did before it read face counts.
 """
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
+from stackyring.chowring import ordinary_chow_ring
 from stackyring.lattice import FgAbGroup, GroupHom, cokernel
 
 
@@ -325,6 +331,28 @@ def quotient_stacky_fan(rank, torsion, lifts, max_cones, extra, sigma):
     return local, proj, {
         "group": {"rank": local.rank, "torsion": list(local.torsion)},
         "rays": [list(r) for r in rays], "cones": cones, "extra": images}
+
+
+def sector_histograms(ring):
+    """[(box value, {degree: count})] per sector, from quotient rings.
+
+    Each sector's histogram is read off the ordinary ring of the quotient
+    stacky fan by sigma(v), over the base with the twist classes of the
+    link rays and of the extra vectors, shifted by age(v).
+    """
+    sfan, base = ring.sfan, ring.base
+    out = []
+    for box in ring.sectors:
+        twists = None
+        if base.twists is not None:
+            keep = link_rays(sfan.fan.max_cones, box.min_cone)
+            keep += tuple(range(sfan.n, sfan.m))
+            twists = [dict(base.twists[k]) for k in keep]
+        quotient = ordinary_chow_ring(sfan.quotient_stacky_fan(box.min_cone),
+                                      base.with_twists(twists))
+        out.append((box.value, dict(Counter(b.degree + box.age
+                                            for b in quotient.basis))))
+    return out
 
 
 P112_RAYS = ((1, 0), (0, 1), (-1, -2))

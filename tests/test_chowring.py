@@ -1,6 +1,7 @@
 """Base rings, the deformed product, and assembled ring tables."""
 
 import copy
+import dataclasses
 import hashlib
 import math
 import random
@@ -22,7 +23,8 @@ from stackyring.chowring import (BaseRing, deformed_mul,
                                  module_decomposition_report,
                                  ordinary_chow_ring, orbifold_ring,
                                  stanley_reisner_generators)
-from stackyring.errors import (DimensionMismatch, DocumentError, IncompleteFan,
+from stackyring.errors import (DecompositionMismatch, DimensionMismatch,
+                               DocumentError, IncompleteFan,
                                InfiniteDimensional, InternalInconsistency,
                                TwistArityMismatch)
 from stackyring.fan import SimplicialFan
@@ -133,6 +135,41 @@ def test_base_ring_term_indices_in_range(k):
     with pytest.raises(ValueError,
                        match=rf"^twist term index {k} out of range$"):
         BaseRing.projective_space(1).with_twists([{k: 1}, {}])
+
+
+@pytest.mark.parametrize("k, text", [
+    (2.7, "2.7 is not an exact rational"),
+    (True, "True is not an exact rational"),
+    (Fraction(3, 2), "3/2 is not an integer")],
+    ids=["float", "bool", "fraction"])
+def test_base_ring_term_indices_are_integers(k, text):
+    # int() used to read the term index 2.7 as 2 and the twist index 1.2
+    # as 1
+    with pytest.raises(ValueError, match=rf"^product term index {text}$"):
+        BaseRing(("1", "H", "H^2"), (0, 1, 2), {(1, 1): {k: 1}})
+    with pytest.raises(ValueError, match=rf"^twist term index {text}$"):
+        BaseRing.projective_space(1).with_twists([{k: 1}, {}])
+
+
+@pytest.mark.parametrize("key, text", [
+    ((1.0, 1), "1.0 is not an exact rational"),
+    ((1, False), "False is not an exact rational"),
+    ((Fraction(1, 2), 1), "1/2 is not an integer")],
+    ids=["float", "bool", "fraction"])
+def test_base_ring_product_keys_are_integers(key, text):
+    # the key (1.0, 1) used to end in a TypeError inside _check_structure
+    with pytest.raises(ValueError, match=rf"^product key {text}$"):
+        BaseRing(("1", "H", "H^2"), (0, 1, 2), {key: {2: 1}})
+
+
+def test_base_ring_takes_integral_fraction_indices_as_ints():
+    ring = BaseRing(("1", "H", "H^2"), (0, 1, 2),
+                    {(Fraction(1), Fraction(2, 2)): {Fraction(4, 2): 1}})
+    assert ring.product(1, 1) == {2: 1}
+    assert all(type(x) is int for key in ring._table for x in key)
+    twisted = ring.with_twists([{Fraction(1): 1}])
+    assert twisted.twists == (((1, 1),),)
+    assert type(twisted.twists[0][0][0]) is int
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True],
@@ -639,6 +676,94 @@ def test_module_decomposition_all_cases():
         assert sum(r.dim for r in reports) == ring.dimension, fan_name
 
 
+def _report_cases():
+    """The ring cases and seeded families: 20 complete 2-D fans, with
+    torsion drawn by the generator, over a point, P^1 and P^2; six
+    weighted projective 3-spaces over P^1; and ten twisted P^1 and P^2
+    bases under 2-D fans and weighted projective planes and 3-spaces."""
+    yield from _ring_cases()
+    rng = random.Random(22)
+    bases = (POINT, BaseRing.projective_space(1),
+             BaseRing.projective_space(2))
+    for k in range(20):
+        yield f"2d fan {k}", complete_2d_fan(rng), bases[k % 3]
+    for _ in range(6):
+        weights = coprime_weights(rng, 4)
+        yield f"P{tuple(weights)}", weighted_projective_fan(weights), bases[1]
+    for k in range(10):
+        sfan = (complete_2d_fan(rng) if k % 2 else
+                weighted_projective_fan(coprime_weights(rng, 3 + k % 4 // 2)))
+        yield f"twisted {k}", sfan, _twisted_projective_space(
+            rng, 1 + k % 2, sfan)
+
+
+def test_module_decomposition_matches_the_quotient_ring_oracle():
+    """Each sector's reported histogram is the one of the ordinary ring
+    of its quotient stacky fan under the induced twists."""
+    twisted = 0
+    for name, sfan, base in _report_cases():
+        ring = orbifold_ring(sfan, base)
+        reports = module_decomposition_report(ring)
+        assert [(r.value, dict(r.histogram)) for r in reports] \
+            == oracles.sector_histograms(ring), name
+        twisted += base.twists is not None and any(base.twists)
+    assert twisted >= 10
+
+
+def test_module_decomposition_builds_no_ring(monkeypatch):
+    rings = [orbifold_ring(sfan, base) for _, sfan, base in _ring_cases()]
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(chowring, "_assemble")
+    counted(chowring, "ordinary_chow_ring")
+    counted(ExtendedStackyFan, "quotient_stacky_fan")
+    counted(BaseRing, "with_twists")
+    for ring in rings:
+        module_decomposition_report(ring)
+    assert calls == Counter()
+    chowring.ordinary_chow_ring(rings[0].sfan, POINT)
+    assert calls == Counter(ordinary_chow_ring=1, _assemble=1)  # live
+
+
+def _twisted_sector(ring):
+    """A twisted sector of the ring and the positions of its basis."""
+    box = next(b for b in ring.sectors if b.min_cone)
+    return box, ring.sector_indices(box.value)
+
+
+def test_module_decomposition_refuses_a_shifted_age():
+    ring = copy.copy(orbifold_ring(fixtures.load_fan("example_rank1"),
+                                   fixtures.load_base("base_p1_minus_h")))
+    box, _ = _twisted_sector(ring)
+    ring.sectors = tuple(dataclasses.replace(b, age=b.age + 1)
+                         if b == box else b for b in ring.sectors)
+    with pytest.raises(DecompositionMismatch,
+                       match=rf"^sector {re.escape(str(box.value))}: "
+                             r"face-count histogram \{.*\} != "
+                             r"sector histogram \{.*\}$"):
+        module_decomposition_report(ring)
+
+
+def test_module_decomposition_refuses_a_short_sector():
+    """A sector's basis one element short, as a face filter in
+    _sector_monomials that drops a face would leave it."""
+    ring = copy.copy(orbifold_ring(weighted_projective_fan([1, 2, 3]),
+                                   BaseRing.projective_space(1)))
+    box, idxs = _twisted_sector(ring)
+    ring.basis = tuple(b for i, b in enumerate(ring.basis) if i != idxs[-1])
+    with pytest.raises(DecompositionMismatch,
+                       match=rf"^sector {re.escape(str(box.value))}: "):
+        module_decomposition_report(ring)
+
+
 def test_isomorphic_presentation_identity(p112):
     ring = orbifold_ring(p112, POINT)
     assert isomorphic_presentation_check(ring, ring,
@@ -667,6 +792,18 @@ def test_isomorphic_presentation_detects_difference():
             bij[a] = b
         matches.append(isomorphic_presentation_check(r1, r2, bij))
     assert matches == [False, False]
+
+
+@pytest.mark.parametrize("entry, text", [
+    (0.9, "0.9 is not an exact rational"),
+    (True, "True is not an exact rational"),
+    (Fraction(1, 2), "1/2 is not an integer")],
+    ids=["float", "bool", "fraction"])
+def test_isomorphic_presentation_bijection_is_integers(p112, entry, text):
+    # int() used to read the bijection (0.9, 1.5, 2, 3) as the identity
+    ring = orbifold_ring(p112, POINT)
+    with pytest.raises(ValueError, match=rf"^bijection entry {text}$"):
+        isomorphic_presentation_check(ring, ring, [entry, 1, 2, 3])
 
 
 def test_isomorphic_presentation_dimension_mismatch():
@@ -900,7 +1037,16 @@ def test_product_outside_the_computed_sectors_is_refused():
         chowring._assemble(sfan, POINT, sfan.box()[:2])
 
 
+def _twisted_projective_space(rng, n, sfan):
+    """P^n with a seeded twist class k H, k in -2..2, per fan coordinate."""
+    return BaseRing.projective_space(n).with_twists(
+        [{"H": rng.randint(-2, 2)} for _ in range(sfan.m)])
+
+
 def _ring_cases():
+    """The ring cases, four weighted projective 3-spaces, two complete
+    2-D fans with torsion and two twisted weighted projective 3-spaces,
+    over P^1 and over P^2."""
     for fan_name, base_name in fixtures.RING_CASES:
         yield fan_name, fixtures.load_fan(fan_name), fixtures.load_base(
             base_name)
@@ -908,6 +1054,13 @@ def _ring_cases():
     for _ in range(4):
         weights = coprime_weights(rng, 4)
         yield f"P{tuple(weights)}", weighted_projective_fan(weights), POINT
+    for torsion in ((2,), (3,)):
+        yield f"2d fan {torsion}", complete_2d_fan(rng, torsion), POINT
+    for n in (1, 2):
+        weights = coprime_weights(rng, 4)
+        sfan = weighted_projective_fan(weights)
+        yield f"P{tuple(weights)} over twisted P^{n}", sfan, \
+            _twisted_projective_space(rng, n, sfan)
 
 
 def test_monomial_keys_decompose_to_their_monomials():
@@ -983,12 +1136,34 @@ def test_dimension_is_base_times_local_group_orders():
 
 
 def test_orbifold_poincare_pairing_is_nondegenerate():
+    """Orbifold Poincare duality, block by block. The pairing <x, y> is
+    the coefficient of the top class in xy. Sector v pairs only with its
+    inverse v^-1 = box_complement(v, 0), degree k only with cap - k, and
+    each such block is square and nondegenerate; age(v) + age(v^-1) =
+    |sigma(v)|."""
     for name, sfan, base in _ring_cases():
         ring = orbifold_ring(sfan, base)
         cap = base.top_degree + sfan.fan.ambient_dim
+        sectors = {b.value: b for b in ring.sectors}
+        zero = sectors[sfan.group.zero()]
         [top] = [i for i, b in enumerate(ring.basis)
-                 if b.sector == sfan.group.zero() and b.degree == cap]
-        n = ring.dimension
-        pairing = [[ring.product(i, j).get(top, 0) for j in range(n)]
-                   for i in range(n)]
-        assert rank(pairing) == n, name
+                 if b.sector == zero.value and b.degree == cap]
+        inverse = {v: sfan.box_complement(b, zero).value
+                   for v, b in sectors.items()}
+        for v, b in sectors.items():
+            assert b.age + sectors[inverse[v]].age == len(b.min_cone), \
+                (name, v)
+        blocks = {}
+        for i, b in enumerate(ring.basis):
+            blocks.setdefault((b.sector, b.degree), []).append(i)
+        for i, x in enumerate(ring.basis):
+            for j, y in enumerate(ring.basis):
+                if ring.product(i, j).get(top, 0):
+                    assert y.sector == inverse[x.sector], (name, i, j)
+                    assert x.degree + y.degree == cap, (name, i, j)
+        for (sector, degree), rows in blocks.items():
+            cols = blocks.get((inverse[sector], cap - degree), [])
+            assert len(cols) == len(rows), (name, sector, degree)
+            pairing = [[ring.product(i, j).get(top, 0) for j in cols]
+                       for i in rows]
+            assert rank(pairing) == len(rows), (name, sector, degree)

@@ -156,6 +156,23 @@ def test_ray_that_is_not_integral_is_refused(ray, text):
         SimplicialFan(2, P2.rays + (ray,), cones)
 
 
+@pytest.mark.parametrize("index, text", [
+    (0.9, "0.9 is not an exact rational"),
+    (True, "True is not an exact rational"),
+    (Fraction(1, 2), "1/2 is not an integer")],
+    ids=["float", "bool", "fraction"])
+def test_cone_index_that_is_not_an_integer_is_refused(index, text):
+    # int() used to read the cone (0.9,) as (0,) and True as ray 1
+    with pytest.raises(ValueError, match=rf"^cone ray index {text}$"):
+        SimplicialFan(1, ((1,), (-1,)), ((index,), (1,)))
+
+
+def test_integral_fraction_cone_index_is_taken_as_int():
+    fan = SimplicialFan(1, ((1,), (-1,)), ((Fraction(0),), (Fraction(2, 2),)))
+    assert fan.max_cones == ((0,), (1,))
+    assert [type(c[0]) for c in fan.max_cones] == [int, int]
+
+
 def test_integral_fraction_ray_is_stored_as_int():
     fan = SimplicialFan(1, ((Fraction(2),), (-1,)), ((0,), (1,)))
     assert fan.rays == ((2,), (-1,))

@@ -1,6 +1,7 @@
 """Smooth subdivisions, support functions, and fiber dimension checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +57,21 @@ def test_support_function_explicit_values():
     verdict = check_support_function(p112_subdivision(), [0, 0, 0, 1])
     assert verdict.h_values == (0, 0, 0, 1)
     assert verdict.interior_walls == 1
+
+
+@pytest.mark.parametrize("value, text", [
+    (1.5, "1.5 is not an exact rational"),
+    (True, "True is not an exact rational"),
+    (Fraction(3, 2), "3/2 is not an integer")],
+    ids=["float", "bool", "fraction"])
+def test_support_function_values_are_integers(value, text):
+    # int() used to check (0, 0, 0, 1.5) as (0, 0, 0, 1) and accept it
+    with pytest.raises(ValueError, match=rf"^h value {text}$"):
+        check_support_function(p112_subdivision(), [0, 0, 0, value])
+    verdict = check_support_function(p112_subdivision(),
+                                     [0, 0, 0, Fraction(2, 2)])
+    assert verdict.h_values == (0, 0, 0, 1)
+    assert type(verdict.h_values[3]) is int
 
 
 def test_support_function_search_finds_minimum():
