@@ -18,7 +18,7 @@ from . import documents
 from .chowring import BaseRing, orbifold_ring
 from .errors import DocumentError, StackyError
 from .fan import SimplicialFan
-from .inertia import inertia_components, obstruction_exponents, three_sectors
+from .inertia import inertia_components, three_sectors
 from .lattice import FgAbGroup, gale_dual
 from .resolution import (Subdivision, check_support_function,
                          fiber_dimension_check, validate_subdivision)
@@ -110,13 +110,11 @@ def cmd_sectors(args):
     sfan = _load_fan(args.fan)
     sectors = []
     for comp in three_sectors(sfan):
-        g1, g2, g3 = comp.elements
-        rays = obstruction_exponents(sfan, g1, g2, g3)
         sectors.append({
             "elements": [list(b.value) for b in comp.elements],
             "joint_cone": list(comp.joint_cone),
             "total_age": documents.fraction_str(comp.total_age),
-            "obstruction_rays": sorted(rays),
+            "obstruction_rays": sorted(comp.obstruction_rays),
         })
     return 0, {"count": len(sectors), "sectors": sectors}
 

@@ -15,7 +15,7 @@ obstruction_exponents take too: its sigma is the pair's joint cone, and
 it gives g3 and c_i = ceil(alpha_i + beta_i) over sigma, alpha and beta
 the coefficients of g1 and g2. Then g1 + g2 + g3 = sum c_i b_i, so the
 total age is sum c_i and the obstruction rays are the i with c_i = 2
-(Borisov-Chen-Smith).
+(Borisov-Chen-Smith); each 3-sector keeps the c_i from that one call.
 """
 
 from __future__ import annotations
@@ -30,12 +30,30 @@ from .stacky import BoxElement, ExtendedStackyFan
 
 @dataclass(frozen=True)
 class Sector:
-    """One inertia component: a tuple of box elements with a common cone."""
+    """One inertia component: a tuple of box elements with a common cone.
+
+    ceilings holds the c_i over the joint cone on the 3-sectors of
+    three_sectors (see the module docstring), and None on
+    inertia_components'.
+    """
 
     elements: tuple
     joint_cone: tuple
     quotient: ExtendedStackyFan
     total_age: Fraction
+    ceilings: tuple | None = None
+
+    @property
+    def obstruction_rays(self) -> frozenset | None:
+        """The rays with c_i = 2, as obstruction_exponents gives them and
+        with its check that each c_i is 1 or 2; None without ceilings.
+
+        Read on demand: a caller that asks obstruction_exponents instead
+        pays for the rays once, not twice.
+        """
+        if self.ceilings is None:
+            return None
+        return _obstruction_rays(self.joint_cone, self.ceilings)
 
 
 def inertia_components(sfan: ExtendedStackyFan, r: int):
@@ -82,7 +100,8 @@ def three_sectors(sfan: ExtendedStackyFan):
     minimal_cone reads the supports in the first maximal cone C holding
     the points. No earlier cone holds the images of g1 and g2; C holds
     g3's through sigma, with support in sigma, as sigma is a set of pivot
-    rays of C, over which coefficients are unique.
+    rays of C, over which coefficients are unique. Each sector keeps
+    the ceilings, and its obstruction_rays reads the rays off them.
     """
     box = sfan.box()
     quotients = {}
@@ -96,8 +115,17 @@ def three_sectors(sfan: ExtendedStackyFan):
         if quotient is None:
             quotient = quotients[joint] = sfan.quotient_stacky_fan(joint)
         out.append(Sector((g1, g2, g3), joint, quotient,
-                          Fraction(sum(ceilings))))
+                          Fraction(sum(ceilings)), tuple(ceilings)))
     return out
+
+
+def _obstruction_rays(joint, ceilings) -> frozenset:
+    """The rays of joint whose c_i is 2, each c_i checked to be 1 or 2."""
+    if any(c not in (1, 2) for c in ceilings):
+        raise UnexpectedCoefficient(
+            f"coefficients {list(ceilings)} of g1 + g2 + g3 over {joint} "
+            f"are not all in {{1, 2}}")
+    return frozenset(i for i, c in zip(joint, ceilings) if c > 1)
 
 
 def obstruction_exponents(sfan: ExtendedStackyFan, g1: BoxElement,
@@ -126,8 +154,4 @@ def obstruction_exponents(sfan: ExtendedStackyFan, g1: BoxElement,
         raise NotASector(
             f"g3 = {tuple(g3.value)} is not the complement "
             f"{expected.value} of (g1, g2)")
-    if any(c not in (1, 2) for c in ceilings):
-        raise UnexpectedCoefficient(
-            f"coefficients {ceilings} of g1 + g2 + g3 over {joint} "
-            f"are not all in {{1, 2}}")
-    return frozenset(i for i, c in zip(joint, ceilings) if c > 1)
+    return _obstruction_rays(joint, ceilings)

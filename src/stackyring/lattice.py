@@ -10,10 +10,10 @@ The Smith normal form uses a fixed pivot rule, so the witness matrices
 (and everything downstream: cokernel presentations, Gale duals, box data)
 are deterministic across runs.
 
-Subgroup questions go through the cokernel projection: v lies in the
-subgroup generated by S exactly when proj_{G/<S>}(v) = 0, so one Smith
-normal form per generator set answers membership and equality of
-subgroups, and with them the exactness checks of gale_dual.
+A verified witness U M V = D answers more than the cokernel it was
+taken for: the rows of U also give ker(M^T). gale_dual certifies both
+of its exact sequences from the three witnesses that compute its answer,
+with no Smith form of its own (see its docstring).
 """
 
 from __future__ import annotations
@@ -246,7 +246,20 @@ class GroupHom:
 
 @dataclass(frozen=True)
 class SnfWitness:
-    """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
+    """U @ A @ V == D with U, V unimodular and D in Smith normal form.
+
+    verify() checks all of it in ints: the shapes, the product, D zero
+    off the diagonal with d_i >= 0, d_i | d_{i+1} and the zeros last,
+    and |det U| = |det V| = 1 by _unimodular's fraction-free
+    elimination. The product and the form of D alone do not make a
+    witness: A = (1) with U = (2) gives U A V = D = (2), a Smith form,
+    but det U = 2, and the witness is refused.
+
+    >>> SnfWitness(((1,),), ((2,),), ((1,),), ((2,),)).verify()
+    False
+    >>> SnfWitness(((2,),), ((1,),), ((1,),), ((2,),)).verify()
+    True
+    """
 
     matrix: tuple
     U: tuple
@@ -259,6 +272,15 @@ class SnfWitness:
         return tuple(self.D[i][i] for i in range(n))
 
     def verify(self) -> bool:
+        """Whether U A V = D holds, U and V are unimodular and D is a
+        Smith normal form of A's shape; ints only (see the class)."""
+        rows = len(self.matrix)
+        cols = len(self.matrix[0]) if rows else 0
+        if len(self.U) != rows or len(self.V) != cols \
+                or len(self.D) != rows \
+                or any(len(r) != cols for m in (self.matrix, self.D)
+                       for r in m):
+            return False
         lhs = linalg.mat_mul(linalg.mat_mul(self.U, self.matrix), self.V)
         if [list(r) for r in lhs] != [list(r) for r in self.D]:
             return False
@@ -273,8 +295,8 @@ class SnfWitness:
                 return False
             if d == 0 and i + 1 < len(diag) and diag[i + 1] != 0:
                 return False
-        for i in range(len(self.D)):
-            for j in range(len(self.D[0]) if self.D else 0):
+        for i in range(rows):
+            for j in range(cols):
                 if i != j and self.D[i][j] != 0:
                     return False
         return True
@@ -283,18 +305,32 @@ class SnfWitness:
 def _unimodular(u) -> bool:
     """Whether the square integer matrix u has |det u| = 1.
 
-    Tested as rref([u | I]) = [I | W] with W integral: the left block is
-    I exactly when u is invertible, and then W = u^-1. An integral inverse
-    gives det u det W = 1 with both factors integers, so |det u| = 1;
-    conversely u^-1 = adj(u) / det u is integral when |det u| = 1.
+    Fraction-free (Bareiss) elimination in ints: after step k, each
+    entry a_ij with i, j > k is the minor of u (rows in pivot order) on
+    rows 0..k, i and columns 0..k, j. Sylvester's identity makes each
+    division by the previous pivot exact, and the last pivot is +-det u;
+    a column with no pivot left means det u = 0. |det u| = 1 exactly
+    when u has an integral inverse: u^-1 = adj(u) / det u is integral
+    then, and an integral inverse gives det u det u^-1 = 1 with both
+    factors integers.
     """
     n = len(u)
     if any(len(row) != n for row in u):
         return False
-    rows, pivots = linalg.rref([list(row) + [int(i == j) for j in range(n)]
-                                for i, row in enumerate(u)])
-    return pivots == list(range(n)) and all(
-        x.denominator == 1 for row in rows for x in row)
+    a = [list(row) for row in u]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return False
+        a[k], a[pivot] = a[pivot], a[k]
+        top, p = a[k], a[k][k]
+        for i in range(k + 1, n):
+            row, lead = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - lead * top[j]) // prev
+        prev = p
+    return abs(prev) == 1
 
 
 def smith_normal_form(matrix) -> SnfWitness:
@@ -435,37 +471,6 @@ def _with_relations(group: FgAbGroup, matrix):
     return [list(matrix[i]) + rel[i] for i in range(group.coords)]
 
 
-def member_of_subgroup(group: FgAbGroup, generators, *vecs) -> bool:
-    """Is every vec in the subgroup S of group generated by generators?
-
-    v is in S exactly when proj(v) = 0 for the cokernel projection
-    proj: group -> group / S, so one Smith normal form answers for all
-    the vecs. This gives solve_integer_linear's verdict on [S | Q] x = v:
-    cokernel reduces that same matrix, and the Smith normal form is
-    deterministic, so U is the same. proj keeps the rows of U v where
-    d_t = 0, reduces those where d_t >= 2 mod d_t and drops those where
-    d_t = 1, so proj(v) = 0 exactly when every d_t divides (U v)_t, the
-    test solve_integer_linear applies (rows past the diagonal counting
-    as d_t = 0 in both). With no generators and no torsion, or on the
-    trivial group, proj is the identity, as solve_integer_linear's
-    empty system is solvable exactly for v = 0.
-
-    >>> member_of_subgroup(FgAbGroup(0, (4,)), [(2,)], (0,), (2,), (6,))
-    True
-    >>> member_of_subgroup(FgAbGroup(0, (4,)), [(2,)], (1,))
-    False
-    """
-    incl = GroupHom.from_columns(len(generators), group, generators)
-    _, proj = cokernel(incl)
-    return not any(any(proj.apply(v)) for v in vecs)
-
-
-def same_subgroup(group: FgAbGroup, gens_a, gens_b) -> bool:
-    """Do gens_a and gens_b generate the same subgroup? Two Smith forms."""
-    return (member_of_subgroup(group, gens_b, *gens_a)
-            and member_of_subgroup(group, gens_a, *gens_b))
-
-
 def cokernel(f: GroupHom):
     """Cokernel of a homomorphism.
 
@@ -534,19 +539,6 @@ def kernel(f: GroupHom):
     return k, incl
 
 
-def hom_kernel_generators(f: GroupHom):
-    """Generators of ker(f) as elements of f.source (any source allowed)."""
-    lift = GroupHom(FgAbGroup(f.source.coords), f.target, f.matrix)
-    _, incl = kernel(lift)
-    gens = [incl.column(j) for j in range(incl.source.coords)]
-    gens += [tuple(col) for col in linalg.transpose(f.source.relation_matrix())]
-    return [f.source.reduce(g) for g in gens]
-
-
-def hom_image_generators(f: GroupHom):
-    return [f.column(j) for j in range(f.source.coords)]
-
-
 def dual(group: FgAbGroup) -> FgAbGroup:
     """Character lattice Hom(group, Z): free of the same rank."""
     return FgAbGroup(group.rank)
@@ -560,54 +552,9 @@ def dual_hom(f: GroupHom) -> GroupHom:
     return GroupHom(dual(f.target), dual(f.source), mat)
 
 
-def _exact_at(into: GroupHom, out: GroupHom) -> bool:
-    """Is im(into) = ker(out) inside into.target = out.source?
-
-    ker(out) is the span of what hom_kernel_generators returns. The
-    composition out o into = 0 would show im(into) inside the true
-    kernel, but not inside that span, so it cannot replace the second
-    cokernel: asking im(into) inside the span also certifies that the
-    generators reach the whole kernel, and a generator set missing one
-    passes the composition check.
-    """
-    return same_subgroup(out.source, hom_kernel_generators(out),
-                         hom_image_generators(into))
-
-
-def _check_gale_exactness(beta: GroupHom, dg: FgAbGroup, beta_vee: GroupHom,
-                          proj_n: GroupHom, proj_dg: GroupHom):
-    """Both four-term sequences, given the cokernel projections of beta
-    and beta_vee."""
-    # 0 -> DG* -> Z^m -> N -> coker(beta) -> 0
-    f1 = dual_hom(beta_vee)
-    if linalg.rank(f1.matrix) != dg.rank:
-        raise GaleExactnessError("DG* does not inject into Z^m")
-    if not _exact_at(f1, beta):
-        raise GaleExactnessError("image of DG* differs from ker(beta)")
-    if not proj_n.compose(beta).is_zero():
-        raise GaleExactnessError("coker projection does not kill image")
-    if not _exact_at(beta, proj_n):
-        raise GaleExactnessError("ker(projection) differs from im(beta)")
-    if not cokernel(proj_n)[0].is_trivial:
-        raise GaleExactnessError("projection to coker(beta) not onto")
-
-    # 0 -> N* -> Z^m -> DG -> coker(beta_vee) -> 0
-    f2 = dual_hom(beta)
-    if linalg.rank(f2.matrix) != beta.target.rank:
-        raise GaleExactnessError("N* does not inject into Z^m")
-    if not _exact_at(f2, beta_vee):
-        raise GaleExactnessError("image of N* differs from ker(beta_vee)")
-    if not proj_dg.target.is_finite:
-        raise GaleExactnessError("coker(beta_vee) is not finite")
-    if not proj_dg.compose(beta_vee).is_zero():
-        raise GaleExactnessError("DG projection does not kill image")
-    if not _exact_at(beta_vee, proj_dg):
-        raise GaleExactnessError("ker(DG projection) differs from im(beta_vee)")
-
-
 class GaleDual(tuple):
     """The pair (DG, beta_vee) that gale_dual returns, with the cokernels
-    its exactness check took: cokernel = coker(beta) and gerbe_group =
+    its Smith forms gave: cokernel = coker(beta) and gerbe_group =
     coker(beta_vee), so no caller takes their Smith forms again."""
 
     def __new__(cls, dg, beta_vee, coker_beta, mu):
@@ -617,36 +564,82 @@ class GaleDual(tuple):
         return self
 
 
+def _verified_snf(matrix, name) -> SnfWitness:
+    """smith_normal_form(matrix), refused unless it verifies as a witness
+    of this very matrix."""
+    w = smith_normal_form(matrix)
+    if w.matrix != tuple(map(tuple, matrix)) or not w.verify():
+        raise GaleExactnessError(f"Smith witness of {name} does not verify")
+    return w
+
+
 def gale_dual(beta: GroupHom) -> GaleDual:
     """Gale dual of beta: Z^m -> N with finite cokernel.
 
     Returns (DG, beta_vee) where DG = coker of the transpose of the lifted
     presentation [B Q] and beta_vee: Z^m -> DG is induced by the coordinate
-    inclusion of (Z^m)* into (Z^{m+s})*. Both four-term exact sequences
-    relating beta and beta_vee are verified before returning.
+    inclusion of (Z^m)* into (Z^{m+s})*. Before returning, it certifies
+
+        0 -> DG* -f1-> Z^m -beta-> N -proj_n-> coker(beta) -> 0,
+        0 -> N* -f2-> Z^m -beta_vee-> DG -proj_dg-> coker(beta_vee) -> 0,
+
+    f1 = dual_hom(beta_vee), f2 = dual_hom(beta), from the three Smith
+    forms that compute the answer and no other: W1 of M1 = [B | Q]
+    (coker beta and proj_n), W2 of M1^T (DG and beta_vee) and W3 of
+    [beta_vee | Q_DG] (coker beta_vee and proj_dg). Each W: U M V = D
+    must verify() as a witness of its M; then two lemmas hold for it.
+
+    (a) Cokernel lemma. Let M = [A | Q], A's columns in G = Z^r / im Q.
+        The projection _cokernel_of_snf reads off W (the rows of U x,
+        free where d_t = 0, mod d_t where d_t >= 2, dropped where
+        d_t = 1, rows past the diagonal counting as d_t = 0) is onto,
+        with kernel <A>. It kills x exactly when U x is in im D, and
+        im D = im(D V^-1) = im(U M) as V is unimodular, so exactly when
+        x is in im M = <A> + im Q. It is onto as x -> U x is onto Z^r.
+    (b) Kernel lemma. The rows t of U with d_t = 0 (rows past the
+        diagonal included) span ker(M^T) over Z. Write x = U^T y, y
+        integral as U is unimodular; then M^T x = (U M)^T y =
+        V^-T D^T y, which is 0 exactly when y_t = 0 wherever d_t != 0.
+
+    (a) on W1 is exactness at N and at coker(beta). By (b) on W2, whose
+    M^T is M1, ker M1 is spanned by the rows of U2 with d_t = 0, and
+    beta x = 0 exactly when (x, y) is in ker M1 for some y, so ker(beta)
+    is spanned by the first m entries of those rows. They are the
+    columns of f1, as beta_vee's free rows are those rows cut to m
+    entries: im f1 = ker(beta). By (a) on W2, with G free, beta_vee x = 0
+    exactly when (x, 0) = M1^T z; Q^T z = 0 puts z on N's free
+    coordinates (each q_j >= 2), so ker(beta_vee) = im(B_free^T) = im f2,
+    B_free the rows of B on those coordinates. (a) on W3 is exactness
+    at DG and at coker(beta_vee). The injectivity of f1 and f2 and the
+    finiteness of coker(beta_vee) are checked by ranks.
     """
     if beta.source.torsion:
         raise NonFreeSource("gale_dual requires a free source")
     n_group = beta.target
-    c, proj_n = cokernel(beta)
+    m = beta.source.coords
+    bq = _with_relations(n_group, beta.matrix)  # (d+s) x (m+s)
+    c, _ = _cokernel_of_snf(n_group, _verified_snf(bq, "[B | Q]"))
     if not c.is_finite:
         raise InfiniteCokernel(
             f"cokernel has rank {c.rank}; ray images must span N over Q")
-    m = beta.source.coords
-    bq = _with_relations(n_group, beta.matrix)  # (d+s) x (m+s)
     # transpose written out so a trivial N keeps the right row count
     t = [[bq[j][i] for j in range(n_group.coords)]
          for i in range(m + len(n_group.torsion))]
-    lifted = GroupHom(FgAbGroup(n_group.coords),
-                      FgAbGroup(m + len(n_group.torsion)), t)
-    dg, proj = cokernel(lifted)
+    dg, proj = _cokernel_of_snf(FgAbGroup(len(t)),
+                                _verified_snf(t, "[B | Q]^T"))
     beta_vee = GroupHom(FgAbGroup(m), dg,
                         [[proj.matrix[i][j] for j in range(m)]
                          for i in range(dg.coords)])
     if dg.rank != m - n_group.rank:
         raise GaleExactnessError("rank of DG is not m - rank(N)")
-    mu, proj_dg = cokernel(beta_vee)
-    _check_gale_exactness(beta, dg, beta_vee, proj_n, proj_dg)
+    mu, _ = _cokernel_of_snf(dg, _verified_snf(
+        _with_relations(dg, beta_vee.matrix), "[beta_vee | Q_DG]"))
+    if linalg.rank(dual_hom(beta_vee).matrix) != dg.rank:
+        raise GaleExactnessError("DG* does not inject into Z^m")
+    if linalg.rank(dual_hom(beta).matrix) != n_group.rank:
+        raise GaleExactnessError("N* does not inject into Z^m")
+    if not mu.is_finite:
+        raise GaleExactnessError("coker(beta_vee) is not finite")
     return GaleDual(dg, beta_vee, c, mu)
 
 

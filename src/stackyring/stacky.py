@@ -279,7 +279,8 @@ class ExtendedStackyFan:
         The last per-vector solve path in the library, kept because
         benchmark/spans.py wraps it by name. A complement's formula puts
         v1 + v2 + w in N_sigma by construction (see _complement_in), and
-        lattice.member_of_subgroup answers it by the cokernel projection.
+        local_group's projection, whose kernel is N_sigma, answers it as
+        proj(vec) = 0.
         """
         full = self._lifts_with_relations(sigma)
         vec = list(self.group.reduce(vec))

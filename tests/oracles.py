@@ -1,6 +1,6 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Apart from the two references named last, nothing here imports from
+Apart from the references named last, nothing here imports from
 stackyring. Linear solves go through Cramer's rule with a
 permutation-expansion determinant, row reduction is written out inline,
 the ring oracle applies the defining product formula directly to an
@@ -10,12 +10,16 @@ subset of the rays. The fan check enumerates extreme rays by minimal
 support and the support-function oracle searches a box, as the library
 did before it solved inequalities exactly.
 
-Two references import from stackyring. The quotient reference takes
+Three kinds of reference import from stackyring. The quotient reference takes
 N(sigma) from lattice.cokernel of the cone's lifts, as local_group did
 before it read the cone's record, and finds the link rays by a scan over
 the faces. The sector histogram reference assembles the ordinary ring of
 each sector's quotient stacky fan with the library, as
-module_decomposition_report did before it read face counts.
+module_decomposition_report did before it read face counts. The subgroup
+references (member_of_subgroup up to gale_sequences_exact) answer
+membership and equality of subgroups by fresh lattice.cokernel and
+lattice.kernel calls, and with them both of gale_dual's exact sequences,
+as gale_dual did before it read them off its own Smith witnesses.
 """
 
 import itertools
@@ -24,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 
 from stackyring.chowring import ordinary_chow_ring
-from stackyring.lattice import FgAbGroup, GroupHom, cokernel
+from stackyring.lattice import FgAbGroup, GroupHom, cokernel, dual_hom, kernel
 
 
 def det(matrix):
@@ -353,6 +357,83 @@ def sector_histograms(ring):
         out.append((box.value, dict(Counter(b.degree + box.age
                                             for b in quotient.basis))))
     return out
+
+
+def member_of_subgroup(group: FgAbGroup, generators, *vecs) -> bool:
+    """Is every vec in the subgroup S of group generated by generators?
+
+    v is in S exactly when proj(v) = 0 for the cokernel projection
+    proj: group -> group / S, so one Smith normal form answers for all
+    the vecs. This gives solve_integer_linear's verdict on [S | Q] x = v:
+    cokernel reduces that same matrix, and the Smith normal form is
+    deterministic, so U is the same. proj keeps the rows of U v where
+    d_t = 0, reduces those where d_t >= 2 mod d_t and drops those where
+    d_t = 1, so proj(v) = 0 exactly when every d_t divides (U v)_t, the
+    test solve_integer_linear applies (rows past the diagonal counting
+    as d_t = 0 in both). With no generators and no torsion, or on the
+    trivial group, proj is the identity, as solve_integer_linear's
+    empty system is solvable exactly for v = 0.
+    """
+    incl = GroupHom.from_columns(len(generators), group, generators)
+    _, proj = cokernel(incl)
+    return not any(any(proj.apply(v)) for v in vecs)
+
+
+def same_subgroup(group: FgAbGroup, gens_a, gens_b) -> bool:
+    """Do gens_a and gens_b generate the same subgroup? Two Smith forms."""
+    return (member_of_subgroup(group, gens_b, *gens_a)
+            and member_of_subgroup(group, gens_a, *gens_b))
+
+
+def hom_kernel_generators(f: GroupHom):
+    """Generators of ker(f) as elements of f.source (any source allowed)."""
+    lift = GroupHom(FgAbGroup(f.source.coords), f.target, f.matrix)
+    _, incl = kernel(lift)
+    gens = [incl.column(j) for j in range(incl.source.coords)]
+    gens += [tuple(col) for col in zip(*f.source.relation_matrix())]
+    return [f.source.reduce(g) for g in gens]
+
+
+def hom_image_generators(f: GroupHom):
+    return [f.column(j) for j in range(f.source.coords)]
+
+
+def exact_at(into: GroupHom, out: GroupHom) -> bool:
+    """Is im(into) = ker(out) inside into.target = out.source?
+
+    ker(out) is the span of what hom_kernel_generators returns. The
+    composition out o into = 0 would show im(into) inside the true
+    kernel, but not inside that span, so it cannot replace the second
+    cokernel: asking im(into) inside the span also certifies that the
+    generators reach the whole kernel, and a generator set missing one
+    passes the composition check.
+    """
+    return same_subgroup(out.source, hom_kernel_generators(out),
+                         hom_image_generators(into))
+
+
+def gale_sequences_exact(beta: GroupHom, dg: FgAbGroup,
+                         beta_vee: GroupHom) -> list:
+    """The parts of 0 -> DG* -> Z^m -> N -> coker(beta) -> 0 and
+    0 -> N* -> Z^m -> DG -> coker(beta_vee) -> 0 that fail, [] when
+    both are exact; cokernels, kernels and subgroups from fresh Smith
+    forms."""
+    _, proj_n = cokernel(beta)
+    mu, proj_dg = cokernel(beta_vee)
+    f1, f2 = dual_hom(beta_vee), dual_hom(beta)
+    checks = {
+        "DG* injects": rref_rank(f1.matrix) == dg.rank,
+        "im(DG*) = ker(beta)": exact_at(f1, beta),
+        "proj_n o beta = 0": proj_n.compose(beta).is_zero(),
+        "ker(proj_n) = im(beta)": exact_at(beta, proj_n),
+        "proj_n onto": cokernel(proj_n)[0].is_trivial,
+        "N* injects": rref_rank(f2.matrix) == beta.target.rank,
+        "im(N*) = ker(beta_vee)": exact_at(f2, beta_vee),
+        "coker(beta_vee) finite": mu.is_finite,
+        "proj_dg o beta_vee = 0": proj_dg.compose(beta_vee).is_zero(),
+        "ker(proj_dg) = im(beta_vee)": exact_at(beta_vee, proj_dg),
+    }
+    return [name for name, ok in checks.items() if not ok]
 
 
 P112_RAYS = ((1, 0), (0, 1), (-1, -2))

@@ -285,6 +285,7 @@ def test_complements_and_obstruction_rays_match_oracles(case):
         assert set(coeffs) <= {1, 2}, sector
         rays_two = frozenset(i for i, a in zip(sigma, coeffs) if a == 2)
         assert obstruction_exponents(sfan, g1, g2, g3) == rays_two, sector
+        assert sector.obstruction_rays == rays_two, sector
         assert sector.total_age == sum(coeffs), sector
         # the elements' own ages share no ceiling with total_age
         assert sector.total_age == g1.age + g2.age + g3.age, sector

@@ -107,12 +107,34 @@ def test_obstruction_refuses_a_coefficient_sum_of_three(p112):
         obstruction_exponents(p112, g1, zero, v)
 
 
+def test_three_sectors_refuse_a_coefficient_of_three(p112, monkeypatch):
+    # the pair (g1, 0) of the test above, met by three_sectors in a box
+    # doctored to hold g1, gets the same refusal from its sector's rays
+    zero, _ = p112.box()
+    g1 = stacky.BoxElement((-2, -5), (0, 2), (Fraction(1, 2),
+                                              Fraction(5, 2)), 3)
+    monkeypatch.setattr(stacky.ExtendedStackyFan, "box",
+                        lambda self: (zero, g1))
+    sectors = three_sectors(p112)
+    bad = [s for s in sectors if s.elements[:2] == (g1, zero)]
+    assert [s.ceilings for s in bad] == [(1, 3)]
+    with pytest.raises(UnexpectedCoefficient, match=re.escape(
+            "coefficients [1, 3] of g1 + g2 + g3 over (0, 2) are not all "
+            "in {1, 2}")):
+        bad[0].obstruction_rays
+
+
 def test_all_fixture_sectors_validate():
     for name in fixtures.FAN_FIXTURES:
         sfan = fixtures.load_fan(name)
         for sector in three_sectors(sfan):
             rays = obstruction_exponents(sfan, *sector.elements)
             assert rays <= set(sector.joint_cone)
+            # three_sectors' own rays, which the sectors command prints
+            assert sector.obstruction_rays == rays
+        # r-sectors carry none
+        assert {c.obstruction_rays
+                for c in inertia_components(sfan, 2)} == {None}
 
 
 @pytest.mark.parametrize("name", fixtures.FAN_FIXTURES)

@@ -1,16 +1,21 @@
+import importlib.util
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from stackyring import lattice
+import oracles
+from generators import random_finite_cokernel_map
+from oracles import member_of_subgroup, same_subgroup
+from stackyring import fixtures, lattice, linalg
 from stackyring.errors import (GaleExactnessError, InfiniteCokernel,
                                NonFreeSource)
 from stackyring.lattice import (FgAbGroup, GroupHom, _with_relations,
                                 cokernel, dual, dual_hom, gale_dual,
-                                gerbe_group, kernel, member_of_subgroup,
-                                same_subgroup, smith_normal_form,
+                                gerbe_group, kernel, smith_normal_form,
                                 solve_integer_linear)
 from stackyring.stacky import ExtendedStackyFan
 
@@ -135,6 +140,30 @@ def test_smith_witness_refuses_a_transform_of_det_2():
         assert w.verify()
         assert not lattice.SnfWitness(w.matrix, doubled(w.U), w.V,
                                       doubled(w.D)).verify(), mat
+
+
+def test_unimodular_matches_the_determinant():
+    """The fraction-free test agrees with a permutation-expansion
+    determinant, on random matrices (mostly not unimodular) and on
+    products of random elementary matrices (all unimodular)."""
+    rng = random.Random(90127)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        if rng.random() < 0.5:
+            u = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        else:
+            u = linalg.identity(n)
+            for _ in range(rng.randint(0, 6) if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                u[i] = [x + rng.randint(-3, 3) * y for x, y in zip(u[i], u[j])]
+            if n and rng.random() < 0.5:
+                u[0] = [-x for x in u[0]]
+        want = abs(oracles.det(u)) == 1
+        assert lattice._unimodular(u) == want, u
+        seen.add(want)
+    assert seen == {True, False}
+    assert not lattice._unimodular([[1, 0]])
 
 
 def test_solve_integer_linear():
@@ -318,37 +347,130 @@ def test_gale_exactness_property_seeded():
         assert mu.is_finite
 
 
-# the four subgroup equalities im(into) = ker(out) of the two four-term
-# sequences, in the order gale_dual checks them
-GALE_EQUALITIES = ("image of DG* differs from ker(beta)",
-                   "ker(projection) differs from im(beta)",
-                   "image of N* differs from ker(beta_vee)",
-                   "ker(DG projection) differs from im(beta_vee)")
+# the three Smith forms gale_dual takes, in order, by the name its
+# refusal gives each
+GALE_WITNESSES = ("[B | Q]", "[B | Q]^T", "[beta_vee | Q_DG]")
 
 
-@pytest.mark.parametrize("doctor", ("drop", "stray"))
-@pytest.mark.parametrize("equality", range(len(GALE_EQUALITIES)))
-def test_gale_exactness_refuses_a_doctored_kernel(monkeypatch, equality,
-                                                  doctor):
-    # a P^1 gerbe: N = Z + Z/2 and lifts (1, 1), (-1, 1), so neither
-    # cokernel is trivial, no map into a kernel is onto, and the four
-    # maps out of the kernels differ
+def _double_u_row(w):
+    # the last rows of U and D: D stays a Smith form, its last row being
+    # zero or holding the largest diagonal entry, and det U becomes +-2
+    return w.U[:-1] + (tuple(2 * x for x in w.U[-1]),), w.V, \
+        w.D[:-1] + (tuple(2 * x for x in w.D[-1]),)
+
+
+def _double_v_column(w):
+    # the last columns of V and D, as the last rows above
+    def doubled(m):
+        return tuple(row[:-1] + (2 * row[-1],) for row in m)
+    return w.U, doubled(w.V), doubled(w.D)
+
+
+def _off_diagonal(w):
+    # row 1 += row 0 in U and D: U stays unimodular, D gets d_0 below
+    # its diagonal
+    def added(m):
+        return (m[0], tuple(x + y for x, y in zip(m[1], m[0]))) + m[2:]
+    return added(w.U), w.V, added(w.D)
+
+
+def _negative(w):
+    # row 0 negated in U and D: U stays unimodular, D gets -d_0
+    def negated(m):
+        return (tuple(-x for x in m[0]),) + m[1:]
+    return negated(w.U), w.V, negated(w.D)
+
+
+WITNESS_MUTANTS = {"u_row": _double_u_row, "v_column": _double_v_column,
+                   "off_diagonal": _off_diagonal, "negative": _negative}
+
+
+@pytest.mark.parametrize("mutant", [*WITNESS_MUTANTS, "foreign"])
+@pytest.mark.parametrize("which", range(len(GALE_WITNESSES)))
+def test_gale_dual_refuses_a_doctored_witness(monkeypatch, which, mutant):
+    """Each doctored witness still has U A V = D; only one of verify's
+    tests (|det U| = 1, |det V| = 1, D diagonal, d_t >= 0) fails. The
+    foreign witness verifies, but for another matrix."""
+    # a P^1 gerbe: N = Z + Z/2 and lifts (1, 1), (-1, 1), so each of the
+    # three matrices has two rows or more and d_0 = 1
     beta = GroupHom.from_columns(2, FgAbGroup(1, (2,)), [[1, 1], [-1, 1]])
-    _, beta_vee = gale_dual(beta)
-    outs = (beta, cokernel(beta)[1], beta_vee, cokernel(beta_vee)[1])
-    honest = lattice.hom_kernel_generators
+    honest = lattice.smith_normal_form
+    calls = []
 
-    def doctored(f):
-        gens = honest(f)
-        if f != outs[equality]:
-            return gens
-        if doctor == "drop":
-            return gens[1:]
-        # the last unit vector lies in none of the four images
-        c = f.source.coords
-        return gens + [f.source.reduce([int(i == c - 1) for i in range(c)])]
+    def doctored(matrix):
+        w = honest(matrix)
+        calls.append(w)
+        if len(calls) != which + 1:
+            return w
+        assert len(w.D) >= 2 and w.D[0][0] == 1
+        if mutant == "foreign":
+            other = [list(row) for row in w.matrix]
+            other[0][0] += 1
+            return honest(other)
+        u, v, d = WITNESS_MUTANTS[mutant](w)
+        assert [list(r) for r in d] == linalg.mat_mul(
+            linalg.mat_mul(u, w.matrix), v)
+        return lattice.SnfWitness(w.matrix, u, v, d)
 
-    monkeypatch.setattr(lattice, "hom_kernel_generators", doctored)
+    monkeypatch.setattr(lattice, "smith_normal_form", doctored)
     with pytest.raises(GaleExactnessError) as refusal:
         gale_dual(beta)
-    assert str(refusal.value) == GALE_EQUALITIES[equality]
+    assert str(refusal.value) == \
+        f"Smith witness of {GALE_WITNESSES[which]} does not verify"
+    assert len(calls) == which + 1
+
+
+def _benchmark_gale_maps():
+    """The 24 seeded GALE_SHAPES maps of the cli_sweep benchmark, for
+    each of the seeds 1-3."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    maps = [workloads.parse_item(item) for seed in (1, 2, 3)
+            for item in workloads.make_items("cli_sweep", seed)
+            if item.kind == "gale"]
+    assert len(maps) == 3 * len(workloads.GALE_SHAPES) == 72
+    return maps
+
+
+def _seeded_gale_maps():
+    rng = random.Random(8128)
+    return [random_finite_cokernel_map(rng) for _ in range(200)]
+
+
+GALE_MAPS = {
+    "fixtures": lambda: [fixtures.load_fan(name).beta()
+                         for name in fixtures.FAN_FIXTURES],
+    "gale_shapes": _benchmark_gale_maps,
+    "seeded": _seeded_gale_maps,
+}
+
+
+@pytest.mark.parametrize("source", GALE_MAPS)
+def test_gale_dual_agrees_with_the_subgroup_oracle(source):
+    """Every part of both sequences, with kernels, cokernels and subgroup
+    equalities from fresh Smith forms, holds for what gale_dual returns,
+    and its two cokernels are the ones cokernel() computes."""
+    for beta in GALE_MAPS[source]():
+        gale = gale_dual(beta)
+        dg, beta_vee = gale
+        assert oracles.gale_sequences_exact(beta, dg, beta_vee) == [], beta
+        assert gale.cokernel == cokernel(beta)[0]
+        assert gale.gerbe_group == cokernel(beta_vee)[0]
+
+
+def test_subgroup_oracle_refuses_inexact_sequences():
+    """The oracle is not vacuous: beta_vee replaced by twice itself no
+    longer reaches ker(beta) through its dual, and DG given a rank too
+    many has a dual that cannot inject."""
+    beta = GroupHom.from_columns(2, FgAbGroup(1, (2,)), [[1, 1], [-1, 1]])
+    dg, beta_vee = gale_dual(beta)
+    twice = GroupHom(beta_vee.source, dg,
+                     [[2 * x for x in row] for row in beta_vee.matrix])
+    assert oracles.gale_sequences_exact(beta, dg, twice) == [
+        "im(DG*) = ker(beta)"]
+    assert "DG* injects" in oracles.gale_sequences_exact(
+        beta, FgAbGroup(dg.rank + 1), beta_vee)
