@@ -13,14 +13,16 @@ by exact rational row reduction. The table is then read from the key
 products of pairs of basis keys and one normal form per monomial key,
 taken off the reduced rows (see _assemble).
 
-Coefficients follow the number convention stated in linalg. Apart from
-fractional inputs, a Fraction arises in the pivot inverse of _insert_row
-only, and reaches the pivot rows, the normal forms copied from them and
+Coefficients follow the number convention stated in linalg. The
+relation rows are reduced fraction-free, as primitive int rows, so apart
+from fractional inputs a Fraction arises only where a normal form is read
+off a pivot row divided by its pivot entry (see _assemble), and reaches
 the table entries summed from those. Over a base with integral products,
-a ring whose relation pivots are all 1 or -1 is assembled and certified
-in int arithmetic throughout; so is every ring with N finite (a gerbe BG
-over the base), which has no linear relations. A degree is age(v) plus an
-integer step, and sector spaces are counted in steps (see _assemble).
+a ring whose relation pivot rows all have pivot entry 1 is assembled and
+certified in int arithmetic throughout; so is every ring with N finite
+(a gerbe BG over the base), which has no linear relations. A degree is
+age(v) plus an integer step, and sector spaces are counted in steps (see
+_assemble).
 """
 
 from __future__ import annotations
@@ -37,17 +39,8 @@ from .errors import (DecompositionMismatch, DimensionMismatch, IncompleteFan,
                      TwistArityMismatch)
 from .fan import SimplicialFan, cone_mask
 from .linalg import (_exact, _exact_input, _insert_row, _integer_input,
-                     _reduce)
+                     _quotient, _reduce, _scaled)
 from .stacky import BoxElement, ExtendedStackyFan
-
-
-def _scaled(values):
-    """(m, [m q for q in values]) for m the lcm of the denominators.
-
-    Every m q is an int, also when q is already one (m = 1 then).
-    """
-    m = math.lcm(*(q.denominator for q in values))
-    return m, [q.numerator * (m // q.denominator) for q in values]
 
 
 def _mul(product, a, b):
@@ -506,6 +499,20 @@ class RingBasisElement:
     degree: Fraction
 
 
+def _compositions(parts, budget):
+    """The tuples of parts positive ints with sum at most budget, in
+    lexicographic order, each with its sum.
+
+    Each entry is extended only by values that leave room for one more
+    unit in every later entry, so no tuple over budget is made.
+    """
+    out = [((), 0)] if budget >= 0 else []
+    for later in range(parts - 1, -1, -1):
+        out = [(exps + (e,), total + e) for exps, total in out
+               for e in range(1, budget - total - later + 1)]
+    return out
+
+
 def _sector_monomials(sfan, base, box, budget):
     """The monomials of the sector y^v S up to step budget, sorted.
 
@@ -539,10 +546,7 @@ def _sector_monomials(sfan, base, box, budget):
         # the kept s are exactly the subsets of the faces containing sigma(v)
         if len(s) > budget or tau not in faces:
             continue
-        for exps in itertools.product(range(1, budget + 1), repeat=len(s)):
-            total = sum(exps)
-            if total > budget:
-                continue
+        for exps, total in _compositions(len(s), budget):
             full = [0] * sfan.n
             c = list(box.value)
             for i, e in zip(s, exps):
@@ -638,14 +642,17 @@ def _assemble(sfan, base, sectors):
     products reach degree cap at most, as keys multiply degree additively.
 
     So the normal form of every monomial key of degree <= cap is all the
-    table reads, and it is read off the pivots. _reduce is linear: the
-    pivot rows are fully reduced, 1 at their own pivot and 0 at every
-    other pivot, so clearing the pivots of sum q_k e_k clears each e_k on
-    its own and NF(sum q_k e_k) = sum q_k NF(e_k). A survivor e_p is its
-    own normal form, and a pivot column p reduces by its row alone, to
-    minus that row's entries at its other columns, which are survivors.
-    Each table entry is then the sum of s NF(key) over the terms (key, s)
-    of the two basis keys' _key_product.
+    table reads, and it is read off the pivots. The normal form NF is
+    linear: each pivot row is a positive multiple, by its pivot entry p,
+    of the fully reduced row that is 1 at its own pivot and 0 at every
+    other pivot (see linalg._insert_row), so clearing the pivots of
+    sum q_k e_k with those rows clears each e_k on its own and
+    NF(sum q_k e_k) = sum q_k NF(e_k); linalg._reduce gives a positive
+    multiple of that normal form. A survivor e_k is its own normal form,
+    and a pivot column reduces by its row alone, to minus that row's
+    entries at its other columns, which are survivors, divided by p. Each
+    table entry is then the sum of s NF(key) over the terms (key, s) of
+    the two basis keys' _key_product.
     """
     relations = linear_relations(sfan, base)
     diagnostics = sfan.validate()
@@ -710,8 +717,8 @@ def _assemble(sfan, base, sectors):
             for pos, (_, _, key) in enumerate(group):
                 row = rows.get(pos)
                 normal[key] = ({index[pos]: 1} if row is None else
-                               {index[p2]: -q for p2, q in row.items()
-                                if p2 != pos})
+                               {index[p2]: _quotient(-q, row[pos])
+                                for p2, q in row.items() if p2 != pos})
 
     # the degree gate in integers: L deg against L cap, L the lcm of the
     # degrees' denominators

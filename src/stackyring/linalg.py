@@ -12,9 +12,14 @@ input onwards: _exact_input takes an input number to an int where it is
 integral and to a Fraction otherwise, and refuses a float or a bool;
 _integer_input also refuses a number that is not an integer. Sums
 start from the int 0, so a Fraction appears only where a division makes
-one, such as the pivot inverse of _insert_row, and _exact turns an
-integral result back into an int where rows are stored. So ints meet ints
-wherever the data is integral, and int arithmetic is what runs there.
+one, and _exact turns an integral result back into an int. The
+elimination divides by nothing: _insert_row keeps each pivot row as a
+primitive int row with a positive pivot entry p, fraction-free (the sparse
+form of Bareiss 1968), and a row with Fraction entries is scaled to ints
+before it is reduced. A Fraction is made only where a row is read off
+divided by its p, as rref and chowring's normal forms read it, and only
+where that quotient is not an integer. So ints meet ints wherever the
+data is integral, and int arithmetic is what runs there.
 """
 
 from __future__ import annotations
@@ -46,42 +51,109 @@ def _integer_input(q, kind):
     return q
 
 
-def _reduce(pivots, row):
-    """Normal form of a sparse row against pivots, zeros dropped.
+def _scaled(values):
+    """(m, [m q for q in values]) for m the lcm of the denominators.
 
-    pivots maps a pivot column to its row. Invariant: each pivot row is 1
-    at its own pivot column and zero at every other pivot column;
-    _insert_row keeps it by clearing a new pivot's column from the older
-    pivot rows. Clearing pivot column p therefore leaves the other pivot
-    columns as they were and adds entries at non-pivot columns only, so
-    one pass over the row's own columns suffices: afterwards no pivot
-    column is left in the row.
+    Every m q is an int, also when q is already one (m = 1 then).
     """
-    row = dict(row)
-    for p in sorted(row):
-        f = row[p]
-        if f and p in pivots:
-            for p2, q2 in pivots[p].items():
-                row[p2] = row.get(p2, 0) - f * q2
-    return {p: q for p, q in row.items() if q}
+    m = math.lcm(*(q.denominator for q in values))
+    return m, [q.numerator * (m // q.denominator) for q in values]
+
+
+def _quotient(x, p):
+    """The int x over the positive int p, as _exact stores it."""
+    return x // p if x % p == 0 else Fraction(x, p)
+
+
+def _primitive(row):
+    """A nonempty sparse int row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {k: q // g for k, q in row.items()}
+
+
+def _clear(row, c, prow):
+    """Make the int row zero at c in place, fraction-free: row becomes
+    a row - b prow with a/b = prow[c]/row[c] in lowest terms, so a > 0
+    when prow[c] > 0. Entries that cancel are dropped."""
+    g = math.gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, q in prow.items():
+        v = row.get(k, 0) - b * q
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+
+
+def _reduce(pivots, row):
+    """A positive multiple of the normal form of a sparse row against
+    pivots, as a primitive int row (content 1), zeros dropped.
+
+    pivots maps a pivot column c to its row. Invariant: each pivot row is
+    a primitive int row, its entry at c is positive, and it is zero at
+    every other pivot column; _insert_row keeps it by clearing a new
+    pivot's column from the older pivot rows. A row with a Fraction entry
+    is first scaled to ints by the lcm of its denominators. Clearing c
+    (_clear) multiplies the row by some a > 0 and subtracts a multiple of
+    the pivot row of c, so it leaves the other pivot columns zero or
+    nonzero as they were and adds entries at non-pivot columns only; one
+    pass over the row's own columns therefore suffices, and afterwards no
+    pivot column is left in the row.
+
+    The result, after the division by its content, is a positive multiple
+    of the normal form NF that the elimination with every pivot scaled to
+    1 reaches. It reads lam row + v and NF reads row + w, for some lam > 0
+    and v, w in the span of the pivot rows, and both are zero at every
+    pivot column. So result - lam NF lies in the span and is zero at every
+    pivot column, and such a vector is zero: each pivot row is the only
+    one nonzero at its own pivot.
+    """
+    if all(type(q) is int for q in row.values()):
+        row = {k: q for k, q in row.items() if q}
+    else:
+        row = {k: q for k, q in zip(row, _scaled(list(row.values()))[1])
+               if q}
+    for c in sorted(row):
+        if c in pivots:
+            _clear(row, c, pivots[c])
+    return _primitive(row) if row else row
 
 
 def _insert_row(pivots, row) -> bool:
-    """Add row to the span of pivots; False when it was already in it."""
+    """Add row to the span of pivots; False when it was already in it.
+
+    The reduced row, negated if need be, becomes the pivot row of its first
+    nonzero column l, with a positive pivot entry. Every older pivot row
+    that is nonzero at l is cleared there by it (_clear) and divided by
+    its content: its own pivot entry is multiplied by some a > 0, and the
+    new row is zero at every older pivot column, so the invariant of
+    _reduce holds again. The span is unchanged, as each older row is
+    replaced by a nonzero multiple of itself minus a multiple of the new
+    row.
+
+    So each pivot row is a positive multiple of its rref row, the vector
+    of the span that is 1 at its pivot and 0 at every other pivot: a
+    pivot row divided by its pivot entry is such a vector, and there is
+    only one, since a vector of the span that is zero at every pivot
+    column is zero. The pivot columns are those of the elimination that
+    scales every pivot to 1, since each reduced row is a positive multiple
+    of the one that elimination reduces, with the same first column.
+    """
     row = _reduce(pivots, row)
     if not row:
         return False
     lead = min(row)
-    inv = _exact(Fraction(1) / row[lead])
-    new = {k: _exact(q * inv) for k, q in row.items()}
-    for p, existing in pivots.items():
+    if row[lead] < 0:
+        row = {k: -q for k, q in row.items()}
+    for c, existing in pivots.items():
         if lead in existing:
-            f = existing[lead]
-            merged = dict(existing)
-            for k, q in new.items():
-                merged[k] = merged.get(k, 0) - f * q
-            pivots[p] = {k: _exact(q) for k, q in merged.items() if q}
-    pivots[lead] = new
+            _clear(existing, lead, row)
+            if existing[c] != 1:
+                pivots[c] = _primitive(existing)
+    pivots[lead] = row
     return True
 
 
@@ -96,12 +168,18 @@ def rref(matrix):
     stays zero left of its pivot: a new row's pivot is its first nonzero
     column after reduction, and an older row is touched only where it is
     nonzero at that column, which then lies right of its own pivot, and
-    only at columns from there on. So the sorted pivot rows are a reduced
-    row echelon form of the row space, and that form is unique: it is the
-    one Gauss-Jordan elimination reaches.
+    only at columns from there on. Each stored row is a primitive int row
+    with a positive pivot entry p and zeros at the other pivots, so the
+    rows divided by their p are 1 at their own pivot, zero at the others
+    and zero left of it: a reduced row echelon form of the row space, and
+    that form is unique: it is the one Gauss-Jordan elimination reaches.
+    The division by p is the only one, so a Fraction is returned only
+    where that form has one.
 
     >>> rref([[2, 4, 1], [1, 2, 0]])
     ([[1, 2, 0], [0, 0, 1]], [0, 2])
+    >>> rref([[2, 3, 1], [4, 1, 0]])
+    ([[1, 0, Fraction(-1, 10)], [0, 1, Fraction(2, 5)]], [0, 1])
     """
     width = len(matrix[0]) if matrix else 0
     pivots = {}
@@ -109,7 +187,8 @@ def rref(matrix):
         row = [_exact_input(x, "entry") for x in row]
         _insert_row(pivots, {c: x for c, x in enumerate(row) if x})
     columns = sorted(pivots)
-    rows = [[pivots[p].get(c, 0) for c in range(width)] for p in columns]
+    rows = [[_quotient(pivots[c].get(k, 0), pivots[c][c])
+             for k in range(width)] for c in columns]
     rows += [[0] * width for _ in range(len(matrix) - len(columns))]
     return rows, columns
 
@@ -238,15 +317,20 @@ def _keep_row(stage, a, b, used):
 
 
 def mat_mul(a, b):
-    """Matrix product with int entries preserved when both inputs are int."""
-    nrows, inner = len(a), (len(b) if b else 0)
-    ncols = len(b[0]) if inner else 0
+    """Matrix product with int entries preserved when both inputs are int.
+
+    Each row of the product accumulates x times row k of b over the
+    nonzero entries x = a[i][k].
+    """
+    ncols = len(b[0]) if b else 0
     out = []
-    for i in range(nrows):
-        row = []
-        for j in range(ncols):
-            row.append(sum(a[i][k] * b[k][j] for k in range(inner)))
-        out.append(row)
+    for row in a:
+        acc = [0] * ncols
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    acc[j] += x * y
+        out.append(acc)
     return out
 
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -930,13 +931,62 @@ def test_pinned_ring_digests():
         assert _ring_digest(_gerbe(torsion, extra), base) == want, torsion
 
 
+# fan dimension 5, where pivot entries and row coefficients grow most
+PINNED_FAN_DIM_5_DIGESTS = {
+    (1, 2, 3, 5, 7, 11):
+        "8c120faeef9a88fc7a1c3696d4cdee23daf36f63a6e41da698a92a544fcc0c85",
+    (1, 1, 2, 3, 5, 7):
+        "a85f8de2189ae3529c9e1f112ac8e70c624ab3b5c043cbb934ddb5a9bc9956aa",
+}
+
+
+def test_pinned_ring_digests_at_fan_dimension_5():
+    for weights, want in PINNED_FAN_DIM_5_DIGESTS.items():
+        assert _ring_digest(weighted_projective_fan(list(weights)),
+                            POINT) == want, weights
+
+
+def _assert_pivot_rows(pivots, where):
+    """Each pivot row is a primitive int row, positive at its own pivot
+    and zero at every other pivot."""
+    for c, prow in pivots.items():
+        assert all(type(q) is int and q for q in prow.values()), (where, c)
+        assert math.gcd(*prow.values()) == 1, (where, c)
+        assert prow[c] > 0, (where, c)
+        assert not any(k in prow for k in pivots if k != c), (where, c)
+
+
+def _oracle_normal_form(pivots, width, row):
+    """The normal form of a sparse row against the span of pivots, from
+    the dense oracle's rref: row minus row[c] times the rref row of c."""
+    rows, columns = oracles.rref([[prow.get(k, 0) for k in range(width)]
+                                  for prow in pivots.values()])
+    out = [Fraction(row.get(k, 0)) for k in range(width)]
+    for r, c in zip(rows, columns):
+        f = out[c]
+        out = [x - f * y for x, y in zip(out, r)]
+    return {k: q for k, q in enumerate(out) if q}
+
+
+def _is_positive_multiple(row, want):
+    """row = lam want for some rational lam > 0; both may be empty."""
+    if row.keys() != want.keys():
+        return False
+    if not row:
+        return True
+    k = min(row)
+    lam = Fraction(row[k]) / want[k]
+    return lam > 0 and all(row[j] == lam * want[j] for j in row)
+
+
 def test_pivot_rows_are_ints_where_integral():
-    """Seeded integer rows with small entries: the pivot rows span what
-    was inserted, each is 1 at its pivot and 0 at the other pivots, and
-    an integral entry is stored as an int, also after a Fraction pivot
-    inverse or a clearing step."""
+    """Seeded integer rows with small entries: every pivot row is a
+    primitive int row with a positive pivot and zeros at the other pivots,
+    the rows span exactly what was inserted, and the rows divided by their
+    pivot entries, as rref and _assemble read them, are the dense oracle's
+    reduced rows."""
     rng = random.Random(77)
-    fractional = 0
+    non_unit = fractional = 0
     for _ in range(150):
         pivots, rows = {}, []
         for _ in range(rng.randint(1, 6)):
@@ -944,34 +994,49 @@ def test_pivot_rows_are_ints_where_integral():
                    for k in rng.sample(range(6), rng.randint(1, 4))}
             rows.append([row.get(k, 0) for k in range(6)])
             chowring._insert_row(pivots, row)
-            for p, prow in pivots.items():
-                assert {k: prow.get(k, 0) for k in pivots} \
-                    == {k: int(k == p) for k in pivots}
-                _assert_exact(prow.values(), (rows, p))
-                fractional += any(type(q) is Fraction for q in prow.values())
-        assert len(pivots) == rank(rows), rows
-    assert fractional
+            _assert_pivot_rows(pivots, rows)
+            stored = [[prow.get(k, 0) for k in range(6)]
+                      for prow in pivots.values()]
+            assert len(pivots) == rank(rows) == oracles.rref_rank(rows) \
+                == oracles.rref_rank(rows + stored), rows
+            want_rows, want_columns = oracles.rref(rows)
+            assert sorted(pivots) == want_columns, rows
+            for c, want in zip(want_columns, want_rows):
+                p = pivots[c][c]
+                read = [chowring._quotient(pivots[c].get(k, 0), p)
+                        for k in range(6)]
+                assert read == want, (rows, c)
+                _assert_exact(read, (rows, c))
+                non_unit += p > 1
+                fractional += any(type(q) is Fraction for q in read)
+    assert non_unit and fractional
 
 
 def test_reduce_is_linear_over_seeded_pivots():
-    """_assemble reads each table entry as sum q_k NF(e_k), so _reduce must
-    be linear. Seeded pivot sets built as in the test above, Fraction
-    pivots among them, and seeded rows touching both pivot and non-pivot
-    columns: reducing a row equals summing row[k] times the normal form
-    of e_k."""
+    """_assemble reads each table entry as sum q_k NF(e_k), so the normal
+    form must be linear. Seeded pivot sets built as in the test above,
+    non-unit pivot entries among them, and seeded rows touching both pivot
+    and non-pivot columns, Fraction entries among them: _reduce of a row
+    is a positive multiple of sum row[k] NF(e_k), with NF read from the
+    dense oracle, and so is _reduce of each e_k of NF(e_k)."""
     rng = random.Random(78)
-    fractional = checked = 0
+    non_unit = fractional = checked = 0
     for _ in range(150):
         pivots = {}
         for _ in range(rng.randint(1, 5)):
             chowring._insert_row(pivots, {
                 k: rng.choice((-3, -2, -1, 1, 2, 3))
                 for k in rng.sample(range(7), rng.randint(1, 4))})
-        fractional += any(type(q) is Fraction for prow in pivots.values()
-                          for q in prow.values())
+        _assert_pivot_rows(pivots, pivots)
+        non_unit += any(prow[c] > 1 for c, prow in pivots.items())
         free = [k for k in range(7) if k not in pivots]
         if not free:
             continue
+        normal = {k: _oracle_normal_form(pivots, 7, {k: 1})
+                  for k in range(7)}
+        for k in range(7):
+            assert _is_positive_multiple(chowring._reduce(pivots, {k: 1}),
+                                         normal[k]), (pivots, k)
         for _ in range(4):
             cols = {rng.choice(sorted(pivots)), rng.choice(free)}
             cols.update(rng.sample(range(7), rng.randint(0, 3)))
@@ -979,12 +1044,28 @@ def test_reduce_is_linear_over_seeded_pivots():
                    for k in cols}
             want = {}
             for k, q in row.items():
-                for p2, q2 in chowring._reduce(pivots, {k: 1}).items():
+                for p2, q2 in normal[k].items():
                     want[p2] = want.get(p2, 0) + q * q2
-            assert chowring._reduce(pivots, row) \
-                == {p2: q for p2, q in want.items() if q}, (pivots, row)
+            want = {p2: q for p2, q in want.items() if q}
+            assert want == _oracle_normal_form(pivots, 7, row), row
+            got = chowring._reduce(pivots, row)
+            assert all(type(q) is int for q in got.values()), (pivots, row)
+            assert not got or math.gcd(*got.values()) == 1, (pivots, row)
+            assert _is_positive_multiple(got, want), (pivots, row)
+            fractional += any(type(q) is Fraction for q in row.values())
             checked += 1
-    assert fractional and checked
+    assert non_unit and fractional and checked
+
+
+def test_compositions_are_the_filtered_product():
+    """_sector_monomials' exponent tuples: the positive tuples with sum
+    at most the budget, as the filtered product lists them."""
+    for parts in range(5):
+        for budget in range(7):
+            want = [(t, sum(t)) for t in itertools.product(
+                range(1, budget + 1), repeat=parts) if sum(t) <= budget]
+            assert chowring._compositions(parts, budget) == want, \
+                (parts, budget)
 
 
 def test_sectors_are_enumerated_to_cap_plus_one(monkeypatch):

@@ -42,6 +42,14 @@ def fraction_entry(rng):
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
+def wide_int_entry(rng):
+    return rng.randint(-60, 60)
+
+
+def wide_fraction_entry(rng):
+    return Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+
+
 @pytest.mark.parametrize("seed, entry", [(1901, int_entry),
                                          (1902, fraction_entry)])
 def test_elimination_matches_the_dense_oracle(seed, entry):
@@ -68,6 +76,35 @@ def test_results_are_ints_where_integral(seed, entry):
         for q in values:
             assert type(q) in (int, Fraction), (mat, q)
             assert (type(q) is int) == (q.denominator == 1), (mat, q)
+
+
+def test_coefficient_growth_matches_the_dense_oracle():
+    """Dense 8 x 8 matrices with entries up to 60 in size, and with
+    Fraction entries, where the fraction-free rows grow most: the same
+    reduced rows and pivots as the dense oracle."""
+    rng = random.Random(1905)
+    for trial in range(40):
+        entry = wide_fraction_entry if trial % 2 else wide_int_entry
+        mat = [[entry(rng) for _ in range(8)] for _ in range(8)]
+        if trial % 4 == 3:  # rank 6: two rows from the others
+            mat[6] = [a - 3 * b for a, b in zip(mat[0], mat[1])]
+            mat[7] = [sum(col[:6]) for col in zip(*mat)]
+        assert linalg.rref(mat) == oracles.rref(mat), mat
+
+
+def test_mat_mul_matches_the_definition():
+    rng = random.Random(1906)
+    for _ in range(60):
+        n, k, m = (rng.randint(1, 8) for _ in range(3))
+        a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)]
+        b = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(k)]
+        got = linalg.mat_mul(a, b)
+        assert got == [[sum(a[i][t] * b[t][j] for t in range(k))
+                        for j in range(m)] for i in range(n)]
+        assert all(type(x) is int for row in got for x in row)
+    assert linalg.mat_mul([], []) == []
+    assert linalg.mat_mul([[]], []) == [[]]
+    assert linalg.mat_mul([[1, 2]], [[], []]) == [[]]
 
 
 def test_inexact_entries_are_refused():
