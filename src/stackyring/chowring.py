@@ -9,9 +9,13 @@ bilinear extension). Dividing by the linear relations attached to the
 dual lattice M gives the orbifold Chow ring. The computation is sector by
 sector: the relations keep each sector y^v (v in Box) in itself, so the
 ring is the direct sum of the sectors, and each one is reduced degreewise
-by exact rational row reduction. The table is then read from the key
-products of pairs of basis keys and one normal form per monomial key,
-taken off the reduced rows (see _assemble).
+by exact rational row reduction. The table is then read from one normal
+form per monomial key, taken off the reduced rows. As a key product
+depends on the basis keys only through their lattice sum and base labels,
+the table is filled by pairs of lattice parts, with one normal-form
+combination per product monomial and base label pair, and the basis
+pairs that share one share its entry dict, which nothing writes to (see
+_assemble).
 
 Coefficients follow the number convention stated in linalg. The
 relation rows are reduced fraction-free, as primitive int rows, so apart
@@ -403,19 +407,31 @@ def stanley_reisner_generators(fan) -> tuple:
     return tuple(sorted(out, key=lambda s: (len(s), s)))
 
 
+def _lattice_product(faces, add, c1, t1, c2, t2):
+    """The lattice part (c1 + c2, tau1 | tau2) of the product of two keys
+    with lattice parts (c1, tau1) and (c2, tau2), or None when
+    tau1 | tau2 is no face and the product vanishes (see deformed_mul for
+    why this is the cone gate).
+
+    faces is sfan.fan.face_masks() and add is sfan.group.add_reduced.
+    """
+    tau = t1 | t2
+    if tau in faces:
+        return add(c1, c2), tau
+    return None
+
+
 def _key_product(faces, add, base, key1, key2):
     """The terms (key, s) of the product of two keys (c, tau, l).
 
-    faces is sfan.fan.face_masks() and add is sfan.group.add_reduced. The
-    product is y^{c1+c2} times the base product of l1 and l2, keyed
-    (c1 + c2, tau1 | tau2, l3), when tau1 | tau2 is a face; otherwise it
-    vanishes and nothing is yielded (see deformed_mul for why this is the
-    cone gate).
+    The product is y^{c1+c2} times the base product of l1 and l2, keyed
+    (c1 + c2, tau1 | tau2, l3), when _lattice_product gives that lattice
+    part; otherwise it vanishes and nothing is yielded.
     """
     (c1, t1, l1), (c2, t2, l2) = key1, key2
-    tau = t1 | t2
-    if tau in faces:
-        c = add(c1, c2)
+    part = _lattice_product(faces, add, c1, t1, c2, t2)
+    if part is not None:
+        c, tau = part
         for l3, s in base._entry(l1, l2).items():
             yield (c, tau, l3), s
 
@@ -620,6 +636,22 @@ class OrbifoldRing:
                 "products": products}
 
 
+def _combination(normal, part, terms):
+    """The table entry sum s NF(c, tau, l3) over the terms {l3: s} of a
+    base product, for the lattice part (c, tau); InternalInconsistency
+    when a term has no normal form."""
+    c, tau = part
+    out = {}
+    for l3, s in terms.items():
+        nf = normal.get((c, tau, l3))
+        if nf is None:
+            raise InternalInconsistency(
+                "product term left the computed sectors")
+        for k, q in nf.items():
+            out[k] = out.get(k, 0) + s * q
+    return {k: _exact(q) for k, q in out.items() if q}
+
+
 def _assemble(sfan, base, sectors):
     """Basis and table of the sectors' sum, certified finite at cap + 1.
 
@@ -653,6 +685,26 @@ def _assemble(sfan, base, sectors):
     entries at its other columns, which are survivors, divided by p. Each
     table entry is then the sum of s NF(key) over the terms (key, s) of
     the two basis keys' _key_product.
+
+    The table is filled by lattice part, not by basis pair. The terms of
+    _key_product((c1, tau1, l1), (c2, tau2, l2)) are ((c, tau, l3), s)
+    for (c, tau) = (c1 + c2, tau1 | tau2), the lattice part that
+    _lattice_product gives, and (l3, s) over the base product of l1 and
+    l2; there are none when tau1 | tau2 is no face. So the entry of a
+    pair, sum s NF(c, tau, l3), depends on (c, tau, l1, l2) alone and not
+    on the two basis keys. The basis indices are grouped by the lattice
+    part of their key; each pair of parts takes one face test and one
+    sum, and each (c, tau, l1, l2) that a pair passing the degree gate
+    reaches takes one normal-form combination (_combination), read once
+    for all its pairs from a dense table of the base products. That
+    raises "product term left the computed sectors" exactly when the
+    pairwise fill would: when a used term has no normal form.
+
+    Pairs with the same (c, tau, l1, l2) therefore hold one shared dict,
+    and nothing writes to a table entry once it is stored: _check_structure
+    only reads the table (see its docstring), OrbifoldRing.product returns
+    a copy, and to_json_dict reads. The memo of entries is a local of the
+    call; no state outlives it.
     """
     relations = linear_relations(sfan, base)
     diagnostics = sfan.validate()
@@ -726,22 +778,32 @@ def _assemble(sfan, base, sectors):
     top = scale * cap
     faces = sfan.fan.face_masks()
     add = sfan.group.add_reduced
+    products = [[base._entry(l1, l2) for l2 in range(base.dim)]
+                for l1 in range(base.dim)]
+    parts = {}  # lattice part (c, tau) -> (index, label, L deg) of its keys
+    for i, (c, tau, l) in enumerate(keys):
+        parts.setdefault((c, tau), []).append((i, l, degrees[i]))
+    parts = list(parts.items())
+    entries = {}  # product part -> {(l1, l2): entry}, shared by its pairs
     table = {}
-    for i, key1 in enumerate(keys):
-        for j in range(i, len(keys)):
-            if degrees[i] + degrees[j] > top:
+    for a, ((c1, t1), row) in enumerate(parts):
+        for b in range(a, len(parts)):
+            (c2, t2), col = parts[b]
+            part = _lattice_product(faces, add, c1, t1, c2, t2)
+            if part is None:
                 continue
-            out = {}
-            for key, s in _key_product(faces, add, base, key1, keys[j]):
-                terms = normal.get(key)
-                if terms is None:
-                    raise InternalInconsistency(
-                        "product term left the computed sectors")
-                for k, q in terms.items():
-                    out[k] = out.get(k, 0) + s * q
-            prod = {k: _exact(q) for k, q in out.items() if q}
-            if prod:
-                table[(i, j)] = prod
+            shared = entries.setdefault(part, {})
+            for x, (i, l1, d1) in enumerate(row):
+                room = top - d1
+                for j, l2, d2 in col[x:] if a == b else col:
+                    if d2 > room:
+                        continue
+                    entry = shared.get((l1, l2))
+                    if entry is None:
+                        entry = shared[l1, l2] = _combination(
+                            normal, part, products[l1][l2])
+                    if entry:
+                        table[(i, j) if i < j else (j, i)] = entry
 
     ring = OrbifoldRing(sfan, base, sectors, basis, table)
     _check_structure([b.degree for b in basis], ring.unit_index, table,

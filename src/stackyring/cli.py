@@ -215,7 +215,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inertia", help="components of the r-th inertia stack")
     p.add_argument("fan")
     p.add_argument("--order", type=int, default=2, metavar="R",
-                   help="tuple length r (default 2)")
+                   help="tuple length r (default 2); refused when the "
+                   "r-tuples would hold r |Box|^r > 10^6 box elements")
 
     p = sub.add_parser("sectors",
                        help="3-twisted sectors with obstruction exponents")

@@ -68,6 +68,10 @@ class InternalInconsistency(StackyError):
     """A self-check of a computed result failed: a fault of the library."""
 
 
+class TooManyTuples(StackyError):
+    """An enumeration of tuples would pass its fixed size bound."""
+
+
 class UnexpectedCoefficient(StackyError):
     """An obstruction coefficient fell outside the allowed set {1, 2}."""
 

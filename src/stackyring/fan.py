@@ -17,9 +17,10 @@ Every cone query goes through one geometry index per fan, built lazily:
   the first |J| entries of E p are its coefficients on J, every other
   coefficient being zero. Reduced row echelon form is unique, so this is
   the very solution that row reducing [A | p] gives, on independent and
-  dependent rays alike. E is kept scaled to integers by its common
-  denominator, so a query on a lattice point is an integer
-  matrix-vector product and a sign check.
+  dependent rays alike. E is read off the elimination's int pivot rows
+  (linalg._insert_row), each its rref row times its pivot entry, and
+  kept scaled to integers by the lcm of the pivot entries, so a query on
+  a lattice point is an integer matrix-vector product and a sign check.
 * A memo per point: the maximal cones that contain it, in max_cones
   order, with its support and coefficients in each.
 * The frozen set of faces as ray bit masks (cone_mask), so is_face,
@@ -65,14 +66,16 @@ class _ConeSolver:
         # as for any row reduction, a matrix without rows has no columns
         d = len(matrix)
         width = len(matrix[0]) if d else 0
-        rows, pivots = linalg.rref(
-            [list(row) + [int(i == j) for j in range(d)]
-             for i, row in enumerate(matrix)])
+        rows = {}  # the elimination's pivot rows of [A | I], ints
+        for i, row in enumerate(matrix):
+            entries = {c: x for c, x in enumerate(row) if x}
+            entries[width + i] = 1
+            linalg._insert_row(rows, entries)
+        pivots = sorted(rows)  # one per row, as I makes the rows independent
         rank = sum(1 for c in pivots if c < width)
-        transform = [row[width:] for row in rows]
-        denom = math.lcm(*(x.denominator for row in transform for x in row))
-        scaled = [[x.numerator * (denom // x.denominator) for x in row]
-                  for row in transform]
+        denom = math.lcm(*(rows[c][c] for c in pivots))
+        scaled = [[rows[c].get(width + k, 0) * (denom // rows[c][c])
+                   for k in range(d)] for c in pivots]
         self.width = width
         self.columns = tuple(pivots[:rank])
         self.solve_rows = scaled[:rank]

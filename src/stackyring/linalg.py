@@ -4,8 +4,8 @@ Matrices are lists of row lists. Everything here is small and dense; no
 floating point anywhere. Systems of linear inequalities go through one
 solver, fourier_motzkin, and systems of linear equations through one
 Gaussian elimination, _insert_row: rref, rank, nullspace and solve_exact
-run on it, and so do the fan's cone solvers (through rref) and the
-relation rows and associativity walk of chowring.
+run on it, and so do the fan's cone solvers (on its int pivot rows) and
+the relation rows and associativity walk of chowring.
 
 The package keeps numbers in one convention. Integral data is an int from
 input onwards: _exact_input takes an input number to an int where it is

@@ -288,6 +288,44 @@ def _gerbe(torsion, extra):
     return ExtendedStackyFan.build(FgAbGroup(0, torsion), (), ((),), (extra,))
 
 
+def test_shared_entries_are_read_only():
+    """On BG(Z/6) over P^1, y^1 y^4 and y^2 y^3 are one product monomial
+    y^5 and share one stored entry. Writing into the dict that product
+    returns for one pair changes neither the other pair's product nor the
+    ring document; doctor_table, given the assembled table, changes
+    exactly one entry and leaves the shared dicts alone, so the doctored
+    table tests still doctor one product."""
+    ring = orbifold_ring(_gerbe((6,), (1,)), BaseRing.projective_space(1))
+    index = {(g, label): ring.basis_index((g,), (), label)
+             for g in range(6) for label in ("1", "H")}
+    first = (index[1, "1"], index[4, "1"])
+    second = (index[2, "1"], index[3, "1"])
+    stored = [ring._table[tuple(sorted(pair))] for pair in (first, second)]
+    assert stored[0] is stored[1] and stored[0] == {index[5, "1"]: 1}
+    before = documents.dumps_canonical(ring.to_json_dict())
+    got = ring.product(*first)
+    got[index[5, "1"]] = 2
+    got[index[5, "H"]] = 1
+    assert ring.product(*second) == {index[5, "1"]: 1}
+    assert ring.product(*first) == {index[5, "1"]: 1}
+    assert documents.dumps_canonical(ring.to_json_dict()) == before
+
+    degrees = [b.degree for b in ring.basis]
+    snapshot = copy.deepcopy(ring._table)
+    ids = Counter(id(terms) for terms in ring._table.values())
+    rng = random.Random("shared")
+    shared_hits = 0
+    for _ in range(30):
+        doctored = dict(ring._table)  # the stored entry dicts themselves
+        doctor_table(doctored, degrees, rng)
+        changed = [key for key in set(doctored) | set(snapshot)
+                   if doctored.get(key, {}) != snapshot.get(key, {})]
+        assert len(changed) == 1, changed
+        shared_hits += ids[id(ring._table.get(changed[0]))] > 1
+        assert ring._table == snapshot
+    assert shared_hits  # some doctored entry was a shared one
+
+
 def _doctoring_tables():
     """(name, degrees, unit, table) of small assembled ring tables."""
     p1 = fixtures.load_base("base_p1")
@@ -905,13 +943,46 @@ PINNED_RING_DIGESTS = {
 P112_OVER_P2_DIGEST = \
     "62bf87b4d3e7ab094c9072b1673e0924a534b1e98b73a5d3970e78a8fb0bd1e2"
 # (torsion, extra vector, base P^n, twist coefficient of H) of gerbes:
-# the 108-dimensional BG(Z/2 x Z/3 x Z/6) over P^2 and a three-factor
-# order-24 gerbe over P^1 like those of the gerbe_table benchmark
+# the 108-dimensional BG(Z/2 x Z/3 x Z/6) over P^2, then gerbes like those
+# of the gerbe_table benchmark, of order 24 over P^1 and 16 over P^2 with
+# one, two and three cyclic factors, in shuffled order and with twist
+# coefficients from -2 to 2 (N is finite, so no relation reads them)
 PINNED_GERBE_DIGESTS = {
     ((2, 3, 6), (1, 1, 1), 2, 1):
         "3d8042b72ef5e72b72c481a66424908211d9939fd7c561d7060ec15ec9d9bf9e",
     ((2, 3, 4), (1, 2, 3), 1, -2):
         "b9d2b164459bfd2c30545ac2cc1da0670e91d20d824296f60843325ba2619a78",
+    ((24,), (5,), 1, -2):
+        "ca89d19cacb47df9151d42c161240efb785ed0d5a47e189a02cd6856d0dadacd",
+    ((16,), (3,), 2, 2):
+        "1bbe0fb4751b2ef17d3c081540ebf3de6e35f4b1e11fa2132a7fb31d95dec377",
+    ((4, 6), (1, 5), 1, 0):
+        "d4f745c1c7952a12253e95ef10275c32025590751ad907894591ef4a7095d352",
+    ((6, 4), (5, 3), 2, -1):
+        "6bd6c93df13723258ac2ae80dd9ecf944769bab6d509c655b3b5cbf3723e83c3",
+    ((2, 12), (1, 7), 1, 1):
+        "b8cafed732d161d2e5e5d52ec7a576cac6f5dc2217da7193559c2fab582522d5",
+    ((4, 4), (3, 1), 2, 0):
+        "66552792438c7eec3ba3381c8759dc4fa1bafca22ae3481cb3f55cf29226e7f4",
+    ((8, 2), (5, 1), 2, 1):
+        "8c7d21b3ad4b2665e76d544804966923c4c4ff205df6a3149fc4abcbc19ac6e2",
+    ((2, 2, 6), (1, 1, 5), 1, -1):
+        "386571911efc229f5d17474041c140123f85bedf2f5a15237e7962417ef517c0",
+    ((3, 2, 4), (2, 1, 1), 1, 2):
+        "340d04e47345bfd88a385e9db0f434767a38f915ff24be032b38b7529166d2e7",
+    ((2, 2, 4), (1, 1, 3), 2, -2):
+        "e98fffe56f55b37afeb5295a6499909b25e25b11c69ee69fb8ceb02ee66a5d25",
+    ((4, 2, 2), (3, 0, 1), 2, 2):
+        "19302665aa746519d39bce80df5e0abe74e78c1ac80b67c4d23db458a4f07c05",
+}
+# weighted projective 3-spaces over P^1 with the twists H, -H, 2H, 0 on
+# their four coordinates, so that the relations read the twists and the
+# table holds base products
+PINNED_TWISTED_WPS_DIGESTS = {
+    (1, 1, 2, 3):
+        "6c7aba49e36c48b7ed64ec91a2a926637b9b85cbb8ee1115f368d0ae8a79a242",
+    (1, 2, 2, 3):
+        "a4f3f8a0b37c7cbff6edd370d9e60bd53d49a7fb5020e16b35d9fff8ab096a46",
 }
 
 
@@ -929,6 +1000,14 @@ def test_pinned_ring_digests():
     for (torsion, extra, n, twist), want in PINNED_GERBE_DIGESTS.items():
         base = BaseRing.projective_space(n).with_twists([{"H": twist}])
         assert _ring_digest(_gerbe(torsion, extra), base) == want, torsion
+
+
+def test_pinned_twisted_wps_digests():
+    base = BaseRing.projective_space(1).with_twists(
+        [{"H": 1}, {"H": -1}, {"H": 2}, {}])
+    for weights, want in PINNED_TWISTED_WPS_DIGESTS.items():
+        assert _ring_digest(weighted_projective_fan(list(weights)),
+                            base) == want, weights
 
 
 # fan dimension 5, where pivot entries and row coefficients grow most

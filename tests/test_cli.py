@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +127,17 @@ def test_inertia_payload(capsys):
     assert code == 0
     assert payload["count"] == 4
     assert all("quotient" in comp for comp in payload["components"])
+
+
+def test_inertia_order_past_the_bound_is_a_json_error(capsys):
+    start = time.perf_counter()
+    code, payload = run(capsys, "inertia", fan_path("gerbe_z4z9"),
+                        "--order", "6")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload["error"]["type"] == "TooManyTuples"
+    assert payload["error"]["detail"].startswith(
+        "inertia order r = 6 over |Box| = 36: ")
 
 
 def test_sectors_payload(capsys):

@@ -8,8 +8,8 @@ import pytest
 
 from generators import (complete_2d_fan, coprime_weights,
                         weighted_projective_fan)
-from stackyring import fixtures, lattice, stacky
-from stackyring.errors import NotASector, UnexpectedCoefficient
+from stackyring import fixtures, inertia, lattice, stacky
+from stackyring.errors import NotASector, TooManyTuples, UnexpectedCoefficient
 from stackyring.fan import SimplicialFan
 from stackyring.inertia import (inertia_components, obstruction_exponents,
                                 three_sectors)
@@ -41,6 +41,32 @@ def test_second_inertia_counts():
 def test_inertia_rejects_nonpositive_order(p112):
     with pytest.raises(ValueError):
         inertia_components(p112, 0)
+
+
+def test_inertia_refuses_past_the_entry_bound(p112, monkeypatch):
+    """r |Box|^r box elements are allowed up to the bound and refused
+    beyond it, before any tuple is made, naming r, |Box| and the bound."""
+    monkeypatch.setattr(inertia, "INERTIA_ENTRY_BOUND", 4 * 2 ** 4)
+    assert len(inertia_components(p112, 4)) == 2 ** 4
+    with pytest.raises(TooManyTuples, match=r"^inertia order r = 5 over "
+                       r"\|Box\| = 2: .* > 64 box elements, the bound$"):
+        inertia_components(p112, 5)
+    # a box of one element bounds r itself
+    p2 = fixtures.load_fan("p2")
+    assert len(inertia_components(p2, 64)) == 1
+    with pytest.raises(TooManyTuples, match=r"r = 65 over \|Box\| = 1"):
+        inertia_components(p2, 65)
+
+
+def test_inertia_refuses_high_orders_at_once():
+    """On BG(Z/4 x Z/9), |Box| = 36, r = 3 holds 139,968 entries and is
+    walked; r = 4, 6 and 10^9 are refused without a walk."""
+    sfan = fixtures.load_fan("gerbe_z4z9")
+    for r in (4, 6, 10 ** 9):
+        with pytest.raises(TooManyTuples,
+                           match=rf"^inertia order r = {r} over \|Box\| = 36: "
+                                 r".* > 1000000 box elements, the bound$"):
+            inertia_components(sfan, r)
 
 
 def test_three_sector_counts():
