@@ -4,18 +4,18 @@ The deformed group ring A*(B)[N] has basis y^c tensor (basis of A*(B));
 two y's multiply to y^{c1+c2} when some cone contains both c_bar1 and
 c_bar2 and to zero otherwise. Each y^c computed here is keyed with the
 minimal cone of c_bar, so that gate is one face lookup on the union of
-two cones (see _key_product, the one product rule, and deformed_mul, its
-bilinear extension). Dividing by the linear relations attached to the
+two cones (see deformed_mul, the one product rule, and _lattice_product,
+its lattice half). Dividing by the linear relations attached to the
 dual lattice M gives the orbifold Chow ring. The computation is sector by
 sector: the relations keep each sector y^v (v in Box) in itself, so the
 ring is the direct sum of the sectors, and each one is reduced degreewise
 by exact rational row reduction. The table is then read from one normal
-form per monomial key, taken off the reduced rows. As a key product
-depends on the basis keys only through their lattice sum and base labels,
-the table is filled by pairs of lattice parts, with one normal-form
-combination per product monomial and base label pair, and the basis
-pairs that share one share its entry dict, which nothing writes to (see
-_assemble).
+form per monomial key, taken off the reduced rows. The product of two keys
+depends on them only through (c1 + c2, tau1 | tau2) and the two base
+labels, so the table is filled by pairs of lattice parts, with one
+normal-form combination per product monomial and label pair; the basis
+pairs that reach the same one share its entry dict, which nothing writes
+to (see _assemble).
 
 Coefficients follow the number convention stated in linalg. The
 relation rows are reduced fraction-free, as primitive int rows, so apart
@@ -421,29 +421,16 @@ def _lattice_product(faces, add, c1, t1, c2, t2):
     return None
 
 
-def _key_product(faces, add, base, key1, key2):
-    """The terms (key, s) of the product of two keys (c, tau, l).
-
-    The product is y^{c1+c2} times the base product of l1 and l2, keyed
-    (c1 + c2, tau1 | tau2, l3), when _lattice_product gives that lattice
-    part; otherwise it vanishes and nothing is yielded.
-    """
-    (c1, t1, l1), (c2, t2, l2) = key1, key2
-    part = _lattice_product(faces, add, c1, t1, c2, t2)
-    if part is not None:
-        c, tau = part
-        for l3, s in base._entry(l1, l2).items():
-            yield (c, tau, l3), s
-
-
 def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
     """Product in A*(B)[N]^Sigma: y^c1 y^c2 = y^{c1+c2} or 0 by the cone gate.
 
     Elements map keys (c, tau, label index) to coefficients, where tau is
-    the minimal cone of c_bar as a cone_mask. The product is the bilinear
-    extension of _key_product: two keys multiply to the key
-    (c1 + c2, tau1 | tau2, l3) when tau1 | tau2 is a face and vanish
-    otherwise. On a fan that validate() accepts this is the cone gate,
+    the minimal cone of c_bar as a cone_mask. The product is bilinear, and
+    on keys it is the one product rule: (c1, tau1, l1) and (c2, tau2, l2)
+    multiply to the terms ((c1 + c2, tau1 | tau2, l3), s), (l3, s) over
+    the base product of l1 and l2, when tau1 | tau2 is a face, and vanish
+    otherwise; _lattice_product is the face gate and the sum in N. On a
+    fan that validate() accepts this is the cone gate,
     some cone holding both c_bar1 and c_bar2, and the product's key
     carries its minimal cone again:
 
@@ -467,10 +454,15 @@ def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
     faces = sfan.fan.face_masks()
     add = sfan.group.add_reduced
     out = {}
-    for key1, q1 in e1.items():
-        for key2, q2 in e2.items():
+    for (c1, t1, l1), q1 in e1.items():
+        for (c2, t2, l2), q2 in e2.items():
+            part = _lattice_product(faces, add, c1, t1, c2, t2)
+            if part is None:
+                continue
+            c, tau = part
             q12 = q1 * q2
-            for key, s in _key_product(faces, add, base, key1, key2):
+            for l3, s in base._entry(l1, l2).items():
+                key = (c, tau, l3)
                 out[key] = out.get(key, 0) + q12 * s
     return {k: q for k, q in out.items() if q}
 
@@ -536,7 +528,7 @@ def _sector_monomials(sfan, base, box, budget):
     y^v prod y^{b_i}^{e_i} gamma of degree age(v) + step, where the step
     sum e_i + deg gamma is an integer, with key = (c, tau, label index),
     c = v + sum e_i b_i in N and tau = s | sigma(v) as a cone_mask. The key
-    is the one _key_product multiplies; c and tau are computed once, here,
+    is the one deformed_mul multiplies; c and tau are computed once, here,
     where the monomials are enumerated, and this is the only place
     exponents and lattice elements meet. Products are looked up by key and
     never decomposed, because a key names one monomial:
@@ -551,7 +543,7 @@ def _sector_monomials(sfan, base, box, budget):
     parts are v's: box_decompose(c) = (v, e). As that is a function of c,
     (v, e) -> c is injective on the monomials of all sectors together.
     The same argument makes tau the minimal cone of c_bar, which is what
-    _key_product's cone gate reads.
+    _lattice_product's cone gate reads.
     """
     sigma = cone_mask(box.min_cone)
     faces = sfan.fan.face_masks()
@@ -684,10 +676,10 @@ def _assemble(sfan, base, sectors):
     and a pivot column reduces by its row alone, to minus that row's
     entries at its other columns, which are survivors, divided by p. Each
     table entry is then the sum of s NF(key) over the terms (key, s) of
-    the two basis keys' _key_product.
+    the product of the two basis keys (the rule stated in deformed_mul).
 
     The table is filled by lattice part, not by basis pair. The terms of
-    _key_product((c1, tau1, l1), (c2, tau2, l2)) are ((c, tau, l3), s)
+    the product of (c1, tau1, l1) and (c2, tau2, l2) are ((c, tau, l3), s)
     for (c, tau) = (c1 + c2, tau1 | tau2), the lattice part that
     _lattice_product gives, and (l3, s) over the base product of l1 and
     l2; there are none when tau1 | tau2 is no face. So the entry of a
