@@ -25,7 +25,9 @@ class NonFreeSource(StackyError):
 
 
 class GaleExactnessError(StackyError):
-    """Internal consistency check of the Gale dual sequences failed."""
+    """A Smith witness that gale_dual computes does not verify as one of
+    its matrix; every other part of the Gale dual sequences follows from
+    the verified witnesses (see lattice.gale_dual)."""
 
 
 class DegenerateImage(StackyError):

@@ -210,20 +210,6 @@ class SimplicialFan:
             return None
         return coeffs
 
-    def locate(self, point):
-        """(minimal cone, coefficients over its rays) of a point, or None.
-
-        Equals (minimal_cone([point]), cone_coefficients(that cone,
-        point)): the support lies among the pivot columns of the first
-        containing maximal cone, whose rays are independent, so the
-        coefficients over the support are the nonzero ones found there.
-        """
-        found = self._index.containing(point)
-        if not found:
-            return None
-        support, coeffs = next(iter(found.values()))
-        return support, list(coeffs)
-
     def joint_coefficients(self, points):
         """[(support, coefficients)] of each point, or None.
 

@@ -27,6 +27,8 @@ from fractions import Fraction
 from .errors import (NoCommonCone, NotASector, TooManyTuples,
                      UnexpectedCoefficient)
 from .stacky import BoxElement, ExtendedStackyFan
+# the most box elements, r |Box|^r, that inertia_components' r-tuples hold
+from .stacky import ENUMERATION_BOUND as INERTIA_ENTRY_BOUND
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,6 @@ class Sector:
         if self.ceilings is None:
             return None
         return _obstruction_rays(self.joint_cone, self.ceilings)
-
-
-# the most box elements, r |Box|^r, that inertia_components' r-tuples hold
-INERTIA_ENTRY_BOUND = 10 ** 6
 
 
 def inertia_components(sfan: ExtendedStackyFan, r: int):
@@ -116,16 +114,10 @@ def three_sectors(sfan: ExtendedStackyFan):
     sigma is the union of the pair's supports in the first maximal cone
     holding both images, which is what minimal_cone returns for them, so
     on any fan sigma is the pair's joint cone as inertia_components
-    finds it. g3 and the integer total age sum c_i come from the
-    same call, without box_complement's recheck of the triple's minimal
-    cone tau. On a valid fan it cannot fail: g3 in Box(sigma) puts all
-    three images in sigma, so tau is a face of sigma holding the images
-    of g1 and g2, and tau = sigma. Nor on an unvalidated fan:
-    minimal_cone reads the supports in the first maximal cone C holding
-    the points. No earlier cone holds the images of g1 and g2; C holds
-    g3's through sigma, with support in sigma, as sigma is a set of pivot
-    rays of C, over which coefficients are unique. Each sector keeps
-    the ceilings, and its obstruction_rays reads the rays off them.
+    finds it, and the triple's minimal cone too (see _complement_in's
+    docstring). g3 and the integer total age sum c_i come from the same
+    call. Each sector keeps the ceilings, and its obstruction_rays reads
+    the rays off them.
     """
     box = sfan.box()
     quotients = {}

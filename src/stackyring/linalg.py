@@ -338,11 +338,5 @@ def mat_vec(a, v):
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
-def transpose(matrix):
-    if not matrix:
-        return []
-    return [list(col) for col in zip(*matrix)]
-
-
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]

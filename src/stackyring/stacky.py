@@ -29,12 +29,16 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (DegenerateImage, InfiniteCokernel, NoCommonCone,
-                     OutsideSupport)
+                     OutsideSupport, TooManyTuples)
 from .fan import SimplicialFan
 from .lattice import (FgAbGroup, GroupHom, _cokernel_of_snf, _integers,
                       _with_relations, smith_normal_form, solve_integer_linear)
 # no caller here: benchmark/spans.py's tracer wraps this alias by name
 from .lattice import cokernel  # noqa: F401
+
+# the most elements one enumeration lists: Box(sigma) in _record, and
+# r |Box|^r box elements in inertia_components' r-tuples
+ENUMERATION_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -185,7 +189,9 @@ class ExtendedStackyFan:
         exactly when M has rank |sigma| plus the number of relations.
         Dependent rays, which validate() refuses, take Box(sigma) from
         the Smith form of [B_J | Q], J the pivot rays (coefficient 0 on
-        the others).
+        the others). Box(sigma) has prod d_t elements; past
+        ENUMERATION_BOUND it is refused with TooManyTuples before any
+        is listed.
         """
         record = self._cones.get(sigma)
         if record is not None:
@@ -199,6 +205,11 @@ class ExtendedStackyFan:
             snf = smith_normal_form(
                 self._lifts_with_relations([sigma[j] for j in columns]))
         tors = [(t, d) for t, d in enumerate(snf.diagonal) if d >= 2]
+        size = math.prod(d for _, d in tors)
+        if size > ENUMERATION_BOUND:
+            raise TooManyTuples(
+                f"Box{sigma} would list {size} elements, more than the "
+                f"bound {ENUMERATION_BOUND}")
         top = math.lcm(*(d for _, d in tors))
         gens = [[x // d for x in linalg.mat_vec(
                     snf.matrix, [row[t] for row in snf.V])] for t, d in tors]
@@ -235,10 +246,10 @@ class ExtendedStackyFan:
         the minimal cone of c_bar to its nonnegative integer part.
         """
         c = self.group.reduce(c)
-        located = self.fan.locate(self.bar(c))
+        located = self.fan.joint_coefficients([self.bar(c)])
         if located is None:
             raise OutsideSupport(f"{c} has image outside the fan support")
-        return self._split(c, *located)
+        return self._split(c, *located[0])
 
     def _split(self, c, sigma, coeffs):
         """(v, {i: m_i}) with c = v + sum m_i b_i and m_i = floor(coeffs_i).
@@ -297,8 +308,7 @@ class ExtendedStackyFan:
 
         The triple (v1, v2, v3) is then a 3-twisted sector: the minimal cone
         of the three images equals sigma, the minimal cone of the first
-        two. sigma and v3 come from _complement_in, and the triple's
-        minimal cone is checked against sigma.
+        two, on any fan (see _complement_in, which gives sigma and v3).
 
         >>> p112 = ExtendedStackyFan.build(
         ...     FgAbGroup(2), [(1, 0), (0, 1), (-1, -2)],
@@ -310,12 +320,7 @@ class ExtendedStackyFan:
         found = self._complement_in(v1, v2)
         if found is None:
             raise NoCommonCone("v1 and v2 do not share a cone")
-        sigma, _, v3 = found
-        joint = self.fan.minimal_cone([self.bar(v1.value), self.bar(v2.value),
-                                       self.bar(v3.value)])
-        if joint != sigma:
-            raise NoCommonCone("complement changes the minimal cone")
-        return v3
+        return found[2]
 
     def _complement_in(self, v1: BoxElement, v2: BoxElement):
         """(sigma, ceilings, v3) for v1 and v2, or None without a joint cone.
@@ -333,6 +338,15 @@ class ExtendedStackyFan:
         proof. Box(sigma) holds every such element, so finding w among its
         values is also the certificate that w is in the box; a value it
         lacks raises NoCommonCone.
+
+        The minimal cone tau of the three images is sigma on any fan, so
+        nothing rechecks it. On a valid fan, v3 in Box(sigma) puts all
+        three images in sigma, so tau is a face of sigma holding the
+        images of v1 and v2, and tau = sigma. On an unvalidated fan,
+        minimal_cone reads the supports in the first maximal cone C
+        holding the points. No earlier cone holds the images of v1 and
+        v2; C holds v3's through sigma, with support in sigma, as sigma is
+        a set of pivot rays of C, over which coefficients are unique.
 
         w is reduced with the torsion moduli in place, not by
         FgAbGroup.reduce, whose length check alone is kept. Its type check
@@ -386,12 +400,12 @@ class ExtendedStackyFan:
         new_extra = []
         warnings = []
         for j, b in enumerate(self.extra):
-            located = self.fan.locate(self.bar(b))
+            located = self.fan.joint_coefficients([self.bar(b)])
             if located is None:
                 new_extra.append(b)
                 warnings.append(self.n + j)
                 continue
-            new_extra.append(self._split(b, *located)[0].value)
+            new_extra.append(self._split(b, *located[0])[0].value)
         fan = ExtendedStackyFan(self.group, self.fan, self.ray_lifts,
                                 tuple(new_extra))
         return fan, tuple(warnings)

@@ -184,6 +184,28 @@ def test_gerbe_command(capsys):
     assert payload["dimension"] == 1
 
 
+# Z/99999999999 x Z/2 is cyclic of order 199999999998: one Box(sigma)
+# past the 10^6 bound
+HUGE_TORSION = (99999999999, 2)
+
+
+def test_gerbe_past_the_box_bound_is_a_json_error(capsys):
+    code, payload = run(capsys, "gerbe", "--torsion",
+                        ",".join(map(str, HUGE_TORSION)))
+    assert code == 1
+    assert payload["error"]["type"] == "TooManyTuples"
+
+
+def test_box_past_the_box_bound_is_a_json_error(capsys, tmp_path):
+    doc = {"group": {"rank": 0, "torsion": list(HUGE_TORSION)},
+           "rays": [], "cones": [[]], "extra": [[1, 1]]}
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run(capsys, "box", str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "TooManyTuples"
+
+
 def test_gerbe_takes_no_line_bundle_class():
     # N has rank 0 here, so M = 0 and no linear relation carries a twist
     # class: the flag that set one changed no ring and is gone

@@ -117,7 +117,8 @@ def test_bar_gives_ints_that_fan_queries_take_as_fractions(case):
     by_int, by_frac = (SimplicialFan(fan.ambient_dim, fan.rays,
                                      fan.max_cones) for _ in range(2))
     for p, q in zip(int_points, frac_points):
-        assert by_int.locate(p) == by_frac.locate(q), p
+        assert by_int.joint_coefficients([p]) == \
+            by_frac.joint_coefficients([q]), p
         assert by_int.minimal_cone([p]) == by_frac.minimal_cone([q]), p
     pairs = list(zip(int_points, frac_points))
     for (p1, q1), (p2, q2) in itertools.combinations(pairs[:16], 2):
@@ -212,6 +213,45 @@ def test_box_complement_matches_old_scan(case):
                 obstruction_exponents(sfan, g1, g2, by_value[w])
         pairs += 1
     assert pairs >= len(box)
+
+
+def complement_families():
+    rng = random.Random(20261027)
+    # lifts (2, 0), (0, 2), (1, 1), (-1, -1): cone (0, 2) lies inside
+    # cone (0, 1), and the boxes have 4, 2 and 2 elements
+    lifts = ((2, 0), (0, 2), (1, 1), (-1, -1))
+    return {
+        "fixtures": [fixtures.load_fan(name)
+                     for name in fixtures.FAN_FIXTURES],
+        "dependent": [dependent_stacky_fan(rng) for _ in range(12)]
+        + [seeded_fans()[-1]],
+        "overlapping": [ExtendedStackyFan.build(FgAbGroup(2), lifts, cones)
+                        for cones in (((0, 1), (0, 2), (1, 3)),
+                                      ((0, 2), (0, 1), (1, 3)))],
+    }
+
+
+@pytest.mark.parametrize("family", ["fixtures", "dependent", "overlapping"])
+def test_complement_keeps_the_pair_minimal_cone(family):
+    """The images of v1, v2 and box_complement(v1, v2) have the pair's
+    joint cone as their minimal cone, on fans that validate() refuses
+    too (see _complement_in)."""
+    for sfan in complement_families()[family]:
+        if family != "fixtures":
+            assert sfan.validate() != []
+        box = sfan.box()
+        joint_pairs = 0
+        for v1, v2 in itertools.product(box, repeat=2):
+            pair = [sfan.bar(v1.value), sfan.bar(v2.value)]
+            sigma = sfan.fan.minimal_cone(pair)
+            if sigma is None:
+                continue
+            v3 = sfan.box_complement(v1, v2)
+            assert sfan.fan.minimal_cone(pair + [sfan.bar(v3.value)]) \
+                == sigma, (v1, v2)
+            joint_pairs += 1
+        # each v pairs with the zero element
+        assert joint_pairs >= 2 * len(box) - 1
 
 
 @pytest.mark.parametrize("caller", ["box_complement",

@@ -420,6 +420,109 @@ def test_gale_dual_refuses_a_doctored_witness(monkeypatch, which, mutant):
     assert len(calls) == which + 1
 
 
+def _zero_last_pivot(w):
+    # the last nonzero d_t becomes 0: D keeps its zeros last, one more
+    # coordinate of the cokernel reads free, and U A V no longer equals D
+    t = max(i for i, d in enumerate(w.diagonal) if d)
+    return w.U, w.V, tuple(tuple(0 if (i, j) == (t, t) else x
+                                 for j, x in enumerate(row))
+                           for i, row in enumerate(w.D))
+
+
+def _fill_first_zero(w):
+    # the first d_t = 0 becomes 1: no coordinate of the cokernel reads
+    # free, and U A V no longer equals D
+    t = w.diagonal.index(0)
+    return w.U, w.V, tuple(tuple(1 if (i, j) == (t, t) else x
+                                 for j, x in enumerate(row))
+                           for i, row in enumerate(w.D))
+
+
+def _zero_free_u_row(w):
+    # the last row of U, whose row of D is zero, becomes zero: it is in
+    # ker(A^T), so U A V = D still holds, but det U = 0
+    assert not any(w.D[-1])
+    return w.U[:-1] + ((0,) * len(w.U[-1]),), w.V, w.D
+
+
+# a P^1 gerbe, N = Z + Z/2 with lifts (1, 1), (-1, 1): DG = Z + Z/2, and
+# the last row of W2's D is zero
+P1_GERBE = GroupHom.from_columns(2, FgAbGroup(1, (2,)), [[1, 1], [-1, 1]])
+# P^1, N = Z with rays 1, -1: DG = Z is free, so a doctored W3 may read
+# any row of its U as free
+P1 = GroupHom.from_columns(2, FgAbGroup(1), [[1], [-1]])
+# N = Z^2 with rays (1, 0), (-1, 0): coker(beta) = Z
+INFINITE = GroupHom.from_columns(2, FgAbGroup(2), [[1, 0], [-1, 0]])
+
+# gale_dual once checked each of these facts, which follow from its
+# verified witnesses (see its docstring), and refused with the key: the
+# beta, its Smith forms doctored by index and how, and the fact as it
+# fails on what gale_dual returns from them taken unverified; the old
+# checks before it pass there. "N* does not inject" reads beta alone:
+# rank(B_free) < rank N says coker(beta) is infinite, which W1 decides,
+# and W2 is doctored too so that DG reads rank m - rank N.
+DEDUCED_CHECKS = {
+    "rank of DG is not m - rank(N)": (
+        P1_GERBE, {1: _zero_last_pivot},
+        lambda beta, gale: gale[0].rank
+        != beta.source.rank - beta.target.rank),
+    "DG* does not inject into Z^m": (
+        P1_GERBE, {1: _zero_free_u_row},
+        lambda beta, gale: linalg.rank(dual_hom(gale[1]).matrix)
+        != gale[0].rank),
+    "N* does not inject into Z^m": (
+        INFINITE, {0: _fill_first_zero, 1: _fill_first_zero},
+        lambda beta, gale: linalg.rank(dual_hom(beta).matrix)
+        != beta.target.rank),
+    "coker(beta_vee) is not finite": (
+        P1, {2: _zero_last_pivot},
+        lambda beta, gale: not gale.gerbe_group.is_finite),
+}
+
+
+@pytest.mark.parametrize("check", DEDUCED_CHECKS)
+def test_deleted_gale_checks_need_a_witness_that_does_not_verify(
+        monkeypatch, check):
+    """Doctored witnesses on which a deleted check would fire, were they
+    taken unverified, are refused by _verified_snf at the first."""
+    beta, mutants, fails = DEDUCED_CHECKS[check]
+    which = min(mutants)
+    honest = lattice.smith_normal_form
+    calls = []
+
+    def doctored(matrix):
+        w = honest(matrix)
+        calls.append(w)
+        mutant = mutants.get(len(calls) - 1)
+        if mutant is None:
+            return w
+        return lattice.SnfWitness(w.matrix, *mutant(w))
+
+    monkeypatch.setattr(lattice, "smith_normal_form", doctored)
+    with monkeypatch.context() as unverified:
+        unverified.setattr(lattice, "_verified_snf",
+                           lambda matrix, name: doctored(matrix))
+        assert fails(beta, gale_dual(beta))
+    calls.clear()
+    with pytest.raises(GaleExactnessError) as refusal:
+        gale_dual(beta)
+    assert str(refusal.value) == \
+        f"Smith witness of {GALE_WITNESSES[which]} does not verify"
+    assert len(calls) == which + 1
+
+
+def test_gale_dual_takes_no_rank(monkeypatch):
+    betas = [fixtures.load_fan(name).beta() for name in fixtures.FAN_FIXTURES]
+    betas += _seeded_gale_maps()[:40]
+
+    def refused(matrix):
+        raise AssertionError("gale_dual called linalg.rank")
+
+    monkeypatch.setattr(linalg, "rank", refused)
+    for beta in betas:
+        gale_dual(beta)
+
+
 def _benchmark_gale_maps():
     """The 24 seeded GALE_SHAPES maps of the cli_sweep benchmark, for
     each of the seeds 1-3."""

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from stackyring import fixtures
+from stackyring import fixtures, stacky
 from stackyring.errors import (InfiniteCokernel, NoCommonCone,
-                               OutsideSupport)
+                               OutsideSupport, TooManyTuples)
 from stackyring.lattice import FgAbGroup
 from stackyring.stacky import BoxElement, ExtendedStackyFan
 
@@ -128,6 +128,33 @@ def test_gerbe_box_is_whole_group():
     values = {b.value for b in sfan.box()}
     assert values == set(sfan.group.elements())
     assert all(b.age == 0 for b in sfan.box())
+
+
+def test_box_past_the_bound_is_refused_before_any_element(monkeypatch):
+    """Box(sigma) of prod d_t elements is listed up to the bound and
+    refused past it, before any element is split off."""
+    split = ExtendedStackyFan._split
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return split(self, *args)
+
+    monkeypatch.setattr(ExtendedStackyFan, "_split", counted)
+    huge = ExtendedStackyFan.build(FgAbGroup(0, (99999999999, 2)), (),
+                                   ((),), ((1, 1),))
+    with pytest.raises(TooManyTuples, match=r"^Box\(\) would list "
+                       r"199999999998 elements, more than the bound 1000000$"):
+        huge.box()
+    assert calls == []
+    monkeypatch.setattr(stacky, "ENUMERATION_BOUND", 36)
+    assert len(fixtures.load_fan("gerbe_z4z9").box()) == 36
+    monkeypatch.setattr(stacky, "ENUMERATION_BOUND", 35)
+    calls.clear()
+    with pytest.raises(TooManyTuples, match=r"would list 36 elements, more "
+                       r"than the bound 35$"):
+        fixtures.load_fan("gerbe_z4z9").box()
+    assert calls == []
 
 
 def test_local_group_orders(p112):
