@@ -8,23 +8,25 @@ face by looking for a separating functional with linalg.fourier_motzkin
 (see _meets_along_common_face), and completeness of a validated fan is
 decided by the wall count alone (see is_complete).
 
-Every cone query goes through one geometry index per fan, built lazily:
+Every cone query goes through state the fan builds lazily, in its fields:
 
-* A solver per queried cone. Row reducing [A | I] for the cone's ray
-  matrix A (d x k) yields the pivot columns J of A and a transform E
-  with E A = rref(A). A point p lies in the span of the columns J exactly
-  when the rows of E p below |J| vanish (the verification rows), and then
-  the first |J| entries of E p are its coefficients on J, every other
-  coefficient being zero. Reduced row echelon form is unique, so this is
-  the very solution that row reducing [A | p] gives, on independent and
-  dependent rays alike. E is read off the elimination's int pivot rows
-  (linalg._insert_row), each its rref row times its pivot entry, and
-  kept scaled to integers by the lcm of the pivot entries, so a query on
-  a lattice point is an integer matrix-vector product and a sign check.
-* A memo per point: the maximal cones that contain it, in max_cones
-  order, with its support and coefficients in each.
-* The frozen set of faces as ray bit masks (cone_mask), so is_face,
-  link_rays and the cone gate of the deformed product are set lookups.
+* A solver per queried cone (_solver). Row reducing [A | I] for the
+  cone's ray matrix A (d x k) yields the pivot columns J of A and a
+  transform E with E A = rref(A). A point p lies in the span of the
+  columns J exactly when the rows of E p below |J| vanish (the check
+  rows), and then the first |J| entries of E p are its coefficients on
+  J, every other coefficient being zero. Reduced row echelon form is
+  unique, so this is the very solution that row reducing [A | p] gives,
+  on independent and dependent rays alike. E is read off the
+  elimination's int pivot rows (linalg._insert_row), each its rref row
+  times its pivot entry, and kept scaled to integers by the lcm of the
+  pivot entries, so a query on a lattice point is an integer
+  matrix-vector product and a sign check. validate and stacky's box
+  records take J, coefficients and annihilators from it too.
+* A memo per point (_containing): the maximal cones that contain it, in
+  max_cones order, with its support and coefficients in each.
+* The faces, also as a frozen set of ray bit masks (cone_mask), so
+  is_face, link_rays and the deformed product's cone gate are lookups.
 
 Why the memo gives the same minimal cone as a scan: minimal_cone(points)
 is the union of the points' supports in the first maximal cone, in
@@ -40,6 +42,7 @@ is still the first-match answer.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -94,64 +97,16 @@ class _ConeSolver:
         return out
 
 
-class _ConeIndex:
-    """Per-cone solvers, per-point memo and face set of one fan."""
-
-    def __init__(self, dim, rays, max_cones):
-        self._dim = dim
-        self._rays = rays
-        self._max_cones = max_cones
-        self._solvers = {}
-        self._located = {}
-        self._faces = None
-
-    def solver(self, cone) -> _ConeSolver:
-        solver = self._solvers.get(cone)
-        if solver is None:
-            matrix = [[self._rays[i][r] for i in cone]
-                      for r in range(self._dim)]
-            solver = self._solvers[cone] = _ConeSolver(matrix)
-        return solver
-
-    def containing(self, point) -> dict:
-        """{max cone index: (support, coefficients)} over cones holding it.
-
-        Indices ascend; the coefficients are those of the support's rays.
-        """
-        key = tuple(point)
-        found = self._located.get(key)
-        if found is None:
-            exact = [linalg._exact_input(x, "coordinate") for x in key]
-            found = {}
-            for idx, cone in enumerate(self._max_cones):
-                coeffs = self.solver(cone).solve(exact)
-                if coeffs is None or any(a < 0 for a in coeffs):
-                    continue
-                found[idx] = (tuple(i for i, a in zip(cone, coeffs) if a),
-                              tuple(a for a in coeffs if a))
-            self._located[key] = found
-        return found
-
-    def faces(self):
-        """(sorted faces with the zero cone, masks of faces of max cones)."""
-        if self._faces is None:
-            face_set = {
-                sub for c in self._max_cones
-                for k in range(len(c) + 1)
-                for sub in itertools.combinations(c, k)}
-            ordered = tuple(sorted(face_set | {()},
-                                   key=lambda f: (len(f), f)))
-            masks = frozenset(cone_mask(f) for f in face_set)
-            self._faces = (ordered, masks)
-        return self._faces
-
-
 @dataclass(frozen=True)
 class SimplicialFan:
     ambient_dim: int
     rays: tuple
     max_cones: tuple
-    _index: _ConeIndex = field(init=False, repr=False, compare=False)
+    # sorted cone -> its _ConeSolver, and point -> _containing(point)
+    _solvers: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _located: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         rays = []
@@ -170,20 +125,55 @@ class SimplicialFan:
                     raise ValueError(f"cone references unknown ray {i}")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
-        object.__setattr__(self, "_index",
-                           _ConeIndex(self.ambient_dim, rays, cones))
 
     @property
     def num_rays(self) -> int:
         return len(self.rays)
 
+    def _solver(self, cone) -> _ConeSolver:
+        """The solver of a sorted cone, built on its first query."""
+        solver = self._solvers.get(cone)
+        if solver is None:
+            matrix = [[self.rays[i][r] for i in cone]
+                      for r in range(self.ambient_dim)]
+            solver = self._solvers[cone] = _ConeSolver(matrix)
+        return solver
+
+    def _containing(self, point) -> dict:
+        """{max cone index: (support, coefficients)} over cones holding it.
+
+        Indices ascend; the coefficients are those of the support's rays.
+        """
+        key = tuple(point)
+        found = self._located.get(key)
+        if found is None:
+            exact = [linalg._exact_input(x, "coordinate") for x in key]
+            found = {}
+            for idx, cone in enumerate(self.max_cones):
+                coeffs = self._solver(cone).solve(exact)
+                if coeffs is None or any(a < 0 for a in coeffs):
+                    continue
+                found[idx] = (tuple(i for i, a in zip(cone, coeffs) if a),
+                              tuple(a for a in coeffs if a))
+            self._located[key] = found
+        return found
+
+    @functools.cached_property
+    def _face_data(self):
+        """(sorted faces with the zero cone, masks of faces of max cones)."""
+        face_set = {sub for c in self.max_cones
+                    for k in range(len(c) + 1)
+                    for sub in itertools.combinations(c, k)}
+        ordered = tuple(sorted(face_set | {()}, key=lambda f: (len(f), f)))
+        return ordered, frozenset(cone_mask(f) for f in face_set)
+
     def faces(self):
         """All cones of the fan as a sorted list of ray-index tuples."""
-        return list(self._index.faces()[0])
+        return list(self._face_data[0])
 
     def face_masks(self):
         """The faces of the maximal cones as a frozen set of cone_masks."""
-        return self._index.faces()[1]
+        return self._face_data[1]
 
     def is_face(self, cone) -> bool:
         cone = tuple(cone)
@@ -196,7 +186,7 @@ class SimplicialFan:
         Any signs are allowed. On dependent rays the coefficients of the
         rays that depend on earlier ones are zero.
         """
-        return self._index.solver(tuple(sorted(cone))).solve(
+        return self._solver(tuple(sorted(cone))).solve(
             [linalg._exact_input(x, "coordinate") for x in point])
 
     def cone_coefficients(self, cone, point):
@@ -218,7 +208,7 @@ class SimplicialFan:
         index in every point's memo (see the module docstring). The
         supports lie among that cone's pivot rays, independent on any fan.
         """
-        found = [self._index.containing(p) for p in points]
+        found = [self._containing(p) for p in points]
         if not found:
             return [] if self.max_cones else None
         first, rest = found[0], found[1:]
@@ -258,7 +248,7 @@ class SimplicialFan:
             if all(x == 0 for x in r):
                 out.append(Diagnostic("NotSimplicial", f"ray {i} is zero"))
         for c in self.max_cones:
-            if len(self._index.solver(c).columns) != len(c):
+            if len(self._solver(c).columns) != len(c):
                 out.append(Diagnostic(
                     "NotSimplicial",
                     f"cone {c} has linearly dependent rays"))
@@ -307,22 +297,22 @@ class SimplicialFan:
           ray is never 0.
 
         The functionals zero on the common rays are the combinations of
-        a basis of their annihilator (all of Q^d when none are shared).
-        The strict system is homogeneous, so over Q it is solvable
-        exactly when the same rows with right-hand side 1 are, each row
-        scaled to integers.
+        the check rows of the common face's solver. A point lies in the
+        span of the common rays exactly when every check row vanishes on
+        it, so the check rows annihilate that span, and as rows of an
+        invertible transform they are independent, d minus its dimension
+        of them: a basis of the annihilator, in ints (the identity rows
+        for the zero cone). The strict system is homogeneous, so over Q it
+        is solvable exactly when the same rows with right-hand side 1 are.
         """
-        common = [i for i in ca if i in cb]
-        basis = (linalg.nullspace([self.rays[i] for i in common]) if common
-                 else linalg.identity(self.ambient_dim))
+        common = tuple(i for i in ca if i in cb)
+        basis = self._solver(common).check_rows
         rows = [[sign * sum(w * x for w, x in zip(v, self.rays[i]))
                  for v in basis]
                 for sign, cone in ((1, ca), (-1, cb))
                 for i in cone if i not in common]
-        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-        return not linalg.fourier_motzkin(
-            [([int(x * m) for x in row], 1) for row, m in zip(rows, scales)],
-            len(basis))[0]
+        return not linalg.fourier_motzkin([(row, 1) for row in rows],
+                                          len(basis))[0]
 
     def is_complete(self) -> bool:
         """Exact completeness test for a validated fan: the wall count.

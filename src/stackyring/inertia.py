@@ -27,7 +27,8 @@ from fractions import Fraction
 from .errors import (NoCommonCone, NotASector, TooManyTuples,
                      UnexpectedCoefficient)
 from .stacky import BoxElement, ExtendedStackyFan
-# the most box elements, r |Box|^r, that inertia_components' r-tuples hold
+# the most box elements, r |Box|^r, that the r-tuples of
+# inertia_components, and three_sectors' pairs (r = 2), hold
 from .stacky import ENUMERATION_BOUND as INERTIA_ENTRY_BOUND
 
 
@@ -59,6 +60,21 @@ class Sector:
         return _obstruction_rays(self.joint_cone, self.ceilings)
 
 
+def _refuse_past_the_bound(walk, r, box):
+    """Raise TooManyTuples when the r-tuples of box would hold more than
+    INERTIA_ENTRY_BOUND box elements, r |Box|^r; walk names the walk."""
+    entries = r
+    if len(box) > 1:
+        for _ in range(r):  # at most 20 steps, as 2^20 > 10^6
+            entries *= len(box)
+            if entries > INERTIA_ENTRY_BOUND:
+                break
+    if entries > INERTIA_ENTRY_BOUND:
+        raise TooManyTuples(
+            f"{walk} over |Box| = {len(box)}: the r-tuples would hold "
+            f"r |Box|^r > {INERTIA_ENTRY_BOUND} box elements, the bound")
+
+
 def inertia_components(sfan: ExtendedStackyFan, r: int):
     """Components of the r-th inertia stack, in box enumeration order.
 
@@ -78,17 +94,7 @@ def inertia_components(sfan: ExtendedStackyFan, r: int):
     if r < 1:
         raise ValueError("r must be positive")
     box = sfan.box()
-    entries = r
-    if len(box) > 1:
-        for _ in range(r):  # at most 20 steps, as 2^20 > 10^6
-            entries *= len(box)
-            if entries > INERTIA_ENTRY_BOUND:
-                break
-    if entries > INERTIA_ENTRY_BOUND:
-        raise TooManyTuples(
-            f"inertia order r = {r} over |Box| = {len(box)}: the r-tuples "
-            f"would hold r |Box|^r > {INERTIA_ENTRY_BOUND} box elements, "
-            f"the bound")
+    _refuse_past_the_bound(f"inertia order r = {r}", r, box)
     points = [(b, sfan.bar(b.value)) for b in box]
     minimal_cone = sfan.fan.minimal_cone
     quotients = {}
@@ -118,8 +124,13 @@ def three_sectors(sfan: ExtendedStackyFan):
     docstring). g3 and the integer total age sum c_i come from the same
     call. Each sector keeps the ceilings, and its obstruction_rays reads
     the rays off them.
+
+    The pairs are the r-tuples of inertia_components with r = 2, under
+    the same bound: when 2 |Box|^2 exceeds INERTIA_ENTRY_BOUND the walk is
+    refused with TooManyTuples before any pair is taken.
     """
     box = sfan.box()
+    _refuse_past_the_bound("3-sector pairs, r = 2,", 2, box)
     quotients = {}
     out = []
     for g1, g2 in itertools.product(box, repeat=2):

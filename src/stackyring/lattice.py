@@ -478,12 +478,8 @@ def cokernel(f: GroupHom):
     projection from f.target onto C.
     """
     target = f.target
-    combined = _with_relations(target, f.matrix)
-    if not combined or not combined[0]:
-        # nothing to quotient by: the cokernel is the target itself,
-        # which is free here since combined empty means no relations
-        return target, GroupHom.identity(target)
-    return _cokernel_of_snf(target, smith_normal_form(combined))
+    return _cokernel_of_snf(
+        target, smith_normal_form(_with_relations(target, f.matrix)))
 
 
 def _cokernel_of_snf(target: FgAbGroup, snf: SnfWitness):

@@ -202,7 +202,7 @@ def solve_exact(matrix, rhs):
 
     Returns one solution, ints where integral, or None if inconsistent.
     The solution is unique whenever the columns are independent.
-    The library answers cone queries through the fan's geometry index
+    The library answers cone queries through the fan's cone solvers
     instead; benchmark/spans.py still wraps this function by name.
     """
     ncols = len(matrix[0]) if matrix else 0
@@ -216,7 +216,12 @@ def solve_exact(matrix, rhs):
 
 
 def nullspace(matrix):
-    """Basis of the rational kernel, as a list of column vectors."""
+    """Basis of the rational kernel, as a list of column vectors.
+
+    The library takes annihilators from the fan's cone solvers (their
+    check rows) instead; benchmark/spans.py still wraps this function by
+    name.
+    """
     rows, pivots = rref(matrix)
     ncols = len(matrix[0]) if matrix else 0
     basis = []

@@ -37,7 +37,8 @@ from .lattice import (FgAbGroup, GroupHom, _cokernel_of_snf, _integers,
 from .lattice import cokernel  # noqa: F401
 
 # the most elements one enumeration lists: Box(sigma) in _record, and
-# r |Box|^r box elements in inertia_components' r-tuples
+# r |Box|^r box elements in the r-tuples of inertia_components and in
+# three_sectors' pairs (r = 2)
 ENUMERATION_BOUND = 10 ** 6
 
 
@@ -181,49 +182,41 @@ class ExtendedStackyFan:
     def _record(self, sigma) -> _ConeRecord:
         """The record of a sorted cone sigma, built whole on the first query.
 
-        One Smith normal form U M V = D of M = [B_sigma | Q] gives proj
+        The Smith form answers the lattice questions only. One Smith
+        normal form U M V = D of M = [B_sigma | Q] gives proj
         (lattice._cokernel_of_snf) and Box(sigma) from the sums
-        sum k_t g_t (see box_of_cone). Q is zero on the free rows, so a
-        sum's coefficients over sigma, sum_t k_t V[i][t] / d_t, are read
-        off its index (k_t) with no solve. The rays are independent
-        exactly when M has rank |sigma| plus the number of relations.
-        Dependent rays, which validate() refuses, take Box(sigma) from
-        the Smith form of [B_J | Q], J the pivot rays (coefficient 0 on
-        the others). Box(sigma) has prod d_t elements; past
-        ENUMERATION_BOUND it is refused with TooManyTuples before any
-        is listed.
+        sum k_t g_t (see box_of_cone). The fan's solver of sigma
+        (SimplicialFan._solver) answers the linear ones: its pivot
+        columns J say whether the rays are independent, and it gives
+        each sum's coefficients over sigma. Dependent rays, which
+        validate() refuses, take Box(sigma) from the Smith form of
+        [B_J | Q] (coefficient 0 on the other rays). Box(sigma) has
+        prod d_t elements; past ENUMERATION_BOUND it is refused with
+        TooManyTuples before any is listed.
         """
         record = self._cones.get(sigma)
         if record is not None:
             return record
         snf = smith_normal_form(self._lifts_with_relations(sigma))
         proj = _cokernel_of_snf(self.group, snf)[1]
-        columns = range(len(sigma))
-        if sum(1 for d in snf.diagonal if d) != \
-                len(sigma) + len(self.group.torsion):
-            columns = self.fan._index.solver(sigma).columns
-            snf = smith_normal_form(
-                self._lifts_with_relations([sigma[j] for j in columns]))
+        solver = self.fan._solver(sigma)
+        if len(solver.columns) != len(sigma):
+            snf = smith_normal_form(self._lifts_with_relations(
+                [sigma[j] for j in solver.columns]))
         tors = [(t, d) for t, d in enumerate(snf.diagonal) if d >= 2]
         size = math.prod(d for _, d in tors)
         if size > ENUMERATION_BOUND:
             raise TooManyTuples(
                 f"Box{sigma} would list {size} elements, more than the "
                 f"bound {ENUMERATION_BOUND}")
-        top = math.lcm(*(d for _, d in tors))
         gens = [[x // d for x in linalg.mat_vec(
                     snf.matrix, [row[t] for row in snf.V])] for t, d in tors]
-        # the coefficient of g_t on ray columns[i], times top
-        weights = [[snf.V[i][t] * (top // d) for t, d in tors]
-                   for i in range(len(columns))]
+        rank = self.group.rank
         box = []
         for ks in itertools.product(*(range(d) for _, d in tors)):
             c = [sum(k * g[r] for k, g in zip(ks, gens))
                  for r in range(self.group.coords)]
-            coeffs = [Fraction(0)] * len(sigma)
-            for j, row in zip(columns, weights):
-                coeffs[j] = Fraction(sum(k * v for k, v in zip(ks, row)), top)
-            box.append(self._split(c, sigma, coeffs)[0])
+            box.append(self._split(c, sigma, solver.solve(c[:rank]))[0])
         box.sort(key=lambda b: (b.value != self.group.zero(), b.value))
         record = self._cones[sigma] = _ConeRecord(
             proj, {w.value: w for w in box})

@@ -147,6 +147,23 @@ def test_sectors_payload(capsys):
     assert all(s["obstruction_rays"] == [] for s in payload["sectors"])
 
 
+def test_sectors_past_the_bound_is_a_json_error(capsys, tmp_path):
+    # Box(0, 2) has 1000 elements, so the pairs would hold 2 |Box|^2 =
+    # 2 10^6 box elements
+    doc = {"group": {"rank": 2, "torsion": []},
+           "rays": [[1, 0], [0, 1], [-1, -1000]],
+           "cones": [[0, 1], [1, 2], [0, 2]]}
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, payload = run(capsys, "sectors", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload["error"]["type"] == "TooManyTuples"
+    assert payload["error"]["detail"].startswith(
+        "3-sector pairs, r = 2, over |Box| = 1000: ")
+
+
 def test_ring_dimension(capsys):
     code, payload = run(capsys, "ring", fan_path("p112"))
     assert code == 0

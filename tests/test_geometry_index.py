@@ -1,4 +1,4 @@
-"""The fan's geometry index, its validation, the complement formula and
+"""The fan's cone queries, its validation, the complement formula and
 the quotient stacky fans, checked against the brute-force references in
 oracles.py.
 
@@ -19,7 +19,7 @@ import pytest
 import oracles
 from generators import (complete_2d_fan, coprime_weights,
                         weighted_projective_fan)
-from stackyring import fixtures
+from stackyring import fixtures, linalg
 from stackyring.documents import fan_to_document
 from stackyring.errors import (InfiniteCokernel, NoCommonCone, NotASector,
                                OutsideSupport, StackyError)
@@ -390,6 +390,21 @@ def test_validate_matches_extreme_ray_check(family):
         assert "BadIntersection" in codes
 
 
+def test_validate_takes_no_nullspace(monkeypatch):
+    """validate takes each pair's annihilator of the common rays from the
+    check rows of the common face's solver, not from an elimination of
+    its own."""
+    def refused(matrix):
+        raise AssertionError("validate called linalg.nullspace")
+
+    monkeypatch.setattr(linalg, "nullspace", refused)
+    codes = set()
+    for fans in validation_families().values():
+        for fan in fans:
+            codes.update(d.code for d in fan.validate())
+    assert "BadIntersection" in codes
+
+
 def dependent_stacky_fan(rng):
     """A seeded stacky fan, with torsion, where some cone has dependent
     rays, so validate() refuses it."""
@@ -480,8 +495,8 @@ def test_local_group_leaves_box_to_box_of_cone(family):
 
 @pytest.mark.parametrize("family", ["fixtures", "seeded", "complement"])
 def test_record_coefficients_match_a_solve(family):
-    # a record reads the coefficients of w over sigma off the enumeration
-    # index of w; they must be those a solve over sigma's rays gives
+    # a record's coefficients of w over sigma, on independent and
+    # dependent rays alike, must be those span_coefficients gives
     fans = {"fixtures": [fixtures.load_fan(name)
                          for name in fixtures.FAN_FIXTURES],
             "seeded": seeded_fans(),

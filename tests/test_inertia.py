@@ -69,6 +69,28 @@ def test_inertia_refuses_high_orders_at_once():
             inertia_components(sfan, r)
 
 
+def test_three_sectors_refuse_past_the_entry_bound(p112, monkeypatch):
+    """The pairs, 2 |Box|^2 box elements, are walked up to the bound and
+    refused beyond it before any complement is taken."""
+    calls = []
+    complement_in = ExtendedStackyFan._complement_in
+
+    def counted(self, v1, v2):
+        calls.append((v1, v2))
+        return complement_in(self, v1, v2)
+
+    monkeypatch.setattr(ExtendedStackyFan, "_complement_in", counted)
+    monkeypatch.setattr(inertia, "INERTIA_ENTRY_BOUND", 2 * 2 ** 2)
+    assert len(three_sectors(p112)) == 4
+    assert len(calls) == 2 ** 2
+    calls.clear()
+    monkeypatch.setattr(inertia, "INERTIA_ENTRY_BOUND", 2 * 2 ** 2 - 1)
+    with pytest.raises(TooManyTuples, match=r"^3-sector pairs, r = 2, over "
+                       r"\|Box\| = 2: .* > 7 box elements, the bound$"):
+        three_sectors(p112)
+    assert calls == []
+
+
 def test_three_sector_counts():
     expected = {"p1": 1, "p2": 1, "p112": 4, "p112_hirzebruch": 1,
                 "example_rank1": 7, "gerbe_r2": 4, "gerbe_r3": 9}

@@ -253,6 +253,18 @@ def test_cokernel_frozen():
     c, _ = cokernel(f)
     assert (c.rank, c.invariant_factors) == (1, (2,))
 
+    # no columns, on a target with no coordinates, with no relations and
+    # with some: the cokernel is the target, and proj the Smith form's U
+    # (the swap on Z^2 x Z/2 comes from its row pivoting)
+    for target, matrix in ((FgAbGroup(0, ()), ()),
+                           (FgAbGroup(2, ()), ((1, 0), (0, 1))),
+                           (FgAbGroup(0, (3,)), ((1,),)),
+                           (FgAbGroup(2, (2,)),
+                            ((0, 1, 0), (1, 0, 0), (0, 0, 1)))):
+        c, proj = cokernel(GroupHom.from_columns(0, target, []))
+        assert (c, proj.source, proj.target, proj.matrix) == \
+            (target, target, target, matrix)
+
 
 def test_kernel_frozen():
     g = FgAbGroup(1, ())
