@@ -15,7 +15,12 @@ depends on them only through (c1 + c2, tau1 | tau2) and the two base
 labels, so the table is filled by pairs of lattice parts, with one
 normal-form combination per product monomial and label pair; the basis
 pairs that reach the same one share its entry dict, which nothing writes
-to (see _assemble).
+to (see _assemble). The table is certified a graded, unital, commutative,
+associative ring by _check_structure. When the relations carry no base
+term (a gerbe, or an untwisted bundle) the ring is A*_orb(fibre) (x)
+A*(B), and _tensor_certificate checks the fibre's table alone and
+compares each stored entry with its tensor entry once; the whole table
+gets the full check only when that comparison refuses.
 
 Coefficients follow the number convention stated in linalg. The
 relation rows are reduced fraction-free, as primitive int rows, so apart
@@ -213,6 +218,10 @@ def _check_structure(degrees, unit, table, error):
     product they compare afresh). Callers store integral coefficients as
     ints (see _exact), so this is int arithmetic too; an integral Fraction
     in a D = 1 table would be read as it is, exactly but more slowly.
+
+    _assemble may certify a ring table by its tensor split first
+    (_tensor_certificate), which runs this check on the fibre's sub-table
+    only; this check on the whole table runs whenever that one refuses.
     """
     _, degrees = _scaled(degrees)
     d = math.lcm(*(q.denominator for terms in table.values()
@@ -235,6 +244,118 @@ def _check_structure(degrees, unit, table, error):
         _name_failing_triple(degrees, generators, product, error)
         raise InternalInconsistency(
             "associativity certificate refused a table the scan accepts")
+
+
+def _tensor_certificate(keys, degrees, unit, table, base):
+    """Whether the table is certified as the tensor product F (x) A*(B).
+
+    keys[i] = (c, tau, l) is the monomial key of basis element i, and F
+    is the sub-table on the keys whose label l is the base unit, indexed
+    by their lattice parts (c, tau) in basis order. True exactly when:
+
+    (a) (c, tau, l) -> ((c, tau), l) is a bijection from the keys onto
+        (lattice parts of F) x (base labels), and deg(c, tau, l) =
+        deg(c, tau, unit label) + deg l;
+    (b) the unit is (unit of F, base unit);
+    (c) every product of two classes of F has terms in F only, and that
+        sub-table passes _check_structure;
+    (d) every stored entry (i, j) has i <= j, is nonzero, and equals
+        F(f_i, f_j) (x) B(l_i, l_j) under the bijection;
+    (e) len(table) is the tensor's number of nonzero unordered pairs,
+        (f_o b_o + f_d b_d) / 2, where f_o and b_o count the ordered pairs
+        with a nonzero product in F and in A*(B), and f_d and b_d the
+        diagonal ones among them (a tensor of nonzero vectors is nonzero).
+
+    Why True certifies the table. By (d) the stored pairs are distinct
+    nonzero unordered pairs of the tensor, so by (e) they are all of
+    them, and the table is that of F (x) A*(B). A*(B) passed
+    _check_structure in BaseRing's constructor and F passed it in (c), so
+    each is graded, unital, commutative and associative, and so is the
+    tensor product: by (a) the degrees add, as (x (x) a)(y (x) b) =
+    xy (x) ab has degree deg x + deg y + deg a + deg b; by (b) the unit
+    1 (x) 1 acts as the identity; commutativity and associativity hold
+    factorwise, ((x (x) a)(y (x) b))(z (x) c) = (xy)z (x) (ab)c =
+    x(yz) (x) a(bc). Every stored entry is then degree additive and the
+    unit row is the identity, and a graded, unital, commutative,
+    associative table passes _check_structure (see its docstring), so
+    True changes no verdict. On any other table this returns False,
+    never raises, and _assemble runs the full check, which words its
+    refusal as it always has.
+
+    The check is sound on any table. It succeeds when the linear
+    relations carry no base term, N finite (a gerbe) or every twist class
+    zero: then the ring is A*_orb(fibre) (x) A*(B), the split that
+    Borisov-Chen-Smith give over a point, and _assemble calls it only
+    then. It costs the check of the n / dim B classes of F, one pass over
+    the stored entries and no dict built per entry.
+    """
+    u = base.unit_index
+    part = {}    # lattice part (c, tau) -> fibre index
+    fdeg = []    # fibre index -> degree
+    for i, (c, tau, l) in enumerate(keys):
+        if l == u:
+            part[c, tau] = len(fdeg)
+            fdeg.append(degrees[i])
+    if len(fdeg) * base.dim != len(keys):
+        return False
+    index = [[None] * base.dim for _ in fdeg]  # (f, l) -> basis index
+    split = []   # basis index -> (f, l)
+    for i, (c, tau, l) in enumerate(keys):
+        f = part.get((c, tau))
+        if f is None or index[f][l] is not None \
+                or degrees[i] != fdeg[f] + base.degrees[l]:
+            return False
+        index[f][l] = i
+        split.append((f, l))
+    funit, ulabel = split[unit]
+    if ulabel != u:
+        return False
+
+    inner = [row[u] for row in index]  # F's basis indices, ascending in f
+    fibre_of = {i: f for f, i in enumerate(inner)}
+    fibre = {}
+    for f1, i in enumerate(inner):
+        for f2 in range(f1, len(inner)):
+            terms = table.get((i, inner[f2]))
+            if not terms:
+                continue
+            entry = {}
+            for k, q in terms.items():
+                f = fibre_of.get(k)
+                if f is None:
+                    return False
+                entry[f] = q
+            fibre[f1, f2] = entry
+    try:
+        _check_structure(fdeg, funit, fibre, InternalInconsistency)
+    except InternalInconsistency:
+        return False
+
+    n = len(keys)
+    products = [[base._entry(l1, l2) for l2 in range(base.dim)]
+                for l1 in range(base.dim)]
+    for (i, j), entry in table.items():
+        if not 0 <= i <= j < n:
+            return False
+        (f1, l1), (f2, l2) = split[i], split[j]
+        fterms = fibre.get((f1, f2) if f1 <= f2 else (f2, f1))
+        bterms = products[l1][l2]
+        if not fterms or not bterms \
+                or len(entry) != len(fterms) * len(bterms):
+            return False
+        for k, q in fterms.items():
+            row = index[k]
+            for m, s in bterms.items():
+                if entry.get(row[m]) != q * s:
+                    return False
+
+    def ordered_and_diagonal(pairs):
+        nonzero = [i == j for (i, j), terms in pairs if terms]
+        return 2 * len(nonzero) - sum(nonzero), sum(nonzero)
+
+    f_o, f_d = ordered_and_diagonal(fibre.items())
+    b_o, b_d = ordered_and_diagonal(base._table.items())
+    return 2 * len(table) == f_o * b_o + f_d * b_d
 
 
 class BaseRing:
@@ -694,9 +815,19 @@ def _assemble(sfan, base, sectors):
 
     Pairs with the same (c, tau, l1, l2) therefore hold one shared dict,
     and nothing writes to a table entry once it is stored: _check_structure
-    only reads the table (see its docstring), OrbifoldRing.product returns
-    a copy, and to_json_dict reads. The memo of entries is a local of the
-    call; no state outlives it.
+    and _tensor_certificate only read the table (see their docstrings),
+    OrbifoldRing.product returns a copy, and to_json_dict reads. The memo
+    of entries is a local of the call; no state outlives it.
+
+    The table is certified before the ring is returned. Over a base that
+    is not a point, when N is finite or no twist class is nonzero, the
+    relations carry no base term and the table splits as the fibre's
+    table (x) A*(B); _tensor_certificate then certifies it from the
+    fibre's sub-table and one comparison per stored entry. When it
+    refuses, and for every other ring (twisted bundles, rings over a
+    point), _check_structure checks the whole table, so a refusal is
+    worded as the full check words it. The selection reads only the
+    input.
     """
     relations = linear_relations(sfan, base)
     diagnostics = sfan.validate()
@@ -798,8 +929,13 @@ def _assemble(sfan, base, sectors):
                         table[(i, j) if i < j else (j, i)] = entry
 
     ring = OrbifoldRing(sfan, base, sectors, basis, table)
-    _check_structure([b.degree for b in basis], ring.unit_index, table,
-                     InternalInconsistency)
+    degrees = [b.degree for b in basis]
+    splits = base.dim > 1 and (sfan.group.rank == 0
+                               or not any(base.twists or ()))
+    if not (splits and _tensor_certificate(keys, degrees, ring.unit_index,
+                                           table, base)):
+        _check_structure(degrees, ring.unit_index, table,
+                         InternalInconsistency)
     return ring
 
 

@@ -297,16 +297,24 @@ class SimplicialFan:
           ray is never 0.
 
         The functionals zero on the common rays are the combinations of
-        the check rows of the common face's solver. A point lies in the
-        span of the common rays exactly when every check row vanishes on
-        it, so the check rows annihilate that span, and as rows of an
-        invertible transform they are independent, d minus its dimension
-        of them: a basis of the annihilator, in ints (the identity rows
-        for the zero cone). The strict system is homogeneous, so over Q it
-        is solvable exactly when the same rows with right-hand side 1 are.
+        rows read off ca's own solver, so no solver is built for the
+        common face. validate has refused dependent rays before any pair
+        is compared, so the columns of ca's solver are all of ca's rays,
+        and E A = rref(A) is the identity on top of zero rows: the solve
+        row of a ray of ca is the solver's denominator on that ray and 0
+        on ca's other rays, and every check row is 0 on all of them. So
+        the solve rows of ca's rays outside the common face and the check
+        rows vanish on the common rays. As rows of the invertible, scaled
+        E they are independent, and there are (|ca| - |common|) +
+        (d - |ca|) = d - |common| of them, the dimension of the
+        annihilator of the common rays, which are independent: a basis of
+        it, in ints. The strict system is homogeneous, so over Q it is
+        solvable exactly when the same rows with right-hand side 1 are.
         """
         common = tuple(i for i in ca if i in cb)
-        basis = self._solver(common).check_rows
+        solver = self._solver(ca)
+        basis = [row for c, row in zip(solver.columns, solver.solve_rows)
+                 if ca[c] not in common] + solver.check_rows
         rows = [[sign * sum(w * x for w, x in zip(v, self.rays[i]))
                  for v in basis]
                 for sign, cone in ((1, ca), (-1, cb))

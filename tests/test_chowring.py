@@ -482,6 +482,159 @@ def test_doctored_rings_are_refused_as_the_oracle_says(doctor_ring_table):
             degrees, ring.unit_index, doctored[-1])), case
 
 
+def _split_calls(monkeypatch):
+    """Record (arguments, verdict) of every _tensor_certificate call."""
+    calls = []
+    certify = chowring._tensor_certificate
+
+    def spy(*args):
+        verdict = certify(*args)
+        calls.append((args, verdict))
+        return verdict
+
+    monkeypatch.setattr(chowring, "_tensor_certificate", spy)
+    return calls
+
+
+def test_split_is_taken_where_the_ring_splits(monkeypatch):
+    """The tensor certificate accepts the gerbes of the gerbe_table shapes
+    (|G| = 24 over P^1, 16 over P^2, twisted or not), seeded untwisted
+    2-D fans over P^1 and P^2 with no twists or all-zero ones, and
+    P(1,1,2) over P^2, so the full check runs on none of their tables. It
+    is not called over a point, nor for a bundle with a nonzero twist."""
+    calls = _split_calls(monkeypatch)
+    rng = random.Random("split")
+    cases = []
+    for torsion, n in (((24,), 1), ((2, 12), 1), ((2, 2, 6), 1),
+                       ((16,), 2), ((4, 4), 2), ((2, 2, 4), 2)):
+        extra = tuple(rng.randrange(1, q) for q in torsion)
+        base = BaseRing.projective_space(n).with_twists(
+            [{"H": rng.randint(-2, 2)}])
+        cases.append((_gerbe(torsion, extra), base))
+    for n in (1, 2):
+        for zero_twists in (False, True):
+            for _ in range(4):
+                sfan = complete_2d_fan(rng)
+                base = BaseRing.projective_space(n)
+                if zero_twists:
+                    base = base.with_twists([{}] * sfan.m)
+                cases.append((sfan, base))
+    cases.append((fixtures.load_fan("p112"), BaseRing.projective_space(2)))
+    for sfan, base in cases:
+        del calls[:]
+        orbifold_ring(sfan, base)
+        assert [verdict for _, verdict in calls] == [True], sfan
+    for sfan, base in ((weighted_projective_fan([1, 2, 3]), POINT),
+                       (fixtures.load_fan("example_rank1"),
+                        fixtures.load_base("base_p1_minus_h"))):
+        del calls[:]
+        orbifold_ring(sfan, base)
+        assert calls == [], sfan
+
+
+def _split_doctorings(calls):
+    """The arguments _assemble hands the tensor certificate for the table
+    of BG(Z/6) over P^1, read off the spy's calls, and doctorings of that
+    table, each (change of the table, basis index whose degree is raised
+    by 1 or None, the full check's refusal)."""
+    def pair(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    def scaled(keys, by):
+        def change(table):
+            for key in keys:
+                table[key] = {k: by * q for k, q in table[key].items()}
+        return change
+
+    def unchanged(table):
+        pass
+
+    ring = orbifold_ring(_gerbe((6,), (1,)), BaseRing.projective_space(1))
+    [(args, accepted)] = calls
+    assert accepted
+    del calls[:]
+    one = [ring.basis_index((g,), (), "1") for g in range(6)]
+    h = [ring.basis_index((g,), (), "H") for g in range(6)]
+    off = pair(one[1], h[2])  # y^1 (y^2 H) = y^3 H, off the fibre
+
+    def drop(table):  # no entry differs from the tensor; one is missing
+        del table[off]
+
+    def h_term(table):  # a product of two unit-label classes leaves F
+        table[one[1], one[2]] = {one[3]: 1, h[3]: 1}
+
+    def fibre(table):  # F' (x) A*(B), F' the group ring with y^1 y^2 = 2 y^3
+        scaled([(one[1], one[2]), pair(one[1], h[2]),
+                pair(h[1], one[2])], 2)(table)
+
+    doctorings = {
+        "dropped": (drop, None,
+                    f"associativity fails on ({one[1]},{h[0]},{one[2]})"),
+        "h_term": (h_term, None,
+                   f"product ({one[1]},{one[2]}) not degree additive "
+                   f"at {h[3]}"),
+        "coefficient": (scaled([off], 2), None,
+                        f"associativity fails on ({one[1]},{h[0]},{one[2]})"),
+        "fibre": (fibre, None,
+                  f"associativity fails on ({one[1]},{one[1]},{one[2]})"),
+        "degree": (unchanged, h[2],
+                   f"product ({h[0]},{one[2]}) not degree additive "
+                   f"at {h[2]}")}
+    return args, doctorings
+
+
+@pytest.mark.parametrize("case", ["dropped", "h_term", "coefficient",
+                                  "fibre", "degree"])
+def test_split_refuses_a_doctored_gerbe_table(case, monkeypatch,
+                                              doctor_ring_table):
+    """Each doctoring of a gerbe table over P^1 is refused by the tensor
+    certificate, each by a different clause: the count, the closed fibre,
+    the entry comparison, the fibre's own check and the degrees of the
+    bijection. Through ring assembly the full check then raises its own
+    refusal, word for word."""
+    calls = _split_calls(monkeypatch)
+    (keys, degrees, unit, table, base), doctorings = _split_doctorings(calls)
+    change, shifted, message = doctorings[case]
+    doctored = dict(table)
+    change(doctored)
+    degrees = list(degrees)
+    if shifted is not None:
+        degrees[shifted] += 1
+    assert chowring._tensor_certificate(keys, degrees, unit, doctored,
+                                        base) is False
+    with pytest.raises(InternalInconsistency) as err:
+        chowring._check_structure(degrees, unit, doctored,
+                                  InternalInconsistency)
+    assert str(err.value) == message
+
+    def change_basis(basis):
+        if shifted is not None:
+            basis[shifted] = dataclasses.replace(
+                basis[shifted], degree=basis[shifted].degree + 1)
+
+    del calls[:]  # the direct call above went through the spy too
+    doctor_ring_table(change, change_basis)
+    with pytest.raises(InternalInconsistency) as err:
+        orbifold_ring(_gerbe((6,), (1,)), BaseRing.projective_space(1))
+    assert str(err.value) == message
+    assert [verdict for _, verdict in calls] == [False]
+
+
+def test_split_refuses_a_unit_off_the_base_unit(monkeypatch):
+    """A unit that is y^0 H, not y^0 1, maps to no unit of F (x) A*(B):
+    the certificate refuses it, as the full check does."""
+    (keys, degrees, unit, table, base), _ = _split_doctorings(
+        _split_calls(monkeypatch))
+    assert chowring._tensor_certificate(keys, degrees, unit, table, base)
+    [wrong] = [i for i, (c, tau, l) in enumerate(keys)
+               if c == keys[unit][0] and l != base.unit_index]
+    assert chowring._tensor_certificate(keys, degrees, wrong, table,
+                                        base) is False
+    with pytest.raises(InternalInconsistency, match="^unit law fails$"):
+        chowring._check_structure(degrees, wrong, table,
+                                  InternalInconsistency)
+
+
 def test_base_ring_twists_must_have_degree_one():
     p1 = BaseRing.projective_space(1)
     with pytest.raises(ValueError):

@@ -405,6 +405,20 @@ def test_validate_takes_no_nullspace(monkeypatch):
     assert "BadIntersection" in codes
 
 
+def test_validate_builds_solvers_for_maximal_cones_only():
+    """validate reads each wall's annihilator off the solver of one of its
+    two maximal cones, which it builds anyway to see that their rays are
+    independent, so on a fresh complete fan it builds no other solver."""
+    rng = random.Random(28)
+    fans = [complete_2d_fan(rng).fan for _ in range(5)]
+    fans += [weighted_projective_fan(w).fan
+             for w in ([1, 2, 3], [1, 1, 2, 3], [1, 2, 3, 5, 7])]
+    for fan in fans:
+        fresh = SimplicialFan(fan.ambient_dim, fan.rays, fan.max_cones)
+        assert fresh.validate() == [] and fresh.is_complete()
+        assert set(fresh._solvers) == set(fresh.max_cones), fan
+
+
 def dependent_stacky_fan(rng):
     """A seeded stacky fan, with torsion, where some cone has dependent
     rays, so validate() refuses it."""
