@@ -197,8 +197,10 @@ def dumps_canonical(payload) -> str:
     ensure_ascii=True, and how _encode follows each:
 
     - a string is encode_basestring_ascii(s), the function json uses under
-      ensure_ascii; an int (bool aside) is int.__repr__(n); True, False and
-      None are true, false and null;
+      ensure_ascii; an int (bool aside) is int.__repr__(n), which is
+      repr(n) for an exact int and the digits alone for a subclass such as
+      an IntEnum member, whose own repr differs; True, False and None are
+      true, false and null;
     - an empty list or tuple is [] and an empty dict is {};
     - a nonempty container opens with [ or {, puts each item on its own
       line one indent (two spaces) deeper than the container's line, joins
@@ -218,14 +220,15 @@ def _encode(value, newline: str) -> str:
     """One JSON value whose first line starts after newline (see above).
 
     Items that are exactly str or int, most of any payload, are written in
-    place; every other item goes through the full dispatch.
+    place, an int as repr(v) (the type check makes it int.__repr__(v));
+    every other item, an int subclass too, goes through the full dispatch.
     """
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         body = [encode_basestring_ascii(v) if type(v) is str
-                else int.__repr__(v) if type(v) is int
+                else repr(v) if type(v) is int
                 else _encode(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     if isinstance(value, dict):
@@ -234,7 +237,7 @@ def _encode(value, newline: str) -> str:
         # keys are distinct, so sorting the items compares keys only
         body = [encode_basestring_ascii(k) + ": " + (
                     encode_basestring_ascii(v) if type(v) is str
-                    else int.__repr__(v) if type(v) is int
+                    else repr(v) if type(v) is int
                     else _encode(v, inner))
                 for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(body) + newline + "}"

@@ -211,10 +211,12 @@ class SimplicialFan:
         found = [self._containing(p) for p in points]
         if not found:
             return [] if self.max_cones else None
-        first, rest = found[0], found[1:]
-        for idx, located in first.items():
-            if all(idx in f for f in rest):
-                return [located] + [f[idx] for f in rest]
+        for idx in found[0]:
+            for f in found:
+                if idx not in f:
+                    break
+            else:
+                return [f[idx] for f in found]
         return None
 
     def minimal_cone(self, points):

@@ -6,16 +6,18 @@ minimal joint cone. For 3-tuples with g1 g2 g3 = 1 in the local group,
 the obstruction bundle is the product of the line bundles L_i over the
 rays where the coefficient sum equals 2.
 
-Each piece of geometry is found once per call, and the quotient by a
-joint cone is built once per distinct cone and shared by every component
-on it. inertia_components walks the r-tuples, taking each box element's
-image once. three_sectors asks one question per ordered pair,
+Each piece of geometry is found at most once per call, and the quotient
+by a joint cone is built once per distinct cone and shared by every
+component on it. inertia_components walks the r-tuples, taking each box
+element's image once. three_sectors asks one question per ordered pair,
 ExtendedStackyFan._complement_in, which box_complement and
 obstruction_exponents take too: its sigma is the pair's joint cone, and
 it gives g3 and c_i = ceil(alpha_i + beta_i) over sigma, alpha and beta
 the coefficients of g1 and g2. Then g1 + g2 + g3 = sum c_i b_i, so the
 total age is sum c_i and the obstruction rays are the i with c_i = 2
 (Borisov-Chen-Smith); each 3-sector keeps the c_i from that one call.
+A pair of zero images (every pair on a gerbe) needs no cone lookup at
+all: its joint cone is the zero cone (see _complement_in).
 """
 
 from __future__ import annotations

@@ -318,6 +318,9 @@ class ExtendedStackyFan:
     def _complement_in(self, v1: BoxElement, v2: BoxElement):
         """(sigma, ceilings, v3) for v1 and v2, or None without a joint cone.
 
+        Both values must have N's coords entries; either length is checked
+        first, before any lookup, and a wrong one raises ValueError.
+
         sigma is the minimal cone of the images and alpha, beta their
         coefficients over it, read off the first maximal cone holding both
         (SimplicialFan.joint_coefficients, which minimal_cone wraps), so
@@ -332,6 +335,15 @@ class ExtendedStackyFan:
         values is also the certificate that w is in the box; a value it
         lacks raises NoCommonCone.
 
+        Two zero images (both free parts zero, every pair on a gerbe) take
+        no lookup when the fan has a maximal cone: the zero vector passes
+        every cone solver's check rows, each a linear form, with all
+        coefficients zero, so every maximal cone holds it with empty
+        support, and joint_coefficients would answer [((), ()), ((), ())]
+        from the first one. Then sigma is the zero cone and w = -(v1 + v2),
+        with no dicts and no sort. Without a maximal cone
+        joint_coefficients answers None, so that case keeps the lookup.
+
         The minimal cone tau of the three images is sigma on any fan, so
         nothing rechecks it. On a valid fan, v3 in Box(sigma) puts all
         three images in sigma, so tau is a face of sigma holding the
@@ -342,22 +354,28 @@ class ExtendedStackyFan:
         a set of pivot rays of C, over which coefficients are unique.
 
         w is reduced with the torsion moduli in place, not by
-        FgAbGroup.reduce, whose length check alone is kept. Its type check
-        could never fire here: a BoxElement's value is a tuple of ints
-        (its __post_init__ takes it through lattice._integers), so are the
-        ray lifts (reduced in __post_init__) and the ceilings, and w is
-        built from them by int sums and products. Two torsion elements
-        (both supports empty, every pair on a gerbe) skip the dicts and the
-        sort: sigma is the zero cone and w = -(v1 + v2).
+        FgAbGroup.reduce; the inputs' length check stands in for its own.
+        Its type check could never fire here: a BoxElement's value is a
+        tuple of ints (its __post_init__ takes it through
+        lattice._integers), so are the ray lifts (reduced in
+        __post_init__) and the ceilings, and w is built from them by int
+        sums and products.
         """
         group, lifts = self.group, self.ray_lifts
+        for v in (v1, v2):
+            if len(v.value) != group.coords:
+                raise ValueError(
+                    f"element length {len(v.value)} != {group.coords}")
         # a box element's value is reduced: its image is its free part
         rank = group.rank
-        located = self.fan.joint_coefficients([v1.value[:rank],
-                                               v2.value[:rank]])
-        if located is None:
-            return None
-        (s1, a1), (s2, a2) = located
+        p1, p2 = v1.value[:rank], v2.value[:rank]
+        if not any(p1) and not any(p2) and self.fan.max_cones:
+            s1 = s2 = ()
+        else:
+            located = self.fan.joint_coefficients([p1, p2])
+            if located is None:
+                return None
+            (s1, a1), (s2, a2) = located
         w = [-x - y for x, y in zip(v1.value, v2.value)]
         ceilings = []
         if s1 or s2:
@@ -373,8 +391,6 @@ class ExtendedStackyFan:
                   // (a.denominator * b.denominator))
             ceilings.append(c)
             w = [x + c * y for x, y in zip(w, lifts[i])]
-        if len(w) != group.coords:
-            raise ValueError(f"element length {len(w)} != {group.coords}")
         w = tuple(w[:rank]) + tuple(map(operator.mod, w[rank:],
                                         group.torsion))
         v3 = self._record(sigma).box.get(w)

@@ -4,6 +4,7 @@ dumps_canonical writes its bytes directly; json.dumps is the reference it
 must equal on every value it accepts, and it refuses every other type.
 """
 
+import enum
 import json
 import random
 from fractions import Fraction
@@ -47,9 +48,15 @@ def random_value(rng, depth):
             for _ in range(size)}
 
 
+class Level(enum.IntEnum):
+    # an int subclass whose repr is "<Level.ONE: 1>", not "1"
+    ONE = 1
+
+
 EDGE_VALUES = [
     [], {}, (), [[]], {"a": {}}, {"a": [], "b": ()}, [True, 1, False, 0],
-    {"b": 1, "a": [None, "x"], "": 2, "B": 3}, "\u2028\"\\", 10 ** 100]
+    {"b": 1, "a": [None, "x"], "": 2, "B": 3}, "\u2028\"\\", 10 ** 100,
+    [Level.ONE, 2], {"a": Level.ONE}, Level.ONE]
 
 
 def test_seeded_differential_against_json_dumps():

@@ -287,6 +287,26 @@ def seeded_gerbe(rng):
         itertools.combinations(range(len(dirs)), dim), extra)
 
 
+@pytest.mark.parametrize("family", ["fixtures", "dependent", "overlapping",
+                                    "gerbes"])
+def test_zero_images_sit_in_the_first_maximal_cone(family):
+    """The premise of _complement_in's path without a lookup: for two
+    zero images, on a fan with a maximal cone, joint_coefficients
+    answers empty supports, on fans validate() refuses too."""
+    fans = dict(complement_families(), gerbes=[
+        seeded_gerbe(random.Random(seed)) for seed in range(6)])[family]
+    pairs = 0
+    for sfan in fans:
+        assert sfan.fan.max_cones
+        zeros = [p for p in map(sfan.bar, (b.value for b in sfan.box()))
+                 if not any(p)]
+        for p1, p2 in itertools.product(zeros, repeat=2):
+            assert sfan.fan.joint_coefficients([p1, p2]) == \
+                [((), ()), ((), ())]
+            pairs += 1
+    assert pairs >= len(fans)
+
+
 def formula_cases():
     # boxes of 34 and 18 elements: the oracle scan is cubic in the box
     rng = random.Random(20261026)

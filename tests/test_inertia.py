@@ -262,8 +262,12 @@ def test_three_sectors_find_each_geometry_once(monkeypatch):
     counted(SimplicialFan, "joint_coefficients")
     counted(SimplicialFan, "minimal_cone")
     sectors = three_sectors(sfan)
-    # one joint-cone lookup per ordered pair, inside _complement_in
-    assert calls["joint_coefficients"] == len(sfan.box()) ** 2
+    # one joint-cone lookup per ordered pair, inside _complement_in, but
+    # for the pairs of zero images, which take none
+    box = sfan.box()
+    zeros = sum(1 for b in box if not any(sfan.bar(b.value)))
+    assert zeros == 1
+    assert calls["joint_coefficients"] == len(box) ** 2 - zeros ** 2
     assert calls["minimal_cone"] == 0
     for sector in sectors:
         obstruction_exponents(sfan, *sector.elements)
@@ -277,6 +281,25 @@ def test_three_sectors_find_each_geometry_once(monkeypatch):
     zero = sectors[0].elements[0]
     sfan.box_complement(zero, zero)
     assert calls["box_complement"] == 1  # the counter is live
+
+
+def test_gerbe_sectors_take_no_joint_cone_lookup(monkeypatch):
+    """On BG(Z/4 x Z/9) every box element has image zero, so no pair of
+    three_sectors or obstruction_exponents asks for its joint cone."""
+    sfan = fixtures.load_fan("gerbe_z4z9")
+    calls = []
+    original = SimplicialFan.joint_coefficients
+
+    def counted(self, points):
+        calls.append(points)
+        return original(self, points)
+    monkeypatch.setattr(SimplicialFan, "joint_coefficients", counted)
+    sectors = three_sectors(sfan)
+    for sector in sectors:
+        assert obstruction_exponents(sfan, *sector.elements) == frozenset()
+    assert len(sectors) == 36 ** 2
+    assert {s.joint_cone for s in sectors} == {()}
+    assert calls == []
 
 
 def test_sectors_take_each_cone_smith_form_once(monkeypatch):

@@ -1,13 +1,15 @@
 """Box elements, decomposition, and quotient stacky fans."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from stackyring import fixtures, stacky
-from stackyring.errors import (InfiniteCokernel, NoCommonCone,
+from stackyring.errors import (InfiniteCokernel, NoCommonCone, NotASector,
                                OutsideSupport, TooManyTuples)
+from stackyring.inertia import obstruction_exponents
 from stackyring.lattice import FgAbGroup
 from stackyring.stacky import BoxElement, ExtendedStackyFan
 
@@ -105,6 +107,40 @@ def test_box_complement(p112):
     assert p112.box_complement(v, v).value == (0, 0)
     assert p112.box_complement(zero, v).value == (0, -1)
     assert p112.box_complement(zero, zero).value == (0, 0)
+
+
+@pytest.mark.parametrize("caller", ["box_complement",
+                                    "obstruction_exponents"])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("value", [(0, -1, 5), (0,)],
+                         ids=["long", "short"])
+def test_complement_refuses_a_wrong_length_on_either_side(p112, caller,
+                                                         side, value):
+    """A value with more or fewer coordinates than N is refused as the
+    first or the second element of the pair."""
+    zero, half = p112.box()
+    bad = dataclasses.replace(half, value=value)
+    pair = [zero, zero]
+    pair[side] = bad
+    message = rf"^element length {len(value)} != 2$"
+    with pytest.raises(ValueError, match=message):
+        if caller == "box_complement":
+            p112.box_complement(*pair)
+        else:
+            obstruction_exponents(p112, *pair, half)
+
+
+def test_complement_without_a_maximal_cone_is_refused():
+    """Two zero images take no lookup only where a maximal cone exists:
+    BG(Z/2) with no cone at all still has no joint cone."""
+    sfan = ExtendedStackyFan.build(FgAbGroup(0, (2,)), [], [], [(1,)])
+    one = BoxElement((1,), (), (), 0)
+    zero = BoxElement((0,), (), (), 0)
+    assert sfan.fan.joint_coefficients([(), ()]) is None
+    with pytest.raises(NoCommonCone, match="^v1 and v2 do not share a cone$"):
+        sfan.box_complement(one, zero)
+    with pytest.raises(NotASector, match="^g1 and g2 share no cone$"):
+        obstruction_exponents(sfan, one, zero, one)
 
 
 def test_smooth_refinement_box_is_trivial():
