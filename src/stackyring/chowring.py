@@ -20,7 +20,9 @@ associative ring by _check_structure. When the relations carry no base
 term (a gerbe, or an untwisted bundle) the ring is A*_orb(fibre) (x)
 A*(B), and _tensor_certificate checks the fibre's table alone and
 compares each stored entry with its tensor entry once; the whole table
-gets the full check only when that comparison refuses.
+gets the full check only when that comparison refuses. A gerbe's fibre
+is the group ring Q[N] on the box, y^a y^b = y^{a+b}, and is checked
+against the group law of N (_group_law) instead of by _check_structure.
 
 Coefficients follow the number convention stated in linalg. The
 relation rows are reduced fraction-free, as primitive int rows, so apart
@@ -221,7 +223,8 @@ def _check_structure(degrees, unit, table, error):
 
     _assemble may certify a ring table by its tensor split first
     (_tensor_certificate), which runs this check on the fibre's sub-table
-    only; this check on the whole table runs whenever that one refuses.
+    only, and not at all on a gerbe's, whose fibre _group_law checks;
+    this check on the whole table runs whenever that one refuses.
     """
     _, degrees = _scaled(degrees)
     d = math.lcm(*(q.denominator for terms in table.values()
@@ -246,7 +249,41 @@ def _check_structure(degrees, unit, table, error):
             "associativity certificate refused a table the scan accepts")
 
 
-def _tensor_certificate(keys, degrees, unit, table, base):
+def _group_law(elements, degrees, unit, table, group):
+    """Whether the table is the group ring of the elements under N's sum.
+
+    Class f is y^{c_f} with c_f = elements[f] reduced in N, distinct for
+    distinct f, and table maps index pairs f1 <= f2 < n to sparse
+    products as in _check_structure. True exactly when c_unit is N's
+    zero, all n(n + 1) / 2 pairs are stored, and each entry (f1, f2) is
+    {f3: 1}, with c_f3 = c_f1 + c_f2 and deg f3 = deg f1 + deg f2.
+
+    Why True certifies a graded, unital, commutative, associative ring.
+    As f -> c_f is injective, y^a names one class for each c_f = a, and
+    the entries say y^a y^b = y^{a+b} for all a, b among the c's, with
+    a + b again among them. So (y^a y^b) y^d = y^{(a+b)+d} and
+    y^a (y^b y^d) = y^{a+(b+d)} are one class, as N is associative; the
+    table stores each unordered pair once, so the product is commutative;
+    y^0 y^b = y^b, so the unit row is the identity; and every entry is
+    degree additive. Such a table passes _check_structure (see its
+    docstring), so this accepts no table that check refuses. The fibre of
+    a gerbe BG over B is such a table: with N finite there are no linear
+    relations, and the fibre is the group ring Q[N] on the box
+    (Borisov-Chen-Smith).
+    """
+    n = len(elements)
+    if elements[unit] != group.zero() or len(table) != n * (n + 1) // 2:
+        return False
+    index = {c: f for f, c in enumerate(elements)}
+    add = group.add_reduced
+    for (f1, f2), entry in table.items():
+        f3 = index.get(add(elements[f1], elements[f2]))
+        if entry != {f3: 1} or degrees[f3] != degrees[f1] + degrees[f2]:
+            return False
+    return True
+
+
+def _tensor_certificate(keys, degrees, unit, table, base, group):
     """Whether the table is certified as the tensor product F (x) A*(B).
 
     keys[i] = (c, tau, l) is the monomial key of basis element i, and F
@@ -258,7 +295,10 @@ def _tensor_certificate(keys, degrees, unit, table, base):
         deg(c, tau, unit label) + deg l;
     (b) the unit is (unit of F, base unit);
     (c) every product of two classes of F has terms in F only, and that
-        sub-table passes _check_structure;
+        sub-table is certified a graded, unital, commutative, associative
+        ring in one of two forms: when every lattice part of F is
+        (c, 0), as it is for every class when N is finite, by the group
+        law of N (_group_law); for any other F, by _check_structure;
     (d) every stored entry (i, j) has i <= j, is nonzero, and equals
         F(f_i, f_j) (x) B(l_i, l_j) under the bijection;
     (e) len(table) is the tensor's number of nonzero unordered pairs,
@@ -269,8 +309,9 @@ def _tensor_certificate(keys, degrees, unit, table, base):
     Why True certifies the table. By (d) the stored pairs are distinct
     nonzero unordered pairs of the tensor, so by (e) they are all of
     them, and the table is that of F (x) A*(B). A*(B) passed
-    _check_structure in BaseRing's constructor and F passed it in (c), so
-    each is graded, unital, commutative and associative, and so is the
+    _check_structure in BaseRing's constructor and F was certified in (c)
+    (_group_law's docstring gives the proof of its form), so each is
+    graded, unital, commutative and associative, and so is the
     tensor product: by (a) the degrees add, as (x (x) a)(y (x) b) =
     xy (x) ab has degree deg x + deg y + deg a + deg b; by (b) the unit
     1 (x) 1 acts as the identity; commutativity and associativity hold
@@ -287,14 +328,21 @@ def _tensor_certificate(keys, degrees, unit, table, base):
     zero: then the ring is A*_orb(fibre) (x) A*(B), the split that
     Borisov-Chen-Smith give over a point, and _assemble calls it only
     then. It costs the check of the n / dim B classes of F, one pass over
-    the stored entries and no dict built per entry.
+    the stored entries and no dict built per entry; on a gerbe that check
+    is one group sum per pair of classes of F, and _check_structure does
+    not run. Degrees are compared as L deg, L > 0 the lcm of their
+    denominators, in ints, which decides every comparison as the degrees
+    do (see _check_structure).
     """
     u = base.unit_index
+    scale, degrees = _scaled(degrees)  # L deg in ints, as _check_structure
     part = {}    # lattice part (c, tau) -> fibre index
-    fdeg = []    # fibre index -> degree
+    elements = []  # fibre index -> c
+    fdeg = []    # fibre index -> L deg
     for i, (c, tau, l) in enumerate(keys):
         if l == u:
             part[c, tau] = len(fdeg)
+            elements.append(c)
             fdeg.append(degrees[i])
     if len(fdeg) * base.dim != len(keys):
         return False
@@ -303,7 +351,7 @@ def _tensor_certificate(keys, degrees, unit, table, base):
     for i, (c, tau, l) in enumerate(keys):
         f = part.get((c, tau))
         if f is None or index[f][l] is not None \
-                or degrees[i] != fdeg[f] + base.degrees[l]:
+                or degrees[i] != fdeg[f] + scale * base.degrees[l]:
             return False
         index[f][l] = i
         split.append((f, l))
@@ -326,10 +374,14 @@ def _tensor_certificate(keys, degrees, unit, table, base):
                     return False
                 entry[f] = q
             fibre[f1, f2] = entry
-    try:
-        _check_structure(fdeg, funit, fibre, InternalInconsistency)
-    except InternalInconsistency:
-        return False
+    if all(tau == 0 for _, tau in part):
+        if not _group_law(elements, fdeg, funit, fibre, group):
+            return False
+    else:
+        try:
+            _check_structure(fdeg, funit, fibre, InternalInconsistency)
+        except InternalInconsistency:
+            return False
 
     n = len(keys)
     products = [[base._entry(l1, l2) for l2 in range(base.dim)]
@@ -741,7 +793,9 @@ class OrbifoldRing:
                   "degree": str(b.degree)} for b in self.basis]
         products = []
         for (i, j) in sorted(self._table):
-            for k, q in sorted(self._table[(i, j)].items()):
+            terms = self._table[(i, j)].items()
+            # one term, as every entry of a gerbe's table, needs no sort
+            for k, q in terms if len(terms) == 1 else sorted(terms):
                 products.append([i, j, k, str(q)])
         return {"dimension": self.dimension,
                 "sectors": [list(s.value) for s in self.sectors],
@@ -933,7 +987,7 @@ def _assemble(sfan, base, sectors):
     splits = base.dim > 1 and (sfan.group.rank == 0
                                or not any(base.twists or ()))
     if not (splits and _tensor_certificate(keys, degrees, ring.unit_index,
-                                           table, base)):
+                                           table, base, sfan.group)):
         _check_structure(degrees, ring.unit_index, table,
                          InternalInconsistency)
     return ring

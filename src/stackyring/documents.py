@@ -45,7 +45,7 @@ def fraction_str(q) -> str:
 def _expect(obj, key, pointer, kind=None, default=None, required=True):
     if key not in obj:
         if required:
-            raise DocumentError(pointer, f"missing field {key!r}")
+            raise DocumentError(pointer or "/", f"missing field {key!r}")
         return default
     value = obj[key]
     # a JSON boolean parses as a Python bool, which is also an int

@@ -496,13 +496,30 @@ def _split_calls(monkeypatch):
     return calls
 
 
+def _structure_checks(monkeypatch):
+    """Record the class count of every _check_structure call."""
+    checked = []
+    check = chowring._check_structure
+
+    def spy(degrees, *args):
+        checked.append(len(degrees))
+        return check(degrees, *args)
+
+    monkeypatch.setattr(chowring, "_check_structure", spy)
+    return checked
+
+
 def test_split_is_taken_where_the_ring_splits(monkeypatch):
     """The tensor certificate accepts the gerbes of the gerbe_table shapes
     (|G| = 24 over P^1, 16 over P^2, twisted or not), seeded untwisted
     2-D fans over P^1 and P^2 with no twists or all-zero ones, and
     P(1,1,2) over P^2, so the full check runs on none of their tables. It
-    is not called over a point, nor for a bundle with a nonzero twist."""
+    is not called over a point, nor for a bundle with a nonzero twist.
+    _check_structure runs on none of the gerbes' tables, whose fibre the
+    group law certifies, and once on each other fibre, on its classes
+    alone."""
     calls = _split_calls(monkeypatch)
+    checked = _structure_checks(monkeypatch)
     rng = random.Random("split")
     cases = []
     for torsion, n in (((24,), 1), ((2, 12), 1), ((2, 2, 6), 1),
@@ -521,9 +538,11 @@ def test_split_is_taken_where_the_ring_splits(monkeypatch):
                 cases.append((sfan, base))
     cases.append((fixtures.load_fan("p112"), BaseRing.projective_space(2)))
     for sfan, base in cases:
-        del calls[:]
-        orbifold_ring(sfan, base)
+        del calls[:], checked[:]
+        ring = orbifold_ring(sfan, base)
         assert [verdict for _, verdict in calls] == [True], sfan
+        assert checked == ([] if sfan.group.rank == 0
+                           else [ring.dimension // base.dim]), sfan
     for sfan, base in ((weighted_projective_fan([1, 2, 3]), POINT),
                        (fixtures.load_fan("example_rank1"),
                         fixtures.load_base("base_p1_minus_h"))):
@@ -589,11 +608,12 @@ def test_split_refuses_a_doctored_gerbe_table(case, monkeypatch,
                                               doctor_ring_table):
     """Each doctoring of a gerbe table over P^1 is refused by the tensor
     certificate, each by a different clause: the count, the closed fibre,
-    the entry comparison, the fibre's own check and the degrees of the
+    the entry comparison, the fibre's group law and the degrees of the
     bijection. Through ring assembly the full check then raises its own
     refusal, word for word."""
     calls = _split_calls(monkeypatch)
-    (keys, degrees, unit, table, base), doctorings = _split_doctorings(calls)
+    (keys, degrees, unit, table, base, group), doctorings = \
+        _split_doctorings(calls)
     change, shifted, message = doctorings[case]
     doctored = dict(table)
     change(doctored)
@@ -601,7 +621,7 @@ def test_split_refuses_a_doctored_gerbe_table(case, monkeypatch,
     if shifted is not None:
         degrees[shifted] += 1
     assert chowring._tensor_certificate(keys, degrees, unit, doctored,
-                                        base) is False
+                                        base, group) is False
     with pytest.raises(InternalInconsistency) as err:
         chowring._check_structure(degrees, unit, doctored,
                                   InternalInconsistency)
@@ -623,16 +643,190 @@ def test_split_refuses_a_doctored_gerbe_table(case, monkeypatch,
 def test_split_refuses_a_unit_off_the_base_unit(monkeypatch):
     """A unit that is y^0 H, not y^0 1, maps to no unit of F (x) A*(B):
     the certificate refuses it, as the full check does."""
-    (keys, degrees, unit, table, base), _ = _split_doctorings(
+    (keys, degrees, unit, table, base, group), _ = _split_doctorings(
         _split_calls(monkeypatch))
-    assert chowring._tensor_certificate(keys, degrees, unit, table, base)
+    assert chowring._tensor_certificate(keys, degrees, unit, table, base,
+                                        group)
     [wrong] = [i for i, (c, tau, l) in enumerate(keys)
                if c == keys[unit][0] and l != base.unit_index]
     assert chowring._tensor_certificate(keys, degrees, wrong, table,
-                                        base) is False
+                                        base, group) is False
     with pytest.raises(InternalInconsistency, match="^unit law fails$"):
         chowring._check_structure(degrees, wrong, table,
                                   InternalInconsistency)
+
+
+def _gerbe_family(rng):
+    """Seeded rank-0 cases: BG(N) with |N| in 1..36 as 1 to 3 cyclic
+    factors and 0 to 3 extra vectors, over P^1, P^2 and P^1 x P^1, each
+    base untwisted and with seeded twists in -2..2, and the trivial group
+    over each base."""
+    p1 = BaseRing.projective_space(1)
+    bases = (p1, BaseRing.projective_space(2), BaseRing.tensor(p1, p1))
+    cases = []
+    for base in bases:
+        lines = [label for label, deg in zip(base.labels, base.degrees)
+                 if deg == 1]
+        for twisted in (False, True):
+            for _ in range(5):
+                # each prime factor of the order goes to one of 1 to 3
+                # cyclic factors; a factor that gets none is left out
+                order, p = rng.randint(1, 36), 2
+                factors = [1] * rng.randint(1, 3)
+                while order > 1:
+                    while order % p:
+                        p += 1
+                    factors[rng.randrange(len(factors))] *= p
+                    order //= p
+                torsion = [q for q in factors if q > 1]
+                extra = [tuple(rng.randrange(q) for q in torsion)
+                         for _ in range(rng.randint(0, 3))]
+                sfan = ExtendedStackyFan.build(FgAbGroup(0, tuple(torsion)),
+                                               (), ((),), tuple(extra))
+                if twisted:
+                    cases.append((sfan, base.with_twists(
+                        [{label: rng.randint(-2, 2) for label in lines}
+                         for _ in range(sfan.m)])))
+                else:
+                    cases.append((sfan, base))
+    trivial = ExtendedStackyFan.build(FgAbGroup(0, ()), (), ((),), ())
+    return cases + [(trivial, base) for base in bases]
+
+
+def _generic_fibre_check(elements, degrees, unit, table, group):
+    """The group-law clause forced off: the fibre goes through the
+    generic _check_structure, as every fibre did before the clause."""
+    try:
+        chowring._check_structure(degrees, unit, table, InternalInconsistency)
+    except InternalInconsistency:
+        return False
+    return True
+
+
+def _ring_text(sfan, base):
+    ring = orbifold_ring(sfan, base)
+    return documents.dumps_canonical(ring.to_json_dict())
+
+
+def test_group_law_matches_the_generic_fibre_check(monkeypatch):
+    """On seeded gerbes the ring document and the certificate's verdict
+    are the same with the group-law clause and with the fibre checked by
+    _check_structure instead, and with the clause _check_structure runs
+    on no table of a gerbe."""
+    calls = _split_calls(monkeypatch)
+    checked = _structure_checks(monkeypatch)
+    cases = _gerbe_family(random.Random("group law"))
+    assert {base.dim for _, base in cases} == {2, 3, 4}
+    assert {len(sfan.group.torsion) for sfan, _ in cases} == {0, 1, 2, 3}
+    assert {sfan.m for sfan, _ in cases} == {0, 1, 2, 3}
+    fast = []
+    for sfan, base in cases:
+        del calls[:], checked[:]
+        fast.append(_ring_text(sfan, base))
+        assert [verdict for _, verdict in calls] == [True], sfan
+        assert checked == [], sfan
+    monkeypatch.setattr(chowring, "_group_law", _generic_fibre_check)
+    for (sfan, base), text in zip(cases, fast):
+        del calls[:], checked[:]
+        assert _ring_text(sfan, base) == text, sfan
+        assert [verdict for _, verdict in calls] == [True], sfan
+        assert len(checked) == 1, sfan
+
+
+def _group_law_doctorings(one):
+    """The group ring Q[Z/6], the fibre F of BG(Z/6) over P^1, and its
+    doctorings, each (fibre table F' on Z/6; whether the unit moves to
+    y^1 1; whether y^2 1 and y^2 H gain degree 1; the full check's
+    refusal). one[g] is the basis index of y^g 1. The table is rebuilt
+    as F' (x) A*(P^1) throughout, so every clause of the certificate but
+    the group law holds."""
+    law = {(a, b): {(a + b) % 6: 1} for a in range(6) for b in range(a, 6)}
+    dropped = dict(law)
+    del dropped[1, 2]
+    return law, {
+        "coefficient": ({**law, (1, 2): {3: 2}}, False, False,
+                        f"associativity fails on ({one[1]},{one[1]},"
+                        f"{one[2]})"),
+        "shifted_sum": ({(a, b): {(a + b + 1) % 6: 1} for a, b in law},
+                        False, False, "unit law fails"),
+        "dropped": (dropped, False, False,
+                    f"associativity fails on ({one[1]},{one[1]},{one[2]})"),
+        "unit": (law, True, False, "unit law fails"),
+        "degree": (law, False, True,
+                   f"product ({one[1]},{one[1]}) not degree additive at "
+                   f"{one[2]}")}
+
+
+@pytest.mark.parametrize("case", ["coefficient", "shifted_sum", "dropped",
+                                  "unit", "degree"])
+def test_group_law_refuses_a_doctored_gerbe_fibre(case, monkeypatch,
+                                                  doctor_ring_table):
+    """Each doctored fibre of BG(Z/6) over P^1, carried through the
+    tensor product, is refused by the group-law clause: by its
+    coefficient, its sum, its pair count, its unit and its degrees. The
+    certificate then refuses the table, and through ring assembly the
+    full check raises its own refusal."""
+    calls = _split_calls(monkeypatch)
+    (keys, degrees, unit, table, base, group), _ = _split_doctorings(calls)
+    laws = []
+    group_law = chowring._group_law
+
+    def spy(*args):
+        laws.append(group_law(*args))
+        return laws[-1]
+
+    monkeypatch.setattr(chowring, "_group_law", spy)
+    one = [keys.index(((g,), 0, 0)) for g in range(6)]
+    h = [keys.index(((g,), 0, 1)) for g in range(6)]
+
+    def tensor(fibre):  # F (x) A*(P^1): H^2 = 0
+        out = {}
+        for (a, b), terms in fibre.items():
+            for i, j, label in ((one[a], one[b], one), (one[a], h[b], h),
+                                (h[a], one[b], h)):
+                out[(i, j) if i <= j else (j, i)] = {
+                    label[g]: q for g, q in terms.items()}
+        return out
+
+    law, doctorings = _group_law_doctorings(one)
+    fibre, moved, shifted, message = doctorings[case]
+    assert tensor(law) == table
+    doctored = tensor(fibre)
+    degrees = list(degrees)
+    if shifted:
+        degrees[one[2]] += 1
+        degrees[h[2]] += 1
+    if moved:
+        unit = one[1]
+    assert chowring._tensor_certificate(keys, degrees, unit, doctored,
+                                        base, group) is False
+    assert laws == [False]
+    with pytest.raises(InternalInconsistency) as err:
+        chowring._check_structure(degrees, unit, doctored,
+                                  InternalInconsistency)
+    assert str(err.value) == message
+
+    def change(table):
+        table.clear()
+        table.update(doctored)
+
+    def change_basis(basis):
+        if moved:  # the ring's unit is the degree-0 class in sector 0
+            basis[one[0]], basis[one[1]] = (
+                dataclasses.replace(basis[one[0]], sector=(1,)),
+                dataclasses.replace(basis[one[1]], sector=(0,)))
+        if shifted:
+            for i in (one[2], h[2]):
+                basis[i] = dataclasses.replace(
+                    basis[i], degree=basis[i].degree + 1)
+
+    del calls[:], laws[:]
+    doctor_ring_table(change, change_basis)
+    with pytest.raises(InternalInconsistency) as err:
+        orbifold_ring(_gerbe((6,), (1,)), BaseRing.projective_space(1))
+    assert str(err.value) == message
+    assert [verdict for _, verdict in calls] == [False]
+    assert laws == [False]
 
 
 def test_base_ring_twists_must_have_degree_one():

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from generators import twisted_p3
 from stackyring import chowring, cli, documents, fixtures, lattice
 from stackyring.cli import main
+from stackyring.errors import DocumentError
 from stackyring.stacky import ExtendedStackyFan
 
 
@@ -323,6 +325,33 @@ def test_ring_base_repeat_is_refused(capsys, tmp_path, kind):
     code, payload = run(capsys, "ring", fan_path("p1"), "--base", str(path))
     assert code == 1
     assert payload == {"error": {"type": "DocumentError", "detail": detail}}
+
+
+@pytest.mark.parametrize("kind,field", [("fan", "group"),
+                                        ("base", "basis")])
+def test_missing_top_level_field_names_the_root(capsys, tmp_path, kind,
+                                                 field):
+    """A field missing at the top level is reported at "/", as every other
+    refusal of the whole document is, and a nested one at its parent."""
+    parse = {"fan": documents.parse_fan_document,
+             "base": documents.parse_base_document}[kind]
+    with pytest.raises(DocumentError) as err:
+        parse({})
+    assert (err.value.pointer, str(err.value)) == (
+        "/", f"/: missing field {field!r}")
+    nested = {"fan": ({"group": {}}, "/group: missing field 'rank'"),
+              "base": ({"basis": [{}]},
+                       "/basis/0: missing field 'label'")}[kind]
+    with pytest.raises(DocumentError, match=f"^{re.escape(nested[1])}$"):
+        parse(nested[0])
+    path = tmp_path / f"{kind}.json"
+    path.write_text("{}")
+    argv = (["ring", str(path)] if kind == "fan"
+            else ["ring", fan_path("p1"), "--base", str(path)])
+    code, payload = run(capsys, *argv)
+    assert code == 1
+    assert payload == {"error": {"type": "DocumentError",
+                                 "detail": f"/: missing field {field!r}"}}
 
 
 def test_infinite_dimensional_exits_with_json_error(capsys, monkeypatch):
