@@ -16,13 +16,11 @@ labels, so the table is filled by pairs of lattice parts, with one
 normal-form combination per product monomial and label pair; the basis
 pairs that reach the same one share its entry dict, which nothing writes
 to (see _assemble). The table is certified a graded, unital, commutative,
-associative ring by _check_structure. When the relations carry no base
-term (a gerbe, or an untwisted bundle) the ring is A*_orb(fibre) (x)
-A*(B), and _tensor_certificate checks the fibre's table alone and
-compares each stored entry with its tensor entry once; the whole table
-gets the full check only when that comparison refuses. A gerbe's fibre
-is the group ring Q[N] on the box, y^a y^b = y^{a+b}, and is checked
-against the group law of N (_group_law) instead of by _check_structure.
+associative ring before it is returned. When N is finite (a gerbe BG over
+the base) the ring is the group ring A*(B)[N], and _group_ring checks the
+table against N's group law and the base ring's products, one comparison
+per stored entry; every other table, and one that _group_ring refuses,
+gets the full check, _check_structure.
 
 Coefficients follow the number convention stated in linalg. The
 relation rows are reduced fraction-free, as primitive int rows, so apart
@@ -221,10 +219,9 @@ def _check_structure(degrees, unit, table, error):
     ints (see _exact), so this is int arithmetic too; an integral Fraction
     in a D = 1 table would be read as it is, exactly but more slowly.
 
-    _assemble may certify a ring table by its tensor split first
-    (_tensor_certificate), which runs this check on the fibre's sub-table
-    only, and not at all on a gerbe's, whose fibre _group_law checks;
-    this check on the whole table runs whenever that one refuses.
+    _assemble certifies a gerbe's ring table as a group ring (_group_ring)
+    instead; this check runs on the whole table of every other ring, and
+    of a gerbe whose table _group_ring refuses.
     """
     _, degrees = _scaled(degrees)
     d = math.lcm(*(q.denominator for terms in table.values()
@@ -249,165 +246,89 @@ def _check_structure(degrees, unit, table, error):
             "associativity certificate refused a table the scan accepts")
 
 
-def _group_law(elements, degrees, unit, table, group):
-    """Whether the table is the group ring of the elements under N's sum.
+def _group_ring(keys, degrees, unit, table, base, group):
+    """Whether the table is certified as the group ring A*(B)[F].
 
-    Class f is y^{c_f} with c_f = elements[f] reduced in N, distinct for
-    distinct f, and table maps index pairs f1 <= f2 < n to sparse
-    products as in _check_structure. True exactly when c_unit is N's
-    zero, all n(n + 1) / 2 pairs are stored, and each entry (f1, f2) is
-    {f3: 1}, with c_f3 = c_f1 + c_f2 and deg f3 = deg f1 + deg f2.
+    keys[i] = (c, tau, l) is the monomial key of basis element i, F is the
+    set of their c, and table maps index pairs to sparse products as in
+    _check_structure. True exactly when:
 
-    Why True certifies a graded, unital, commutative, associative ring.
-    As f -> c_f is injective, y^a names one class for each c_f = a, and
-    the entries say y^a y^b = y^{a+b} for all a, b among the c's, with
-    a + b again among them. So (y^a y^b) y^d = y^{(a+b)+d} and
-    y^a (y^b y^d) = y^{a+(b+d)} are one class, as N is associative; the
-    table stores each unordered pair once, so the product is commutative;
-    y^0 y^b = y^b, so the unit row is the identity; and every entry is
-    degree additive. Such a table passes _check_structure (see its
-    docstring), so this accepts no table that check refuses. The fibre of
-    a gerbe BG over B is such a table: with N finite there are no linear
-    relations, and the fibre is the group ring Q[N] on the box
-    (Borisov-Chen-Smith).
+    (a) (c, tau, l) -> (c, l) is a bijection from the keys onto
+        F x (base labels);
+    (b) deg(c, l) = deg(c, unit label) + deg l;
+    (c) the unit is (N's zero, base unit);
+    (d) for each unordered pair of F, c1 + c2 lies in F and the fibre
+        degrees add: deg(c1 + c2, unit label) is the sum of theirs;
+    (e) every stored entry (i, j) has i <= j and a nonzero base product
+        B(l_i, l_j), and equals {index(c_i + c_j, l3): s} over its terms
+        (l3, s);
+    (f) 2 len(table) = |F|^2 b_o + |F| b_d, where b_o and b_d count the
+        ordered and the diagonal pairs with a nonzero product in A*(B).
+
+    Why True certifies the table. By (c) and (d), F is a finite submonoid
+    of N and so a subgroup, and Q[F], y^a y^b = y^{a+b}, is a unital,
+    commutative, associative ring, as N is an abelian group. A*(B) is
+    one too, certified by BaseRing's constructor, and so is the tensor
+    product Q[F] (x) A*(B), factorwise. By (a) and (e) the stored pairs
+    are distinct unordered pairs, each holding its entry
+    y^{c_i+c_j} (x) B(l_i, l_j) in that tensor, which is nonzero. As
+    y^a y^b is never zero, the tensor has (|F|^2 b_o + |F| b_d) / 2
+    nonzero unordered pairs, so by (f) every one is stored: the table
+    is that of Q[F] (x) A*(B). Its entries are degree additive by
+    (b) and (d), as A*(B) is graded, and its unit row is the identity by
+    (c). Such a table passes _check_structure (see its docstring), so
+    True changes no verdict. On any other table this returns False, never
+    raises, and _assemble runs the full check, which words its refusal as
+    it always has.
+
+    The check is sound on any table. It succeeds on a gerbe BG over B (N
+    finite): there are no linear relations, and the ring is the group
+    ring A*(B)[N] (Jiang; Borisov-Chen-Smith). It costs one group sum per
+    unordered pair of F and one pass over the stored entries. Degrees are
+    compared as L deg in ints, as in _check_structure.
     """
-    n = len(elements)
-    if elements[unit] != group.zero() or len(table) != n * (n + 1) // 2:
+    scale, degrees = _scaled(degrees)
+    u, dim, n = base.unit_index, base.dim, len(keys)
+    fibre = {}  # c -> its basis index under each base label
+    for i, (c, _, l) in enumerate(keys):
+        row = fibre.setdefault(c, [None] * dim)
+        if row[l] is not None:
+            return False
+        row[l] = i
+    if len(fibre) * dim != n or keys[unit][0] != group.zero() \
+            or keys[unit][2] != u:
         return False
-    index = {c: f for f, c in enumerate(elements)}
-    add = group.add_reduced
-    for (f1, f2), entry in table.items():
-        f3 = index.get(add(elements[f1], elements[f2]))
-        if entry != {f3: 1} or degrees[f3] != degrees[f1] + degrees[f2]:
-            return False
-    return True
-
-
-def _tensor_certificate(keys, degrees, unit, table, base, group):
-    """Whether the table is certified as the tensor product F (x) A*(B).
-
-    keys[i] = (c, tau, l) is the monomial key of basis element i, and F
-    is the sub-table on the keys whose label l is the base unit, indexed
-    by their lattice parts (c, tau) in basis order. True exactly when:
-
-    (a) (c, tau, l) -> ((c, tau), l) is a bijection from the keys onto
-        (lattice parts of F) x (base labels), and deg(c, tau, l) =
-        deg(c, tau, unit label) + deg l;
-    (b) the unit is (unit of F, base unit);
-    (c) every product of two classes of F has terms in F only, and that
-        sub-table is certified a graded, unital, commutative, associative
-        ring in one of two forms: when every lattice part of F is
-        (c, 0), as it is for every class when N is finite, by the group
-        law of N (_group_law); for any other F, by _check_structure;
-    (d) every stored entry (i, j) has i <= j, is nonzero, and equals
-        F(f_i, f_j) (x) B(l_i, l_j) under the bijection;
-    (e) len(table) is the tensor's number of nonzero unordered pairs,
-        (f_o b_o + f_d b_d) / 2, where f_o and b_o count the ordered pairs
-        with a nonzero product in F and in A*(B), and f_d and b_d the
-        diagonal ones among them (a tensor of nonzero vectors is nonzero).
-
-    Why True certifies the table. By (d) the stored pairs are distinct
-    nonzero unordered pairs of the tensor, so by (e) they are all of
-    them, and the table is that of F (x) A*(B). A*(B) passed
-    _check_structure in BaseRing's constructor and F was certified in (c)
-    (_group_law's docstring gives the proof of its form), so each is
-    graded, unital, commutative and associative, and so is the
-    tensor product: by (a) the degrees add, as (x (x) a)(y (x) b) =
-    xy (x) ab has degree deg x + deg y + deg a + deg b; by (b) the unit
-    1 (x) 1 acts as the identity; commutativity and associativity hold
-    factorwise, ((x (x) a)(y (x) b))(z (x) c) = (xy)z (x) (ab)c =
-    x(yz) (x) a(bc). Every stored entry is then degree additive and the
-    unit row is the identity, and a graded, unital, commutative,
-    associative table passes _check_structure (see its docstring), so
-    True changes no verdict. On any other table this returns False,
-    never raises, and _assemble runs the full check, which words its
-    refusal as it always has.
-
-    The check is sound on any table. It succeeds when the linear
-    relations carry no base term, N finite (a gerbe) or every twist class
-    zero: then the ring is A*_orb(fibre) (x) A*(B), the split that
-    Borisov-Chen-Smith give over a point, and _assemble calls it only
-    then. It costs the check of the n / dim B classes of F, one pass over
-    the stored entries and no dict built per entry; on a gerbe that check
-    is one group sum per pair of classes of F, and _check_structure does
-    not run. Degrees are compared as L deg, L > 0 the lcm of their
-    denominators, in ints, which decides every comparison as the degrees
-    do (see _check_structure).
-    """
-    u = base.unit_index
-    scale, degrees = _scaled(degrees)  # L deg in ints, as _check_structure
-    part = {}    # lattice part (c, tau) -> fibre index
-    elements = []  # fibre index -> c
-    fdeg = []    # fibre index -> L deg
-    for i, (c, tau, l) in enumerate(keys):
-        if l == u:
-            part[c, tau] = len(fdeg)
-            elements.append(c)
-            fdeg.append(degrees[i])
-    if len(fdeg) * base.dim != len(keys):
-        return False
-    index = [[None] * base.dim for _ in fdeg]  # (f, l) -> basis index
-    split = []   # basis index -> (f, l)
-    for i, (c, tau, l) in enumerate(keys):
-        f = part.get((c, tau))
-        if f is None or index[f][l] is not None \
-                or degrees[i] != fdeg[f] + scale * base.degrees[l]:
-            return False
-        index[f][l] = i
-        split.append((f, l))
-    funit, ulabel = split[unit]
-    if ulabel != u:
-        return False
-
-    inner = [row[u] for row in index]  # F's basis indices, ascending in f
-    fibre_of = {i: f for f, i in enumerate(inner)}
-    fibre = {}
-    for f1, i in enumerate(inner):
-        for f2 in range(f1, len(inner)):
-            terms = table.get((i, inner[f2]))
-            if not terms:
-                continue
-            entry = {}
-            for k, q in terms.items():
-                f = fibre_of.get(k)
-                if f is None:
-                    return False
-                entry[f] = q
-            fibre[f1, f2] = entry
-    if all(tau == 0 for _, tau in part):
-        if not _group_law(elements, fdeg, funit, fibre, group):
-            return False
-    else:
-        try:
-            _check_structure(fdeg, funit, fibre, InternalInconsistency)
-        except InternalInconsistency:
-            return False
-
-    n = len(keys)
-    products = [[base._entry(l1, l2) for l2 in range(base.dim)]
-                for l1 in range(base.dim)]
+    elements, rows = list(fibre), list(fibre.values())
+    split = [None] * n  # basis index -> (fibre index, label)
+    for f, row in enumerate(rows):
+        for l, i in enumerate(row):
+            if degrees[i] != degrees[row[u]] + scale * base.degrees[l]:
+                return False
+            split[i] = f, l
+    total = [[None] * len(rows) for _ in rows]  # (f1, f2) -> row of c1 + c2
+    for f1, c1 in enumerate(elements):
+        for f2 in range(f1, len(elements)):
+            row = fibre.get(group.add_reduced(c1, elements[f2]))
+            if row is None or degrees[row[u]] \
+                    != degrees[rows[f1][u]] + degrees[rows[f2][u]]:
+                return False
+            total[f1][f2] = total[f2][f1] = row
+    products = [[base._entry(l1, l2) for l2 in range(dim)]
+                for l1 in range(dim)]
     for (i, j), entry in table.items():
         if not 0 <= i <= j < n:
             return False
         (f1, l1), (f2, l2) = split[i], split[j]
-        fterms = fibre.get((f1, f2) if f1 <= f2 else (f2, f1))
-        bterms = products[l1][l2]
-        if not fterms or not bterms \
-                or len(entry) != len(fterms) * len(bterms):
+        terms, row = products[l1][l2], total[f1][f2]
+        if not terms or len(entry) != len(terms):
             return False
-        for k, q in fterms.items():
-            row = index[k]
-            for m, s in bterms.items():
-                if entry.get(row[m]) != q * s:
-                    return False
-
-    def ordered_and_diagonal(pairs):
-        nonzero = [i == j for (i, j), terms in pairs if terms]
-        return 2 * len(nonzero) - sum(nonzero), sum(nonzero)
-
-    f_o, f_d = ordered_and_diagonal(fibre.items())
-    b_o, b_d = ordered_and_diagonal(base._table.items())
-    return 2 * len(table) == f_o * b_o + f_d * b_d
+        for l3, s in terms.items():
+            if entry.get(row[l3]) != s:
+                return False
+    nonzero = [i == j for (i, j), terms in base._table.items() if terms]
+    b_d = sum(nonzero)
+    return 2 * len(table) == len(rows) ** 2 * (2 * len(nonzero) - b_d) \
+        + len(rows) * b_d
 
 
 class BaseRing:
@@ -869,19 +790,16 @@ def _assemble(sfan, base, sectors):
 
     Pairs with the same (c, tau, l1, l2) therefore hold one shared dict,
     and nothing writes to a table entry once it is stored: _check_structure
-    and _tensor_certificate only read the table (see their docstrings),
+    and _group_ring only read the table (see their docstrings),
     OrbifoldRing.product returns a copy, and to_json_dict reads. The memo
     of entries is a local of the call; no state outlives it.
 
-    The table is certified before the ring is returned. Over a base that
-    is not a point, when N is finite or no twist class is nonzero, the
-    relations carry no base term and the table splits as the fibre's
-    table (x) A*(B); _tensor_certificate then certifies it from the
-    fibre's sub-table and one comparison per stored entry. When it
-    refuses, and for every other ring (twisted bundles, rings over a
-    point), _check_structure checks the whole table, so a refusal is
-    worded as the full check words it. The selection reads only the
-    input.
+    The table is certified before the ring is returned. When N is finite
+    (rank 0, a gerbe BG over the base, a point included), _group_ring
+    certifies it as the group ring A*(B)[N]. When it refuses, and for every
+    ring with rank N > 0, _check_structure checks the whole table, so a
+    refusal is worded as the full check words it. The selection reads only
+    the rank of N.
     """
     relations = linear_relations(sfan, base)
     diagnostics = sfan.validate()
@@ -984,10 +902,8 @@ def _assemble(sfan, base, sectors):
 
     ring = OrbifoldRing(sfan, base, sectors, basis, table)
     degrees = [b.degree for b in basis]
-    splits = base.dim > 1 and (sfan.group.rank == 0
-                               or not any(base.twists or ()))
-    if not (splits and _tensor_certificate(keys, degrees, ring.unit_index,
-                                           table, base, sfan.group)):
+    if not (sfan.group.rank == 0 and _group_ring(
+            keys, degrees, ring.unit_index, table, base, sfan.group)):
         _check_structure(degrees, ring.unit_index, table,
                          InternalInconsistency)
     return ring

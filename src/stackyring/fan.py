@@ -109,6 +109,10 @@ class SimplicialFan:
                            compare=False)
 
     def __post_init__(self):
+        dim = linalg._integer_input(self.ambient_dim, "ambient_dim")
+        if dim < 0:
+            raise ValueError("ambient_dim must be nonnegative")
+        object.__setattr__(self, "ambient_dim", dim)
         rays = []
         for i, r in enumerate(self.rays):
             ray = tuple(linalg._integer_input(x, f"ray {i} coordinate")

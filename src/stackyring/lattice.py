@@ -57,8 +57,10 @@ class FgAbGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        if self.rank < 0:
+        rank = linalg._integer_input(self.rank, "rank")
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion",
                            _integers(self.torsion, "torsion modulus"))
         for q in self.torsion:

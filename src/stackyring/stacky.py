@@ -398,27 +398,6 @@ class ExtendedStackyFan:
             raise NoCommonCone(f"complement {w} is not in Box{sigma}")
         return sigma, ceilings, v3
 
-    def normalize_extra_data(self):
-        """Reduce each extra vector into its box parallelepiped.
-
-        Extras whose image lies in the fan support are replaced by the box
-        part of their decomposition; the rest are kept and reported.
-        Returns (fan, warnings) where warnings lists unreduced indices.
-        Each extra is located once, and split as box_decompose splits it.
-        """
-        new_extra = []
-        warnings = []
-        for j, b in enumerate(self.extra):
-            located = self.fan.joint_coefficients([self.bar(b)])
-            if located is None:
-                new_extra.append(b)
-                warnings.append(self.n + j)
-                continue
-            new_extra.append(self._split(b, *located[0])[0].value)
-        fan = ExtendedStackyFan(self.group, self.fan, self.ray_lifts,
-                                tuple(new_extra))
-        return fan, tuple(warnings)
-
     def quotient_stacky_fan(self, sigma) -> "ExtendedStackyFan":
         """The induced extended stacky fan on N(sigma).
 

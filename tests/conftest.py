@@ -9,12 +9,6 @@ def p112():
 
 
 @pytest.fixture
-def rank1_pair():
-    return (fixtures.load_fan("example_rank1"),
-            fixtures.load_fan("example_rank1_tilde"))
-
-
-@pytest.fixture
 def doctor_ring_table(monkeypatch):
     """Apply change(table) to each assembled ring table before its check.
 

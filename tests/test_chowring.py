@@ -482,17 +482,17 @@ def test_doctored_rings_are_refused_as_the_oracle_says(doctor_ring_table):
             degrees, ring.unit_index, doctored[-1])), case
 
 
-def _split_calls(monkeypatch):
-    """Record (arguments, verdict) of every _tensor_certificate call."""
+def _group_ring_calls(monkeypatch):
+    """Record (arguments, verdict) of every _group_ring call."""
     calls = []
-    certify = chowring._tensor_certificate
+    certify = chowring._group_ring
 
     def spy(*args):
         verdict = certify(*args)
         calls.append((args, verdict))
         return verdict
 
-    monkeypatch.setattr(chowring, "_tensor_certificate", spy)
+    monkeypatch.setattr(chowring, "_group_ring", spy)
     return calls
 
 
@@ -509,25 +509,26 @@ def _structure_checks(monkeypatch):
     return checked
 
 
-def test_split_is_taken_where_the_ring_splits(monkeypatch):
-    """The tensor certificate accepts the gerbes of the gerbe_table shapes
-    (|G| = 24 over P^1, 16 over P^2, twisted or not), seeded untwisted
-    2-D fans over P^1 and P^2 with no twists or all-zero ones, and
-    P(1,1,2) over P^2, so the full check runs on none of their tables. It
-    is not called over a point, nor for a bundle with a nonzero twist.
-    _check_structure runs on none of the gerbes' tables, whose fibre the
-    group law certifies, and once on each other fibre, on its classes
-    alone."""
-    calls = _split_calls(monkeypatch)
-    checked = _structure_checks(monkeypatch)
-    rng = random.Random("split")
-    cases = []
+def test_group_ring_is_taken_exactly_on_gerbes(monkeypatch):
+    """The group-ring certificate is called once, and accepts, on every
+    gerbe: the gerbe_table shapes (|G| = 24 over P^1, 16 over P^2, twisted
+    or not) and BG(Z/6) over a point, so the full check runs on none of
+    their tables. No ring with rank N > 0 calls it, and each runs
+    _check_structure once, on its whole table: weighted projective planes
+    over a point, seeded untwisted 2-D fans over P^1 and P^2 with no
+    twists or all-zero ones, P(1,1,2) over P^2, and example_rank1 over
+    base_p1_minus_h. Every base is built before the spies count."""
+    rng = random.Random("group ring")
+    gerbes = []
     for torsion, n in (((24,), 1), ((2, 12), 1), ((2, 2, 6), 1),
                        ((16,), 2), ((4, 4), 2), ((2, 2, 4), 2)):
         extra = tuple(rng.randrange(1, q) for q in torsion)
         base = BaseRing.projective_space(n).with_twists(
             [{"H": rng.randint(-2, 2)}])
-        cases.append((_gerbe(torsion, extra), base))
+        gerbes.append((_gerbe(torsion, extra), base))
+    gerbes.append((_gerbe((6,), (1,)), POINT))
+    others = [(weighted_projective_fan(w), POINT)
+              for w in ([1, 1, 1], [1, 2, 3], [2, 3, 5])]
     for n in (1, 2):
         for zero_twists in (False, True):
             for _ in range(4):
@@ -535,27 +536,31 @@ def test_split_is_taken_where_the_ring_splits(monkeypatch):
                 base = BaseRing.projective_space(n)
                 if zero_twists:
                     base = base.with_twists([{}] * sfan.m)
-                cases.append((sfan, base))
-    cases.append((fixtures.load_fan("p112"), BaseRing.projective_space(2)))
-    for sfan, base in cases:
+                others.append((sfan, base))
+    others += [(fixtures.load_fan("p112"), BaseRing.projective_space(2)),
+               (fixtures.load_fan("example_rank1"),
+                fixtures.load_base("base_p1_minus_h"))]
+    calls = _group_ring_calls(monkeypatch)
+    checked = _structure_checks(monkeypatch)
+    for sfan, base in gerbes:
+        del calls[:], checked[:]
+        orbifold_ring(sfan, base)
+        assert [verdict for _, verdict in calls] == [True], sfan
+        assert checked == [], sfan
+    for sfan, base in others:
         del calls[:], checked[:]
         ring = orbifold_ring(sfan, base)
-        assert [verdict for _, verdict in calls] == [True], sfan
-        assert checked == ([] if sfan.group.rank == 0
-                           else [ring.dimension // base.dim]), sfan
-    for sfan, base in ((weighted_projective_fan([1, 2, 3]), POINT),
-                       (fixtures.load_fan("example_rank1"),
-                        fixtures.load_base("base_p1_minus_h"))):
-        del calls[:]
-        orbifold_ring(sfan, base)
+        assert sfan.group.rank > 0
         assert calls == [], sfan
+        assert checked == [ring.dimension], sfan
 
 
 def _split_doctorings(calls):
-    """The arguments _assemble hands the tensor certificate for the table
-    of BG(Z/6) over P^1, read off the spy's calls, and doctorings of that
-    table, each (change of the table, basis index whose degree is raised
-    by 1 or None, the full check's refusal)."""
+    """The arguments _assemble hands the group-ring certificate for the
+    table of BG(Z/6) over P^1, Q[Z/6] (x) A*(P^1), read off the spy's
+    calls, and doctorings of that table, each (change of the table, basis
+    index whose degree is raised by 1 or None, the full check's
+    refusal)."""
     def pair(a, b):
         return (a, b) if a <= b else (b, a)
 
@@ -586,6 +591,10 @@ def _split_doctorings(calls):
         scaled([(one[1], one[2]), pair(one[1], h[2]),
                 pair(h[1], one[2])], 2)(table)
 
+    def zero_base(table):  # the count holds, with a pair whose H^2 = 0
+        del table[off]
+        table[pair(h[1], h[2])] = {}
+
     doctorings = {
         "dropped": (drop, None,
                     f"associativity fails on ({one[1]},{h[0]},{one[2]})"),
@@ -598,20 +607,23 @@ def _split_doctorings(calls):
                   f"associativity fails on ({one[1]},{one[1]},{one[2]})"),
         "degree": (unchanged, h[2],
                    f"product ({h[0]},{one[2]}) not degree additive "
-                   f"at {h[2]}")}
+                   f"at {h[2]}"),
+        "zero_base": (zero_base, None,
+                      f"associativity fails on ({one[1]},{h[0]},{one[2]})")}
     return args, doctorings
 
 
 @pytest.mark.parametrize("case", ["dropped", "h_term", "coefficient",
-                                  "fibre", "degree"])
+                                  "fibre", "degree", "zero_base"])
 def test_split_refuses_a_doctored_gerbe_table(case, monkeypatch,
                                               doctor_ring_table):
-    """Each doctoring of a gerbe table over P^1 is refused by the tensor
-    certificate, each by a different clause: the count, the closed fibre,
-    the entry comparison, the fibre's group law and the degrees of the
-    bijection. Through ring assembly the full check then raises its own
-    refusal, word for word."""
-    calls = _split_calls(monkeypatch)
+    """Each doctoring of a gerbe table over P^1 is refused by the
+    group-ring certificate: by the pair count (f), by an entry that is not
+    its tensor entry (e), by the degrees of the bijection (b), and by a
+    stored pair whose base product is zero (e), which keeps the count.
+    Through ring assembly the full check then raises its own refusal, word
+    for word."""
+    calls = _group_ring_calls(monkeypatch)
     (keys, degrees, unit, table, base, group), doctorings = \
         _split_doctorings(calls)
     change, shifted, message = doctorings[case]
@@ -620,8 +632,8 @@ def test_split_refuses_a_doctored_gerbe_table(case, monkeypatch,
     degrees = list(degrees)
     if shifted is not None:
         degrees[shifted] += 1
-    assert chowring._tensor_certificate(keys, degrees, unit, doctored,
-                                        base, group) is False
+    assert chowring._group_ring(keys, degrees, unit, doctored, base,
+                                group) is False
     with pytest.raises(InternalInconsistency) as err:
         chowring._check_structure(degrees, unit, doctored,
                                   InternalInconsistency)
@@ -641,16 +653,15 @@ def test_split_refuses_a_doctored_gerbe_table(case, monkeypatch,
 
 
 def test_split_refuses_a_unit_off_the_base_unit(monkeypatch):
-    """A unit that is y^0 H, not y^0 1, maps to no unit of F (x) A*(B):
+    """A unit that is y^0 H, not y^0 1, is no unit of Q[Z/6] (x) A*(P^1):
     the certificate refuses it, as the full check does."""
     (keys, degrees, unit, table, base, group), _ = _split_doctorings(
-        _split_calls(monkeypatch))
-    assert chowring._tensor_certificate(keys, degrees, unit, table, base,
-                                        group)
+        _group_ring_calls(monkeypatch))
+    assert chowring._group_ring(keys, degrees, unit, table, base, group)
     [wrong] = [i for i, (c, tau, l) in enumerate(keys)
                if c == keys[unit][0] and l != base.unit_index]
-    assert chowring._tensor_certificate(keys, degrees, wrong, table,
-                                        base, group) is False
+    assert chowring._group_ring(keys, degrees, wrong, table, base,
+                                group) is False
     with pytest.raises(InternalInconsistency, match="^unit law fails$"):
         chowring._check_structure(degrees, wrong, table,
                                   InternalInconsistency)
@@ -658,11 +669,12 @@ def test_split_refuses_a_unit_off_the_base_unit(monkeypatch):
 
 def _gerbe_family(rng):
     """Seeded rank-0 cases: BG(N) with |N| in 1..36 as 1 to 3 cyclic
-    factors and 0 to 3 extra vectors, over P^1, P^2 and P^1 x P^1, each
-    base untwisted and with seeded twists in -2..2, and the trivial group
-    over each base."""
+    factors and 0 to 3 extra vectors, over P^1, P^2, P^1 x P^1 and a
+    point, each base untwisted and with seeded twists in -2..2 (all empty
+    over the point), and the trivial group over each base."""
     p1 = BaseRing.projective_space(1)
-    bases = (p1, BaseRing.projective_space(2), BaseRing.tensor(p1, p1))
+    bases = (p1, BaseRing.projective_space(2), BaseRing.tensor(p1, p1),
+             POINT)
     cases = []
     for base in bases:
         lines = [label for label, deg in zip(base.labels, base.degrees)
@@ -693,44 +705,30 @@ def _gerbe_family(rng):
     return cases + [(trivial, base) for base in bases]
 
 
-def _generic_fibre_check(elements, degrees, unit, table, group):
-    """The group-law clause forced off: the fibre goes through the
-    generic _check_structure, as every fibre did before the clause."""
-    try:
-        chowring._check_structure(degrees, unit, table, InternalInconsistency)
-    except InternalInconsistency:
-        return False
-    return True
-
-
-def _ring_text(sfan, base):
-    ring = orbifold_ring(sfan, base)
-    return documents.dumps_canonical(ring.to_json_dict())
-
-
 def test_group_law_matches_the_generic_fibre_check(monkeypatch):
-    """On seeded gerbes the ring document and the certificate's verdict
-    are the same with the group-law clause and with the fibre checked by
-    _check_structure instead, and with the clause _check_structure runs
-    on no table of a gerbe."""
-    calls = _split_calls(monkeypatch)
-    checked = _structure_checks(monkeypatch)
+    """On seeded gerbes the group-ring certificate accepts every table and
+    _check_structure runs on none; with the certificate forced to refuse,
+    every ring document is byte-identical and _check_structure runs once,
+    on the whole table."""
     cases = _gerbe_family(random.Random("group law"))
-    assert {base.dim for _, base in cases} == {2, 3, 4}
+    assert {base.dim for _, base in cases} == {1, 2, 3, 4}
     assert {len(sfan.group.torsion) for sfan, _ in cases} == {0, 1, 2, 3}
     assert {sfan.m for sfan, _ in cases} == {0, 1, 2, 3}
+    calls = _group_ring_calls(monkeypatch)
+    checked = _structure_checks(monkeypatch)
     fast = []
     for sfan, base in cases:
         del calls[:], checked[:]
-        fast.append(_ring_text(sfan, base))
+        ring = orbifold_ring(sfan, base)
+        fast.append(documents.dumps_canonical(ring.to_json_dict()))
         assert [verdict for _, verdict in calls] == [True], sfan
         assert checked == [], sfan
-    monkeypatch.setattr(chowring, "_group_law", _generic_fibre_check)
+    monkeypatch.setattr(chowring, "_group_ring", lambda *args: False)
     for (sfan, base), text in zip(cases, fast):
-        del calls[:], checked[:]
-        assert _ring_text(sfan, base) == text, sfan
-        assert [verdict for _, verdict in calls] == [True], sfan
-        assert len(checked) == 1, sfan
+        del checked[:]
+        ring = orbifold_ring(sfan, base)
+        assert documents.dumps_canonical(ring.to_json_dict()) == text, sfan
+        assert checked == [ring.dimension], sfan
 
 
 def _group_law_doctorings(one):
@@ -738,8 +736,7 @@ def _group_law_doctorings(one):
     doctorings, each (fibre table F' on Z/6; whether the unit moves to
     y^1 1; whether y^2 1 and y^2 H gain degree 1; the full check's
     refusal). one[g] is the basis index of y^g 1. The table is rebuilt
-    as F' (x) A*(P^1) throughout, so every clause of the certificate but
-    the group law holds."""
+    as F' (x) A*(P^1) throughout, so only the group law of F' is off."""
     law = {(a, b): {(a + b) % 6: 1} for a in range(6) for b in range(a, 6)}
     dropped = dict(law)
     del dropped[1, 2]
@@ -762,20 +759,12 @@ def _group_law_doctorings(one):
 def test_group_law_refuses_a_doctored_gerbe_fibre(case, monkeypatch,
                                                   doctor_ring_table):
     """Each doctored fibre of BG(Z/6) over P^1, carried through the
-    tensor product, is refused by the group-law clause: by its
-    coefficient, its sum, its pair count, its unit and its degrees. The
-    certificate then refuses the table, and through ring assembly the
-    full check raises its own refusal."""
-    calls = _split_calls(monkeypatch)
+    tensor product, is refused by the group-ring certificate: by its
+    entries (e), its pair count (f), its unit (c) and its fibre degrees
+    (d). Through ring assembly the full check then raises its own
+    refusal."""
+    calls = _group_ring_calls(monkeypatch)
     (keys, degrees, unit, table, base, group), _ = _split_doctorings(calls)
-    laws = []
-    group_law = chowring._group_law
-
-    def spy(*args):
-        laws.append(group_law(*args))
-        return laws[-1]
-
-    monkeypatch.setattr(chowring, "_group_law", spy)
     one = [keys.index(((g,), 0, 0)) for g in range(6)]
     h = [keys.index(((g,), 0, 1)) for g in range(6)]
 
@@ -798,9 +787,8 @@ def test_group_law_refuses_a_doctored_gerbe_fibre(case, monkeypatch,
         degrees[h[2]] += 1
     if moved:
         unit = one[1]
-    assert chowring._tensor_certificate(keys, degrees, unit, doctored,
-                                        base, group) is False
-    assert laws == [False]
+    assert chowring._group_ring(keys, degrees, unit, doctored, base,
+                                group) is False
     with pytest.raises(InternalInconsistency) as err:
         chowring._check_structure(degrees, unit, doctored,
                                   InternalInconsistency)
@@ -820,13 +808,12 @@ def test_group_law_refuses_a_doctored_gerbe_fibre(case, monkeypatch,
                 basis[i] = dataclasses.replace(
                     basis[i], degree=basis[i].degree + 1)
 
-    del calls[:], laws[:]
+    del calls[:]
     doctor_ring_table(change, change_basis)
     with pytest.raises(InternalInconsistency) as err:
         orbifold_ring(_gerbe((6,), (1,)), BaseRing.projective_space(1))
     assert str(err.value) == message
     assert [verdict for _, verdict in calls] == [False]
-    assert laws == [False]
 
 
 def test_base_ring_twists_must_have_degree_one():

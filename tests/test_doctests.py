@@ -1,7 +1,8 @@
-"""The examples in the library's docstrings run and pass."""
+"""The examples in the library's docstrings and in README.md run and pass."""
 
 import doctest
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -19,3 +20,9 @@ def test_module_doctests(module):
 
 def test_some_examples_run():
     assert sum(doctest.testmod(m).attempted for m in MODULES) > 0
+
+
+def test_readme_examples_run():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0 and result.attempted > 0

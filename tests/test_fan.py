@@ -177,3 +177,17 @@ def test_integral_fraction_ray_is_stored_as_int():
     fan = SimplicialFan(1, ((Fraction(2),), (-1,)), ((0,), (1,)))
     assert fan.rays == ((2,), (-1,))
     assert type(fan.rays[0][0]) is int
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: FgAbGroup(2.0), "rank 2.0 is not an exact rational"),
+    (lambda: FgAbGroup(True), "rank True is not an exact rational"),
+    (lambda: SimplicialFan(2.0, (), ((),)),
+     "ambient_dim 2.0 is not an exact rational"),
+    (lambda: SimplicialFan(-1, (), ((),)), "ambient_dim must be nonnegative")],
+    ids=["float_rank", "bool_rank", "float_dim", "negative_dim"])
+def test_rank_and_dimension_that_are_no_integers_are_refused(build, text):
+    # FgAbGroup(2.0) was built and failed later on a slice, True was taken
+    # as rank 1, and a fan of dimension -1 validated with no diagnostic
+    with pytest.raises(ValueError, match=rf"^{text}$"):
+        build()

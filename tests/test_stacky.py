@@ -202,21 +202,6 @@ def test_local_group_orders(p112):
     assert lg.order() == 1
 
 
-def test_normalize_extra_data_reduces_into_box():
-    big = ExtendedStackyFan.build(FgAbGroup(1, ()), [[2], [-2]],
-                                  [[0], [1]], [[1], [3], [2]])
-    norm, warnings = big.normalize_extra_data()
-    assert norm.extra == ((1,), (1,), (0,))
-    assert warnings == ()
-
-
-def test_normalize_extra_data_warns_outside_support():
-    sfan = half_line()
-    norm, warnings = sfan.normalize_extra_data()
-    assert norm.extra == ((-1,),)
-    assert warnings == (1,)
-
-
 def test_quotient_stacky_fan(p112):
     q = p112.quotient_stacky_fan((0, 2))
     assert q.group.order() == 2
