@@ -16,8 +16,10 @@ it gives g3 and c_i = ceil(alpha_i + beta_i) over sigma, alpha and beta
 the coefficients of g1 and g2. Then g1 + g2 + g3 = sum c_i b_i, so the
 total age is sum c_i and the obstruction rays are the i with c_i = 2
 (Borisov-Chen-Smith); each 3-sector keeps the c_i from that one call.
-A pair of zero images (every pair on a gerbe) needs no cone lookup at
-all: its joint cone is the zero cone (see _complement_in).
+A pair of zero images (every pair on a gerbe) costs one torsion sum:
+its joint cone is the zero cone, with no ceilings and no obstruction
+rays, and g3 = -(g1 + g2) lies in Box(()), the torsion of N (see
+_complement_in).
 """
 
 from __future__ import annotations
@@ -133,10 +135,11 @@ def three_sectors(sfan: ExtendedStackyFan):
     """
     box = sfan.box()
     _refuse_past_the_bound("3-sector pairs, r = 2,", 2, box)
+    complement_in = sfan._complement_in
     quotients = {}
     out = []
     for g1, g2 in itertools.product(box, repeat=2):
-        found = sfan._complement_in(g1, g2)
+        found = complement_in(g1, g2)
         if found is None:
             continue
         joint, ceilings, g3 = found
@@ -149,7 +152,12 @@ def three_sectors(sfan: ExtendedStackyFan):
 
 
 def _obstruction_rays(joint, ceilings) -> frozenset:
-    """The rays of joint whose c_i is 2, each c_i checked to be 1 or 2."""
+    """The rays of joint whose c_i is 2, each c_i checked to be 1 or 2.
+
+    No ceilings (the zero cone) means no rays and nothing to check.
+    """
+    if not ceilings:
+        return frozenset()
     if any(c not in (1, 2) for c in ceilings):
         raise UnexpectedCoefficient(
             f"coefficients {list(ceilings)} of g1 + g2 + g3 over {joint} "
@@ -166,7 +174,8 @@ def obstruction_exponents(sfan: ExtendedStackyFan, g1: BoxElement,
     a_i = 2. The empty set means the obstruction bundle has rank zero.
 
     g3 must be the complement of (g1, g2) that _complement_in gives, as
-    three_sectors and box_complement take it; any other g3 raises
+    three_sectors and box_complement take it: the same element, or one
+    equal to it in value, cone, coefficients and age. Any other g3 raises
     NotASector. The same call gives a_i = c_i = ceil(alpha_i + beta_i)
     (see the module docstring). alpha_i + beta_i is positive on sigma,
     the union of the supports, and below 2 for box elements, so each c_i
@@ -179,8 +188,10 @@ def obstruction_exponents(sfan: ExtendedStackyFan, g1: BoxElement,
     if found is None:
         raise NotASector("g1 and g2 share no cone")
     joint, ceilings, expected = found
-    if expected.value != tuple(g3.value):
+    if g3 is not expected and g3 != expected:
+        got, want = tuple(g3.value), expected.value
+        if got == want:  # the cone, coefficients or age differ
+            got, want = g3, expected
         raise NotASector(
-            f"g3 = {tuple(g3.value)} is not the complement "
-            f"{expected.value} of (g1, g2)")
+            f"g3 = {got} is not the complement {want} of (g1, g2)")
     return _obstruction_rays(joint, ceilings)

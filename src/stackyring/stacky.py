@@ -335,14 +335,24 @@ class ExtendedStackyFan:
         values is also the certificate that w is in the box; a value it
         lacks raises NoCommonCone.
 
-        Two zero images (both free parts zero, every pair on a gerbe) take
-        no lookup when the fan has a maximal cone: the zero vector passes
-        every cone solver's check rows, each a linear form, with all
-        coefficients zero, so every maximal cone holds it with empty
-        support, and joint_coefficients would answer [((), ()), ((), ())]
-        from the first one. Then sigma is the zero cone and w = -(v1 + v2),
-        with no dicts and no sort. Without a maximal cone
-        joint_coefficients answers None, so that case keeps the lookup.
+        Two zero images (both free parts zero, every pair on a gerbe) cost
+        one sum over the torsion coordinates when the fan has a maximal
+        cone. The zero vector passes every cone solver's check rows, each
+        a linear form, with all coefficients zero, so every maximal cone
+        holds it with empty support, and joint_coefficients would answer
+        [((), ()), ((), ())] from the first one. So sigma is the zero
+        cone, there are no ceilings, and w = -(v1 + v2) has the zero free
+        part and torsion part (-(a_t + b_t)) mod q_t. Box(()) is the
+        torsion subgroup of N, one element per reduced value: this is
+        box_of_cone's proof with J empty, where N_J = N, the torsion
+        classes are the torsion elements, and an element over no rays is
+        in the box exactly when its image is zero. So w always lies in
+        Box(()); it is still read from Box(())'s record, as every v3 is,
+        and a record that lacks it raises NoCommonCone. The check that
+        each c_i is 1 or 2 (inertia._obstruction_rays) is vacuous with no
+        rays. Without a maximal cone joint_coefficients answers None, so
+        that case keeps the lookup. Every other pair with a joint cone
+        has a nonzero image, so its support, and sigma, is not empty.
 
         The minimal cone tau of the three images is sigma on any fan, so
         nothing rechecks it. On a valid fan, v3 in Box(sigma) puts all
@@ -361,38 +371,38 @@ class ExtendedStackyFan:
         __post_init__) and the ceilings, and w is built from them by int
         sums and products.
         """
-        group, lifts = self.group, self.ray_lifts
-        for v in (v1, v2):
-            if len(v.value) != group.coords:
+        rank, torsion = self.group.rank, self.group.torsion
+        x1, x2 = v1.value, v2.value
+        for x in (x1, x2):
+            if len(x) != rank + len(torsion):
                 raise ValueError(
-                    f"element length {len(v.value)} != {group.coords}")
+                    f"element length {len(x)} != {rank + len(torsion)}")
         # a box element's value is reduced: its image is its free part
-        rank = group.rank
-        p1, p2 = v1.value[:rank], v2.value[:rank]
+        p1, p2 = x1[:rank], x2[:rank]
         if not any(p1) and not any(p2) and self.fan.max_cones:
-            s1 = s2 = ()
+            sigma = ceilings = ()
+            w = p1 + tuple(map(operator.mod, map(operator.neg, map(
+                operator.add, x1[rank:], x2[rank:])), torsion))
         else:
             located = self.fan.joint_coefficients([p1, p2])
             if located is None:
                 return None
             (s1, a1), (s2, a2) = located
-        w = [-x - y for x, y in zip(v1.value, v2.value)]
-        ceilings = []
-        if s1 or s2:
+            lifts = self.ray_lifts
+            w = [-x - y for x, y in zip(x1, x2)]
+            ceilings = []
             alpha, beta = dict(zip(s1, a1)), dict(zip(s2, a2))
             sigma = tuple(sorted(alpha.keys() | beta.keys()))
-        else:
-            sigma = ()  # the loop below reads no alpha or beta
-        for i in sigma:
-            # ceil(a + b) = -floor(-(a + b)) over a common denominator; the
-            # int 0 stands in off a support (its denominator is 1)
-            a, b = alpha.get(i, 0), beta.get(i, 0)
-            c = -((-a.numerator * b.denominator - b.numerator * a.denominator)
-                  // (a.denominator * b.denominator))
-            ceilings.append(c)
-            w = [x + c * y for x, y in zip(w, lifts[i])]
-        w = tuple(w[:rank]) + tuple(map(operator.mod, w[rank:],
-                                        group.torsion))
+            for i in sigma:
+                # ceil(a + b) = -floor(-(a + b)) over a common denominator;
+                # the int 0 stands in off a support (its denominator is 1)
+                a, b = alpha.get(i, 0), beta.get(i, 0)
+                c = -((-a.numerator * b.denominator
+                       - b.numerator * a.denominator)
+                      // (a.denominator * b.denominator))
+                ceilings.append(c)
+                w = [x + c * y for x, y in zip(w, lifts[i])]
+            w = tuple(w[:rank]) + tuple(map(operator.mod, w[rank:], torsion))
         v3 = self._record(sigma).box.get(w)
         if v3 is None:
             raise NoCommonCone(f"complement {w} is not in Box{sigma}")

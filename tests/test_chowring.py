@@ -595,6 +595,10 @@ def _split_doctorings(calls):
         del table[off]
         table[pair(h[1], h[2])] = {}
 
+    def reversed_pair(table):  # the count holds, with y^2 y^1 stored twice
+        del table[off]
+        table[one[2], one[1]] = table[one[1], one[2]]
+
     doctorings = {
         "dropped": (drop, None,
                     f"associativity fails on ({one[1]},{h[0]},{one[2]})"),
@@ -609,20 +613,25 @@ def _split_doctorings(calls):
                    f"product ({h[0]},{one[2]}) not degree additive "
                    f"at {h[2]}"),
         "zero_base": (zero_base, None,
-                      f"associativity fails on ({one[1]},{h[0]},{one[2]})")}
+                      f"associativity fails on ({one[1]},{h[0]},{one[2]})"),
+        "reversed_pair": (reversed_pair, None,
+                          f"associativity fails on ({one[1]},{h[0]},"
+                          f"{one[2]})")}
     return args, doctorings
 
 
 @pytest.mark.parametrize("case", ["dropped", "h_term", "coefficient",
-                                  "fibre", "degree", "zero_base"])
+                                  "fibre", "degree", "zero_base",
+                                  "reversed_pair"])
 def test_split_refuses_a_doctored_gerbe_table(case, monkeypatch,
                                               doctor_ring_table):
     """Each doctoring of a gerbe table over P^1 is refused by the
     group-ring certificate: by the pair count (f), by an entry that is not
-    its tensor entry (e), by the degrees of the bijection (b), and by a
-    stored pair whose base product is zero (e), which keeps the count.
-    Through ring assembly the full check then raises its own refusal, word
-    for word."""
+    its tensor entry (e), by the degrees of the bijection (b), by a stored
+    pair whose base product is zero (e), and by a stored pair (i, j) with
+    i > j (e); the last two keep the count, and every entry of the
+    reversed pair is its tensor entry. Through ring assembly the full
+    check then raises its own refusal, word for word."""
     calls = _group_ring_calls(monkeypatch)
     (keys, degrees, unit, table, base, group), doctorings = \
         _split_doctorings(calls)
@@ -665,6 +674,35 @@ def test_split_refuses_a_unit_off_the_base_unit(monkeypatch):
     with pytest.raises(InternalInconsistency, match="^unit law fails$"):
         chowring._check_structure(degrees, wrong, table,
                                   InternalInconsistency)
+
+
+def test_group_ring_refuses_a_repeated_key(monkeypatch):
+    """Two basis elements with one (c, l) fail the bijection (a). On
+    the intact table of BG(Z/6) over P^1, y^1 H keyed as y^1 1 keeps
+    the class count and leaves the slot of y^1 H empty; the certificate
+    refuses it at the repeat, before it reads that slot. A box that lists
+    y^1 twice repeats both keys of its sector; through ring assembly the
+    certificate refuses that table and the full check raises its own
+    refusal."""
+    calls = _group_ring_calls(monkeypatch)
+    (keys, degrees, unit, table, base, group), _ = _split_doctorings(calls)
+    assert chowring._group_ring(keys, degrees, unit, table, base, group)
+    one, h = keys.index(((1,), 0, 0)), keys.index(((1,), 0, 1))
+    doctored = list(keys)
+    doctored[h] = keys[one]
+    assert chowring._group_ring(doctored, degrees, unit, table, base,
+                                group) is False
+
+    sfan = _gerbe((6,), (1,))
+    box = sfan.box()
+    monkeypatch.setattr(ExtendedStackyFan, "box",
+                        lambda self: box + [box[1]])
+    del calls[:]
+    with pytest.raises(InternalInconsistency, match="^unit law fails$"):
+        orbifold_ring(sfan, BaseRing.projective_space(1))
+    [(args, verdict)] = calls
+    assert verdict is False
+    assert args[0][-2:] == [keys[one], keys[h]]
 
 
 def _gerbe_family(rng):

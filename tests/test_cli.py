@@ -421,6 +421,16 @@ def test_recorded_stdout_digest(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
 
 
+def test_gerbe_sectors_stdout_digest(capsys):
+    """The 1,296 3-sectors of BG(Z/4 x Z/9), all of zero image, which the
+    digests above leave out: every pair's complement is -(g1 + g2) in N."""
+    assert main(["sectors", fan_path("gerbe_z4z9")]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["count"] == 36 ** 2
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5f88322ecfd9507905524ba989321ce1705694a9bfc8161c50ef1af963f0f637")
+
+
 def _call(capsys, argv):
     """(exit code, stdout, stderr) of one main call; usage errors exit 2."""
     try:

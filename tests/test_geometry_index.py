@@ -10,6 +10,7 @@ the cone's lifts and a scan of the faces.
 """
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -304,6 +305,44 @@ def test_zero_images_sit_in_the_first_maximal_cone(family):
             assert sfan.fan.joint_coefficients([p1, p2]) == \
                 [((), ()), ((), ())]
             pairs += 1
+    assert pairs >= len(fans)
+
+
+@pytest.mark.parametrize("family", ["fixtures", "gerbes"])
+def test_zero_cone_box_is_the_torsion_of_n(family):
+    """The premise of _complement_in's zero-image path: Box(()) is the
+    torsion subgroup of N, one element per reduced value, with the zero
+    free part (box_of_cone's proof with J empty). So -(v1 + v2) of two
+    zero images always lies in it, and the pair's sector has the zero
+    cone, no ceilings and no obstruction rays."""
+    fans = {"fixtures": [fixtures.load_fan(name)
+                         for name in fixtures.FAN_FIXTURES],
+            "gerbes": [seeded_gerbe(random.Random(seed))
+                       for seed in range(6)]}[family]
+    pairs = 0
+    for sfan in fans:
+        group = sfan.group
+        free = (0,) * group.rank
+        box = sfan.box_of_cone(())
+        values = {b.value for b in box}
+        assert len(box) == math.prod(group.torsion), sfan
+        assert values == {free + t for t in itertools.product(
+            *(range(q) for q in group.torsion))}, sfan
+        assert {(b.min_cone, b.coeffs, b.age) for b in box} == {
+            ((), (), 0)}, sfan
+        zeros = [b for b in sfan.box() if not any(sfan.bar(b.value))]
+        assert [b.value for b in zeros] == [b.value for b in box], sfan
+        for g1, g2 in itertools.product(zeros, repeat=2):
+            g3 = sfan.box_complement(g1, g2)
+            assert g3.value == group.reduce(
+                [-x - y for x, y in zip(g1.value, g2.value)])
+            assert obstruction_exponents(sfan, g1, g2, g3) == frozenset()
+            pairs += 1
+        zero_sectors = [s for s in three_sectors(sfan)
+                        if {g.value for g in s.elements[:2]} <= values]
+        assert len(zero_sectors) == len(zeros) ** 2, sfan
+        assert {(s.joint_cone, s.ceilings, s.obstruction_rays)
+                for s in zero_sectors} == {((), (), frozenset())}, sfan
     assert pairs >= len(fans)
 
 

@@ -155,6 +155,34 @@ def test_obstruction_refuses_a_coefficient_sum_of_three(p112):
         obstruction_exponents(p112, g1, zero, v)
 
 
+def test_obstruction_rays_check_every_ceiling():
+    # no ceilings (the zero cone) give no rays; a ceiling of 3 on one ray
+    # is still refused
+    assert inertia._obstruction_rays((), ()) == frozenset()
+    with pytest.raises(UnexpectedCoefficient, match=re.escape(
+            "coefficients [3] of g1 + g2 + g3 over (0,) are not all in "
+            "{1, 2}")):
+        inertia._obstruction_rays((0,), [3])
+
+
+def test_obstruction_refuses_a_doctored_complement(p112):
+    # the complement's value with another cone, coefficients or age is
+    # not the complement; an equal copy of it is
+    zero, v = p112.box()
+    comp = p112.box_complement(v, zero)
+    assert obstruction_exponents(p112, v, zero,
+                                 dataclasses.replace(comp)) == frozenset()
+    for change in ({"min_cone": (1,)}, {"coeffs": (Fraction(1, 3),)},
+                   {"age": 7}, {"min_cone": (1,), "age": 7,
+                                "coeffs": (Fraction(1, 3),)}):
+        doctored = dataclasses.replace(comp, **change)
+        assert doctored.value == comp.value
+        with pytest.raises(NotASector, match=re.escape(
+                f"g3 = {doctored} is not the complement {comp} of "
+                f"(g1, g2)")):
+            obstruction_exponents(p112, v, zero, doctored)
+
+
 def test_three_sectors_refuse_a_coefficient_of_three(p112, monkeypatch):
     # the pair (g1, 0) of the test above, met by three_sectors in a box
     # doctored to hold g1, gets the same refusal from its sector's rays
