@@ -36,6 +36,7 @@ _assemble).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import operator
@@ -45,11 +46,11 @@ from fractions import Fraction
 
 from .errors import (DecompositionMismatch, DimensionMismatch, IncompleteFan,
                      InfiniteDimensional, InternalInconsistency,
-                     TwistArityMismatch)
-from .fan import SimplicialFan, cone_mask
+                     TooManyTuples, TwistArityMismatch)
+from .fan import cone_mask
 from .linalg import (_exact, _exact_input, _insert_row, _integer_input,
                      _quotient, _reduce, _scaled)
-from .stacky import BoxElement, ExtendedStackyFan
+from .stacky import ENUMERATION_BOUND, BoxElement, ExtendedStackyFan
 
 
 def _mul(product, a, b):
@@ -313,13 +314,11 @@ def _group_ring(keys, degrees, unit, table, base, group):
                     != degrees[rows[f1][u]] + degrees[rows[f2][u]]:
                 return False
             total[f1][f2] = total[f2][f1] = row
-    products = [[base._entry(l1, l2) for l2 in range(dim)]
-                for l1 in range(dim)]
     for (i, j), entry in table.items():
         if not 0 <= i <= j < n:
             return False
         (f1, l1), (f2, l2) = split[i], split[j]
-        terms, row = products[l1][l2], total[f1][f2]
+        terms, row = base._products[l1][l2], total[f1][f2]
         if not terms or len(entry) != len(terms):
             return False
         for l3, s in terms.items():
@@ -341,6 +340,8 @@ class BaseRing:
     via with_twists. Coefficients are exact rationals, stored as ints where
     integral; a float or a bool is refused as a number, and so is a
     degree, a product key or a term or twist index that is no integer.
+    The dense table _products[i][j] of the stored, never written entry
+    dicts is built once, read by every product, shared by with_twists.
     """
 
     def __init__(self, labels, degrees, products, twists=None):
@@ -374,11 +375,12 @@ class BaseRing:
                 raise ValueError(f"conflicting products for {key}")
             table[key] = entry
         for j in range(self.dim):
-            key = (min(self.unit_index, j), max(self.unit_index, j))
-            table.setdefault(key, {j: 1})
+            table.setdefault(tuple(sorted((self.unit_index, j))), {j: 1})
         self._table = table
         self.twists = self._normalize_twists(twists)
         _check_structure(self.degrees, self.unit_index, table, ValueError)
+        self._products = [[table.get((min(i, j), max(i, j)), {})
+                           for j in range(self.dim)] for i in range(self.dim)]
 
     @property
     def dim(self) -> int:
@@ -392,11 +394,9 @@ class BaseRing:
         return self.labels.index(label)
 
     def product(self, i, j):
-        return dict(self._entry(i, j))
-
-    def _entry(self, i, j):
-        """Stored product of i and j, not a copy: callers only read it."""
-        return self._table.get((min(i, j), max(i, j)), {})
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"product ({i}, {j}) out of range")
+        return dict(self._products[i][j])
 
     def _term_index(self, k, kind):
         k = _integer_input(k, f"{kind} term index")
@@ -425,8 +425,11 @@ class BaseRing:
         return tuple(out)
 
     def with_twists(self, twists) -> "BaseRing":
-        products = {key: dict(val) for key, val in self._table.items()}
-        return BaseRing(self.labels, self.degrees, products, twists)
+        """A copy with new twists, each checked as the constructor checks
+        it. Labels, degrees and table are this ring's, already certified."""
+        twisted = copy.copy(self)
+        twisted.twists = self._normalize_twists(twists)
+        return twisted
 
     @classmethod
     def point(cls) -> "BaseRing":
@@ -555,7 +558,7 @@ def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
                 continue
             c, tau = part
             q12 = q1 * q2
-            for l3, s in base._entry(l1, l2).items():
+            for l3, s in base._products[l1][l2].items():
                 key = (c, tau, l3)
                 out[key] = out.get(key, 0) + q12 * s
     return {k: q for k, q in out.items() if q}
@@ -784,7 +787,7 @@ def _assemble(sfan, base, sectors):
     part of their key; each pair of parts takes one face test and one
     sum, and each (c, tau, l1, l2) that a pair passing the degree gate
     reaches takes one normal-form combination (_combination), read once
-    for all its pairs from a dense table of the base products. That
+    for all its pairs from the base's dense table of products. That
     raises "product term left the computed sectors" exactly when the
     pairwise fill would: when a used term has no normal form.
 
@@ -799,7 +802,8 @@ def _assemble(sfan, base, sectors):
     certifies it as the group ring A*(B)[N]. When it refuses, and for every
     ring with rank N > 0, _check_structure checks the whole table, so a
     refusal is worded as the full check words it. The selection reads only
-    the rank of N.
+    the rank of N. Past ENUMERATION_BOUND basis pairs, n (n + 1) / 2 at
+    dimension n >= 1414, it refuses with TooManyTuples before the fill.
     """
     relations = linear_relations(sfan, base)
     diagnostics = sfan.validate()
@@ -867,14 +871,17 @@ def _assemble(sfan, base, sectors):
                                {index[p2]: _quotient(-q, row[pos])
                                 for p2, q in row.items() if p2 != pos})
 
+    pairs = len(basis) * (len(basis) + 1) // 2
+    if pairs > ENUMERATION_BOUND:
+        raise TooManyTuples(
+            f"a ring of dimension {len(basis)} would fill {pairs} basis "
+            f"pairs, more than the bound {ENUMERATION_BOUND}")
     # the degree gate in integers: L deg against L cap, L the lcm of the
     # degrees' denominators
     scale, degrees = _scaled([b.degree for b in basis])
     top = scale * cap
     faces = sfan.fan.face_masks()
     add = sfan.group.add_reduced
-    products = [[base._entry(l1, l2) for l2 in range(base.dim)]
-                for l1 in range(base.dim)]
     parts = {}  # lattice part (c, tau) -> (index, label, L deg) of its keys
     for i, (c, tau, l) in enumerate(keys):
         parts.setdefault((c, tau), []).append((i, l, degrees[i]))
@@ -896,7 +903,7 @@ def _assemble(sfan, base, sectors):
                     entry = shared.get((l1, l2))
                     if entry is None:
                         entry = shared[l1, l2] = _combination(
-                            normal, part, products[l1][l2])
+                            normal, part, base._products[l1][l2])
                     if entry:
                         table[(i, j) if i < j else (j, i)] = entry
 

@@ -17,7 +17,6 @@ import sys
 from . import documents
 from .chowring import BaseRing, orbifold_ring
 from .errors import DocumentError, StackyError
-from .fan import SimplicialFan
 from .inertia import inertia_components, three_sectors
 from .lattice import FgAbGroup, gale_dual
 from .resolution import (Subdivision, check_support_function,

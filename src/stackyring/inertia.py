@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .errors import (NoCommonCone, NotASector, TooManyTuples,
                      UnexpectedCoefficient)
+from .linalg import _integer_input
 from .stacky import BoxElement, ExtendedStackyFan
 # the most box elements, r |Box|^r, that the r-tuples of
 # inertia_components, and three_sectors' pairs (r = 2), hold
@@ -95,6 +96,7 @@ def inertia_components(sfan: ExtendedStackyFan, r: int):
     library time. Counting entries rather than tuples also bounds a long
     r over a box of one element.
     """
+    r = _integer_input(r, "order")
     if r < 1:
         raise ValueError("r must be positive")
     box = sfan.box()

@@ -8,11 +8,10 @@ cones all live here. Box(sigma) is enumerated from the torsion of N(sigma),
 one element per class; box_decompose and box_of_cone split a lattice point
 into its box element and ray multipliers along one path.
 
-Each fan keeps one record per queried cone sigma (_ConeRecord), built
-whole from one Smith normal form of [B_sigma | Q], Q the relations of N
-(see _record): proj: N -> N(sigma), and Box(sigma) keyed by value.
-box_of_cone, local_group and quotient_stacky_fan read it. A complement
-is one formula (Borisov-Chen-Smith): with alpha and beta the
+Each fan keeps one record per queried cone sigma (_ConeRecord, see
+_record): the Smith witness of [B_sigma | Q], Q the relations of N, which
+answers every N(sigma) question, and Box(sigma) keyed by value. A
+complement is one formula (Borisov-Chen-Smith): with alpha and beta the
 coefficients of the pair over their joint cone sigma,
 w = -(v1 + v2) + sum ceil(alpha_i + beta_i) b_i, and the rays with
 alpha_i + beta_i > 1 are the obstruction rays (see _complement_in).
@@ -32,9 +31,9 @@ from .errors import (DegenerateImage, InfiniteCokernel, NoCommonCone,
                      OutsideSupport, TooManyTuples)
 from .fan import SimplicialFan
 from .lattice import (FgAbGroup, GroupHom, _cokernel_of_snf, _integers,
-                      _with_relations, smith_normal_form, solve_integer_linear)
-# no caller here: benchmark/spans.py's tracer wraps this alias by name
-from .lattice import cokernel  # noqa: F401
+                      _with_relations, smith_normal_form)
+# no caller here: benchmark/spans.py's tracer wraps these aliases by name
+from .lattice import cokernel, solve_integer_linear  # noqa: F401
 
 # the most elements one enumeration lists: Box(sigma) in _record, and
 # r |Box|^r box elements in the r-tuples of inertia_components and in
@@ -66,13 +65,13 @@ class BoxElement:
 
 
 class _ConeRecord:
-    """One cone sigma, built whole by ExtendedStackyFan._record: proj, and
-    Box(sigma) as a dict from value to element, in Box(sigma)'s order."""
+    """One cone sigma, built by ExtendedStackyFan._record: snf, the Smith
+    form of [B_sigma | Q], and Box(sigma) as an ordered value: element dict."""
 
-    __slots__ = ("proj", "box")
+    __slots__ = ("snf", "box")
 
-    def __init__(self, proj, box):
-        self.proj, self.box = proj, box
+    def __init__(self, snf, box):
+        self.snf, self.box = snf, box
 
 
 @dataclass(frozen=True)
@@ -182,10 +181,9 @@ class ExtendedStackyFan:
     def _record(self, sigma) -> _ConeRecord:
         """The record of a sorted cone sigma, built whole on the first query.
 
-        The Smith form answers the lattice questions only. One Smith
-        normal form U M V = D of M = [B_sigma | Q] gives proj
-        (lattice._cokernel_of_snf) and Box(sigma) from the sums
-        sum k_t g_t (see box_of_cone). The fan's solver of sigma
+        The Smith form answers the lattice questions only. The record
+        keeps U M V = D of M = [B_sigma | Q] as snf, and Box(sigma) from
+        the sums sum k_t g_t (see box_of_cone). The fan's solver of sigma
         (SimplicialFan._solver) answers the linear ones: its pivot
         columns J say whether the rays are independent, and it gives
         each sum's coefficients over sigma. Dependent rays, which
@@ -197,20 +195,19 @@ class ExtendedStackyFan:
         record = self._cones.get(sigma)
         if record is not None:
             return record
-        snf = smith_normal_form(self._lifts_with_relations(sigma))
-        proj = _cokernel_of_snf(self.group, snf)[1]
+        snf = box_snf = smith_normal_form(self._lifts_with_relations(sigma))
         solver = self.fan._solver(sigma)
         if len(solver.columns) != len(sigma):
-            snf = smith_normal_form(self._lifts_with_relations(
+            box_snf = smith_normal_form(self._lifts_with_relations(
                 [sigma[j] for j in solver.columns]))
-        tors = [(t, d) for t, d in enumerate(snf.diagonal) if d >= 2]
+        tors = [(t, d) for t, d in enumerate(box_snf.diagonal) if d >= 2]
         size = math.prod(d for _, d in tors)
         if size > ENUMERATION_BOUND:
             raise TooManyTuples(
                 f"Box{sigma} would list {size} elements, more than the "
                 f"bound {ENUMERATION_BOUND}")
-        gens = [[x // d for x in linalg.mat_vec(
-                    snf.matrix, [row[t] for row in snf.V])] for t, d in tors]
+        gens = [[x // d for x in linalg.mat_vec(box_snf.matrix, [
+            row[t] for row in box_snf.V])] for t, d in tors]
         rank = self.group.rank
         box = []
         for ks in itertools.product(*(range(d) for _, d in tors)):
@@ -219,7 +216,7 @@ class ExtendedStackyFan:
             box.append(self._split(c, sigma, solver.solve(c[:rank]))[0])
         box.sort(key=lambda b: (b.value != self.group.zero(), b.value))
         record = self._cones[sigma] = _ConeRecord(
-            proj, {w.value: w for w in box})
+            snf, {w.value: w for w in box})
         return record
 
     def box(self):
@@ -267,28 +264,23 @@ class ExtendedStackyFan:
     def local_group(self, sigma):
         """N(sigma) = N / <b_i : i in sigma>, with the projection from N.
 
-        proj is sigma's record's (see _record), read off the Smith form
-        U M V = D of M = [B_sigma | Q] with the lifts in sigma's order,
+        Both are read off snf, the Smith form U M V = D of sigma's record
+        (see _record), M = [B_sigma | Q] with the lifts in sigma's order,
         reduced as GroupHom.from_columns reduces them, so M is the matrix
-        cokernel would take, the Smith form is deterministic and proj is
-        cokernel's projection, with kernel N_sigma. The first call on a
-        cone builds its whole record, Box(sigma) included.
+        cokernel would take and proj is cokernel's projection, with kernel
+        N_sigma. The first call on a cone builds its whole record.
         """
-        proj = self._record(tuple(sorted(sigma))).proj
-        return proj.target, proj
+        return _cokernel_of_snf(self.group,
+                                self._record(tuple(sorted(sigma))).snf)
 
     def in_cone_sublattice(self, sigma, vec) -> bool:
         """Is vec in the subgroup N_sigma generated by the cone's lifts?
 
-        The last per-vector solve path in the library, kept because
-        benchmark/spans.py wraps it by name. A complement's formula puts
-        v1 + v2 + w in N_sigma by construction (see _complement_in), and
-        local_group's projection, whose kernel is N_sigma, answers it as
-        proj(vec) = 0.
+        Kept because benchmark/spans.py wraps it by name. The answer is
+        proj(vec) = 0 for local_group's projection, whose kernel is
+        N_sigma, read off sigma's record: no Smith form once it exists.
         """
-        full = self._lifts_with_relations(sigma)
-        vec = list(self.group.reduce(vec))
-        return solve_integer_linear(full, vec) is not None
+        return not any(self.local_group(sigma)[1].apply(self.group.reduce(vec)))
 
     def _lifts_with_relations(self, rays):
         """Rows of [B | Q]: the lifts of the rays, then N's relations."""

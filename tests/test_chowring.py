@@ -17,7 +17,7 @@ import oracles
 from generators import (complete_2d_fan, coprime_weights, doctor_table,
                         weighted_projective_fan)
 from oracles import is_unital_associative
-from stackyring import chowring, documents, fixtures
+from stackyring import chowring, documents, fixtures, stacky
 from stackyring.chowring import (BaseRing, deformed_mul,
                                  isomorphic_presentation_check,
                                  linear_relations,
@@ -27,7 +27,7 @@ from stackyring.chowring import (BaseRing, deformed_mul,
 from stackyring.errors import (DecompositionMismatch, DimensionMismatch,
                                DocumentError, IncompleteFan,
                                InfiniteDimensional, InternalInconsistency,
-                               TwistArityMismatch)
+                               TooManyTuples, TwistArityMismatch)
 from stackyring.fan import SimplicialFan
 from stackyring.lattice import FgAbGroup
 from stackyring.linalg import rank
@@ -862,6 +862,42 @@ def test_base_ring_twists_must_have_degree_one():
     assert twisted.twists == (((1, Fraction(-1)),), ())
 
 
+def test_twisted_copies_share_the_certified_table(monkeypatch):
+    """with_twists checks only the new twists: the copy shares the table
+    its constructor certified, and the ring it copies is unchanged."""
+    p2 = BaseRing.projective_space(2)
+    calls = []
+    check = chowring._check_structure
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(chowring, "_check_structure", counted)
+    twisted = p2.with_twists([{"H": -1}, {}, {"H": 2}])
+    assert calls == []
+    assert twisted._table is p2._table
+    assert twisted._products is p2._products
+    assert twisted.twists == (((1, -1),), (), ((1, 2),))
+    assert p2.twists is None
+    assert twisted.with_twists(None).twists is None
+    BaseRing.projective_space(1)
+    assert len(calls) == 1  # the counter is live
+
+
+def test_base_products_index_one_table():
+    p2 = BaseRing.projective_space(2)
+    assert [[p2.product(i, j) for j in range(3)] for i in range(3)] == [
+        [{0: 1}, {1: 1}, {2: 1}], [{1: 1}, {2: 1}, {}], [{2: 1}, {}, {}]]
+    # a copy: the caller may write to it
+    p2.product(1, 1)[2] = 5
+    assert p2.product(1, 1) == {2: 1}
+    for i, j in ((3, 0), (0, -1)):
+        with pytest.raises(IndexError,
+                           match=rf"^product \({i}, {j}\) out of range$"):
+            p2.product(i, j)
+
+
 def test_projective_space_ring():
     p2 = BaseRing.projective_space(2)
     assert p2.labels == ("1", "H", "H^2")
@@ -1284,6 +1320,48 @@ def test_ring_assembly_never_decomposes(monkeypatch):
     assert calls == []
     sfan.box_decompose(sfan.group.zero())
     assert len(calls) == 1  # the counter is live
+
+
+def test_ring_assembly_takes_no_cokernel(monkeypatch):
+    """orbifold_ring reads Box(sigma) off the cone records, and no N(sigma)
+    projection is made for a ring."""
+    calls = []
+    cokernel_of_snf = stacky._cokernel_of_snf
+
+    def counted(*args):
+        calls.append(args)
+        return cokernel_of_snf(*args)
+
+    cases = [(fixtures.load_fan(fan_name), fixtures.load_base(base_name))
+             for fan_name, base_name in fixtures.RING_CASES]
+    monkeypatch.setattr(stacky, "_cokernel_of_snf", counted)
+    for sfan, base in cases:
+        orbifold_ring(sfan, base)
+    assert calls == []
+    sfan.local_group(sfan.fan.max_cones[0])
+    assert len(calls) == 1  # the counter is live
+
+
+def test_ring_table_refused_past_the_pair_bound(monkeypatch):
+    """A ring of dimension n has n (n + 1) / 2 basis pairs, filled up to
+    the bound and refused beyond it before any entry is made."""
+    sfan = fixtures.load_fan("p112")
+    monkeypatch.setattr(chowring, "ENUMERATION_BOUND", 10)
+    assert orbifold_ring(sfan, POINT).dimension == 4
+    calls = []
+    combination = chowring._combination
+
+    def counted(*args):
+        calls.append(args)
+        return combination(*args)
+
+    monkeypatch.setattr(chowring, "_combination", counted)
+    monkeypatch.setattr(chowring, "ENUMERATION_BOUND", 9)
+    with pytest.raises(TooManyTuples,
+                       match=r"^a ring of dimension 4 would fill 10 basis "
+                             r"pairs, more than the bound 9$"):
+        orbifold_ring(sfan, POINT)
+    assert calls == []
 
 
 def test_failing_triple_is_named_on_refusal_only(monkeypatch):

@@ -215,6 +215,17 @@ def test_gerbe_past_the_box_bound_is_a_json_error(capsys):
     assert payload["error"]["type"] == "TooManyTuples"
 
 
+def test_gerbe_past_the_table_bound_is_a_json_error(capsys, monkeypatch):
+    # BG(Z/2 x Z/2) has dimension 4, so its table has 10 basis pairs
+    monkeypatch.setattr(chowring, "ENUMERATION_BOUND", 9)
+    code, payload = run(capsys, "gerbe", "--torsion", "2,2")
+    assert code == 1
+    assert payload["error"] == {
+        "type": "TooManyTuples",
+        "detail": "a ring of dimension 4 would fill 10 basis pairs, more "
+                  "than the bound 9"}
+
+
 def test_box_past_the_box_bound_is_a_json_error(capsys, tmp_path):
     doc = {"group": {"rank": 0, "torsion": list(HUGE_TORSION)},
            "rays": [], "cones": [[]], "extra": [[1, 1]]}

@@ -20,7 +20,7 @@ import pytest
 import oracles
 from generators import (complete_2d_fan, coprime_weights,
                         weighted_projective_fan)
-from stackyring import fixtures, linalg
+from stackyring import fixtures, lattice, linalg, stacky
 from stackyring.documents import fan_to_document
 from stackyring.errors import (InfiniteCokernel, NoCommonCone, NotASector,
                                OutsideSupport, StackyError)
@@ -588,7 +588,7 @@ def test_record_coefficients_match_a_solve(family):
             if not independent(sfan, sigma):
                 reached.add("dependent")
                 continue
-            group = record.proj.target
+            group = sfan.local_group(sigma)[0]
             if group.rank and len(record.box) > 1:
                 reached.add("free and torsion")
             if len(group.torsion) > 1:
@@ -626,4 +626,35 @@ def test_in_cone_sublattice_matches_oracle(family):
                 assert sfan.in_cone_sublattice(sigma, vec) == want, \
                     (sigma, vec)
                 verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_in_cone_sublattice_takes_no_smith_form_after_the_record(
+        monkeypatch):
+    """Once sigma's record exists, N_sigma membership is read off its
+    Smith witness: no Smith form is taken, through either binding."""
+    fans = [fixtures.load_fan(name) for name in fixtures.FAN_FIXTURES]
+    fans += seeded_fans()
+    for sfan in fans:
+        for sigma in sfan.fan.faces():
+            sfan._record(sigma)
+    calls = []
+
+    def counted(original):
+        def wrapper(matrix):
+            calls.append(matrix)
+            return original(matrix)
+        return wrapper
+    for module in (stacky, lattice):
+        monkeypatch.setattr(module, "smith_normal_form",
+                            counted(module.smith_normal_form))
+    verdicts = set()
+    for sfan in fans:
+        lifts = lifts_of(sfan)
+        for sigma in sfan.fan.faces():
+            for i in sigma:
+                nudged = [x + (r == 0) for r, x in enumerate(lifts[i])]
+                verdicts.add(sfan.in_cone_sublattice(sigma, lifts[i]))
+                verdicts.add(sfan.in_cone_sublattice(sigma, nudged))
+    assert calls == []
     assert verdicts == {True, False}

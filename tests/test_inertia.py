@@ -43,6 +43,25 @@ def test_inertia_rejects_nonpositive_order(p112):
         inertia_components(p112, 0)
 
 
+def test_inertia_order_is_an_integer(p112):
+    """r is read as every integer input of the package: "2" and
+    Fraction(2) as 2, and 2.0 and True refused, naming them; both used to
+    end in a TypeError or be taken as 1."""
+    def shape(r):
+        return [(c.elements, c.joint_cone, c.total_age)
+                for c in inertia_components(p112, r)]
+    assert shape("2") == shape(Fraction(2)) == shape(2)
+    assert len(shape(2)) == 4
+    for r in (2.0, True):
+        with pytest.raises(ValueError, match=rf"^order {re.escape(repr(r))}"
+                                             r" is not an exact rational$"):
+            inertia_components(p112, r)
+    with pytest.raises(ValueError, match=r"^order 3/2 is not an integer$"):
+        inertia_components(p112, Fraction(3, 2))
+    with pytest.raises(ValueError, match=r"^r must be positive$"):
+        inertia_components(p112, 0)
+
+
 def test_inertia_refuses_past_the_entry_bound(p112, monkeypatch):
     """r |Box|^r box elements are allowed up to the bound and refused
     beyond it, before any tuple is made, naming r, |Box| and the bound."""
