@@ -330,6 +330,16 @@ def _group_ring(keys, degrees, unit, table, base, group):
         + len(rows) * b_d
 
 
+def _product_indices(i, j, dim):
+    """The basis indices i, j of a product as ints in 0..dim-1; any other
+    number is refused by _integer_input, any other int by IndexError."""
+    i = _integer_input(i, "product index")
+    j = _integer_input(j, "product index")
+    if not (0 <= i < dim and 0 <= j < dim):
+        raise IndexError(f"product ({i}, {j}) out of range")
+    return i, j
+
+
 class BaseRing:
     """A finite dimensional graded Q-algebra given by structure constants.
 
@@ -391,11 +401,12 @@ class BaseRing:
         return max(self.degrees)
 
     def label_index(self, label: str) -> int:
+        if label not in self.labels:
+            raise ValueError(f"unknown label {label!r}")
         return self.labels.index(label)
 
     def product(self, i, j):
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise IndexError(f"product ({i}, {j}) out of range")
+        i, j = _product_indices(i, j, self.dim)
         return dict(self._products[i][j])
 
     def _term_index(self, k, kind):
@@ -686,6 +697,7 @@ class OrbifoldRing:
         return len(self.basis)
 
     def product(self, i, j):
+        i, j = _product_indices(i, j, self.dimension)
         return dict(self._table.get((min(i, j), max(i, j)), {}))
 
     def mul(self, vec_a, vec_b):

@@ -11,9 +11,9 @@ The Smith normal form uses a fixed pivot rule, so the witness matrices
 are deterministic across runs.
 
 A verified witness U M V = D answers more than the cokernel it was
-taken for: the rows of U also give ker(M^T). gale_dual certifies both
-of its exact sequences from the three witnesses that compute its answer,
-with no Smith form of its own (see its docstring).
+taken for: the rows of U also give ker(M^T), and its transpose is a
+witness of M^T. gale_dual certifies both of its exact sequences from the
+one witness that computes its answer and N's torsion (see its docstring).
 """
 
 from __future__ import annotations
@@ -551,9 +551,9 @@ def dual_hom(f: GroupHom) -> GroupHom:
 
 
 class GaleDual(tuple):
-    """The pair (DG, beta_vee) that gale_dual returns, with the cokernels
-    its Smith forms gave: cokernel = coker(beta) and gerbe_group =
-    coker(beta_vee), so no caller takes their Smith forms again."""
+    """The pair (DG, beta_vee) that gale_dual returns, with cokernel =
+    coker(beta) and gerbe_group = coker(beta_vee), which its one Smith
+    form and N's torsion gave, so no caller takes a Smith form again."""
 
     def __new__(cls, dg, beta_vee, coker_beta, mu):
         self = super().__new__(cls, (dg, beta_vee))
@@ -581,11 +581,10 @@ def gale_dual(beta: GroupHom) -> GaleDual:
         0 -> DG* -f1-> Z^m -beta-> N -proj_n-> coker(beta) -> 0,
         0 -> N* -f2-> Z^m -beta_vee-> DG -proj_dg-> coker(beta_vee) -> 0,
 
-    f1 = dual_hom(beta_vee), f2 = dual_hom(beta), from the three Smith
-    forms that compute the answer and no other: W1 of M1 = [B | Q]
-    (coker beta and proj_n), W2 of M1^T (DG and beta_vee) and W3 of
-    [beta_vee | Q_DG] (coker beta_vee and proj_dg). Each W: U M V = D
-    must verify() as a witness of its M; then two lemmas hold for it.
+    f1 = dual_hom(beta_vee), f2 = dual_hom(beta), from the one Smith form
+    that computes the answer and no other: W of M = [B | Q]^T (DG and
+    beta_vee), U M V = D, which must verify() as a witness of M. With
+    d = rank N, s relations and z nonzero d_t, four lemmas hold.
 
     (a) Cokernel lemma. Let M = [A | Q], A's columns in G = Z^r / im Q.
         The projection _cokernel_of_snf reads off W (the rows of U x,
@@ -598,51 +597,51 @@ def gale_dual(beta: GroupHom) -> GaleDual:
         diagonal included) span ker(M^T) over Z. Write x = U^T y, y
         integral as U is unimodular; then M^T x = (U M)^T y =
         V^-T D^T y, which is 0 exactly when y_t = 0 wherever d_t != 0.
+    (c) Transposition lemma. V^T M^T U^T = D^T verifies as a witness of
+        M^T = [B | Q]: transposing keeps the product, the Smith form of
+        D and |det U| = |det V| = 1. By (a) on it, coker(beta) has rank
+        (d + s) - z and torsion the d_t >= 2; by (a) on W, DG has rank
+        (m + s) - z and the same torsion. So coker(beta) is read off DG.
+    (d) Torsion lemma. coker(beta_vee) = Z^{m+s} / (im M + Z^m + 0) =
+        Z^s / im Q^T, as the last s rows of M are Q^T; that is
+        Z/q_1 x ... x Z/q_s, the torsion of N.
 
-    (a) on W1 is exactness at N and at coker(beta). By (b) on W2, whose
-    M^T is M1, ker M1 is spanned by the rows of U2 with d_t = 0, and
-    beta x = 0 exactly when (x, y) is in ker M1 for some y, so ker(beta)
+    (a) on W^T, a witness by (c), is exactness at N and at coker(beta).
+    By (b) on W, ker M^T is spanned by the rows of U with d_t = 0, and
+    beta x = 0 exactly when (x, y) is in ker M^T for some y, so ker(beta)
     is spanned by the first m entries of those rows. They are the
     columns of f1, as beta_vee's free rows are those rows cut to m
-    entries: im f1 = ker(beta). By (a) on W2, with G free, beta_vee x = 0
-    exactly when (x, 0) = M1^T z; Q^T z = 0 puts z on N's free
-    coordinates (each q_j >= 2), so ker(beta_vee) = im(B_free^T) = im f2,
-    B_free the rows of B on those coordinates. (a) on W3 is exactness
-    at DG and at coker(beta_vee).
+    entries: im f1 = ker(beta). By (a) on W, with G free, beta_vee x = 0
+    exactly when (x, 0) = M z; Q^T z = 0 puts z on N's free coordinates
+    (each q_j >= 2), so ker(beta_vee) = im(B_free^T) = im f2, B_free the
+    rows of B on those coordinates. (d) is exactness at DG and at
+    coker(beta_vee), proj_dg dividing DG by im(beta_vee).
 
-    The rest needs no check of its own; with d = rank N and s relations:
-    * rank DG = m - d. By (a) on W1, coker(beta) = coker(M1) is finite
-      (else InfiniteCokernel), so M1 has rank d + s; by (a) on W2, DG =
-      coker(M1^T) then has rank (m + s) - (d + s).
-    * f1 injects: by (b) on W2, im f1 = ker(beta), of rank m - d as the
-      images of beta span N_Q, and f1's source DG* has rank m - d too.
-    * f2 injects: its matrix B_free^T has rank d, the images of beta
-      spanning N_Q.
-    * coker(beta_vee) is finite: by (a) on W3 it is DG / im(beta_vee),
-      and im(beta_vee) = Z^m / im f2 has rank m - d = rank DG.
-    So GaleExactnessError is raised only for a witness that does not
-    verify.
+    The rest needs no check of its own:
+    * rank DG = m - d by (c), else coker(beta) is infinite: InfiniteCokernel.
+    * f1 injects: by (b) on W, im f1 = ker(beta) has rank m - d, as
+      has f1's source DG*.
+    * f2 injects: its matrix B_free^T has rank d, as beta spans N_Q.
+    * coker(beta_vee) is finite, by (d).
+    So only a witness that does not verify raises GaleExactnessError.
     """
     if beta.source.torsion:
         raise NonFreeSource("gale_dual requires a free source")
     n_group = beta.target
     m = beta.source.coords
     bq = _with_relations(n_group, beta.matrix)  # (d+s) x (m+s)
-    c, _ = _cokernel_of_snf(n_group, _verified_snf(bq, "[B | Q]"))
-    if not c.is_finite:
-        raise InfiniteCokernel(
-            f"cokernel has rank {c.rank}; ray images must span N over Q")
     # transpose written out so a trivial N keeps the right row count
     t = [[bq[j][i] for j in range(n_group.coords)]
          for i in range(m + len(n_group.torsion))]
     dg, proj = _cokernel_of_snf(FgAbGroup(len(t)),
                                 _verified_snf(t, "[B | Q]^T"))
-    beta_vee = GroupHom(FgAbGroup(m), dg,
-                        [[proj.matrix[i][j] for j in range(m)]
-                         for i in range(dg.coords)])
-    mu, _ = _cokernel_of_snf(dg, _verified_snf(
-        _with_relations(dg, beta_vee.matrix), "[beta_vee | Q_DG]"))
-    return GaleDual(dg, beta_vee, c, mu)
+    rank = dg.rank - (m - n_group.rank)
+    if rank:
+        raise InfiniteCokernel(
+            f"cokernel has rank {rank}; ray images must span N over Q")
+    beta_vee = GroupHom(FgAbGroup(m), dg, [row[:m] for row in proj.matrix])
+    return GaleDual(dg, beta_vee, FgAbGroup(0, dg.torsion),
+                    FgAbGroup(0, n_group.invariant_factors))
 
 
 def gerbe_group(beta: GroupHom) -> FgAbGroup:

@@ -9,8 +9,9 @@ the relation rows and associativity walk of chowring.
 
 The package keeps numbers in one convention. Integral data is an int from
 input onwards: _exact_input takes an input number to an int where it is
-integral and to a Fraction otherwise, and refuses a float or a bool;
-_integer_input also refuses a number that is not an integer. Sums
+integral and to a Fraction otherwise, and refuses, naming it, a float, a
+bool or anything Fraction cannot read; _integer_input also refuses a
+number that is not an integer. Sums
 start from the int 0, so a Fraction appears only where a division makes
 one, and _exact turns an integral result back into an int. The
 elimination divides by nothing: _insert_row keeps each pivot row as a
@@ -34,12 +35,16 @@ def _exact(q):
 
 
 def _exact_input(q, kind):
-    """An input number as _exact stores it; floats and bools are refused."""
+    """An input number as _exact stores it; floats, bools and anything
+    Fraction cannot read (None, "two", "1/0") are refused, naming it."""
     if type(q) is int:
         return q
-    if isinstance(q, (bool, float)):
-        raise ValueError(f"{kind} {q!r} is not an exact rational")
-    return _exact(Fraction(q))
+    if not isinstance(q, (bool, float)):
+        try:
+            return _exact(Fraction(q))
+        except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{kind} {q!r} is not an exact rational")
 
 
 def _integer_input(q, kind):

@@ -17,7 +17,7 @@ import oracles
 from generators import (complete_2d_fan, coprime_weights, doctor_table,
                         weighted_projective_fan)
 from oracles import is_unital_associative
-from stackyring import chowring, documents, fixtures, stacky
+from stackyring import chowring, documents, fixtures, inertia, stacky
 from stackyring.chowring import (BaseRing, deformed_mul,
                                  isomorphic_presentation_check,
                                  linear_relations,
@@ -896,6 +896,51 @@ def test_base_products_index_one_table():
         with pytest.raises(IndexError,
                            match=rf"^product \({i}, {j}\) out of range$"):
             p2.product(i, j)
+
+
+def test_ring_products_read_each_index_as_a_basis_index(p112):
+    """Both products read an index as an int in 0..dim-1: the ring's used
+    to give {} for -1 or 99 and {2: 1} for 1.0, and the base ring's read
+    True as 1 and died in a list index on 1.0."""
+    ring = orbifold_ring(p112, POINT)
+    p2 = BaseRing.projective_space(2)
+    for r in (ring, p2):
+        for i, j in ((-1, 0), (0, 99)):
+            with pytest.raises(IndexError,
+                               match=rf"^product \({i}, {j}\) out of range$"):
+                r.product(i, j)
+        for i, j in ((1.0, 1), (True, True)):
+            with pytest.raises(ValueError, match=rf"^product index {i!r} "
+                                                 r"is not an exact rational$"):
+                r.product(i, j)
+    with pytest.raises(IndexError, match=r"^product \(-3, 0\) out of range$"):
+        ring.mul({-3: 1}, {0: 1})
+    assert ring.product(1, 1) == ring.mul({1: 1}, {1: 1})
+
+
+@pytest.mark.parametrize("bad", [None, "two", "1/0"])
+def test_unreadable_numbers_are_refused_by_name(p112, bad):
+    # Fraction's own TypeError, ValueError or ZeroDivisionError used to
+    # escape without the input's name
+    text = re.escape(f"{bad!r} is not an exact rational")
+    with pytest.raises(ValueError, match=rf"^order {text}$"):
+        inertia.inertia_components(p112, bad)
+    with pytest.raises(ValueError, match=rf"^rank {text}$"):
+        FgAbGroup(bad)
+    with pytest.raises(ValueError, match=rf"^coefficient {text}$"):
+        BaseRing(("1", "H"), (0, 1), {(1, 1): {0: bad}})
+    with pytest.raises(ValueError, match=rf"^degree {text}$"):
+        BaseRing(("1", "H"), (0, bad), {})
+
+
+def test_unknown_label_is_named():
+    # tuple.index used to refuse it as "x not in tuple"
+    p1 = BaseRing.projective_space(1)
+    with pytest.raises(ValueError, match=r"^unknown label 'Q'$"):
+        p1.with_twists([{"Q": 1}])
+    with pytest.raises(ValueError, match=r"^unknown label 'H\^2'$"):
+        p1.label_index("H^2")
+    assert p1.label_index("H") == 1
 
 
 def test_projective_space_ring():

@@ -359,9 +359,23 @@ def test_gale_exactness_property_seeded():
         assert mu.is_finite
 
 
-# the three Smith forms gale_dual takes, in order, by the name its
-# refusal gives each
-GALE_WITNESSES = ("[B | Q]", "[B | Q]^T", "[beta_vee | Q_DG]")
+# the Smith forms gale_dual takes, in order, by the name its refusal
+# gives each: one, whose transpose also gives coker(beta)
+GALE_WITNESSES = ("[B | Q]^T",)
+
+# a P^1 gerbe, N = Z + Z/2 with lifts (1, 1), (-1, 1): DG = Z + Z/2, and
+# the last row of the witness's D is zero
+P1_GERBE = GroupHom.from_columns(2, FgAbGroup(1, (2,)), [[1, 1], [-1, 1]])
+# N = Z^2 with rays (1, 0), (-1, 0): coker(beta) = Z
+INFINITE = GroupHom.from_columns(2, FgAbGroup(2), [[1, 0], [-1, 0]])
+# maps whose witness has two rows or more and d_0 = 1: P1_GERBE; P^1 with
+# N = Z, where DG = Z is free; a P^2 gerbe whose N = Z^2 + Z/4 + Z/9 is
+# not in invariant-factor form
+DOCTORED_MAPS = (
+    P1_GERBE,
+    GroupHom.from_columns(2, FgAbGroup(1), [[1], [-1]]),
+    GroupHom.from_columns(3, FgAbGroup(2, (4, 9)),
+                          [[1, 0, 1, 0], [0, 1, 0, 1], [-1, -1, 3, 5]]))
 
 
 def _double_u_row(w):
@@ -398,22 +412,19 @@ WITNESS_MUTANTS = {"u_row": _double_u_row, "v_column": _double_v_column,
 
 
 @pytest.mark.parametrize("mutant", [*WITNESS_MUTANTS, "foreign"])
-@pytest.mark.parametrize("which", range(len(GALE_WITNESSES)))
-def test_gale_dual_refuses_a_doctored_witness(monkeypatch, which, mutant):
+@pytest.mark.parametrize("case", range(len(DOCTORED_MAPS)))
+def test_gale_dual_refuses_a_doctored_witness(monkeypatch, case, mutant):
     """Each doctored witness still has U A V = D; only one of verify's
     tests (|det U| = 1, |det V| = 1, D diagonal, d_t >= 0) fails. The
-    foreign witness verifies, but for another matrix."""
-    # a P^1 gerbe: N = Z + Z/2 and lifts (1, 1), (-1, 1), so each of the
-    # three matrices has two rows or more and d_0 = 1
-    beta = GroupHom.from_columns(2, FgAbGroup(1, (2,)), [[1, 1], [-1, 1]])
+    foreign witness verifies, but for another matrix. The one witness
+    gale_dual takes is refused by name on each of DOCTORED_MAPS."""
+    beta = DOCTORED_MAPS[case]
     honest = lattice.smith_normal_form
     calls = []
 
     def doctored(matrix):
         w = honest(matrix)
         calls.append(w)
-        if len(calls) != which + 1:
-            return w
         assert len(w.D) >= 2 and w.D[0][0] == 1
         if mutant == "foreign":
             other = [list(row) for row in w.matrix]
@@ -428,8 +439,8 @@ def test_gale_dual_refuses_a_doctored_witness(monkeypatch, which, mutant):
     with pytest.raises(GaleExactnessError) as refusal:
         gale_dual(beta)
     assert str(refusal.value) == \
-        f"Smith witness of {GALE_WITNESSES[which]} does not verify"
-    assert len(calls) == which + 1
+        f"Smith witness of {GALE_WITNESSES[0]} does not verify"
+    assert len(calls) == 1
 
 
 def _zero_last_pivot(w):
@@ -457,38 +468,28 @@ def _zero_free_u_row(w):
     return w.U[:-1] + ((0,) * len(w.U[-1]),), w.V, w.D
 
 
-# a P^1 gerbe, N = Z + Z/2 with lifts (1, 1), (-1, 1): DG = Z + Z/2, and
-# the last row of W2's D is zero
-P1_GERBE = GroupHom.from_columns(2, FgAbGroup(1, (2,)), [[1, 1], [-1, 1]])
-# P^1, N = Z with rays 1, -1: DG = Z is free, so a doctored W3 may read
-# any row of its U as free
-P1 = GroupHom.from_columns(2, FgAbGroup(1), [[1], [-1]])
-# N = Z^2 with rays (1, 0), (-1, 0): coker(beta) = Z
-INFINITE = GroupHom.from_columns(2, FgAbGroup(2), [[1, 0], [-1, 0]])
-
 # gale_dual once checked each of these facts, which follow from its
-# verified witnesses (see its docstring), and refused with the key: the
-# beta, its Smith forms doctored by index and how, and the fact as it
-# fails on what gale_dual returns from them taken unverified; the old
-# checks before it pass there. "N* does not inject" reads beta alone:
-# rank(B_free) < rank N says coker(beta) is infinite, which W1 decides,
-# and W2 is doctored too so that DG reads rank m - rank N.
+# verified witness (see its docstring), and refused with the key: the
+# beta, how its witness is doctored and the fact as it fails on what
+# gale_dual makes of that witness taken unverified; the old checks before
+# it pass there. "N* does not inject" reads beta alone: rank(B_free) <
+# rank N says coker(beta) is infinite, which the same diagonal decides
+# once its zero is filled. "rank of DG" no longer fails on a returned DG:
+# coker(beta) and DG are read off one diagonal, so the pivot that gives
+# DG a rank too many makes gale_dual refuse a map whose cokernel is
+# finite: the refusal is what fails.
 DEDUCED_CHECKS = {
     "rank of DG is not m - rank(N)": (
-        P1_GERBE, {1: _zero_last_pivot},
-        lambda beta, gale: gale[0].rank
-        != beta.source.rank - beta.target.rank),
+        P1_GERBE, _zero_last_pivot,
+        lambda beta, gale: isinstance(gale, InfiniteCokernel)),
     "DG* does not inject into Z^m": (
-        P1_GERBE, {1: _zero_free_u_row},
+        P1_GERBE, _zero_free_u_row,
         lambda beta, gale: linalg.rank(dual_hom(gale[1]).matrix)
         != gale[0].rank),
     "N* does not inject into Z^m": (
-        INFINITE, {0: _fill_first_zero, 1: _fill_first_zero},
-        lambda beta, gale: linalg.rank(dual_hom(beta).matrix)
-        != beta.target.rank),
-    "coker(beta_vee) is not finite": (
-        P1, {2: _zero_last_pivot},
-        lambda beta, gale: not gale.gerbe_group.is_finite),
+        INFINITE, _fill_first_zero,
+        lambda beta, gale: isinstance(gale, lattice.GaleDual)
+        and linalg.rank(dual_hom(beta).matrix) != beta.target.rank),
 }
 
 
@@ -496,31 +497,31 @@ DEDUCED_CHECKS = {
 def test_deleted_gale_checks_need_a_witness_that_does_not_verify(
         monkeypatch, check):
     """Doctored witnesses on which a deleted check would fire, were they
-    taken unverified, are refused by _verified_snf at the first."""
-    beta, mutants, fails = DEDUCED_CHECKS[check]
-    which = min(mutants)
+    taken unverified, are refused by _verified_snf."""
+    beta, mutant, fails = DEDUCED_CHECKS[check]
     honest = lattice.smith_normal_form
     calls = []
 
     def doctored(matrix):
         w = honest(matrix)
         calls.append(w)
-        mutant = mutants.get(len(calls) - 1)
-        if mutant is None:
-            return w
         return lattice.SnfWitness(w.matrix, *mutant(w))
 
     monkeypatch.setattr(lattice, "smith_normal_form", doctored)
     with monkeypatch.context() as unverified:
         unverified.setattr(lattice, "_verified_snf",
                            lambda matrix, name: doctored(matrix))
-        assert fails(beta, gale_dual(beta))
+        try:
+            gale = gale_dual(beta)
+        except InfiniteCokernel as refusal:
+            gale = refusal
+        assert fails(beta, gale)
     calls.clear()
     with pytest.raises(GaleExactnessError) as refusal:
         gale_dual(beta)
     assert str(refusal.value) == \
-        f"Smith witness of {GALE_WITNESSES[which]} does not verify"
-    assert len(calls) == which + 1
+        f"Smith witness of {GALE_WITNESSES[0]} does not verify"
+    assert len(calls) == 1
 
 
 def test_gale_dual_takes_no_rank(monkeypatch):
