@@ -52,6 +52,11 @@ from .linalg import (_exact, _exact_input, _insert_row, _integer_input,
                      _quotient, _reduce, _scaled)
 from .stacky import ENUMERATION_BOUND, BoxElement, ExtendedStackyFan
 
+# the most faces, sum_C 2^|C| over the maximal cones, and the most
+# monomials over all sectors that _assemble lists: the package's 10^6
+# under a name of its own, so it is lowered apart from the basis pairs'
+LISTING_BOUND = ENUMERATION_BOUND
+
 
 def _mul(product, a, b):
     """Product of two sparse vectors under the symmetric table product."""
@@ -448,7 +453,11 @@ class BaseRing:
 
     @classmethod
     def projective_space(cls, n: int) -> "BaseRing":
-        """Q[H]/(H^{n+1}) with basis 1, H, ..., H^n."""
+        """Q[H]/(H^{n+1}) with basis 1, H, ..., H^n; n is read as every
+        integer input is, and a negative n is refused."""
+        n = _integer_input(n, "dimension")
+        if n < 0:
+            raise ValueError(f"dimension {n} is negative")
         labels = ["1"] + [f"H^{k}" if k > 1 else "H" for k in range(1, n + 1)]
         products = {}
         for i in range(n + 1):
@@ -678,6 +687,44 @@ def _sector_monomials(sfan, base, box, budget):
     return out
 
 
+def _refuse_long_listings(sfan, base, sectors, cap):
+    """Raise TooManyTuples, before any face or monomial is listed, when
+    the faces or the sectors' monomials would pass LISTING_BOUND.
+
+    _face_data lists sum_C 2^|C| subsets of the maximal cones C. A sector
+    v with budget b = floor(cap + 1 - age(v)) (see _assemble) lists
+    sum_s sum_l C(b - deg l, |s|) monomials, s over the faces of the
+    closed star of sigma(v) and l over the base labels: C(n, k) tuples of
+    k positive ints have sum at most n. The unit label has degree 0, so
+    this count also bounds the sum_s C(b, |s|) exponent tuples that
+    _compositions walks.
+    """
+    subsets = sum(1 << len(c) for c in sfan.fan.max_cones)
+    if subsets > LISTING_BOUND:
+        raise TooManyTuples(
+            f"the maximal cones would list {subsets} faces, more than "
+            f"the bound {LISTING_BOUND}")
+    faces = sfan.fan.face_masks()
+    masks = [(cone_mask(s), len(s)) for s in sfan.fan.faces()]
+    degrees = Counter(base.degrees).items()
+    counts = {}  # (sigma(v), budget) -> the monomials of such a sector
+    monomials = 0
+    for box in sectors:
+        key = (box.min_cone, math.floor(cap + 1 - box.age))
+        count = counts.get(key)
+        if count is None:
+            sigma, budget = cone_mask(key[0]), key[1]
+            sizes = Counter(k for mask, k in masks if sigma | mask in faces)
+            count = counts[key] = sum(
+                n * m * math.comb(budget - d, k) for k, n in sizes.items()
+                for d, m in degrees if d <= budget)
+        monomials += count
+    if monomials > LISTING_BOUND:
+        raise TooManyTuples(
+            f"the sectors would list {monomials} monomials up to degree "
+            f"{cap + 1}, more than the bound {LISTING_BOUND}")
+
+
 class OrbifoldRing:
     """Explicit basis and full structure-constant table."""
 
@@ -815,7 +862,9 @@ def _assemble(sfan, base, sectors):
     ring with rank N > 0, _check_structure checks the whole table, so a
     refusal is worded as the full check words it. The selection reads only
     the rank of N. Past ENUMERATION_BOUND basis pairs, n (n + 1) / 2 at
-    dimension n >= 1414, it refuses with TooManyTuples before the fill.
+    dimension n >= 1414, it refuses with TooManyTuples before the fill,
+    and past LISTING_BOUND faces or monomials before it lists any (see
+    _refuse_long_listings).
     """
     relations = linear_relations(sfan, base)
     diagnostics = sfan.validate()
@@ -824,6 +873,7 @@ def _assemble(sfan, base, sectors):
     if not sfan.fan.is_complete():
         raise IncompleteFan("ring computation requires a complete fan")
     cap = base.top_degree + sfan.fan.ambient_dim
+    _refuse_long_listings(sfan, base, sectors, cap)
     # a block is the monomials of one (sector, step), numbered in order
     column = {}  # monomial key -> (block, position in block)
     pivots = []  # block -> reduced relation rows over the block

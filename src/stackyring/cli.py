@@ -95,12 +95,18 @@ def cmd_inertia(args):
     sfan = _load_fan(args.fan)
     comps = inertia_components(sfan, args.order)
     payload = {"order": args.order, "count": len(comps), "components": []}
+    quotients = {}
     for comp in comps:
+        joint = comp.joint_cone
+        quotient = quotients.get(joint)
+        if quotient is None:
+            quotient = quotients[joint] = documents.fan_to_document(
+                sfan.quotient_stacky_fan(joint))
         payload["components"].append({
             "elements": [list(b.value) for b in comp.elements],
-            "joint_cone": list(comp.joint_cone),
+            "joint_cone": list(joint),
             "total_age": documents.fraction_str(comp.total_age),
-            "quotient": documents.fan_to_document(comp.quotient),
+            "quotient": quotient,
         })
     return 0, payload
 

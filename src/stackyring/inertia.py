@@ -6,15 +6,15 @@ minimal joint cone. For 3-tuples with g1 g2 g3 = 1 in the local group,
 the obstruction bundle is the product of the line bundles L_i over the
 rays where the coefficient sum equals 2.
 
-Each piece of geometry is found at most once per call, and the quotient
-by a joint cone is built once per distinct cone and shared by every
-component on it. inertia_components walks the r-tuples, taking each box
+Each piece of geometry is found at most once per call, and no quotient
+is built: sfan.quotient_stacky_fan(sector.joint_cone) gives a stack.
+inertia_components walks the r-tuples, taking each box
 element's image once. three_sectors asks one question per ordered pair,
 ExtendedStackyFan._complement_in, which box_complement and
 obstruction_exponents take too: its sigma is the pair's joint cone, and
 it gives g3 and c_i = ceil(alpha_i + beta_i) over sigma, alpha and beta
 the coefficients of g1 and g2. Then g1 + g2 + g3 = sum c_i b_i, so the
-total age is sum c_i and the obstruction rays are the i with c_i = 2
+total age is the int sum c_i, the obstruction rays the i with c_i = 2
 (Borisov-Chen-Smith); each 3-sector keeps the c_i from that one call.
 A pair of zero images (every pair on a gerbe) costs one torsion sum:
 its joint cone is the zero cone, with no ceilings and no obstruction
@@ -41,15 +41,15 @@ from .stacky import ENUMERATION_BOUND as INERTIA_ENTRY_BOUND
 class Sector:
     """One inertia component: a tuple of box elements with a common cone.
 
-    ceilings holds the c_i over the joint cone on the 3-sectors of
-    three_sectors (see the module docstring), and None on
-    inertia_components'.
+    Its stack is sfan.quotient_stacky_fan(joint_cone). total_age is a
+    Fraction on inertia_components' and the int sum c_i on the 3-sectors
+    of three_sectors. ceilings holds those c_i over the joint cone (see
+    the module docstring), and None on inertia_components'.
     """
 
     elements: tuple
     joint_cone: tuple
-    quotient: ExtendedStackyFan
-    total_age: Fraction
+    total_age: Fraction | int
     ceilings: tuple | None = None
 
     @property
@@ -85,9 +85,8 @@ def inertia_components(sfan: ExtendedStackyFan, r: int):
 
     The r-tuples of box elements whose images share a cone; r = 1
     recovers the box itself. Each box element's image is taken once, and
-    each component carries the quotient stacky fan by the minimal cone of
-    the tuple's images, built once per distinct cone and shared by the
-    components on it.
+    each component names the minimal cone of the tuple's images; no
+    quotient stacky fan is built.
 
     The walk visits all |Box|^r tuples, r box elements each, so it is
     refused with TooManyTuples, before any tuple is made, when
@@ -103,18 +102,14 @@ def inertia_components(sfan: ExtendedStackyFan, r: int):
     _refuse_past_the_bound(f"inertia order r = {r}", r, box)
     points = [(b, sfan.bar(b.value)) for b in box]
     minimal_cone = sfan.fan.minimal_cone
-    quotients = {}
     out = []
     for tup in itertools.product(points, repeat=r):
         joint = minimal_cone([bar for _, bar in tup])
         if joint is None:
             continue
-        quotient = quotients.get(joint)
-        if quotient is None:
-            quotient = quotients[joint] = sfan.quotient_stacky_fan(joint)
         # start from the first age (r >= 1): one Fraction addition fewer
         age = sum((b.age for b, _ in tup[1:]), tup[0][0].age)
-        out.append(Sector(tuple(b for b, _ in tup), joint, quotient, age))
+        out.append(Sector(tuple(b for b, _ in tup), joint, age))
     return out
 
 
@@ -138,18 +133,14 @@ def three_sectors(sfan: ExtendedStackyFan):
     box = sfan.box()
     _refuse_past_the_bound("3-sector pairs, r = 2,", 2, box)
     complement_in = sfan._complement_in
-    quotients = {}
     out = []
     for g1, g2 in itertools.product(box, repeat=2):
         found = complement_in(g1, g2)
         if found is None:
             continue
         joint, ceilings, g3 = found
-        quotient = quotients.get(joint)
-        if quotient is None:
-            quotient = quotients[joint] = sfan.quotient_stacky_fan(joint)
-        out.append(Sector((g1, g2, g3), joint, quotient,
-                          Fraction(sum(ceilings)), tuple(ceilings)))
+        out.append(Sector((g1, g2, g3), joint, sum(ceilings),
+                          tuple(ceilings)))
     return out
 
 

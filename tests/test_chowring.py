@@ -210,6 +210,28 @@ def test_base_ring_stores_integral_numbers_as_ints():
         == [int] * 5
 
 
+@pytest.mark.parametrize("n", ["2", Fraction(2)], ids=["string", "fraction"])
+def test_projective_space_reads_its_dimension_as_an_integer(n):
+    # both used to die in range with a TypeError
+    ring = BaseRing.projective_space(n)
+    assert ring.labels == ("1", "H", "H^2") and ring.degrees == (0, 1, 2)
+    assert ring.product(1, 1) == {2: 1} and ring.product(1, 2) == {}
+    assert BaseRing.projective_space(0).labels == ("1",)
+
+
+@pytest.mark.parametrize("n, message", [
+    (True, "dimension True is not an exact rational"),
+    (2.0, "dimension 2.0 is not an exact rational"),
+    (Fraction(3, 2), "dimension 3/2 is not an integer"),
+    (-1, "dimension -1 is negative")],
+    ids=["bool", "integral_float", "fraction", "negative"])
+def test_projective_space_refuses_a_bad_dimension(n, message):
+    # True used to build P^1, 2.0 to die in range, and -1 to report
+    # "labels and degrees must have equal length"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BaseRing.projective_space(n)
+
+
 def test_base_document_must_be_associative():
     for ring, triple in ((NON_ASSOCIATIVE, r"\(1,1,2\)"),
                          (ONE_ORDER_ASSOCIATIVE, r"\(1,2,3\)")):
@@ -1407,6 +1429,36 @@ def test_ring_table_refused_past_the_pair_bound(monkeypatch):
                              r"pairs, more than the bound 9$"):
         orbifold_ring(sfan, POINT)
     assert calls == []
+
+
+def test_ring_listings_refused_past_the_listing_bound(monkeypatch):
+    """P^2 over a point lists sum_C 2^|C| = 12 faces and 19 monomials:
+    1 + 3 C(3, 1) + 3 C(3, 2) in its one sector, budget 3. Each count is
+    computed up to the bound and refused beyond it, before any face or
+    monomial is listed."""
+    listed = []
+    monomials = chowring._sector_monomials
+
+    def counted(*args):
+        listed.append(args)
+        return monomials(*args)
+
+    monkeypatch.setattr(chowring, "_sector_monomials", counted)
+    monkeypatch.setattr(chowring, "LISTING_BOUND", 19)
+    assert orbifold_ring(fixtures.load_fan("p2"), POINT).dimension == 3
+    assert len(listed) == 1
+    for bound, text in ((18, "the sectors would list 19 monomials up to "
+                             "degree 3, more than the bound 18"),
+                        (11, "the maximal cones would list 12 faces, more "
+                             "than the bound 11")):
+        monkeypatch.setattr(chowring, "LISTING_BOUND", bound)
+        listed.clear()
+        sfan = fixtures.load_fan("p2")
+        with pytest.raises(TooManyTuples, match=f"^{re.escape(text)}$"):
+            orbifold_ring(sfan, POINT)
+        assert listed == []
+        # no face was listed either: the fan's face data is built lazily
+        assert ("_face_data" in vars(sfan.fan)) is (bound == 18)
 
 
 def test_failing_triple_is_named_on_refusal_only(monkeypatch):

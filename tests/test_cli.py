@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from generators import twisted_p3
-from stackyring import chowring, cli, documents, fixtures, lattice
+from stackyring import (chowring, cli, documents, fixtures, inertia,
+                        lattice)
 from stackyring.cli import main
 from stackyring.errors import DocumentError
 from stackyring.stacky import ExtendedStackyFan
@@ -237,6 +238,23 @@ def test_box_past_the_box_bound_is_a_json_error(capsys, tmp_path):
     assert payload["error"]["type"] == "TooManyTuples"
 
 
+def test_ring_past_the_listing_bound_is_a_json_error(capsys, tmp_path):
+    """A base class of degree 10^5 asks P^2 for about 1.5 10^10 monomials
+    in a ring of dimension 6; they are refused before any is listed."""
+    doc = {"basis": [{"degree": 0, "label": "1"},
+                     {"degree": 100000, "label": "X"}], "products": []}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, payload = run(capsys, "ring", fan_path("p2"), "--base", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload["error"] == {
+        "type": "TooManyTuples",
+        "detail": "the sectors would list 15001050038 monomials up to "
+                  f"degree 100003, more than the bound {10 ** 6}"}
+
+
 def test_gerbe_takes_no_line_bundle_class():
     # N has rank 0 here, so M = 0 and no linear relation carries a twist
     # class: the flag that set one changed no ring and is gone
@@ -441,6 +459,59 @@ def test_gerbe_sectors_stdout_digest(capsys):
     assert json.loads(out)["count"] == 36 ** 2
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "5f88322ecfd9507905524ba989321ce1705694a9bfc8161c50ef1af963f0f637")
+
+
+# inertia outputs the recorded digests above leave out, recorded before
+# Sector lost its quotient field: the command builds each quotient itself
+INERTIA_DIGESTS = {
+    "gerbe_z4z9 --order 1":
+        "788adcbffd32e0790c5b466f7b0e8d11d8325a52efe9a2b2d58de3196d6b302b",
+    "gerbe_z4z9 --order 2":
+        "f1515e8e782f25470d5b9c15640417a1c9a2f80f3251278ab35af51748b221c2",
+    "p112 --order 3":
+        "eeaa73c36367ecd0d9f721f21db1a37f77d83d01da927bc9c17c9159a03a104d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(INERTIA_DIGESTS))
+def test_inertia_stdout_digest(capsys, command):
+    name, *rest = command.split(" ")
+    assert main(["inertia", fan_path(name), *rest]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        INERTIA_DIGESTS[command])
+
+
+@pytest.mark.parametrize("name, order, cones", [
+    ("p112", "3", [(), (0, 2)]), ("gerbe_z4z9", "2", [()])])
+def test_inertia_builds_one_quotient_per_joint_cone(capsys, monkeypatch,
+                                                    name, order, cones):
+    """The walks build no quotient stacky fan; the inertia command builds
+    one, and one document of it, per distinct joint cone."""
+    built, written = [], []
+    quotient = ExtendedStackyFan.quotient_stacky_fan
+    to_document = documents.fan_to_document
+
+    def counted_quotient(self, sigma):
+        built.append(tuple(sigma))
+        return quotient(self, sigma)
+
+    def counted_document(sfan):
+        written.append(sfan)
+        return to_document(sfan)
+
+    monkeypatch.setattr(ExtendedStackyFan, "quotient_stacky_fan",
+                        counted_quotient)
+    monkeypatch.setattr(documents, "fan_to_document", counted_document)
+    sfan = fixtures.load_fan(name)
+    inertia.inertia_components(sfan, int(order))
+    inertia.three_sectors(sfan)
+    assert built == [] and written == []
+    code, payload = run(capsys, "inertia", fan_path(name), "--order", order)
+    assert code == 0
+    assert sorted(built) == cones
+    assert len(written) == len(cones)
+    assert payload["count"] > len(cones)
 
 
 def _call(capsys, argv):

@@ -29,7 +29,10 @@ def test_first_inertia_is_the_box(p112):
     assert [c.total_age for c in comps] == [0, 1]
     # the twisted component is supported on the singular cone
     assert comps[1].joint_cone == (0, 2)
-    assert comps[1].quotient.group.order() == 2
+    # a sector names its cone; its stack is the quotient by that cone
+    assert [f.name for f in dataclasses.fields(inertia.Sector)] == [
+        "elements", "joint_cone", "total_age", "ceilings"]
+    assert p112.quotient_stacky_fan(comps[1].joint_cone).group.order() == 2
 
 
 def test_second_inertia_counts():
@@ -320,10 +323,11 @@ def test_three_sectors_find_each_geometry_once(monkeypatch):
         obstruction_exponents(sfan, *sector.elements)
     assert len(sectors) == 84
     assert calls["box_complement"] == 0
-    assert sorted(quotient_cones) == sorted({s.joint_cone for s in sectors})
-    # six cone records (the five maximal cones and the zero cone), and
-    # none for the quotients: local_group reads N(sigma) off sigma's
-    # record, and a quotient fan's finiteness check is a rank
+    # a sector names its joint cone and builds no quotient
+    assert quotient_cones == []
+    assert all(type(s.total_age) is int and s.total_age == sum(s.ceilings)
+               for s in sectors)
+    # six cone records (the five maximal cones and the zero cone)
     assert calls["smith_normal_form"] == 6
     zero = sectors[0].elements[0]
     sfan.box_complement(zero, zero)
