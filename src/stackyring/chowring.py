@@ -44,18 +44,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DecompositionMismatch, DimensionMismatch, IncompleteFan,
-                     InfiniteDimensional, InternalInconsistency,
-                     TooManyTuples, TwistArityMismatch)
+from .errors import (ENUMERATION_BOUND, DecompositionMismatch,
+                     DimensionMismatch, IncompleteFan, InfiniteDimensional,
+                     InternalInconsistency, TooManyTuples,
+                     TwistArityMismatch)
 from .fan import cone_mask
 from .linalg import (_exact, _exact_input, _insert_row, _integer_input,
                      _quotient, _reduce, _scaled)
-from .stacky import ENUMERATION_BOUND, BoxElement, ExtendedStackyFan
-
-# the most faces, sum_C 2^|C| over the maximal cones, and the most
-# monomials over all sectors that _assemble lists: the package's 10^6
-# under a name of its own, so it is lowered apart from the basis pairs'
-LISTING_BOUND = ENUMERATION_BOUND
+from .stacky import BoxElement, ExtendedStackyFan
 
 
 def _mul(product, a, b):
@@ -688,22 +684,16 @@ def _sector_monomials(sfan, base, box, budget):
 
 
 def _refuse_long_listings(sfan, base, sectors, cap):
-    """Raise TooManyTuples, before any face or monomial is listed, when
-    the faces or the sectors' monomials would pass LISTING_BOUND.
+    """Raise TooManyTuples, before any monomial is listed, when the
+    sectors' monomials would pass ENUMERATION_BOUND.
 
-    _face_data lists sum_C 2^|C| subsets of the maximal cones C. A sector
-    v with budget b = floor(cap + 1 - age(v)) (see _assemble) lists
-    sum_s sum_l C(b - deg l, |s|) monomials, s over the faces of the
-    closed star of sigma(v) and l over the base labels: C(n, k) tuples of
-    k positive ints have sum at most n. The unit label has degree 0, so
-    this count also bounds the sum_s C(b, |s|) exponent tuples that
-    _compositions walks.
+    A sector v with budget b = floor(cap + 1 - age(v)) (see _assemble)
+    lists sum_s sum_l C(b - deg l, |s|) monomials, s over the faces of
+    the closed star of sigma(v) and l over the base labels: C(n, k)
+    tuples of k positive ints have sum at most n. The unit label has
+    degree 0, so this count also bounds the sum_s C(b, |s|) exponent
+    tuples that _compositions walks.
     """
-    subsets = sum(1 << len(c) for c in sfan.fan.max_cones)
-    if subsets > LISTING_BOUND:
-        raise TooManyTuples(
-            f"the maximal cones would list {subsets} faces, more than "
-            f"the bound {LISTING_BOUND}")
     faces = sfan.fan.face_masks()
     masks = [(cone_mask(s), len(s)) for s in sfan.fan.faces()]
     degrees = Counter(base.degrees).items()
@@ -719,10 +709,10 @@ def _refuse_long_listings(sfan, base, sectors, cap):
                 n * m * math.comb(budget - d, k) for k, n in sizes.items()
                 for d, m in degrees if d <= budget)
         monomials += count
-    if monomials > LISTING_BOUND:
+    if monomials > ENUMERATION_BOUND:
         raise TooManyTuples(
             f"the sectors would list {monomials} monomials up to degree "
-            f"{cap + 1}, more than the bound {LISTING_BOUND}")
+            f"{cap + 1}, more than the bound {ENUMERATION_BOUND}")
 
 
 class OrbifoldRing:
@@ -863,7 +853,7 @@ def _assemble(sfan, base, sectors):
     refusal is worded as the full check words it. The selection reads only
     the rank of N. Past ENUMERATION_BOUND basis pairs, n (n + 1) / 2 at
     dimension n >= 1414, it refuses with TooManyTuples before the fill,
-    and past LISTING_BOUND faces or monomials before it lists any (see
+    and past that many monomials before it lists any (see
     _refuse_long_listings).
     """
     relations = linear_relations(sfan, base)
@@ -874,9 +864,6 @@ def _assemble(sfan, base, sectors):
         raise IncompleteFan("ring computation requires a complete fan")
     cap = base.top_degree + sfan.fan.ambient_dim
     _refuse_long_listings(sfan, base, sectors, cap)
-    # a block is the monomials of one (sector, step), numbered in order
-    column = {}  # monomial key -> (block, position in block)
-    pivots = []  # block -> reduced relation rows over the block
     normal = {}  # monomial key of degree <= cap -> {basis index: coefficient}
     basis = []
     keys = []    # the monomial key of each basis element
@@ -887,30 +874,29 @@ def _assemble(sfan, base, sectors):
         # the layer (cap, cap + 1] of the certificate
         budget = math.floor(cap + 1 - box.age)
         monomials = _sector_monomials(sfan, base, box, budget)
-        blocks = {}  # step -> its block
+        column = {}  # monomial key -> (step, position among the step's)
+        pivots = {}  # step -> reduced relation rows over its monomials
         for step, group in itertools.groupby(monomials, key=by_step):
-            block = blocks[step] = len(pivots)
-            pivots.append({})
+            pivots[step] = {}
             for pos, (_, _, key) in enumerate(group):
-                column[key] = (block, pos)
+                column[key] = (step, pos)
         for step, _, key in monomials:
             if not relations or step == budget:
                 break  # the monomials ascend by step
-            target = blocks.get(step + 1)
             for rel in relations:
                 row = {}
                 for k, q in deformed_mul(sfan, base, {key: 1}, rel).items():
-                    # the row's terms are monomials of its own block
+                    # the row's terms are this sector's monomials one step up
                     where = column.get(k)
-                    if where is None or where[0] != target:
+                    if where is None or where[0] != step + 1:
                         raise InternalInconsistency(
                             f"relation term escaped sector {box.value} "
                             f"at degree {box.age + step + 1}")
                     row[where[1]] = q
                 if row:
-                    _insert_row(pivots[target], row)
+                    _insert_row(pivots[step + 1], row)
         for step, group in itertools.groupby(monomials, key=by_step):
-            rows = pivots[blocks[step]]
+            rows = pivots[step]
             group = list(group)
             index = {}  # position of a survivor -> basis index
             for pos, (_, exp, key) in enumerate(group):

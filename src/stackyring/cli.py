@@ -16,7 +16,7 @@ import sys
 
 from . import documents
 from .chowring import BaseRing, orbifold_ring
-from .errors import DocumentError, StackyError
+from .errors import ENUMERATION_BOUND, DocumentError, StackyError
 from .inertia import inertia_components, three_sectors
 from .lattice import FgAbGroup, gale_dual
 from .resolution import (Subdivision, check_support_function,
@@ -221,7 +221,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("fan")
     p.add_argument("--order", type=int, default=2, metavar="R",
                    help="tuple length r (default 2); refused when the "
-                   "r-tuples would hold r |Box|^r > 10^6 box elements")
+                   f"r-tuples would hold r |Box|^r > {ENUMERATION_BOUND} "
+                   "box elements")
 
     p = sub.add_parser("sectors",
                        help="3-twisted sectors with obstruction exponents")

@@ -1,9 +1,11 @@
 """JSON document schemas for fans, base rings, and computed output.
 
-Rational numbers travel as "p/q" strings in lowest terms (plain integers
-allowed on input). Output goes through dumps_canonical, which writes the
-bytes of json.dumps(payload, sort_keys=True, indent=2) plus a newline
-directly, so equal objects produce byte-identical documents. It takes
+Rational numbers travel as "p/q" strings in lowest terms. On input an
+int or any text n or n/d (an optional sign, then ASCII digits) is taken;
+decimals and exponents are refused (see linalg._rational_text). Output
+goes through dumps_canonical, which writes the bytes of
+json.dumps(payload, sort_keys=True, indent=2) plus a newline directly,
+so equal objects produce byte-identical documents. It takes
 exactly the types payloads are built from (str, int, bool, None, list,
 tuple, and dict with str keys) and refuses any other with a TypeError,
 a float or a Fraction included.
@@ -18,6 +20,7 @@ from json.encoder import encode_basestring_ascii
 from .chowring import BaseRing
 from .errors import DocumentError
 from .lattice import FgAbGroup
+from .linalg import _rational_text
 from .stacky import ExtendedStackyFan
 
 
@@ -28,7 +31,7 @@ def parse_fraction(value, pointer: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _rational_text(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(pointer, f"bad rational {value!r}") from exc
     raise DocumentError(pointer, f"expected a rational, got {type(value).__name__}")

@@ -70,8 +70,15 @@ class InternalInconsistency(StackyError):
     """A self-check of a computed result failed: a fault of the library."""
 
 
+# the most items one listing makes; each is counted, and refused with
+# TooManyTuples past this, by the module that makes it: the faces and
+# the cone pairs in fan, Box(sigma) in stacky, the r-tuples in inertia,
+# and the monomials and basis pairs in chowring
+ENUMERATION_BOUND = 10 ** 6
+
+
 class TooManyTuples(StackyError):
-    """An enumeration of tuples would pass its fixed size bound."""
+    """A listing would pass ENUMERATION_BOUND items."""
 
 
 class UnexpectedCoefficient(StackyError):

@@ -27,6 +27,8 @@ Every cone query goes through state the fan builds lazily, in its fields:
   max_cones order, with its support and coefficients in each.
 * The faces, also as a frozen set of ray bit masks (cone_mask), so
   is_face, link_rays and the deformed product's cone gate are lookups.
+  They are listed only when that stays within ENUMERATION_BOUND (see
+  _face_data), so every reader of the faces is refused alike.
 
 Why the memo gives the same minimal cone as a scan: minimal_cone(points)
 is the union of the points' supports in the first maximal cone, in
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import Diagnostic
+from .errors import ENUMERATION_BOUND, Diagnostic, TooManyTuples
 
 
 def cone_mask(cone) -> int:
@@ -164,7 +166,17 @@ class SimplicialFan:
 
     @functools.cached_property
     def _face_data(self):
-        """(sorted faces with the zero cone, masks of faces of max cones)."""
+        """(sorted faces with the zero cone, masks of faces of max cones).
+
+        The maximal cones C list sum_C 2^|C| subsets; past
+        ENUMERATION_BOUND that is refused with TooManyTuples before any
+        is listed.
+        """
+        subsets = sum(1 << len(c) for c in self.max_cones)
+        if subsets > ENUMERATION_BOUND:
+            raise TooManyTuples(
+                f"the maximal cones would list {subsets} faces, more than "
+                f"the bound {ENUMERATION_BOUND}")
         face_set = {sub for c in self.max_cones
                     for k in range(len(c) + 1)
                     for sub in itertools.combinations(c, k)}
@@ -247,7 +259,10 @@ class SimplicialFan:
         """Structural checks; returns a list of Diagnostic findings.
 
         Every ray must lie in a maximal cone; a vector outside the fan
-        belongs among the extra vectors of a stacky fan.
+        belongs among the extra vectors of a stacky fan. Each pair of
+        maximal cones takes one Fourier-Motzkin check; past
+        ENUMERATION_BOUND pairs, k (k - 1) / 2 for k >= 1415 cones, that
+        is refused with TooManyTuples before any pair is compared.
         """
         out = []
         for i, r in enumerate(self.rays):
@@ -263,8 +278,14 @@ class SimplicialFan:
                   for i in range(self.num_rays) if i not in used]
         if out:
             return out + unused
-        for a in range(len(self.max_cones)):
-            for b in range(a + 1, len(self.max_cones)):
+        k = len(self.max_cones)
+        pairs = k * (k - 1) // 2
+        if pairs > ENUMERATION_BOUND:
+            raise TooManyTuples(
+                f"{k} maximal cones would compare {pairs} pairs, more than "
+                f"the bound {ENUMERATION_BOUND}")
+        for a in range(k):
+            for b in range(a + 1, k):
                 ca, cb = self.max_cones[a], self.max_cones[b]
                 if set(ca) <= set(cb) or set(cb) <= set(ca):
                     out.append(Diagnostic(

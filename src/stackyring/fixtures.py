@@ -17,32 +17,6 @@ from .stacky import ExtendedStackyFan
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
-FAN_FIXTURES = (
-    "p1",
-    "p2",
-    "p112",
-    "p112_hirzebruch",
-    "example_rank1",
-    "example_rank1_tilde",
-    "gerbe_r2",
-    "gerbe_r3",
-    "gerbe_z4z9",
-    "gerbe_p1_r2_canonical",
-    "gerbe_p1_r2_trivial",
-    "gerbe_p1_r3_canonical",
-    "gerbe_p1_r3_trivial",
-    "gerbe_p2_r2_canonical",
-    "gerbe_p2_r2_trivial",
-    "gerbe_p2_r3_canonical",
-    "gerbe_p2_r3_trivial",
-)
-
-BASE_FIXTURES = (
-    "base_point",
-    "base_p1",
-    "base_p1_minus_h",
-)
-
 # (fan, base) pairs on which the ring computation is exercised end to end
 RING_CASES = (
     ("p1", "base_point"),
@@ -63,6 +37,10 @@ RING_CASES = (
     ("gerbe_p2_r3_canonical", "base_point"),
     ("gerbe_p2_r3_trivial", "base_point"),
 )
+
+# the bundled documents: each fan once, and each base once in first-use order
+FAN_FIXTURES = tuple(fan for fan, _ in RING_CASES)
+BASE_FIXTURES = tuple(dict.fromkeys(base for _, base in RING_CASES))
 
 
 def fixture_path(name: str) -> Path:

@@ -28,13 +28,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NoCommonCone, NotASector, TooManyTuples,
-                     UnexpectedCoefficient)
+from .errors import (ENUMERATION_BOUND, NoCommonCone, NotASector,
+                     TooManyTuples, UnexpectedCoefficient)
 from .linalg import _integer_input
 from .stacky import BoxElement, ExtendedStackyFan
-# the most box elements, r |Box|^r, that the r-tuples of
-# inertia_components, and three_sectors' pairs (r = 2), hold
-from .stacky import ENUMERATION_BOUND as INERTIA_ENTRY_BOUND
 
 
 @dataclass(frozen=True)
@@ -67,17 +64,17 @@ class Sector:
 
 def _refuse_past_the_bound(walk, r, box):
     """Raise TooManyTuples when the r-tuples of box would hold more than
-    INERTIA_ENTRY_BOUND box elements, r |Box|^r; walk names the walk."""
+    ENUMERATION_BOUND box elements, r |Box|^r; walk names the walk."""
     entries = r
     if len(box) > 1:
         for _ in range(r):  # at most 20 steps, as 2^20 > 10^6
             entries *= len(box)
-            if entries > INERTIA_ENTRY_BOUND:
+            if entries > ENUMERATION_BOUND:
                 break
-    if entries > INERTIA_ENTRY_BOUND:
+    if entries > ENUMERATION_BOUND:
         raise TooManyTuples(
             f"{walk} over |Box| = {len(box)}: the r-tuples would hold "
-            f"r |Box|^r > {INERTIA_ENTRY_BOUND} box elements, the bound")
+            f"r |Box|^r > {ENUMERATION_BOUND} box elements, the bound")
 
 
 def inertia_components(sfan: ExtendedStackyFan, r: int):
@@ -90,7 +87,7 @@ def inertia_components(sfan: ExtendedStackyFan, r: int):
 
     The walk visits all |Box|^r tuples, r box elements each, so it is
     refused with TooManyTuples, before any tuple is made, when
-    r |Box|^r exceeds INERTIA_ENTRY_BOUND = 10^6. Below the bound the walk
+    r |Box|^r exceeds ENUMERATION_BOUND = 10^6. Below the bound the walk
     ends: r = 3 on BG(Z/4 x Z/9), 139,968 entries, takes about 0.5 s of
     library time. Counting entries rather than tuples also bounds a long
     r over a box of one element.
@@ -127,7 +124,7 @@ def three_sectors(sfan: ExtendedStackyFan):
     the rays off them.
 
     The pairs are the r-tuples of inertia_components with r = 2, under
-    the same bound: when 2 |Box|^2 exceeds INERTIA_ENTRY_BOUND the walk is
+    the same bound: when 2 |Box|^2 exceeds ENUMERATION_BOUND the walk is
     refused with TooManyTuples before any pair is taken.
     """
     box = sfan.box()

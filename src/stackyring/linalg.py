@@ -26,7 +26,15 @@ data is integral, and int arithmetic is what runs there.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+
+# the one written form of a rational: an optional sign, then ASCII digits,
+# optionally over ASCII digits. Fraction reads more (decimals, exponents,
+# underscores, spaces, other scripts' digits), and "1e30000000" makes it
+# build 10^30000000; in this form Python's limit on the digits of an int
+# conversion bounds the work instead.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _exact(q):
@@ -34,14 +42,24 @@ def _exact(q):
     return q.numerator if q.denominator == 1 else q
 
 
+def _rational_text(text):
+    """The Fraction that text writes as n or n/d (see _RATIONAL_TEXT);
+    ValueError on any other text, ZeroDivisionError on a zero d."""
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"{text!r} is not written as n or n/d")
+    return Fraction(text)
+
+
 def _exact_input(q, kind):
-    """An input number as _exact stores it; floats, bools and anything
-    Fraction cannot read (None, "two", "1/0") are refused, naming it."""
+    """An input number as _exact stores it; floats, bools, text not
+    written as n or n/d (see _rational_text) and anything else Fraction
+    cannot read (None, "1/0") are refused, naming it."""
     if type(q) is int:
         return q
     if not isinstance(q, (bool, float)):
         try:
-            return _exact(Fraction(q))
+            return _exact(_rational_text(q) if isinstance(q, str)
+                          else Fraction(q))
         except (OverflowError, TypeError, ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{kind} {q!r} is not an exact rational")

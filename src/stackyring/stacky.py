@@ -27,18 +27,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import (DegenerateImage, InfiniteCokernel, NoCommonCone,
-                     OutsideSupport, TooManyTuples)
+from .errors import (ENUMERATION_BOUND, DegenerateImage, InfiniteCokernel,
+                     NoCommonCone, OutsideSupport, TooManyTuples)
 from .fan import SimplicialFan
 from .lattice import (FgAbGroup, GroupHom, _cokernel_of_snf, _integers,
                       _with_relations, smith_normal_form)
 # no caller here: benchmark/spans.py's tracer wraps these aliases by name
 from .lattice import cokernel, solve_integer_linear  # noqa: F401
-
-# the most elements one enumeration lists: Box(sigma) in _record, and
-# r |Box|^r box elements in the r-tuples of inertia_components and in
-# three_sectors' pairs (r = 2)
-ENUMERATION_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)

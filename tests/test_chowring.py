@@ -940,10 +940,14 @@ def test_ring_products_read_each_index_as_a_basis_index(p112):
     assert ring.product(1, 1) == ring.mul({1: 1}, {1: 1})
 
 
-@pytest.mark.parametrize("bad", [None, "two", "1/0"])
+@pytest.mark.parametrize("bad", [None, "two", "1/0", "0.5", "1e3", "1_0",
+                                 " 1", "\u0663", "1e10000000"])
 def test_unreadable_numbers_are_refused_by_name(p112, bad):
     # Fraction's own TypeError, ValueError or ZeroDivisionError used to
-    # escape without the input's name
+    # escape without the input's name. Text is read only as n or n/d in
+    # ASCII digits: Fraction also reads decimals, underscores, spaces,
+    # other scripts' digits and exponents, for which it builds
+    # 10^exponent
     text = re.escape(f"{bad!r} is not an exact rational")
     with pytest.raises(ValueError, match=rf"^order {text}$"):
         inertia.inertia_components(p112, bad)
@@ -1411,8 +1415,10 @@ def test_ring_assembly_takes_no_cokernel(monkeypatch):
 
 def test_ring_table_refused_past_the_pair_bound(monkeypatch):
     """A ring of dimension n has n (n + 1) / 2 basis pairs, filled up to
-    the bound and refused beyond it before any entry is made."""
-    sfan = fixtures.load_fan("p112")
+    the bound and refused beyond it before any entry is made. BG(Z/4)
+    over a point lists 1 face and 4 monomials, so its 10 pairs are the
+    longest listing: one bound isolates them."""
+    sfan = _gerbe((4,), (1,))
     monkeypatch.setattr(chowring, "ENUMERATION_BOUND", 10)
     assert orbifold_ring(sfan, POINT).dimension == 4
     calls = []
@@ -1433,9 +1439,9 @@ def test_ring_table_refused_past_the_pair_bound(monkeypatch):
 
 def test_ring_listings_refused_past_the_listing_bound(monkeypatch):
     """P^2 over a point lists sum_C 2^|C| = 12 faces and 19 monomials:
-    1 + 3 C(3, 1) + 3 C(3, 2) in its one sector, budget 3. Each count is
-    computed up to the bound and refused beyond it, before any face or
-    monomial is listed."""
+    1 + 3 C(3, 1) + 3 C(3, 2) in its one sector, budget 3. The fan
+    counts its faces and the ring its monomials, each up to the bound
+    and refused beyond it, before any face or monomial is listed."""
     listed = []
     monomials = chowring._sector_monomials
 
@@ -1444,21 +1450,23 @@ def test_ring_listings_refused_past_the_listing_bound(monkeypatch):
         return monomials(*args)
 
     monkeypatch.setattr(chowring, "_sector_monomials", counted)
-    monkeypatch.setattr(chowring, "LISTING_BOUND", 19)
+    monkeypatch.setattr(chowring, "ENUMERATION_BOUND", 19)
+    monkeypatch.setattr("stackyring.fan.ENUMERATION_BOUND", 12)
     assert orbifold_ring(fixtures.load_fan("p2"), POINT).dimension == 3
     assert len(listed) == 1
-    for bound, text in ((18, "the sectors would list 19 monomials up to "
+    for owner, bound, text in (
+            ("chowring", 18, "the sectors would list 19 monomials up to "
                              "degree 3, more than the bound 18"),
-                        (11, "the maximal cones would list 12 faces, more "
-                             "than the bound 11")):
-        monkeypatch.setattr(chowring, "LISTING_BOUND", bound)
+            ("fan", 11, "the maximal cones would list 12 faces, more than "
+                        "the bound 11")):
+        monkeypatch.setattr(f"stackyring.{owner}.ENUMERATION_BOUND", bound)
         listed.clear()
         sfan = fixtures.load_fan("p2")
         with pytest.raises(TooManyTuples, match=f"^{re.escape(text)}$"):
             orbifold_ring(sfan, POINT)
         assert listed == []
         # no face was listed either: the fan's face data is built lazily
-        assert ("_face_data" in vars(sfan.fan)) is (bound == 18)
+        assert ("_face_data" in vars(sfan.fan)) is (owner == "chowring")
 
 
 def test_failing_triple_is_named_on_refusal_only(monkeypatch):
@@ -1555,6 +1563,55 @@ def test_pinned_twisted_wps_digests():
     for weights, want in PINNED_TWISTED_WPS_DIGESTS.items():
         assert _ring_digest(weighted_projective_fan(list(weights)),
                             base) == want, weights
+
+
+# twisted bundles: 24 seeded complete 2-D fans over P^1, P^2 and P^1 x P^1
+# in turn, each coordinate twisted by k h for one seeded degree-1 class h
+# and k in -2..2 (see _twisted_bundles); ring dimensions 12 to 560
+PINNED_TWISTED_BUNDLE_DIGESTS = (
+    "97a3d0b8f9a42b927e935781c3440240a437691e16781ff72bc1ecd6ea79653b",
+    "e4cfc1085c80a5113bf2360fe9000c53e918f6ba2dc24bdd7944239844d6aa81",
+    "c6794a1bbd1a161fd5fbc9707ebb133a851bcc4ba596e5c2efe91e210e0473e4",
+    "cfd4b61e8247d087692762bd5d6345674775b55abb72dbcec5b56f62b9d52386",
+    "e0e8944de1d76e7d0b465e1e4852ce50b83e526e0e2d68b1693de1ec2ae9eee1",
+    "9ba50b50f05a9e056ebf4523c1b477953dc825b003cf610d9c50014941ab9d15",
+    "8a7ddd43feb6f7a875bd05f539ebcb2d50202441858b03bc43e9b8513574d824",
+    "fe3eb0d3c0aca989a2b0712d91f71baf310944cae831bb3882a813ce5ab7aa91",
+    "919fcb508188f2e87a07e667aefe0599024f6ce995499383f96ed787bb292d70",
+    "9bea0f42ea2e9db182c93e399d60d2972ea20c599a60bd2c8b3f0a066e9cf105",
+    "41da032ef7112b0f11f700ce69c35f844dd9b71272712b8b5cd2b3c2f2eeed2b",
+    "d52e4522d723325e9e0f927eb23c1e4887528c110215f59091970dbf537ac706",
+    "d131a78ea2b7de9d4fb91cc255033507ec9aa7a6d4af16f3f62f2b0028655b11",
+    "6acb796db6dacc9a390c22af8905359940e25b80b4da85d2cc24723664ed4bb0",
+    "97bc94461beae00719603b0301bde818959e388319b11795bd4d669653e0af95",
+    "e8d499c3be577e1b88e9dfe787d54fd997c231b3787ff825a2e20d79a0649965",
+    "1c6e33d597c2f1e29c8571c78309bcb254faa3cf655f77516f759f294563ee45",
+    "ad3eaa45d6dc2b5aecdedd5d7609e096da6c2c77fd040144e94010d7917eed23",
+    "79ee69d7d7ea5e46c8cbf1236dbedbd035ad4d91da70b91db25f2bcd8adef317",
+    "d9291de8725faadd91373d9d16ac810957aac768a1f772f16547828c1b2103cf",
+    "23dd06d439f31b5f799f7b3ba287396f45cc95ba29a2a2063f96d3801d8be419",
+    "8c65c43e805ffa0e6b29b8c7b99da33d78240232e9aa934b5d9b0db9e1a39e60",
+    "16fafcb629dba3cc4ab8060e13194152ee3d2d4adc3e5d6295c84bf7ab429790",
+    "cdcc07e0898664e8b5844d97f6dda30f43f12756eccda1027a5b2b7ad5b69925",
+)
+
+
+def _twisted_bundles():
+    rng = random.Random("twisted bundles")
+    p1 = BaseRing.projective_space(1)
+    bases = (p1, BaseRing.projective_space(2), BaseRing.tensor(p1, p1))
+    for k in range(len(PINNED_TWISTED_BUNDLE_DIGESTS)):
+        sfan = complete_2d_fan(rng)
+        base = bases[k % 3]
+        classes = [l for l, d in zip(base.labels, base.degrees) if d == 1]
+        yield sfan, base.with_twists([{rng.choice(classes): rng.randint(-2, 2)}
+                                      for _ in range(sfan.m)])
+
+
+def test_pinned_twisted_bundle_digests():
+    for k, ((sfan, base), want) in enumerate(
+            zip(_twisted_bundles(), PINNED_TWISTED_BUNDLE_DIGESTS)):
+        assert _ring_digest(sfan, base) == want, k
 
 
 # fan dimension 5, where pivot entries and row coefficients grow most

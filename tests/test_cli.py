@@ -228,6 +228,42 @@ def test_gerbe_past_the_table_bound_is_a_json_error(capsys, monkeypatch):
                   "than the bound 9"}
 
 
+def test_inertia_past_the_face_bound_is_a_json_error(capsys, monkeypatch):
+    """inertia --order 1 on P(1,1,2), 12 faces, builds the quotient fan
+    of its twisted sector from the faces: computed at a bound of 12,
+    refused at 11 before any face is listed."""
+    loaded = []
+    load_fan = cli._load_fan
+
+    def kept(path):
+        loaded.append(load_fan(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_fan", kept)
+    monkeypatch.setattr("stackyring.fan.ENUMERATION_BOUND", 12)
+    code, payload = run(capsys, "inertia", fan_path("p112"), "--order", "1")
+    assert (code, payload["count"]) == (0, 2)
+    monkeypatch.setattr("stackyring.fan.ENUMERATION_BOUND", 11)
+    code, payload = run(capsys, "inertia", fan_path("p112"), "--order", "1")
+    assert code == 1
+    assert payload["error"] == {
+        "type": "TooManyTuples",
+        "detail": "the maximal cones would list 12 faces, more than the "
+                  "bound 11"}
+    assert "_face_data" not in vars(loaded[-1].fan)
+
+
+def test_validate_past_the_pair_bound_is_invalid(capsys, monkeypatch):
+    # P^2 has 3 maximal cones, so 3 pairs to compare
+    monkeypatch.setattr("stackyring.fan.ENUMERATION_BOUND", 2)
+    code, payload = run(capsys, "validate", fan_path("p2"))
+    assert code == 1
+    assert payload == {"valid": False, "diagnostics": [{
+        "code": "TooManyTuples",
+        "detail": "3 maximal cones would compare 3 pairs, more than the "
+                  "bound 2"}]}
+
+
 def test_box_past_the_box_bound_is_a_json_error(capsys, tmp_path):
     doc = {"group": {"rank": 0, "torsion": list(HUGE_TORSION)},
            "rays": [], "cones": [[]], "extra": [[1, 1]]}
@@ -355,6 +391,33 @@ def test_ring_base_repeat_is_refused(capsys, tmp_path, kind):
     code, payload = run(capsys, "ring", fan_path("p1"), "--base", str(path))
     assert code == 1
     assert payload == {"error": {"type": "DocumentError", "detail": detail}}
+
+
+@pytest.mark.parametrize("coeff", ["1e30000000", "0.5", "1e3", "\u0663"])
+def test_ring_base_coefficient_not_written_as_n_or_n_over_d(capsys, tmp_path,
+                                                            coeff):
+    """An exponent made the reader build 10^exponent: 1e30000000 ran for
+    40 s. Such text is refused at once, as decimals and other scripts'
+    digits are."""
+    doc = {"basis": [{"label": "1", "degree": 0},
+                     {"label": "H", "degree": 1}],
+           "products": [{"i": 1, "j": 1, "terms": []}],
+           "twists": [[{"k": 1, "coeff": coeff}], [], []]}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, payload = run(capsys, "ring", fan_path("p2"), "--base", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload == {"error": {
+        "type": "DocumentError",
+        "detail": f"/twists/0/0: bad rational {coeff!r}"}}
+
+
+@pytest.mark.parametrize("coeff,want", [("-1", -1), ("3/4", Fraction(3, 4)),
+                                        ("6/8", Fraction(3, 4))])
+def test_base_coefficient_written_as_n_or_n_over_d_is_read(coeff, want):
+    assert documents.parse_fraction(coeff, "/coeff") == want
 
 
 @pytest.mark.parametrize("kind,field", [("fan", "group"),

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from stackyring import fixtures
+from stackyring.chowring import stanley_reisner_generators
 from stackyring.documents import fan_to_document
-from stackyring.errors import DegenerateImage, Diagnostic
+from stackyring.errors import DegenerateImage, Diagnostic, TooManyTuples
 from stackyring.fan import SimplicialFan
 from stackyring.lattice import FgAbGroup
 from stackyring.stacky import ExtendedStackyFan
@@ -109,6 +110,61 @@ def test_validate_unused_rays():
     nested = SimplicialFan(2, ((1, 0), (0, 1), (-1, 0)), ((0, 1), (0,)))
     assert [d.code for d in nested.validate()] == ["BadIntersection",
                                                    "UnusedRay"]
+
+
+def test_validate_refuses_past_the_pair_bound(monkeypatch):
+    """P^2 has 3 maximal cones, so 3 pairs to compare: validated at a
+    bound of 3 and refused at 2 before any pair is compared."""
+    monkeypatch.setattr("stackyring.fan.ENUMERATION_BOUND", 3)
+    assert P2.validate() == []
+    compared = []
+    monkeypatch.setattr(SimplicialFan, "_meets_along_common_face",
+                        lambda self, ca, cb: compared.append((ca, cb)))
+    monkeypatch.setattr("stackyring.fan.ENUMERATION_BOUND", 2)
+    with pytest.raises(TooManyTuples, match=r"^3 maximal cones would "
+                       r"compare 3 pairs, more than the bound 2$"):
+        P2.validate()
+    assert compared == []
+
+
+def test_validate_refuses_1415_cones_at_once(monkeypatch):
+    """1415 cones make 1,000,405 pairs, past the bound of 10^6."""
+    fan = SimplicialFan(2, [(1, k) for k in range(1416)],
+                        [(k, k + 1) for k in range(1415)])
+    compared = []
+    monkeypatch.setattr(SimplicialFan, "_meets_along_common_face",
+                        lambda self, ca, cb: compared.append((ca, cb)))
+    with pytest.raises(TooManyTuples, match=r"^1415 maximal cones would "
+                       r"compare 1000405 pairs, more than the bound "
+                       r"1000000$"):
+        fan.validate()
+    assert compared == []
+
+
+# every reader of the faces, each on a stacky fan of P(1,1,2)
+FACE_READERS = {
+    "faces": lambda sfan: sfan.fan.faces(),
+    "face_masks": lambda sfan: sfan.fan.face_masks(),
+    "is_face": lambda sfan: sfan.fan.is_face((0,)),
+    "link_rays": lambda sfan: sfan.fan.link_rays((0,)),
+    "quotient_stacky_fan": lambda sfan: sfan.quotient_stacky_fan((0,)),
+    "stanley_reisner_generators": stanley_reisner_generators,
+}
+
+
+@pytest.mark.parametrize("reader", FACE_READERS)
+def test_face_readers_refuse_past_the_bound(reader, monkeypatch):
+    """P(1,1,2) lists sum_C 2^|C| = 12 faces: every reader is answered
+    at a bound of 12 and refused at 11 before any face is listed."""
+    read = FACE_READERS[reader]
+    monkeypatch.setattr("stackyring.fan.ENUMERATION_BOUND", 12)
+    read(fixtures.load_fan("p112"))
+    monkeypatch.setattr("stackyring.fan.ENUMERATION_BOUND", 11)
+    sfan = fixtures.load_fan("p112")
+    with pytest.raises(TooManyTuples, match=r"^the maximal cones would "
+                       r"list 12 faces, more than the bound 11$"):
+        read(sfan)
+    assert "_face_data" not in vars(sfan.fan)
 
 
 def test_link():

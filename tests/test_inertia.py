@@ -68,7 +68,7 @@ def test_inertia_order_is_an_integer(p112):
 def test_inertia_refuses_past_the_entry_bound(p112, monkeypatch):
     """r |Box|^r box elements are allowed up to the bound and refused
     beyond it, before any tuple is made, naming r, |Box| and the bound."""
-    monkeypatch.setattr(inertia, "INERTIA_ENTRY_BOUND", 4 * 2 ** 4)
+    monkeypatch.setattr(inertia, "ENUMERATION_BOUND", 4 * 2 ** 4)
     assert len(inertia_components(p112, 4)) == 2 ** 4
     with pytest.raises(TooManyTuples, match=r"^inertia order r = 5 over "
                        r"\|Box\| = 2: .* > 64 box elements, the bound$"):
@@ -102,11 +102,11 @@ def test_three_sectors_refuse_past_the_entry_bound(p112, monkeypatch):
         return complement_in(self, v1, v2)
 
     monkeypatch.setattr(ExtendedStackyFan, "_complement_in", counted)
-    monkeypatch.setattr(inertia, "INERTIA_ENTRY_BOUND", 2 * 2 ** 2)
+    monkeypatch.setattr(inertia, "ENUMERATION_BOUND", 2 * 2 ** 2)
     assert len(three_sectors(p112)) == 4
     assert len(calls) == 2 ** 2
     calls.clear()
-    monkeypatch.setattr(inertia, "INERTIA_ENTRY_BOUND", 2 * 2 ** 2 - 1)
+    monkeypatch.setattr(inertia, "ENUMERATION_BOUND", 2 * 2 ** 2 - 1)
     with pytest.raises(TooManyTuples, match=r"^3-sector pairs, r = 2, over "
                        r"\|Box\| = 2: .* > 7 box elements, the bound$"):
         three_sectors(p112)

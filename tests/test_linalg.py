@@ -111,3 +111,9 @@ def test_inexact_entries_are_refused():
     for bad in (0.5, True):
         with pytest.raises(ValueError, match="is not an exact rational"):
             linalg.rref([[1, bad]])
+
+
+def test_text_written_as_n_or_n_over_d_is_read():
+    got = [linalg._exact_input(t, "entry") for t in ("-1", "+2", "3/4", "6/8")]
+    assert got == [-1, 2, Fraction(3, 4), Fraction(3, 4)]
+    assert [type(q) for q in got] == [int, int, Fraction, Fraction]
