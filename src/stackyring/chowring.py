@@ -49,8 +49,8 @@ from .errors import (ENUMERATION_BOUND, DecompositionMismatch,
                      InternalInconsistency, TooManyTuples,
                      TwistArityMismatch)
 from .fan import cone_mask
-from .linalg import (_exact, _exact_input, _insert_row, _integer_input,
-                     _quotient, _reduce, _scaled)
+from .linalg import (_back_substitute, _exact, _exact_input, _insert_row,
+                     _integer_input, _quotient, _reduce, _scaled)
 from .stacky import BoxElement, ExtendedStackyFan
 
 
@@ -563,6 +563,11 @@ def deformed_mul(sfan: ExtendedStackyFan, base: BaseRing, e1, e2):
     Keys must therefore come from a fan that validate() accepts;
     _assemble refuses any other fan before its first product. Their
     elements c are reduced in N, so c1 + c2 is summed by add_reduced.
+
+    _assemble applies this rule key by key, through _lattice_product and
+    the base's product table, in its relation fill and its table fill
+    alike; this function states it on whole elements, and only the
+    tests call it.
     """
     faces = sfan.fan.face_masks()
     add = sfan.group.add_reduced
@@ -813,18 +818,55 @@ def _assemble(sfan, base, sectors):
     than cap is zero, and the table sets it so without a lookup; the other
     products reach degree cap at most, as keys multiply degree additively.
 
+    The relation rows are filled in stages. Let V_s span the sector's
+    monomials of step s (block s) and theta_1, ..., theta_r be the
+    relations (linear_relations). Block s + 1 is to hold the span of the
+    theta_j V_s, the part of the relation ideal in that step, as the
+    ideal is generated by the theta_j and V_s holds every monomial one
+    step down. Its rows are inserted relation by relation, j = 1..r, and
+    theta_j is multiplied only by the monomials of block s outside the
+    pivot columns that block had before theta_j's rows went in. That
+    keeps the span, with no regularity assumption on the theta_j. Let
+    I_{j,s} = sum_{k<j} theta_k V_{s-1}, the span of the rows of the
+    relations before theta_j in block s, and C_{j,s} the span of the
+    monomials of block s outside the pivot columns of I_{j,s}. Then:
+
+    - V_s = I_{j,s} + C_{j,s}: a vector of V_s reduced against the
+      echelon rows of I_{j,s} is zero at their pivot columns, so it lies
+      in C_{j,s}.
+    - theta_j I_{j,s} = sum_{k<j} theta_k (theta_j V_{s-1}) is in
+      sum_{k<j} theta_k V_s, as the deformed product is commutative and
+      associative and theta_j V_{s-1} lies in V_s.
+    - So theta_j V_s lies in theta_j C_{j,s} + sum_{k<j} theta_k V_s, and
+      by induction on j the rows of theta_1..theta_j span
+      sum_{k<=j} theta_k V_s, the I_{j+1,s+1} whose pivot columns the next
+      block's stage skips. Pivot columns depend on the span alone (see
+      linalg._insert_row).
+
+    As each block's span is the one a row per monomial and relation
+    spans, so are its pivot columns, its survivors (the basis) and its
+    reduced rows, which are unique for the span (linalg._back_substitute):
+    the normal forms read below are unchanged by the staging. Each
+    (monomial, relation term) product is formed once, for every monomial
+    of block s, skipped or not, and checked to lie in block s + 1
+    ("relation term escaped sector"); it is then combined into the row of
+    every relation that holds the term. Staging skips row insertions,
+    never that check.
+
     So the normal form of every monomial key of degree <= cap is all the
-    table reads, and it is read off the pivots. The normal form NF is
-    linear: each pivot row is a positive multiple, by its pivot entry p,
-    of the fully reduced row that is 1 at its own pivot and 0 at every
-    other pivot (see linalg._insert_row), so clearing the pivots of
-    sum q_k e_k with those rows clears each e_k on its own and
-    NF(sum q_k e_k) = sum q_k NF(e_k); linalg._reduce gives a positive
-    multiple of that normal form. A survivor e_k is its own normal form,
-    and a pivot column reduces by its row alone, to minus that row's
-    entries at its other columns, which are survivors, divided by p. Each
-    table entry is then the sum of s NF(key) over the terms (key, s) of
-    the product of the two basis keys (the rule stated in deformed_mul).
+    table reads, and it is read off the pivots, which are back-substituted
+    once per block below the layer (cap, cap + 1], when the block is
+    complete; that layer needs its pivot columns only. The normal form NF
+    is linear: each pivot row is then a positive multiple, by its pivot
+    entry p, of the fully reduced row that is 1 at its own pivot and 0 at
+    every other pivot, so clearing the pivots of sum q_k e_k with those
+    rows clears each e_k on its own and NF(sum q_k e_k) = sum q_k NF(e_k);
+    linalg._reduce gives a positive multiple of that normal form. A
+    survivor e_k is its own normal form, and a pivot column reduces by its
+    row alone, to minus that row's entries at its other columns, which
+    are survivors, divided by p. Each table entry is then the sum of
+    s NF(key) over the terms (key, s) of the product of the two basis keys
+    (the rule stated in deformed_mul).
 
     The table is filled by lattice part, not by basis pair. The terms of
     the product of (c1, tau1, l1) and (c2, tau2, l2) are ((c, tau, l3), s)
@@ -864,6 +906,12 @@ def _assemble(sfan, base, sectors):
         raise IncompleteFan("ring computation requires a complete fan")
     cap = base.top_degree + sfan.fan.ambient_dim
     _refuse_long_listings(sfan, base, sectors, cap)
+    faces = sfan.fan.face_masks()
+    add = sfan.group.add_reduced
+    terms = {}  # relation term key -> its index among the distinct ones
+    # per relation, its (term index, coefficient) pairs
+    weights = [[(terms.setdefault(t, len(terms)), q) for t, q in rel.items()]
+               for rel in relations]
     normal = {}  # monomial key of degree <= cap -> {basis index: coefficient}
     basis = []
     keys = []    # the monomial key of each basis element
@@ -874,32 +922,56 @@ def _assemble(sfan, base, sectors):
         # the layer (cap, cap + 1] of the certificate
         budget = math.floor(cap + 1 - box.age)
         monomials = _sector_monomials(sfan, base, box, budget)
+        blocks = {step: list(group) for step, group
+                  in itertools.groupby(monomials, key=by_step)}
         column = {}  # monomial key -> (step, position among the step's)
-        pivots = {}  # step -> reduced relation rows over its monomials
-        for step, group in itertools.groupby(monomials, key=by_step):
-            pivots[step] = {}
-            for pos, (_, _, key) in enumerate(group):
+        for step, block in blocks.items():
+            for pos, (_, _, key) in enumerate(block):
                 column[key] = (step, pos)
-        for step, _, key in monomials:
+        pivots = {step: {} for step in range(budget + 1)}  # step -> rows
+        before = {}  # step -> its pivot columns before each relation's rows
+        # went in (see the staging above)
+        for step, block in blocks.items():
             if not relations or step == budget:
-                break  # the monomials ascend by step
-            for rel in relations:
-                row = {}
-                for k, q in deformed_mul(sfan, base, {key: 1}, rel).items():
-                    # the row's terms are this sector's monomials one step up
-                    where = column.get(k)
-                    if where is None or where[0] != step + 1:
-                        raise InternalInconsistency(
-                            f"relation term escaped sector {box.value} "
-                            f"at degree {box.age + step + 1}")
-                    row[where[1]] = q
-                if row:
-                    _insert_row(pivots[step + 1], row)
-        for step, group in itertools.groupby(monomials, key=by_step):
+                break  # the blocks ascend by step
+            # each (monomial, relation term) product once, as positions
+            # one step up with their coefficients, checked to stay there
+            products = []  # per monomial: per term, [(position, s)]
+            for _, _, (c1, t1, l1) in block:
+                by_term = []
+                for c2, t2, l2 in terms:
+                    part = _lattice_product(faces, add, c1, t1, c2, t2)
+                    out = []
+                    if part is not None:
+                        for l3, s in base._products[l1][l2].items():
+                            where = column.get((*part, l3))
+                            if where is None or where[0] != step + 1:
+                                raise InternalInconsistency(
+                                    f"relation term escaped sector "
+                                    f"{box.value} at degree "
+                                    f"{box.age + step + 1}")
+                            out.append((where[1], s))
+                    by_term.append(out)
+                products.append(by_term)
+            above, staged = pivots[step + 1], []
+            for j, weight in enumerate(weights):
+                staged.append(set(above))
+                skip = before[step][j] if step in before else ()
+                for pos, by_term in enumerate(products):
+                    if pos in skip:
+                        continue
+                    row = {}
+                    for t, q in weight:
+                        for p2, s in by_term[t]:
+                            row[p2] = row.get(p2, 0) + q * s
+                    row = {p2: x for p2, x in row.items() if x}
+                    if row:
+                        _insert_row(above, row)
+            before[step + 1] = staged
+        for step, block in blocks.items():
             rows = pivots[step]
-            group = list(group)
             index = {}  # position of a survivor -> basis index
-            for pos, (_, exp, key) in enumerate(group):
+            for pos, (_, exp, key) in enumerate(block):
                 if pos in rows:
                     continue
                 if step == budget:
@@ -913,7 +985,8 @@ def _assemble(sfan, base, sectors):
                 keys.append(key)
             if step == budget:
                 continue
-            for pos, (_, _, key) in enumerate(group):
+            _back_substitute(rows)
+            for pos, (_, _, key) in enumerate(block):
                 row = rows.get(pos)
                 normal[key] = ({index[pos]: 1} if row is None else
                                {index[p2]: _quotient(-q, row[pos])
@@ -928,8 +1001,6 @@ def _assemble(sfan, base, sectors):
     # degrees' denominators
     scale, degrees = _scaled([b.degree for b in basis])
     top = scale * cap
-    faces = sfan.fan.face_masks()
-    add = sfan.group.add_reduced
     parts = {}  # lattice part (c, tau) -> (index, label, L deg) of its keys
     for i, (c, tau, l) in enumerate(keys):
         parts.setdefault((c, tau), []).append((i, l, degrees[i]))

@@ -18,7 +18,8 @@ Every cone query goes through state the fan builds lazily, in its fields:
   J, every other coefficient being zero. Reduced row echelon form is
   unique, so this is the very solution that row reducing [A | p] gives,
   on independent and dependent rays alike. E is read off the
-  elimination's int pivot rows (linalg._insert_row), each its rref row
+  elimination's int pivot rows (linalg._insert_row) after one
+  back-substitution (linalg._back_substitute), each then its rref row
   times its pivot entry, and kept scaled to integers by the lcm of the
   pivot entries, so a query on a lattice point is an integer
   matrix-vector product and a sign check. validate and stacky's box
@@ -76,6 +77,7 @@ class _ConeSolver:
             entries = {c: x for c, x in enumerate(row) if x}
             entries[width + i] = 1
             linalg._insert_row(rows, entries)
+        linalg._back_substitute(rows)
         pivots = sorted(rows)  # one per row, as I makes the rows independent
         rank = sum(1 for c in pivots if c < width)
         denom = math.lcm(*(rows[c][c] for c in pivots))

@@ -7,6 +7,17 @@ Gaussian elimination, _insert_row: rref, rank, nullspace and solve_exact
 run on it, and so do the fan's cone solvers (on its int pivot rows) and
 the relation rows and associativity walk of chowring.
 
+The elimination works in two halves. _insert_row keeps the pivot rows in
+echelon form, each positive at its own pivot column and zero left of it,
+and never rewrites an older row; _reduce clears a row's pivot columns in
+ascending order, in one pass, the columns a clear brings in included. A
+reader that needs the reduced rows, zero at every other pivot column,
+calls _back_substitute once, when the rows are all in. The primitive int
+rows with a positive pivot entry that are reduced are unique for their
+span, so the reduced rows do not depend on the order of insertion, and a
+reader that needs only the pivot columns or membership in the span
+(chowring's budget layer and associativity walk) never back-substitutes.
+
 The package keeps numbers in one convention. Integral data is an int from
 input onwards: _exact_input takes an input number to an int where it is
 integral and to a Fraction otherwise, and refuses, naming it, a float, a
@@ -25,6 +36,7 @@ data is integral, and int arithmetic is what runs there.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from fractions import Fraction
@@ -94,76 +106,77 @@ def _primitive(row):
     return row if g == 1 else {k: q // g for k, q in row.items()}
 
 
-def _clear(row, c, prow):
-    """Make the int row zero at c in place, fraction-free: row becomes
-    a row - b prow with a/b = prow[c]/row[c] in lowest terms, so a > 0
-    when prow[c] > 0. Entries that cancel are dropped."""
-    g = math.gcd(prow[c], row[c])
-    a, b = prow[c] // g, row[c] // g
-    if a != 1:
-        for k in row:
-            row[k] *= a
-    for k, q in prow.items():
-        v = row.get(k, 0) - b * q
-        if v:
-            row[k] = v
-        else:
-            del row[k]
-
-
 def _reduce(pivots, row):
-    """A positive multiple of the normal form of a sparse row against
-    pivots, as a primitive int row (content 1), zeros dropped.
+    """A positive multiple of the normal form of a sparse row (nonzero
+    entries only) against pivots, as a sparse primitive int row (content
+    1); the row itself is not changed.
 
-    pivots maps a pivot column c to its row. Invariant: each pivot row is
-    a primitive int row, its entry at c is positive, and it is zero at
-    every other pivot column; _insert_row keeps it by clearing a new
-    pivot's column from the older pivot rows. A row with a Fraction entry
-    is first scaled to ints by the lcm of its denominators. Clearing c
-    (_clear) multiplies the row by some a > 0 and subtracts a multiple of
-    the pivot row of c, so it leaves the other pivot columns zero or
-    nonzero as they were and adds entries at non-pivot columns only; one
-    pass over the row's own columns therefore suffices, and afterwards no
-    pivot column is left in the row.
+    pivots maps a pivot column c to its row, in echelon form (see
+    _insert_row): a primitive int row, positive at c and zero at every
+    column left of c. A row with a Fraction entry is first scaled to ints
+    by the lcm of its denominators. Then the pivot columns of the row are
+    cleared in ascending order, in one pass over a heap of them. Clearing
+    c is one fraction-free step: the row becomes a row - b prow, prow the
+    pivot row of c and a/b = prow[c]/row[c] in lowest terms, so a > 0.
+    As prow is zero left of c, the step changes the row at c and right of
+    c only, and the pivot columns it brings in, all right of c, join the
+    heap. A column once cleared is never brought in again, since every
+    later step is at a column right of it, so the pass ends with no pivot
+    column left in the row.
 
     The result, after the division by its content, is a positive multiple
-    of the normal form NF that the elimination with every pivot scaled to
-    1 reaches. It reads lam row + v and NF reads row + w, for some lam > 0
-    and v, w in the span of the pivot rows, and both are zero at every
-    pivot column. So result - lam NF lies in the span and is zero at every
-    pivot column, and such a vector is zero: each pivot row is the only
-    one nonzero at its own pivot.
+    of the normal form NF that the elimination with every pivot row scaled
+    to its rref row reaches. It reads lam row + v and NF reads row + w, for
+    some lam > 0 and v, w in the span of the pivot rows, and both are zero
+    at every pivot column. So result - lam NF lies in the span and is zero
+    at every pivot column, and such a vector is zero: a nonzero
+    combination of the echelon rows is nonzero at the smallest pivot
+    column among the rows it uses, where every other row it uses is zero.
+    So the result does not depend on whether the pivot rows are
+    back-substituted (_back_substitute) or not.
     """
-    if all(type(q) is int for q in row.values()):
-        row = {k: q for k, q in row.items() if q}
+    if Fraction in map(type, row.values()):
+        row = dict(zip(row, _scaled(list(row.values()))[1]))
     else:
-        row = {k: q for k, q in zip(row, _scaled(list(row.values()))[1])
-               if q}
-    for c in sorted(row):
-        if c in pivots:
-            _clear(row, c, pivots[c])
+        row = dict(row)
+    todo = [c for c in row if c in pivots]
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        x = row.get(c)
+        if x is None:  # it cancelled, or is a repeat
+            continue
+        prow = pivots[c]
+        g = math.gcd(prow[c], x)
+        a, b = prow[c] // g, x // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
+        for k, q in prow.items():
+            v = row.get(k)
+            if v is None:
+                row[k] = -b * q
+                if k in pivots:
+                    heapq.heappush(todo, k)
+            else:
+                v -= b * q
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
     return _primitive(row) if row else row
 
 
 def _insert_row(pivots, row) -> bool:
     """Add row to the span of pivots; False when it was already in it.
 
-    The reduced row, negated if need be, becomes the pivot row of its first
-    nonzero column l, with a positive pivot entry. Every older pivot row
-    that is nonzero at l is cleared there by it (_clear) and divided by
-    its content: its own pivot entry is multiplied by some a > 0, and the
-    new row is zero at every older pivot column, so the invariant of
-    _reduce holds again. The span is unchanged, as each older row is
-    replaced by a nonzero multiple of itself minus a multiple of the new
-    row.
-
-    So each pivot row is a positive multiple of its rref row, the vector
-    of the span that is 1 at its pivot and 0 at every other pivot: a
-    pivot row divided by its pivot entry is such a vector, and there is
-    only one, since a vector of the span that is zero at every pivot
-    column is zero. The pivot columns are those of the elimination that
-    scales every pivot to 1, since each reduced row is a positive multiple
-    of the one that elimination reduces, with the same first column.
+    The reduced row (_reduce), negated if need be, becomes the pivot row
+    of its first nonzero column l, with a positive pivot entry; no older
+    row is touched. So the rows stay in echelon form: each is a primitive
+    int row, positive at its own pivot column and zero left of it. The
+    pivot columns are the first nonzero columns of the vectors of the
+    span, which depend on the span alone, so they are those of any
+    elimination that inserts the same rows, in any order.
     """
     row = _reduce(pivots, row)
     if not row:
@@ -171,13 +184,37 @@ def _insert_row(pivots, row) -> bool:
     lead = min(row)
     if row[lead] < 0:
         row = {k: -q for k, q in row.items()}
-    for c, existing in pivots.items():
-        if lead in existing:
-            _clear(existing, lead, row)
-            if existing[c] != 1:
-                pivots[c] = _primitive(existing)
     pivots[lead] = row
     return True
+
+
+def _back_substitute(pivots):
+    """Turn echelon pivot rows (see _insert_row), in place, into the
+    reduced ones: each pivot row becomes zero at every other pivot column.
+
+    Each row is reduced (_reduce) against the rows of the pivot columns
+    right of its own, which are already reduced when the rows are taken
+    from the last pivot column down; a row already zero at all of them is
+    kept as it is. Its own pivot entry is only scaled, by some a > 0, so
+    it stays positive, and the span is unchanged, as a row is replaced by
+    a positive multiple of itself minus a combination of rows right of
+    it.
+
+    The rows that result are unique: for each pivot column c there is
+    one vector of the span that is 1 at c and 0 at every other pivot
+    column (its rref row; the difference of two such vectors is zero at
+    every pivot column, so zero), and a primitive int row, positive at c,
+    that is a multiple of it is its one positive multiple with coprime
+    int entries. So they do not depend on the order in which the rows
+    were inserted, nor on whether any were reduced before, and each one
+    read divided by its pivot entry is its rref row.
+    """
+    done = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        if any(k in done for k in row):
+            row = pivots[c] = _reduce(done, row)
+        done[c] = row
 
 
 def rref(matrix):
@@ -187,17 +224,15 @@ def rref(matrix):
     then one zero row for each input row that added no pivot. Pivot
     entries are 1 and are the only nonzero entries in their columns.
 
-    The rows are inserted one by one with _insert_row, and each pivot row
-    stays zero left of its pivot: a new row's pivot is its first nonzero
-    column after reduction, and an older row is touched only where it is
-    nonzero at that column, which then lies right of its own pivot, and
-    only at columns from there on. Each stored row is a primitive int row
-    with a positive pivot entry p and zeros at the other pivots, so the
-    rows divided by their p are 1 at their own pivot, zero at the others
-    and zero left of it: a reduced row echelon form of the row space, and
-    that form is unique: it is the one Gauss-Jordan elimination reaches.
-    The division by p is the only one, so a Fraction is returned only
-    where that form has one.
+    The rows are inserted one by one with _insert_row, which keeps them
+    in echelon form, and then back-substituted once (_back_substitute).
+    Each stored row is then the one primitive int row with a positive
+    pivot entry p that is zero at the other pivots, so the rows divided by
+    their p are 1 at their own pivot, zero at the others and zero left of
+    it: a reduced row echelon form of the row space, and that form is
+    unique: it is the one Gauss-Jordan elimination reaches. The division
+    by p is the only one, so a Fraction is returned only where that form
+    has one.
 
     >>> rref([[2, 4, 1], [1, 2, 0]])
     ([[1, 2, 0], [0, 0, 1]], [0, 2])
@@ -209,6 +244,7 @@ def rref(matrix):
     for row in matrix:
         row = [_exact_input(x, "entry") for x in row]
         _insert_row(pivots, {c: x for c, x in enumerate(row) if x})
+    _back_substitute(pivots)
     columns = sorted(pivots)
     rows = [[_quotient(pivots[c].get(k, 0), pivots[c][c])
              for k in range(width)] for c in columns]

@@ -6,9 +6,12 @@ These are plain helpers, imported by name, so that both test trees of
 the repository can be collected in one pytest run.
 """
 
+import importlib.util
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from stackyring.fan import SimplicialFan
 from stackyring.lattice import FgAbGroup, GroupHom, cokernel
@@ -20,6 +23,21 @@ TORSION_CHOICES = (
     (), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (12,), (36,),
     (2, 2), (2, 4), (3, 3), (2, 12), (3, 12), (2, 2, 2), (2, 2, 3, 3),
 )
+
+
+def benchmark_workloads():
+    """benchmark/workloads.py, loaded once by its path, for the tests that
+    run on the benchmark's seeded inputs."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        path = Path(__file__).resolve().parent.parent / "benchmark" \
+            / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up by name
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    return workloads
 
 
 def random_finite_cokernel_map(rng):

@@ -131,6 +131,54 @@ def rref_rank(rows):
     return len(rref(rows)[1])
 
 
+def _clear_at(row, c, prow):
+    """row := a row - b prow with a/b = prow[c]/row[c] in lowest terms."""
+    g = math.gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    for k in row:
+        row[k] *= a
+    for k, q in prow.items():
+        row[k] = row.get(k, 0) - b * q
+        if not row[k]:
+            del row[k]
+
+
+def _content_one(row):
+    g = math.gcd(*row.values())
+    return {k: q // g for k, q in row.items()}
+
+
+def insert_reduced_row(pivots, row):
+    """Insert a sparse row into fully reduced int pivot rows; False when it
+    lies in their span.
+
+    The elimination as it was before its rows were kept in echelon form:
+    each pivot row is a primitive int row, positive at its pivot column
+    and zero at every other pivot column. The row, scaled to ints, is
+    cleared at each pivot column in one sorted pass, divided by its
+    content and made positive at its first column l; every older row that
+    is nonzero at l is then cleared there by it and divided by its
+    content.
+    """
+    m = math.lcm(*(Fraction(q).denominator for q in row.values()))
+    row = {k: int(q * m) for k, q in row.items() if q}
+    for c in sorted(row):
+        if c in pivots:
+            _clear_at(row, c, pivots[c])
+    if not row:
+        return False
+    row = _content_one(row)
+    lead = min(row)
+    if row[lead] < 0:
+        row = {k: -q for k, q in row.items()}
+    for c, existing in pivots.items():
+        if lead in existing:
+            _clear_at(existing, lead, row)
+            pivots[c] = _content_one(existing)
+    pivots[lead] = row
+    return True
+
+
 def independent_columns(columns):
     """Indices of the columns that are independent of the earlier ones."""
     keep = []

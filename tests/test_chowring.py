@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from generators import (complete_2d_fan, coprime_weights, doctor_table,
+from generators import (benchmark_workloads, complete_2d_fan,
+                        coprime_weights, doctor_table,
                         weighted_projective_fan)
 from oracles import is_unital_associative
 from stackyring import chowring, documents, fixtures, inertia, stacky
@@ -1629,6 +1630,88 @@ def test_pinned_ring_digests_at_fan_dimension_5():
                             POINT) == want, weights
 
 
+# fan dimensions 6 to 8 over a point, and 7 over P^2, recorded before the
+# relation fill was staged (P(1,2,3,5,7,11) is pinned above)
+PINNED_FAN_DIM_6_TO_8_DIGESTS = {
+    (1,) * 7:
+        "c41f45fdbb28c57a624cd95629fb0f04bead3abda41fb74d58b718b767da5e1c",
+    (1,) * 8:
+        "233b2130df27fb9d97d90de551c43001f731d8d22cdf6f70965eaec201142d3a",
+    (1,) * 9:
+        "dc800b04f80b8cb7d032e45531d32fa25befc22ff54dda62bd7e26a451cb81ea",
+    (1, 2, 3, 5, 7, 11, 13):
+        "92824193de11ba19984a130f557d2868435df484423db40e9d56eef89c2173aa",
+}
+P7_OVER_P2_DIGEST = \
+    "7165e6b999999e574833a49455b19eec97066f2b74e12296ad1f762c255ec3b1"
+
+
+def test_pinned_ring_digests_at_fan_dimensions_6_to_8():
+    for weights, want in PINNED_FAN_DIM_6_TO_8_DIGESTS.items():
+        assert _ring_digest(weighted_projective_fan(list(weights)),
+                            POINT) == want, weights
+    assert _ring_digest(weighted_projective_fan([1] * 8),
+                        BaseRing.projective_space(2)) == P7_OVER_P2_DIGEST
+
+
+def _fill_row_counts(monkeypatch, rings):
+    """{True: rows that added a pivot, False: rows that reduced to zero}
+    over the relation fills of the (sfan, base) pairs of rings: every
+    chowring._insert_row call outside _check_structure, whose walk
+    inserts rows of its own."""
+    counts = Counter({True: 0, False: 0})
+    certifying = []
+    insert, check = chowring._insert_row, chowring._check_structure
+
+    def counted(pivots, row):
+        added = insert(pivots, row)
+        if not certifying:
+            counts[added] += 1
+        return added
+
+    def certify(*args):
+        certifying.append(True)
+        try:
+            return check(*args)
+        finally:
+            certifying.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chowring, "_insert_row", counted)
+        patch.setattr(chowring, "_check_structure", certify)
+        for sfan, base in rings:
+            orbifold_ring(sfan, base)
+    return counts
+
+
+def test_no_relation_row_reduces_to_zero(monkeypatch):
+    """The staged fill multiplies each relation only by the monomials
+    outside the pivot columns the earlier relations made (see _assemble).
+    On the 17 ring fixtures, the seed-1 wps_ring planes, the 24 pinned
+    twisted bundles and P^6 and P^7 over a point, none of the rows it
+    inserts reduces to zero. At P^7 it inserts 12,861 rows, where one row
+    per monomial and relation was 45,045, of which 32,184 reduced to
+    zero. A zero row stays legal in the code: no proof covers every
+    twisted and stacky sector."""
+    workloads = benchmark_workloads()
+    families = {
+        "fixtures": [(fixtures.load_fan(fan), fixtures.load_base(base))
+                     for fan, base in fixtures.RING_CASES],
+        "wps_ring": [workloads.parse_item(item)
+                     for item in workloads.make_items("wps_ring", 1)],
+        "twisted bundles": list(_twisted_bundles()),
+        "P^6": [(weighted_projective_fan([1] * 7), POINT)],
+        "P^7": [(weighted_projective_fan([1] * 8), POINT)],
+    }
+    inserted = {}
+    for name, rings in families.items():
+        counts = _fill_row_counts(monkeypatch, rings)
+        assert counts[False] == 0, name
+        inserted[name] = counts[True]
+    assert inserted["P^6"] == 3424 and inserted["P^7"] == 12861
+    assert all(inserted.values())
+
+
 def _assert_pivot_rows(pivots, where):
     """Each pivot row is a primitive int row, positive at its own pivot
     and zero at every other pivot."""
@@ -1637,6 +1720,15 @@ def _assert_pivot_rows(pivots, where):
         assert math.gcd(*prow.values()) == 1, (where, c)
         assert prow[c] > 0, (where, c)
         assert not any(k in prow for k in pivots if k != c), (where, c)
+
+
+def _assert_echelon_rows(pivots, where):
+    """Each pivot row is a primitive int row, positive at its own pivot
+    and zero left of it, as _insert_row keeps them."""
+    for c, prow in pivots.items():
+        assert all(type(q) is int and q for q in prow.values()), (where, c)
+        assert math.gcd(*prow.values()) == 1, (where, c)
+        assert min(prow) == c and prow[c] > 0, (where, c)
 
 
 def _oracle_normal_form(pivots, width, row):
@@ -1664,10 +1756,11 @@ def _is_positive_multiple(row, want):
 
 def test_pivot_rows_are_ints_where_integral():
     """Seeded integer rows with small entries: every pivot row is a
-    primitive int row with a positive pivot and zeros at the other pivots,
-    the rows span exactly what was inserted, and the rows divided by their
-    pivot entries, as rref and _assemble read them, are the dense oracle's
-    reduced rows."""
+    primitive int row in echelon form, and once back-substituted, a
+    primitive int row with a positive pivot and zeros at the other pivots;
+    the rows span exactly what was inserted, and the back-substituted rows
+    divided by their pivot entries, as rref and _assemble read them, are
+    the dense oracle's reduced rows."""
     rng = random.Random(77)
     non_unit = fractional = 0
     for _ in range(150):
@@ -1677,11 +1770,17 @@ def test_pivot_rows_are_ints_where_integral():
                    for k in rng.sample(range(6), rng.randint(1, 4))}
             rows.append([row.get(k, 0) for k in range(6)])
             chowring._insert_row(pivots, row)
+            _assert_echelon_rows(pivots, rows)
+            echelon = [[prow.get(k, 0) for k in range(6)]
+                       for prow in pivots.values()]
+            pivots = dict(pivots)
+            chowring._back_substitute(pivots)
             _assert_pivot_rows(pivots, rows)
             stored = [[prow.get(k, 0) for k in range(6)]
                       for prow in pivots.values()]
             assert len(pivots) == rank(rows) == oracles.rref_rank(rows) \
-                == oracles.rref_rank(rows + stored), rows
+                == oracles.rref_rank(rows + stored) \
+                == oracles.rref_rank(rows + echelon), rows
             want_rows, want_columns = oracles.rref(rows)
             assert sorted(pivots) == want_columns, rows
             for c, want in zip(want_columns, want_rows):
@@ -1701,7 +1800,9 @@ def test_reduce_is_linear_over_seeded_pivots():
     non-unit pivot entries among them, and seeded rows touching both pivot
     and non-pivot columns, Fraction entries among them: _reduce of a row
     is a positive multiple of sum row[k] NF(e_k), with NF read from the
-    dense oracle, and so is _reduce of each e_k of NF(e_k)."""
+    dense oracle, and so is _reduce of each e_k of NF(e_k). _reduce runs
+    against the echelon rows and against the same rows back-substituted,
+    and reads the same."""
     rng = random.Random(78)
     non_unit = fractional = checked = 0
     for _ in range(150):
@@ -1710,16 +1811,19 @@ def test_reduce_is_linear_over_seeded_pivots():
             chowring._insert_row(pivots, {
                 k: rng.choice((-3, -2, -1, 1, 2, 3))
                 for k in rng.sample(range(7), rng.randint(1, 4))})
-        _assert_pivot_rows(pivots, pivots)
-        non_unit += any(prow[c] > 1 for c, prow in pivots.items())
+        reduced = dict(pivots)
+        chowring._back_substitute(reduced)
+        _assert_pivot_rows(reduced, pivots)
+        non_unit += any(prow[c] > 1 for c, prow in reduced.items())
         free = [k for k in range(7) if k not in pivots]
         if not free:
             continue
         normal = {k: _oracle_normal_form(pivots, 7, {k: 1})
                   for k in range(7)}
         for k in range(7):
-            assert _is_positive_multiple(chowring._reduce(pivots, {k: 1}),
-                                         normal[k]), (pivots, k)
+            got = chowring._reduce(pivots, {k: 1})
+            assert got == chowring._reduce(reduced, {k: 1}), (pivots, k)
+            assert _is_positive_multiple(got, normal[k]), (pivots, k)
         for _ in range(4):
             cols = {rng.choice(sorted(pivots)), rng.choice(free)}
             cols.update(rng.sample(range(7), rng.randint(0, 3)))
@@ -1732,6 +1836,7 @@ def test_reduce_is_linear_over_seeded_pivots():
             want = {p2: q for p2, q in want.items() if q}
             assert want == _oracle_normal_form(pivots, 7, row), row
             got = chowring._reduce(pivots, row)
+            assert got == chowring._reduce(reduced, row), (pivots, row)
             assert all(type(q) is int for q in got.values()), (pivots, row)
             assert not got or math.gcd(*got.values()) == 1, (pivots, row)
             assert _is_positive_multiple(got, want), (pivots, row)

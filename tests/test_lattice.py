@@ -1,14 +1,11 @@
-import importlib.util
 import random
 import re
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import oracles
-from generators import random_finite_cokernel_map
+from generators import benchmark_workloads, random_finite_cokernel_map
 from oracles import member_of_subgroup, same_subgroup
 from stackyring import fixtures, lattice, linalg
 from stackyring.errors import (GaleExactnessError, InfiniteCokernel,
@@ -347,7 +344,7 @@ def test_gale_dual_rejects_infinite_cokernel():
 
 
 def test_gale_exactness_property_seeded():
-    from generators import random_finite_cokernel_map
+    from generators import benchmark_workloads, random_finite_cokernel_map
 
     rng = random.Random(5150)
     for _ in range(40):
@@ -539,12 +536,7 @@ def test_gale_dual_takes_no_rank(monkeypatch):
 def _benchmark_gale_maps():
     """The 24 seeded GALE_SHAPES maps of the cli_sweep benchmark, for
     each of the seeds 1-3."""
-    path = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_workloads()
     maps = [workloads.parse_item(item) for seed in (1, 2, 3)
             for item in workloads.make_items("cli_sweep", seed)
             if item.kind == "gale"]

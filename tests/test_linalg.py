@@ -1,5 +1,6 @@
-"""The one exact elimination: rref, rank and nullspace against a dense
-Gauss-Jordan oracle."""
+"""The one exact elimination: echelon rows and their back-substitution
+against the fully reduced insertion of oracles, and rref, rank and
+nullspace against a dense Gauss-Jordan oracle."""
 
 import random
 from fractions import Fraction
@@ -89,6 +90,86 @@ def test_coefficient_growth_matches_the_dense_oracle():
         if trial % 4 == 3:  # rank 6: two rows from the others
             mat[6] = [a - 3 * b for a, b in zip(mat[0], mat[1])]
             mat[7] = [sum(col[:6]) for col in zip(*mat)]
+        assert linalg.rref(mat) == oracles.rref(mat), mat
+
+
+def sparse_rows(rng, width):
+    """Seeded sparse rows over width columns, a fifth of their entries
+    Fractions, some rows sums of earlier ones."""
+    rows = []
+    for _ in range(rng.randint(1, width + 2)):
+        if rows and rng.random() < 0.2:
+            a, b = rng.choice(rows), rng.choice(rows)
+            row = {k: a.get(k, 0) + 2 * b.get(k, 0) for k in a.keys() | b}
+            row = {k: q for k, q in row.items() if q}
+            if not row:
+                continue
+        else:
+            cols = rng.sample(range(width), rng.randint(1, min(4, width)))
+            row = {k: Fraction(rng.randint(-5, 5) or 1, rng.randint(2, 4))
+                   if rng.random() < 0.2 else rng.choice((-3, -2, -1, 1, 2, 5))
+                   for k in cols}
+        rows.append(row)
+    return rows
+
+
+def seeded_eliminations(seed, count=200):
+    """(rows, echelon pivots, reference pivots) for seeded sparse rows:
+    the rows inserted by _insert_row, then back-substituted, and by the
+    fully reduced insertion of oracles."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = sparse_rows(rng, rng.randint(3, 12))
+        echelon, reference = {}, {}
+        for row in rows:
+            assert linalg._insert_row(echelon, row) \
+                == oracles.insert_reduced_row(reference, row), rows
+            for c, prow in echelon.items():
+                assert min(prow) == c and prow[c] > 0, (rows, c)
+        yield rows, echelon, reference
+
+
+def test_back_substituted_echelon_rows_are_the_reduced_rows():
+    """Echelon inserts then one back-substitution give exactly the rows
+    the fully reduced insertion keeps: the same pivot columns and the
+    same primitive int rows. Back-substituting again changes nothing."""
+    brought_in = 0
+    for rows, echelon, reference in seeded_eliminations(1907):
+        brought_in += echelon != reference
+        linalg._back_substitute(echelon)
+        assert echelon == reference, rows
+        assert all(type(q) is int for prow in echelon.values()
+                   for q in prow.values()), rows
+        again = dict(echelon)
+        linalg._back_substitute(again)
+        assert again == echelon, rows
+    assert brought_in  # some echelon rows differ before back-substitution
+
+
+def test_reduce_reads_the_same_against_echelon_and_reduced_rows():
+    """_reduce against echelon pivots equals _reduce against the same rows
+    back-substituted, on seeded rows over every column, Fractions among
+    their entries; and neither changes the row it is given."""
+    rng = random.Random(1908)
+    for rows, echelon, reference in seeded_eliminations(1909):
+        width = 1 + max(k for row in rows for k in row)
+        linalg._back_substitute(reference)
+        for row in sparse_rows(rng, width):
+            given = dict(row)
+            got = linalg._reduce(echelon, row)
+            assert got == linalg._reduce(reference, row), (rows, row)
+            assert row == given
+            assert not any(c in got for c in echelon), (rows, row)
+
+
+def test_sparse_rref_matches_the_dense_oracle():
+    """rref of seeded sparse rows, wider than seeded_matrices' and with
+    Fraction entries, against the dense Fraction Gauss-Jordan."""
+    rng = random.Random(1910)
+    for _ in range(200):
+        width = rng.randint(3, 12)
+        mat = [[row.get(k, 0) for k in range(width)]
+               for row in sparse_rows(rng, width)]
         assert linalg.rref(mat) == oracles.rref(mat), mat
 
 
