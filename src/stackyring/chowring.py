@@ -9,7 +9,8 @@ its lattice half). Dividing by the linear relations attached to the
 dual lattice M gives the orbifold Chow ring. The computation is sector by
 sector: the relations keep each sector y^v (v in Box) in itself, so the
 ring is the direct sum of the sectors, and each one is reduced degreewise
-by exact rational row reduction. The table is then read from one normal
+by exact rational row reduction, once for all sectors of the same minimal
+cone and step budget (see _assemble). The table is then read from one normal
 form per monomial key, taken off the reduced rows. The product of two keys
 depends on them only through (c1 + c2, tau1 | tau2) and the two base
 labels, so the table is filled by pairs of lattice parts, with one
@@ -648,8 +649,9 @@ def _sector_monomials(sfan, base, box, budget):
     c = v + sum e_i b_i in N and tau = s | sigma(v) as a cone_mask. The key
     is the one deformed_mul multiplies; c and tau are computed once, here,
     where the monomials are enumerated, and this is the only place
-    exponents and lattice elements meet. Products are looked up by key and
-    never decomposed, because a key names one monomial:
+    exponents and lattice elements meet (_assemble's translation of a
+    listing to another sector, below, moves c alone). Products are looked
+    up by key and never decomposed, because a key names one monomial:
 
     The exponents are supported on a face s with s + sigma(v) a face tau,
     so c_bar = v_bar + sum e_i b_bar_i has the positive coefficients
@@ -662,6 +664,16 @@ def _sector_monomials(sfan, base, box, budget):
     (v, e) -> c is injective on the monomials of all sectors together.
     The same argument makes tau the minimal cone of c_bar, which is what
     _lattice_product's cone gate reads.
+
+    Within a sector class (sigma(v), budget) the listing moves with v
+    through c alone. Its (step, exponents, label index) triples come from
+    the faces s of the closed star of sigma(v), the tuples up to budget
+    and the labels, and tau = s | sigma(v): all fixed by the class.
+    Monomials with the same exponents share c and tau, and no two share
+    exponents and label, so the sort orders them by (step, exponents,
+    label index) and the order is the class's too. So the sector v' of
+    v's class lists at each position v's key with c + (v' - v), reduced
+    in N, for c: c' = v' + sum e_i b_i.
     """
     sigma = cone_mask(box.min_cone)
     faces = sfan.fan.face_masks()
@@ -853,6 +865,28 @@ def _assemble(sfan, base, sectors):
     every relation that holds the term. Staging skips row insertions,
     never that check.
 
+    The rows are filled, staged and back-substituted once per sector
+    class (sigma(v), budget), on its first sector v_rep, whose listing
+    the class shares; every sector of the class, v_rep included, reads
+    its survivors and normal forms off those reduced blocks, by position.
+    That is exact:
+
+    - A block's order, by (step, exponents, label), does not depend on v
+      within the class, and the sector v lists at each position the key
+      of v_rep translated by v - v_rep in N (see _sector_monomials).
+    - Translation by a fixed element is a homomorphism of N and leaves
+      tau alone, so the product of a monomial with a relation term
+      (c2, t2, l2) translates too: (c + c2, tau | t2) passes the same face
+      gate, and its key sits at the same position one step up. So the
+      positions, the relation rows and their staging are the same for
+      every sector of the class, and so are the pivots and the unique
+      back-substituted rows: NF of the key at a position is that of
+      v_rep's key there, read on v's basis elements.
+
+    Every sector still forms its products and checks them against its
+    own listing ("relation term escaped sector"), which guards the
+    translation; it only inserts no rows.
+
     So the normal form of every monomial key of degree <= cap is all the
     table reads, and it is read off the pivots, which are back-substituted
     once per block below the layer (cap, cap + 1], when the block is
@@ -886,7 +920,8 @@ def _assemble(sfan, base, sectors):
     and nothing writes to a table entry once it is stored: _check_structure
     and _group_ring only read the table (see their docstrings),
     OrbifoldRing.product returns a copy, and to_json_dict reads. The memo
-    of entries is a local of the call; no state outlives it.
+    of entries and the sector classes are locals of the call; no state
+    outlives it.
 
     The table is certified before the ring is returned. When N is finite
     (rank 0, a gerbe BG over the base, a point included), _group_ring
@@ -916,19 +951,30 @@ def _assemble(sfan, base, sectors):
     basis = []
     keys = []    # the monomial key of each basis element
     by_step = operator.itemgetter(0)
+    classes = {}  # (sigma(v), budget) -> (v, its blocks, their pivot rows)
     for box in sectors:
         # age + step <= cap + 1 exactly when the integer step <= budget,
         # and age + step > cap exactly when step == budget: that step is
         # the layer (cap, cap + 1] of the certificate
         budget = math.floor(cap + 1 - box.age)
-        monomials = _sector_monomials(sfan, base, box, budget)
-        blocks = {step: list(group) for step, group
-                  in itertools.groupby(monomials, key=by_step)}
+        shared = classes.get((box.min_cone, budget))
+        if shared is None:
+            monomials = _sector_monomials(sfan, base, box, budget)
+            blocks = {step: list(group) for step, group
+                      in itertools.groupby(monomials, key=by_step)}
+            pivots = {step: {} for step in range(budget + 1)}  # step -> rows
+            classes[box.min_cone, budget] = box.value, blocks, pivots
+        else:
+            # the class's listing, each c translated by v - v_rep in N
+            rep, blocks, pivots = shared
+            shift = sfan.group.reduce(map(operator.sub, box.value, rep))
+            blocks = {step: [(s, exp, (add(c, shift), tau, l))
+                             for s, exp, (c, tau, l) in block]
+                      for step, block in blocks.items()}
         column = {}  # monomial key -> (step, position among the step's)
         for step, block in blocks.items():
             for pos, (_, _, key) in enumerate(block):
                 column[key] = (step, pos)
-        pivots = {step: {} for step in range(budget + 1)}  # step -> rows
         before = {}  # step -> its pivot columns before each relation's rows
         # went in (see the staging above)
         for step, block in blocks.items():
@@ -953,6 +999,8 @@ def _assemble(sfan, base, sectors):
                             out.append((where[1], s))
                     by_term.append(out)
                 products.append(by_term)
+            if shared is not None:
+                continue  # the class's rows are in place
             above, staged = pivots[step + 1], []
             for j, weight in enumerate(weights):
                 staged.append(set(above))
@@ -968,6 +1016,9 @@ def _assemble(sfan, base, sectors):
                     if row:
                         _insert_row(above, row)
             before[step + 1] = staged
+        if shared is None:
+            for step in range(budget):
+                _back_substitute(pivots[step])
         for step, block in blocks.items():
             rows = pivots[step]
             index = {}  # position of a survivor -> basis index
@@ -985,7 +1036,6 @@ def _assemble(sfan, base, sectors):
                 keys.append(key)
             if step == budget:
                 continue
-            _back_substitute(rows)
             for pos, (_, _, key) in enumerate(block):
                 row = rows.get(pos)
                 normal[key] = ({index[pos]: 1} if row is None else

@@ -19,6 +19,7 @@ from .chowring import BaseRing, orbifold_ring
 from .errors import ENUMERATION_BOUND, DocumentError, StackyError
 from .inertia import inertia_components, three_sectors
 from .lattice import FgAbGroup, gale_dual
+from .linalg import _integer_input
 from .resolution import (Subdivision, check_support_function,
                          fiber_dimension_check, validate_subdivision)
 from .stacky import ExtendedStackyFan
@@ -141,12 +142,29 @@ def cmd_ring(args):
     return _emit_ring(ring, args.out)
 
 
-def _parse_torsion(text):
+def _integer_list(flag, text):
+    """The comma-separated items of a flag's text, each read as
+    linalg._integer_input reads an integer; DocumentError naming the flag
+    when one is not written as an integer n."""
     try:
-        values = [int(x) for x in text.split(",") if x.strip()]
+        return [_integer_input(x, flag) for x in text.split(",")]
     except ValueError as exc:
-        raise DocumentError("--torsion", f"bad integer list {text!r}") from exc
-    if not values or any(q < 1 for q in values):
+        raise DocumentError(flag, f"bad integer list {text!r}") from exc
+
+
+def _integer_flag(text):
+    """An integer flag's text read as _integer_list reads an item; a
+    usage error otherwise."""
+    try:
+        return _integer_input(text, "flag")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from exc
+
+
+def _parse_torsion(text):
+    values = _integer_list("--torsion", text)
+    if any(q < 1 for q in values):
         raise DocumentError("--torsion", "orders must be positive integers")
     return tuple(q for q in values if q > 1)
 
@@ -173,10 +191,7 @@ def cmd_resolve_check(args):
         return 1, payload
     h_values = None
     if args.h is not None:
-        try:
-            h_values = [int(x) for x in args.h.split(",")]
-        except ValueError as exc:
-            raise DocumentError("--h", f"bad integer list {args.h!r}") from exc
+        h_values = _integer_list("--h", args.h)
     verdict = check_support_function(sub, h_values)
     payload = {"valid": True,
                "support_function": {
@@ -219,7 +234,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inertia", help="components of the r-th inertia stack")
     p.add_argument("fan")
-    p.add_argument("--order", type=int, default=2, metavar="R",
+    p.add_argument("--order", type=_integer_flag, default=2, metavar="R",
                    help="tuple length r (default 2); refused when the "
                    f"r-tuples would hold r |Box|^r > {ENUMERATION_BOUND} "
                    "box elements")

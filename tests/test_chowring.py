@@ -1684,6 +1684,19 @@ def _fill_row_counts(monkeypatch, rings):
     return counts
 
 
+def _ring_families():
+    """The 17 ring fixtures, the seed-1 wps_ring planes and the 24 pinned
+    twisted bundles, as lists of (sfan, base) by family name."""
+    workloads = benchmark_workloads()
+    return {
+        "fixtures": [(fixtures.load_fan(fan), fixtures.load_base(base))
+                     for fan, base in fixtures.RING_CASES],
+        "wps_ring": [workloads.parse_item(item)
+                     for item in workloads.make_items("wps_ring", 1)],
+        "twisted bundles": list(_twisted_bundles()),
+    }
+
+
 def test_no_relation_row_reduces_to_zero(monkeypatch):
     """The staged fill multiplies each relation only by the monomials
     outside the pivot columns the earlier relations made (see _assemble).
@@ -1691,25 +1704,75 @@ def test_no_relation_row_reduces_to_zero(monkeypatch):
     twisted bundles and P^6 and P^7 over a point, none of the rows it
     inserts reduces to zero. At P^7 it inserts 12,861 rows, where one row
     per monomial and relation was 45,045, of which 32,184 reduced to
-    zero. A zero row stays legal in the code: no proof covers every
-    twisted and stacky sector."""
-    workloads = benchmark_workloads()
-    families = {
-        "fixtures": [(fixtures.load_fan(fan), fixtures.load_base(base))
-                     for fan, base in fixtures.RING_CASES],
-        "wps_ring": [workloads.parse_item(item)
-                     for item in workloads.make_items("wps_ring", 1)],
-        "twisted bundles": list(_twisted_bundles()),
-        "P^6": [(weighted_projective_fan([1] * 7), POINT)],
-        "P^7": [(weighted_projective_fan([1] * 8), POINT)],
-    }
+    zero. The seed-1 wps_ring planes insert 446 rows, one fill per sector
+    class, where one fill per sector inserted 752. A zero row stays legal
+    in the code: no proof covers every twisted and stacky sector."""
+    families = _ring_families()
+    families["P^6"] = [(weighted_projective_fan([1] * 7), POINT)]
+    families["P^7"] = [(weighted_projective_fan([1] * 8), POINT)]
     inserted = {}
     for name, rings in families.items():
         counts = _fill_row_counts(monkeypatch, rings)
         assert counts[False] == 0, name
         inserted[name] = counts[True]
     assert inserted["P^6"] == 3424 and inserted["P^7"] == 12861
+    assert inserted["wps_ring"] == 446
     assert all(inserted.values())
+
+
+def test_each_sector_class_is_listed_once(monkeypatch):
+    """_assemble lists and reduces one sector per class (sigma(v),
+    budget): the seed-1 wps_ring planes have 112 sectors in 59 classes."""
+    listed = []
+    monomials = chowring._sector_monomials
+
+    def counted(sfan, base, box, budget):
+        listed.append((box.min_cone, budget))
+        return monomials(sfan, base, box, budget)
+
+    monkeypatch.setattr(chowring, "_sector_monomials", counted)
+    sectors = 0
+    for sfan, base in _ring_families()["wps_ring"]:
+        sectors += len(sfan.box())
+        before = len(listed)
+        orbifold_ring(sfan, base)
+        assert len(set(listed[before:])) == len(listed) - before
+    assert (sectors, len(listed)) == (112, 59)
+
+
+def test_sector_classes_read_the_same_table_in_any_order(monkeypatch):
+    """Assembling the sectors of sfan.box() in reverse order gives every
+    class of two or more sectors another first sector, whose listing and
+    reduced blocks the others translate (see _assemble). The table is the
+    same under the bijection (sector, exponents, label) of the bases, on
+    the ring fixtures, the seed-1 wps_ring planes and the twisted
+    bundles. The reversed build skips _check_structure: its table is
+    compared entry by entry with the certified one."""
+    for name, rings in _ring_families().items():
+        shared = 0
+        for k, (sfan, base) in enumerate(rings):
+            box = sfan.box()
+            cap = base.top_degree + sfan.fan.ambient_dim
+            shared += len(box) - len({(b.min_cone, math.floor(
+                cap + 1 - b.age)) for b in box})
+            ring = orbifold_ring(sfan, base)
+            with monkeypatch.context() as patch:
+                patch.setattr(chowring, "_check_structure",
+                              lambda *args: None)
+                other = chowring._assemble(sfan, base, box[::-1])
+            where = {(b.sector, b.exponents, b.label): i
+                     for i, b in enumerate(other.basis)}
+            bij = [where[b.sector, b.exponents, b.label] for b in ring.basis]
+            assert sorted(bij) == list(range(other.dimension)), (name, k)
+            assert [b.degree for b in ring.basis] \
+                == [other.basis[i].degree for i in bij], (name, k)
+            mapped = {}
+            for (i, j), entry in ring._table.items():
+                pair = (bij[i], bij[j]) if bij[i] < bij[j] \
+                    else (bij[j], bij[i])
+                mapped[pair] = {bij[t]: q for t, q in entry.items()}
+            assert mapped == other._table, (name, k)
+        assert shared, name
 
 
 def _assert_pivot_rows(pivots, where):

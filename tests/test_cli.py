@@ -463,6 +463,33 @@ def test_resolve_check_bad_support_function(capsys):
     assert payload["error"]["type"] == "Inconsistent"
 
 
+@pytest.mark.parametrize("text", ["٢", "1_0"])
+def test_order_not_written_as_an_integer_is_a_usage_error(capsys, text):
+    """int() reads "٢" as 2 and "1_0" as 10; --order refuses both, as
+    every input number written as text is read (linalg._integer_input)."""
+    code, out, err = _call(capsys, ["inertia", fan_path("p1"),
+                                    "--order", text])
+    assert (code, out) == (2, "")
+    assert f"argument --order: invalid int value: {text!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gerbe", "--torsion", "{}"],
+    ["resolve-check", fan_path("p112"), fan_path("p112_hirzebruch"),
+     "--h", "0,0,0,{}"],
+], ids=["torsion", "h"])
+@pytest.mark.parametrize("text", ["٢", "1_0"])
+def test_integer_list_not_written_as_integers_is_a_json_error(
+        capsys, argv, text):
+    argv = [a.format(text) for a in argv]
+    flag = argv[-2]
+    code, payload = run(capsys, *argv)
+    assert code == 1
+    assert payload["error"] == {
+        "type": "DocumentError",
+        "detail": f"{flag}: bad integer list {argv[-1]!r}"}
+
+
 def test_resolve_check_without_a_support_function(capsys, tmp_path):
     sub = twisted_p3((True, True, True))
     refined = ExtendedStackyFan.build(
