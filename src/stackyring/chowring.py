@@ -782,11 +782,14 @@ class OrbifoldRing:
                   "label": b.label,
                   "degree": str(b.degree)} for b in self.basis]
         products = []
-        for (i, j) in sorted(self._table):
-            terms = self._table[(i, j)].items()
+        append = products.append
+        table = self._table
+        for key in sorted(table):
+            i, j = key
+            terms = table[key].items()
             # one term, as every entry of a gerbe's table, needs no sort
             for k, q in terms if len(terms) == 1 else sorted(terms):
-                products.append([i, j, k, str(q)])
+                append([i, j, k, str(q)])
         return {"dimension": self.dimension,
                 "sectors": [list(s.value) for s in self.sectors],
                 "basis": basis,

@@ -222,27 +222,85 @@ def dumps_canonical(payload) -> str:
 def _encode(value, newline: str) -> str:
     """One JSON value whose first line starts after newline (see above).
 
-    Items that are exactly str or int, most of any payload, are written in
-    place, an int as repr(v) (the type check makes it int.__repr__(v));
-    every other item, an int subclass too, goes through the full dispatch.
+    A list or dict writes its items in one loop. Three kinds of item are
+    written in place, without a call: an exact str or int (an int as
+    repr(v), which the type check makes int.__repr__(v)); an empty list,
+    as []; and a row, a list whose items are all exact str or int (a
+    product [i, j, k, "q"], a sector value, an exponent list), as one
+    join with its opener, separator and closer made once per level. The
+    row's items sit one indent deeper than the row, as the recursive call
+    would put them. A row that meets any other item (a bool, None, an int
+    subclass such as an IntEnum member, a container, a float) is written
+    again by the recursive call from its start, and so is every other
+    item. The fast path thus only takes what the call would write the
+    same way, and every refusal still comes from the call.
     """
     inner = newline + "  "
+    row = inner + "  "
+    row_open, row_sep, row_close = "[" + row, "," + row, inner + "]"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        body = [encode_basestring_ascii(v) if type(v) is str
-                else repr(v) if type(v) is int
-                else _encode(v, inner) for v in value]
+        body = []
+        append = body.append
+        for v in value:
+            t = type(v)
+            if t is str:
+                append(encode_basestring_ascii(v))
+            elif t is int:
+                append(repr(v))
+            elif t is list:
+                if not v:
+                    append("[]")
+                    continue
+                parts = []
+                put = parts.append
+                for x in v:
+                    u = type(x)
+                    if u is int:
+                        put(repr(x))
+                    elif u is str:
+                        put(encode_basestring_ascii(x))
+                    else:
+                        append(_encode(v, inner))
+                        break
+                else:
+                    append(row_open + row_sep.join(parts) + row_close)
+            else:
+                append(_encode(v, inner))
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
+        body = []
+        append = body.append
         # keys are distinct, so sorting the items compares keys only
-        body = [encode_basestring_ascii(k) + ": " + (
-                    encode_basestring_ascii(v) if type(v) is str
-                    else repr(v) if type(v) is int
-                    else _encode(v, inner))
-                for k, v in sorted(value.items())]
+        for k, v in sorted(value.items()):
+            k = encode_basestring_ascii(k) + ": "
+            t = type(v)
+            if t is str:
+                append(k + encode_basestring_ascii(v))
+            elif t is int:
+                append(k + repr(v))
+            elif t is list:
+                if not v:
+                    append(k + "[]")
+                    continue
+                parts = []
+                put = parts.append
+                for x in v:
+                    u = type(x)
+                    if u is int:
+                        put(repr(x))
+                    elif u is str:
+                        put(encode_basestring_ascii(x))
+                    else:
+                        append(k + _encode(v, inner))
+                        break
+                else:
+                    append(k + row_open + row_sep.join(parts) + row_close)
+            else:
+                append(k + _encode(v, inner))
         return "{" + inner + ("," + inner).join(body) + newline + "}"
     if isinstance(value, str):
         return encode_basestring_ascii(value)

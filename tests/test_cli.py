@@ -572,6 +572,18 @@ def test_inertia_stdout_digest(capsys, command):
         INERTIA_DIGESTS[command])
 
 
+def test_heaviest_inertia_stdout_digest(capsys):
+    """The largest document any command writes: 46,656 components of
+    BG(Z/4 x Z/9), each repeating one quotient fan document, 24,027,897
+    bytes. Listing each distinct quotient once is a planned format change
+    that will re-record this digest."""
+    assert main(["inertia", fan_path("gerbe_z4z9"), "--order", "3"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 24_027_897
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "0173ef539f11a12e0856a73bb4ad388fa86a1ca324451d1d7a0cb29121067abf")
+
+
 @pytest.mark.parametrize("name, order, cones", [
     ("p112", "3", [(), (0, 2)]), ("gerbe_z4z9", "2", [()])])
 def test_inertia_builds_one_quotient_per_joint_cone(capsys, monkeypatch,
