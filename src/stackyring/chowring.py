@@ -868,27 +868,29 @@ def _assemble(sfan, base, sectors):
     every relation that holds the term. Staging skips row insertions,
     never that check.
 
-    The rows are filled, staged and back-substituted once per sector
-    class (sigma(v), budget), on its first sector v_rep, whose listing
-    the class shares; every sector of the class, v_rep included, reads
-    its survivors and normal forms off those reduced blocks, by position.
-    That is exact:
+    The rows are filled, staged, checked at the layer (cap, cap + 1] and
+    back-substituted once per sector class (sigma(v), budget), on its
+    first sector v_rep, which keeps its listing below the budget; every
+    sector of the class, v_rep included, reads its survivors and normal
+    forms off those reduced blocks, by position. That is exact:
 
     - A block's order, by (step, exponents, label), does not depend on v
       within the class, and the sector v lists at each position the key
       of v_rep translated by v - v_rep in N (see _sector_monomials).
-    - Translation by a fixed element is a homomorphism of N and leaves
-      tau alone, so the product of a monomial with a relation term
-      (c2, t2, l2) translates too: (c + c2, tau | t2) passes the same face
-      gate, and its key sits at the same position one step up. So the
-      positions, the relation rows and their staging are the same for
-      every sector of the class, and so are the pivots and the unique
-      back-substituted rows: NF of the key at a position is that of
-      v_rep's key there, read on v's basis elements.
+    - A translated key times a relation term (c2, t2, l2) is the
+      translation of v_rep's product: addition in N is associative and
+      commutative, and tau and the labels are kept, so (c + c2, tau | t2)
+      passes the same face gate and sits at the same position, one step
+      up, in the translated listing. So v_rep's check ("relation term
+      escaped sector") holds for every sector of the class, and the
+      relation rows, their staging, the pivots and the unique
+      back-substituted rows are the class's: NF of the key at a position
+      is that of v_rep's key there, read on v's basis elements.
+    - The budget block's pivots are the class's, so its survivors are
+      v_rep's: none, once v_rep passes the check at (cap, cap + 1].
 
-    Every sector still forms its products and checks them against its
-    own listing ("relation term escaped sector"), which guards the
-    translation; it only inserts no rows.
+    The class's other sectors thus form no product and read no layer
+    above cap: they translate the blocks below the budget and read them.
 
     So the normal form of every monomial key of degree <= cap is all the
     table reads, and it is read off the pivots, which are back-substituted
@@ -966,79 +968,76 @@ def _assemble(sfan, base, sectors):
             blocks = {step: list(group) for step, group
                       in itertools.groupby(monomials, key=by_step)}
             pivots = {step: {} for step in range(budget + 1)}  # step -> rows
+            column = {}  # monomial key -> (step, position among the step's)
+            for step, block in blocks.items():
+                for pos, (_, _, key) in enumerate(block):
+                    column[key] = (step, pos)
+            before = {}  # step -> its pivot columns before each relation's
+            # rows went in (see the staging above)
+            for step, block in blocks.items():
+                if not relations or step == budget:
+                    break  # the blocks ascend by step
+                # each (monomial, relation term) product once, as positions
+                # one step up with their coefficients, checked to stay there
+                products = []  # per monomial: per term, [(position, s)]
+                for _, _, (c1, t1, l1) in block:
+                    by_term = []
+                    for c2, t2, l2 in terms:
+                        part = _lattice_product(faces, add, c1, t1, c2, t2)
+                        out = []
+                        if part is not None:
+                            for l3, s in base._products[l1][l2].items():
+                                where = column.get((*part, l3))
+                                if where is None or where[0] != step + 1:
+                                    raise InternalInconsistency(
+                                        f"relation term escaped sector "
+                                        f"{box.value} at degree "
+                                        f"{box.age + step + 1}")
+                                out.append((where[1], s))
+                        by_term.append(out)
+                    products.append(by_term)
+                above, staged = pivots[step + 1], []
+                for j, weight in enumerate(weights):
+                    staged.append(set(above))
+                    skip = before[step][j] if step in before else ()
+                    for pos, by_term in enumerate(products):
+                        if pos in skip:
+                            continue
+                        row = {}
+                        for t, q in weight:
+                            for p2, s in by_term[t]:
+                                row[p2] = row.get(p2, 0) + q * s
+                        row = {p2: x for p2, x in row.items() if x}
+                        if row:
+                            _insert_row(above, row)
+                before[step + 1] = staged
+            # the layer's pivot columns are positions of it; others survive
+            if len(blocks.pop(budget, ())) > len(pivots[budget]):
+                raise InfiniteDimensional(
+                    f"sector {box.value} has a class at degree "
+                    f"{box.age + budget} beyond the bound {cap}")
+            for step in range(budget):
+                _back_substitute(pivots[step])
             classes[box.min_cone, budget] = box.value, blocks, pivots
         else:
-            # the class's listing, each c translated by v - v_rep in N
+            # the class's listing below the budget, each c translated by
+            # v - v_rep in N
             rep, blocks, pivots = shared
             shift = sfan.group.reduce(map(operator.sub, box.value, rep))
             blocks = {step: [(s, exp, (add(c, shift), tau, l))
                              for s, exp, (c, tau, l) in block]
                       for step, block in blocks.items()}
-        column = {}  # monomial key -> (step, position among the step's)
-        for step, block in blocks.items():
-            for pos, (_, _, key) in enumerate(block):
-                column[key] = (step, pos)
-        before = {}  # step -> its pivot columns before each relation's rows
-        # went in (see the staging above)
-        for step, block in blocks.items():
-            if not relations or step == budget:
-                break  # the blocks ascend by step
-            # each (monomial, relation term) product once, as positions
-            # one step up with their coefficients, checked to stay there
-            products = []  # per monomial: per term, [(position, s)]
-            for _, _, (c1, t1, l1) in block:
-                by_term = []
-                for c2, t2, l2 in terms:
-                    part = _lattice_product(faces, add, c1, t1, c2, t2)
-                    out = []
-                    if part is not None:
-                        for l3, s in base._products[l1][l2].items():
-                            where = column.get((*part, l3))
-                            if where is None or where[0] != step + 1:
-                                raise InternalInconsistency(
-                                    f"relation term escaped sector "
-                                    f"{box.value} at degree "
-                                    f"{box.age + step + 1}")
-                            out.append((where[1], s))
-                    by_term.append(out)
-                products.append(by_term)
-            if shared is not None:
-                continue  # the class's rows are in place
-            above, staged = pivots[step + 1], []
-            for j, weight in enumerate(weights):
-                staged.append(set(above))
-                skip = before[step][j] if step in before else ()
-                for pos, by_term in enumerate(products):
-                    if pos in skip:
-                        continue
-                    row = {}
-                    for t, q in weight:
-                        for p2, s in by_term[t]:
-                            row[p2] = row.get(p2, 0) + q * s
-                    row = {p2: x for p2, x in row.items() if x}
-                    if row:
-                        _insert_row(above, row)
-            before[step + 1] = staged
-        if shared is None:
-            for step in range(budget):
-                _back_substitute(pivots[step])
         for step, block in blocks.items():
             rows = pivots[step]
             index = {}  # position of a survivor -> basis index
             for pos, (_, exp, key) in enumerate(block):
                 if pos in rows:
                     continue
-                if step == budget:
-                    raise InfiniteDimensional(
-                        f"sector {box.value} has a class at degree "
-                        f"{box.age + step} beyond the bound {cap}")
                 index[pos] = len(basis)
                 basis.append(RingBasisElement(box.value, exp,
                                               base.labels[key[2]],
                                               box.age + step))
                 keys.append(key)
-            if step == budget:
-                continue
             for pos, (_, _, key) in enumerate(block):
                 row = rows.get(pos)
                 normal[key] = ({index[pos]: 1} if row is None else

@@ -16,7 +16,8 @@ import sys
 
 from . import documents
 from .chowring import BaseRing, orbifold_ring
-from .errors import ENUMERATION_BOUND, DocumentError, StackyError
+from .errors import (ENUMERATION_BOUND, Diagnostic, DocumentError,
+                     StackyError)
 from .inertia import inertia_components, three_sectors
 from .lattice import FgAbGroup, gale_dual
 from .linalg import _integer_input
@@ -181,10 +182,16 @@ def cmd_gerbe(args):
 
 def cmd_resolve_check(args):
     coarse = _load_fan(args.coarse)
-    refined_sfan = _load_fan(args.refined)
-    refined = refined_sfan.fan
-    sub = Subdivision(coarse, refined)
-    diagnostics = validate_subdivision(sub)
+    refined = _load_fan(args.refined)
+    diagnostics = []
+    if refined.group != coarse.group or refined.extra:
+        # a Subdivision keeps the refined fan alone, read over the coarse N
+        diagnostics.append(Diagnostic(
+            "NotSmooth",
+            "refined fan must lie in the coarse lattice N, with no extra "
+            "vectors"))
+    sub = Subdivision(coarse, refined.fan)
+    diagnostics += validate_subdivision(sub)
     if diagnostics:
         payload = {"valid": False,
                    "diagnostics": [d.to_json_dict() for d in diagnostics]}

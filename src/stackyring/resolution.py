@@ -13,6 +13,7 @@ then agree.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -36,7 +37,34 @@ class Subdivision:
 
 
 def validate_subdivision(sub: Subdivision):
-    """Structural checks; returns a list of Diagnostic findings."""
+    """Structural checks; returns a list of Diagnostic findings.
+
+    Both fans must pass their own validate(). The refined fan is then a
+    subdivision of the coarse one when every refined maximal cone lies in
+    a coarse cone and every coarse maximal cone C, of dimension k, is the
+    union of the refined maximal cones inside it: those whose rays have a
+    coarse minimal_cone among C's rays. That holds when C holds at least
+    one of them, each has dimension k, and each (k-1)-face (wall) of
+    theirs that crosses C's interior, the coarse minimal_cone of its rays
+    being C itself, lies in exactly two refined maximal cones. As in
+    SimplicialFan.is_complete, on valid fans:
+
+    * A refined maximal cone R at such a wall lies in C: R lies in some
+      coarse cone C', and C' meets the interior of C at the wall, so C
+      is a face of C', and C' = C, as no maximal cone of a valid fan is
+      nested in another.
+    * The two cones at a wall lie on opposite sides of it, or their
+      interiors would overlap. So the union U of the refined cones in C
+      is closed, and open in the interior of C (in the span of C) off
+      the (k-2)-faces of the refined cones, finitely many subspaces of
+      codimension 2 there.
+    * For k >= 2 the interior of C minus those subspaces is connected,
+      and U meets it in the interior of a k-dimensional refined cone, so
+      U holds it, and its closure C. For k = 1 the refined cone is C
+      itself, and for k = 0 it is the zero cone.
+
+    A coarse cone that fails is refused as NotSmooth, by name.
+    """
     out = []
     coarse = sub.coarse
     refined = sub.refined
@@ -46,6 +74,7 @@ def validate_subdivision(sub: Subdivision):
     if coarse.extra:
         out.append(Diagnostic(
             "NotSmooth", "coarse fan must not carry extra vectors"))
+    out.extend(coarse.validate())
     out.extend(refined.validate())
     if out:
         return out
@@ -58,11 +87,31 @@ def validate_subdivision(sub: Subdivision):
     # minimal_cone(points) is None exactly when no single maximal cone
     # holds every point: on any fan, valid or not, and for an empty list
     # of points, which is None only when there are no maximal cones
+    inside = {c: [] for c in coarse.fan.max_cones}
     for c in refined.max_cones:
-        if coarse.fan.minimal_cone([refined.rays[i] for i in c]) is None:
+        found = coarse.fan.minimal_cone([refined.rays[i] for i in c])
+        if found is None:
             out.append(Diagnostic(
                 "NotSmooth",
                 f"refined cone {c} is not contained in a coarse cone"))
+            continue
+        for cone, cones in inside.items():
+            if set(found) <= set(cone):
+                cones.append(c)
+    walls = collections.Counter(
+        w for c in refined.max_cones if c
+        for w in itertools.combinations(c, len(c) - 1))
+    for cone, cones in inside.items():
+        k = len(cone)
+        crossing = [w for c in cones if k and len(c) == k
+                    for w in itertools.combinations(c, k - 1)
+                    if coarse.fan.minimal_cone(
+                        [refined.rays[i] for i in w]) == cone]
+        if not cones or any(len(c) != k for c in cones) or any(
+                walls[w] != 2 for w in crossing):
+            out.append(Diagnostic(
+                "NotSmooth", f"coarse cone {cone} is not the union of "
+                             f"the refined cones inside it"))
     d = coarse.group.rank
     for c in refined.max_cones:
         mat = [[refined.rays[i][r] for i in c] for r in range(d)]
@@ -279,15 +328,14 @@ class FiberDimensionReport:
 def fiber_dimension_check(sub: Subdivision, base: BaseRing) -> FiberDimensionReport:
     """Compare the coarse orbifold ring with the refined ordinary ring.
 
-    The refined fan becomes a stacky fan with trivial box; base twist
-    classes are extended by zero on the new rays.
+    The refined fan itself becomes a stacky fan over the coarse N, free,
+    its rays their own lifts, with trivial box; base twist classes are
+    extended by zero on the new rays.
     """
     _require_valid(sub)
     coarse_ring = orbifold_ring(sub.coarse, base)
-    refined_sfan = ExtendedStackyFan.build(
-        sub.coarse.group,
-        sub.refined.rays,
-        sub.refined.max_cones)
+    refined_sfan = ExtendedStackyFan(sub.coarse.group, sub.refined,
+                                     sub.refined.rays)
     if base.twists is None:
         refined_base = base
     else:

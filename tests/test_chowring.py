@@ -1775,6 +1775,34 @@ def test_sector_classes_read_the_same_table_in_any_order(monkeypatch):
         assert shared, name
 
 
+def test_translated_keys_are_the_direct_keys(monkeypatch):
+    """A sector that is not the first of its class reads the first
+    sector's listing translated by v - v_rep in N (see _assemble). The
+    monomial keys given a normal form, _combination's normal argument,
+    are then exactly the keys _sector_monomials lists below the budget
+    for each sector of sfan.box() on its own, on the ring fixtures, the
+    seed-1 wps_ring planes and the twisted bundles."""
+    normals = []
+    combination = chowring._combination
+
+    def recorded(normal, part, terms):
+        normals.append(normal)
+        return combination(normal, part, terms)
+
+    monkeypatch.setattr(chowring, "_combination", recorded)
+    for name, rings in _ring_families().items():
+        for k, (sfan, base) in enumerate(rings):
+            normals.clear()
+            orbifold_ring(sfan, base)
+            cap = base.top_degree + sfan.fan.ambient_dim
+            direct = set()
+            for box in sfan.box():
+                budget = math.floor(cap + 1 - box.age)
+                listed = chowring._sector_monomials(sfan, base, box, budget)
+                direct.update(key for step, _, key in listed if step < budget)
+            assert normals and normals[0].keys() == direct, (name, k)
+
+
 def _assert_pivot_rows(pivots, where):
     """Each pivot row is a primitive int row, positive at its own pivot
     and zero at every other pivot."""

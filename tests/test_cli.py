@@ -318,6 +318,38 @@ def test_resolve_check_search(capsys):
     assert payload["fiber_dimensions"]["orbifold"] == 4
 
 
+def _hirzebruch_document():
+    return documents.load_json(fixtures.fixture_path("p112_hirzebruch"))
+
+
+def _without_cone_01(doc):
+    return {**doc, "cones": [c for c in doc["cones"] if c != [0, 1]]}
+
+
+def _over_torsion(doc):
+    # Z^2 + Z/2, a torsion coordinate on every lift, and an extra vector
+    return {**doc, "group": {"rank": 2, "torsion": [2]},
+            "rays": [r + [1] for r in doc["rays"]], "extra": [[0, 0, 1]]}
+
+
+@pytest.mark.parametrize("doctor, detail", [
+    (_without_cone_01,
+     "coarse cone (0, 1) is not the union of the refined cones inside it"),
+    (_over_torsion,
+     "refined fan must lie in the coarse lattice N, with no extra vectors"),
+], ids=["uncovered", "lattice"])
+def test_resolve_check_refuses_a_refined_document(capsys, tmp_path, doctor,
+                                                  detail):
+    # both used to pass as "valid": true, with fibre dimensions 4 = 4
+    path = tmp_path / "refined.json"
+    path.write_text(json.dumps(doctor(_hirzebruch_document())))
+    code, payload = run(capsys, "resolve-check", fan_path("p112"),
+                        str(path), "--fiber")
+    assert code == 1
+    assert payload == {"valid": False, "diagnostics": [
+        {"code": "NotSmooth", "detail": detail}]}
+
+
 def test_internal_fault_exits_with_json_error(capsys, doctor_ring_table):
     def break_unit(table):
         table[(0, 1)] = {1: Fraction(2)}

@@ -113,6 +113,43 @@ def test_validate_subdivision_refined_cone_outside_coarse_cones():
                    "refined cone (0, 2) is not contained in a coarse cone")]
 
 
+@pytest.mark.parametrize("dropped", range(4))
+def test_validate_subdivision_refuses_an_uncovered_coarse_cone(dropped):
+    # without one refined cone, a coarse cone is no longer covered: with
+    # no refined cone in it, or with a wall inside it on one cone alone
+    sub = p112_subdivision()
+    cones = sub.refined.max_cones
+    refined = SimplicialFan(2, sub.refined.rays,
+                            cones[:dropped] + cones[dropped + 1:])
+    uncovered = [(0, 1), (1, 2), (0, 2), (0, 2)][dropped]
+    assert validate_subdivision(Subdivision(sub.coarse, refined)) == [
+        Diagnostic("NotSmooth", f"coarse cone {uncovered} is not the union "
+                                f"of the refined cones inside it")]
+
+
+def test_validate_subdivision_refuses_lower_dimensional_refined_cones():
+    # p2's rays as the maximal cones: each lies in two coarse cones, and
+    # no coarse cone is covered by them
+    coarse = fixtures.load_fan("p2")
+    refined = SimplicialFan(2, coarse.fan.rays, ((0,), (1,), (2,)))
+    assert validate_subdivision(Subdivision(coarse, refined)) == [
+        Diagnostic("NotSmooth", f"coarse cone {cone} is not the union of "
+                                f"the refined cones inside it")
+        for cone in coarse.fan.max_cones]
+
+
+def test_validate_subdivision_reports_the_coarse_fans_diagnostics():
+    # p112 with its first cone listed twice used to get a support function
+    p112 = fixtures.load_fan("p112")
+    coarse = ExtendedStackyFan.build(
+        p112.group, p112.ray_lifts, p112.fan.max_cones + ((1, 0),))
+    sub = Subdivision(coarse, p112_subdivision().refined)
+    assert validate_subdivision(sub) == [
+        Diagnostic("BadIntersection", "cones (0, 1) and (0, 1) are nested")]
+    with pytest.raises(InvalidSubdivision, match="are nested"):
+        check_support_function(sub)
+
+
 @pytest.mark.parametrize("along_i", [True, False])
 def test_twisted_p3_has_no_support_function(along_i):
     sub = twisted_p3((along_i,) * 3)
